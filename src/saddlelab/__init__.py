@@ -18,7 +18,7 @@ from .errors import (
     SaddleLabError,
     UndefinedRatioError,
 )
-from .linalg import SeededRng, dot, gaussian_vector, matvec, norm2
+from .linalg import SeededRng
 
 __all__ = [
     "__version__",
@@ -34,8 +34,4 @@ __all__ = [
     "CheckpointError",
     "RunAbortedError",
     "SeededRng",
-    "dot",
-    "norm2",
-    "matvec",
-    "gaussian_vector",
 ]

@@ -15,7 +15,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cncverify import CncSettings, save_theorem1_report, theorem1_report
 from .datagen import ClassGeometry, ImbalanceProfile, generate, save_dataset
 from .errors import SaddleLabError
 from .harness import (
@@ -26,10 +25,11 @@ from .harness import (
     resolve_output_dir,
     run_experiment,
     sweep_rho,
+    write_cnc_snapshot,
+    write_spectrum_snapshot,
 )
 from .linalg import SeededRng
 from .model import ParamVector, param_layout
-from .spectral import classwise_spectrum_report, save_spectrum
 
 
 def _parse_float_list(text: str):
@@ -52,66 +52,50 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_checkpoint_context(path):
-    ckpt = load_checkpoint(path)
+def _load_checkpoint_context(args):
+    """Checkpoint, its config, parameters and training set, and the output
+    directory (default: the checkpoint's own directory)."""
+    ckpt = load_checkpoint(args.checkpoint)
     cfg = config_from_dict(ckpt.config)
     layout, _ = param_layout(cfg.model)
-    w = ParamVector(ckpt.params, layout)
-    ds, test, groups = _build_data(cfg, SeededRng(cfg.seed))
-    return ckpt, cfg, w, ds, test, groups
+    ds, _, _ = _build_data(cfg, SeededRng(cfg.seed))
+    out = resolve_output_dir(str(Path(args.checkpoint).parent), args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return ckpt, cfg, ParamVector(ckpt.params, layout), ds, out
+
+
+def _read_json(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def cmd_spectrum(args) -> int:
-    ckpt, cfg, w, ds, _, _ = _load_checkpoint_context(args.checkpoint)
-    if args.class_id == "all":
-        classes = list(range(ds.num_classes))
-    else:
-        classes = [int(args.class_id)]
-    out = resolve_output_dir(str(Path(args.checkpoint).parent), args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    loss = cfg.loss.bind(ds.class_counts)
-    entries = classwise_spectrum_report(
-        cfg.model, w, ds, loss, classes, cfg.spectral,
-        SeededRng(cfg.seed).child("spectrum", ckpt.epoch),
-    )
-    meta = {"epoch": ckpt.epoch, "seed": cfg.seed, "config_hash": ckpt.config_hash,
-            "code_version": __version__,
-            "generalized_hessian": cfg.model.activation == "relu"}
-    for entry in entries:
-        tag = "all" if entry.class_id is None else str(entry.class_id)
-        save_spectrum(entry, out / f"spectrum_{ckpt.epoch}_class{tag}.csv",
-                      out / f"spectrum_{ckpt.epoch}_class{tag}.json", meta)
-        lam = entry.extremes
-        label = "full dataset" if entry.class_id is None else f"class {entry.class_id}"
-        print(f"{label}: lambda_min={lam.lambda_min:.6g} lambda_max={lam.lambda_max:.6g} "
-              f"ratio={entry.ratio:.6g}")
+    ckpt, cfg, w, ds, out = _load_checkpoint_context(args)
+    classes = range(ds.num_classes) if args.class_id == "all" else [int(args.class_id)]
+    names = write_spectrum_snapshot(cfg, w, ds, ckpt.epoch, out, ckpt.config_hash, classes)
+    for name in names[1::2]:
+        side = _read_json(out / name)
+        cid, ratio = side["class_id"], side["nonconvexity_ratio"]
+        label = "full dataset" if cid is None else f"class {cid}"
+        print(f"{label}: lambda_min={side['lambda_min']:.6g} "
+              f"lambda_max={side['lambda_max']:.6g} "
+              f"ratio={'n/a' if ratio is None else format(ratio, '.6g')}")
     print(f"wrote spectra to {out}")
     return 0
 
 
 def cmd_cnc_check(args) -> int:
-    ckpt, cfg, w, ds, _, _ = _load_checkpoint_context(args.checkpoint)
     rhos = _parse_float_list(args.rho)
     if not rhos:
         raise SaddleLabError("--rho list is empty")
-    out = resolve_output_dir(str(Path(args.checkpoint).parent), args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    settings = CncSettings(batch_size=cfg.cnc.batch_size,
-                           num_batches=cfg.cnc.num_batches,
-                           mode=args.mode or cfg.cnc.mode,
-                           spectral=cfg.spectral)
-    loss = cfg.loss.bind(ds.class_counts)
-    rows = theorem1_report(cfg.model, w, ds, loss, rhos, settings,
-                           SeededRng(cfg.seed).child("cnc", ckpt.epoch))
-    save_theorem1_report(rows, out / f"cnc_{ckpt.epoch}.csv",
-                         out / f"cnc_{ckpt.epoch}.json", settings,
-                         meta={"epoch": ckpt.epoch, "seed": cfg.seed,
-                               "config_hash": ckpt.config_hash,
-                               "code_version": __version__})
-    for r in rows:
-        ratio = "n/a (CNC violation)" if r.measured_ratio is None else f"{r.measured_ratio:.6g}"
-        print(f"rho={r.rho:g}: measured_ratio={ratio} "
-              f"predicted={(r.predicted_factor):.6g} lambda_min={r.lambda_min:.6g}")
+    ckpt, cfg, w, ds, out = _load_checkpoint_context(args)
+    names = write_cnc_snapshot(cfg, w, ds, ckpt.epoch, out, ckpt.config_hash, rhos,
+                               args.mode)
+    for r in _read_json(out / names[1])["rows"]:
+        ratio = ("n/a (CNC violation)" if r["measured_ratio"] is None
+                 else f"{r['measured_ratio']:.6g}")
+        print(f"rho={r['rho']:g}: measured_ratio={ratio} "
+              f"predicted={r['predicted_factor']:.6g} lambda_min={r['lambda_min']:.6g}")
     print(f"wrote report to {out}")
     return 0
 

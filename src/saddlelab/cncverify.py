@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import SeededRng
+from .linalg import SeededRng, format_float
 from .losses import LossSpec
 from .model import Batch, MlpSpec, ParamVector, hvp, loss_grad
+from .optim import sam_perturbation
 from .spectral import HvpOracle, SpectralSettings, extreme_eigs
 
 UNNORMALIZED = "unnormalized"
@@ -103,17 +104,8 @@ def sam_gradient(grad_fn, w: np.ndarray, rho: float, mode: str = UNNORMALIZED):
     """One sharpness-aware gradient with the same stochastic draw inside and
     outside: grad_fn must be bound to a fixed batch/noise realization."""
     _, g1 = grad_fn(w)
-    if rho == 0.0:
-        return g1
-    if mode == NORMALIZED:
-        norm = float(np.linalg.norm(g1))
-        if norm == 0.0:
-            return g1
-        eps = (rho / norm) * g1
-    else:
-        eps = rho * g1
-    _, g2 = grad_fn(w + eps)
-    return g2
+    eps = sam_perturbation(g1, rho, normalized=mode == NORMALIZED)
+    return g1 if eps is None else grad_fn(w + eps)[1]
 
 
 def estimate_gamma(spec: MlpSpec, w: ParamVector, v_w, ds, loss: LossSpec,
@@ -159,14 +151,10 @@ def _taylor_residual(spec, w, ds, loss, rho: float, mode: str, batches) -> float
     for idx in batches:
         batch = _batch_of(ds, idx)
         _, g1 = loss_grad(spec, w, batch, loss)
-        if mode == NORMALIZED:
-            norm = float(np.linalg.norm(g1))
-            if norm == 0.0:
-                residuals.append(0.0)
-                continue
-            eps = (rho / norm) * g1
-        else:
-            eps = rho * g1
+        eps = sam_perturbation(g1, rho, normalized=mode == NORMALIZED)
+        if eps is None:
+            residuals.append(0.0)
+            continue
         _, g2 = loss_grad(spec, ParamVector(w.data + eps, w.layout), batch, loss)
         h_eps = hvp(spec, w, batch, loss, eps)
         residuals.append(float(np.linalg.norm(g2 - (g1 + h_eps))))
@@ -230,12 +218,9 @@ def save_theorem1_report(rows, csv_path, json_path, settings: CncSettings,
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)
         for r in rows:
-            writer.writerow([
-                _fmt(r.rho), _fmt(r.lambda_min), _fmt(r.gamma_hat), _fmt(r.gamma_stderr),
-                _fmt(r.sam_moment_hat), _fmt(r.sam_stderr),
-                "" if r.measured_ratio is None else _fmt(r.measured_ratio),
-                _fmt(r.predicted_factor), _fmt(r.taylor_residual), int(r.cnc_violation),
-            ])
+            writer.writerow(
+                ["" if getattr(r, f) is None else format_float(getattr(r, f))
+                 for f in fields[:-1]] + [int(r.cnc_violation)])
     sidecar = {
         "format_version": CNC_FORMAT_VERSION,
         "settings": {
@@ -255,10 +240,6 @@ def save_theorem1_report(rows, csv_path, json_path, settings: CncSettings,
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass

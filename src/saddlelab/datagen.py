@@ -22,7 +22,7 @@ from .errors import (
     InfeasibleProfileError,
     ParameterError,
 )
-from .linalg import SeededRng
+from .linalg import SeededRng, format_float
 
 LONGTAIL = "longtail"
 STEP = "step"
@@ -252,7 +252,7 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow([f"f{i}" for i in range(ds.features.shape[1])] + ["label"])
     for row, label in zip(ds.features, ds.labels):
-        writer.writerow([format(x, ".17g") for x in row] + [int(label)])
+        writer.writerow([format_float(x) for x in row] + [int(label)])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         fh.write(buf.getvalue())

@@ -40,24 +40,17 @@ from .errors import (
     RunAbortedError,
     SaddleLabError,
 )
-from .linalg import SeededRng
+from .linalg import SeededRng, format_float
 from .losses import LossSpec, ReweightSchedule, drw_weights, loss_on_logits
 from .model import Batch, MlpSpec, ParamVector, forward, init_params, loss_grad, param_layout
 from .optim import (
-    LPFSGD,
-    PGD,
-    SAM,
-    SGD,
     LrSchedule,
     OptimizerConfig,
     OptimizerState,
     RhoSchedule,
-    lpf_sgd_step,
     lr_at,
-    pgd_step,
+    optimizer_step,
     rho_at,
-    sam_step,
-    sgd_step,
 )
 from .spectral import SpectralSettings, classwise_spectrum_report, extreme_eigs, save_spectrum
 from .spectral import HvpOracle
@@ -277,10 +270,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # metrics
 # --------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 @dataclass
 class MetricsRecord:
     epoch: int
@@ -306,12 +295,12 @@ class MetricsRecord:
                 + ["config_hash", "code_version"])
 
     def csv_row(self) -> list:
-        opt = lambda v: "" if v is None else _fmt(v)
-        return ([str(self.epoch), _fmt(self.train_loss), _fmt(self.grad_norm),
-                 _fmt(self.lr), _fmt(self.rho), _fmt(self.overall_acc),
-                 opt(self.head_acc), opt(self.mid_acc), opt(self.tail_acc)]
-                + [_fmt(a) for a in self.per_class_acc]
-                + [_fmt(l) for l in self.per_class_loss]
+        opt = lambda v: "" if v is None else format_float(v)
+        floats = (self.train_loss, self.grad_norm, self.lr, self.rho, self.overall_acc)
+        return ([str(self.epoch)] + [format_float(x) for x in floats]
+                + [opt(self.head_acc), opt(self.mid_acc), opt(self.tail_acc)]
+                + [format_float(a) for a in self.per_class_acc]
+                + [format_float(l) for l in self.per_class_loss]
                 + [self.config_hash, self.code_version])
 
 
@@ -367,8 +356,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "config_hash": ckpt.config_hash,
         "config": ckpt.config,
         "epoch": ckpt.epoch,
-        "params": [_fmt(x) for x in ckpt.params],
-        "velocity": [_fmt(x) for x in ckpt.velocity],
+        "params": [format_float(x) for x in ckpt.params],
+        "velocity": [format_float(x) for x in ckpt.velocity],
         "step_count": ckpt.step_count,
         "rng_states": ckpt.rng_states,
     }
@@ -440,6 +429,54 @@ def _build_data(cfg: ExperimentConfig, root: SeededRng):
     return ds, test, groups
 
 
+def write_spectrum_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDataset,
+                            epoch: int, out: Path, chash: str, classes) -> list:
+    """Class-wise spectra for `classes` plus the full-dataset entry, written as
+    spectrum_<epoch>_class<id|all>.{csv,json}; returns the file names."""
+    entries = classwise_spectrum_report(
+        cfg.model, w, ds, cfg.loss.bind(ds.class_counts), classes, cfg.spectral,
+        SeededRng(cfg.seed).child("spectrum", epoch),
+    )
+    meta = {
+        "epoch": epoch,
+        "seed": cfg.seed,
+        "config_hash": chash,
+        "code_version": CODE_VERSION,
+        "generalized_hessian": cfg.model.activation == "relu",
+    }
+    names = []
+    for entry in entries:
+        stem = f"spectrum_{epoch}_class{'all' if entry.class_id is None else entry.class_id}"
+        save_spectrum(entry, out / f"{stem}.csv", out / f"{stem}.json", meta)
+        names.extend([f"{stem}.csv", f"{stem}.json"])
+    return names
+
+
+def write_cnc_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDataset,
+                       epoch: int, out: Path, chash: str, rhos=None, mode=None) -> list:
+    """Theorem-1 report after `epoch` completed epochs, written as
+    cnc_<epoch>.{csv,json}; returns the file names.
+
+    The loss carries the DRW class weights of the last epoch trained, so the
+    report probes the objective the optimizer was stepping on. rhos and mode
+    default to the config's cnc section (rhos: the epoch's effective rho).
+    """
+    last_epoch = min(epoch, max(cfg.epochs - 1, 0))
+    weights = drw_weights(ReweightSchedule(cfg.reweight_epoch, ds.class_counts), last_epoch)
+    settings = CncSettings(batch_size=cfg.cnc.batch_size, num_batches=cfg.cnc.num_batches,
+                           mode=mode or cfg.cnc.mode, spectral=cfg.spectral)
+    rows = theorem1_report(
+        cfg.model, w, ds, cfg.loss.bind(ds.class_counts).with_class_weights(weights),
+        rhos or cfg.cnc.rhos or (cfg.effective_rho(last_epoch),), settings,
+        SeededRng(cfg.seed).child("cnc", epoch),
+    )
+    names = [f"cnc_{epoch}.csv", f"cnc_{epoch}.json"]
+    save_theorem1_report(rows, out / names[0], out / names[1], settings,
+                         meta={"epoch": epoch, "seed": cfg.seed, "config_hash": chash,
+                               "code_version": CODE_VERSION})
+    return names
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> RunResult:
     """Execute the configured run end to end, writing metrics.csv, snapshot
     artifacts, checkpoints, and summary.json under the output directory."""
@@ -486,42 +523,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
     def snapshot(epochs_done: int) -> None:
         wrote_ckpt = False
         if epochs_done in cfg.spectrum_epochs:
-            entries = classwise_spectrum_report(
-                cfg.model, w, ds, base_loss, range(ds.num_classes),
-                cfg.spectral, root.child("spectrum", epochs_done),
-            )
-            meta = {
-                "epoch": epochs_done,
-                "seed": cfg.seed,
-                "config_hash": chash,
-                "code_version": CODE_VERSION,
-                "generalized_hessian": cfg.model.activation == "relu",
-            }
-            for entry in entries:
-                tag = "all" if entry.class_id is None else str(entry.class_id)
-                csv_name = f"spectrum_{epochs_done}_class{tag}.csv"
-                json_name = f"spectrum_{epochs_done}_class{tag}.json"
-                save_spectrum(entry, out / csv_name, out / json_name, meta)
-                artifacts.extend([csv_name, json_name])
+            artifacts.extend(write_spectrum_snapshot(
+                cfg, w, ds, epochs_done, out, chash, range(ds.num_classes)))
             wrote_ckpt = True
         if epochs_done in cfg.cnc_epochs:
-            epoch_for_rho = min(epochs_done, max(cfg.epochs - 1, 0))
-            rhos = cfg.cnc.rhos or (cfg.effective_rho(epoch_for_rho),)
-            cnc_settings = CncSettings(
-                batch_size=cfg.cnc.batch_size, num_batches=cfg.cnc.num_batches,
-                mode=cfg.cnc.mode, spectral=cfg.spectral,
-            )
-            weights = drw_weights(reweight, epoch_for_rho)
-            rows = theorem1_report(
-                cfg.model, w, ds, base_loss.with_class_weights(weights),
-                rhos, cnc_settings, root.child("cnc", epochs_done),
-            )
-            csv_name = f"cnc_{epochs_done}.csv"
-            json_name = f"cnc_{epochs_done}.json"
-            save_theorem1_report(rows, out / csv_name, out / json_name, cnc_settings,
-                                 meta={"epoch": epochs_done, "seed": cfg.seed,
-                                       "config_hash": chash, "code_version": CODE_VERSION})
-            artifacts.extend([csv_name, json_name])
+            artifacts.extend(write_cnc_snapshot(cfg, w, ds, epochs_done, out, chash))
             wrote_ckpt = True
         if wrote_ckpt or epochs_done == cfg.epochs:
             name = f"checkpoint_{epochs_done}.json"
@@ -542,7 +548,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
         )
 
     epochs_done = start_epoch
-    opt = cfg.optimizer
     epoch = start_epoch
     step = 0
     try:
@@ -565,20 +570,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
                 def grad_fn(x, _batch=batch, _loss=epoch_loss):
                     return loss_grad(cfg.model, ParamVector(x, layout), _batch, _loss)
 
-                if opt.kind == SGD:
-                    value, g = grad_fn(w.data)
-                    new = sgd_step(w.data, g, state, lr, opt.momentum)
-                    info = {"loss": value, "grad_norm": float(np.linalg.norm(g))}
-                elif opt.kind == SAM:
-                    new, info = sam_step(grad_fn, w.data, state, lr, rho,
-                                         opt.momentum, opt.sam_normalized)
-                elif opt.kind == PGD:
-                    new, info = pgd_step(grad_fn, w.data, state, lr, opt.pgd_sigma,
-                                         opt.momentum)
-                else:
-                    new, info = lpf_sgd_step(grad_fn, w.data, state, lr,
-                                             opt.lpf_mc_iters, opt.lpf_radius,
-                                             blocks, opt.momentum)
+                new, info = optimizer_step(cfg.optimizer, grad_fn, w.data, state, lr,
+                                           rho, blocks)
                 w = ParamVector(new, layout)
                 loss_sum += info["loss"]
                 gnorm_sum += info["grad_norm"]
@@ -675,8 +668,9 @@ def tail_lambda_min(cfg: ExperimentConfig, result: RunResult) -> float | None:
 
 def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir=None) -> list:
     """One full run per rho (shared seed and data), collecting overall/tail
-    accuracy and the final tail-class minimum eigenvalue. Per-run failures are
-    recorded in the row and the sweep continues."""
+    accuracy and the final tail-class minimum eigenvalue. A cell that fails
+    with a SaddleLabError is recorded in its row and the sweep continues; any
+    other exception is a bug and propagates."""
     rho_values = list(rho_values)
     if not rho_values:
         raise ParameterError("rho_values must be non-empty")
@@ -699,7 +693,7 @@ def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir=None) -> list:
                 tail_acc=None if last is None else last.tail_acc,
                 tail_lambda_min=tail_lambda_min(cfg, result),
             ))
-        except Exception as exc:  # noqa: BLE001 - sweep must survive bad cells
+        except SaddleLabError as exc:
             rows.append(SweepRow(rho=rho, overall_acc=None, tail_acc=None,
                                  tail_lambda_min=None, error=str(exc)))
     _write_sweep_csv(rows, out / "sweep.csv")
@@ -710,7 +704,7 @@ def _write_sweep_csv(rows, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("rho,overall_acc,tail_acc,tail_lambda_min,error\n")
         for r in rows:
-            opt = lambda v: "" if v is None else _fmt(v)
+            opt = lambda v: "" if v is None else format_float(v)
             err = "" if r.error is None else r.error.replace(",", ";").replace("\n", " ")
-            fh.write(f"{_fmt(r.rho)},{opt(r.overall_acc)},{opt(r.tail_acc)},"
+            fh.write(f"{format_float(r.rho)},{opt(r.overall_acc)},{opt(r.tail_acc)},"
                      f"{opt(r.tail_lambda_min)},{err}\n")

@@ -1,9 +1,4 @@
-"""Dense float64 vector/matrix primitives and seeded random streams.
-
-All arithmetic is 64-bit. Reductions in :func:`dot` and :func:`matvec` are
-performed in fixed left-to-right order (via ``cumsum``, which is bitwise
-identical to a sequential accumulation loop), so results are reproducible
-across runs and match a naive reference implementation exactly.
+"""Seeded random streams and the float serializer every artifact uses.
 
 Random streams use numpy's counter-based Philox generator keyed by
 ``(stream_id << 64) | seed``; numpy pins the bit stream across platforms and
@@ -16,57 +11,12 @@ from __future__ import annotations
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import DimensionError, NumericError, ParameterError
-
 _MASK64 = (1 << 64) - 1
 
 
-def as_vector(values) -> np.ndarray:
-    """Coerce to a contiguous 1-D float64 array."""
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise DimensionError(f"expected a 1-D vector, got shape {v.shape}")
-    return v
-
-
-def as_matrix(values) -> np.ndarray:
-    """Coerce to a contiguous 2-D float64 array (row-major)."""
-    m = np.ascontiguousarray(values, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got shape {m.shape}")
-    return m
-
-
-def require_finite(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in {what}")
-    return arr
-
-
-def dot(a, b) -> float:
-    """Inner product with deterministic left-to-right summation."""
-    a = as_vector(a)
-    b = as_vector(b)
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(f"dot length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    if a.shape[0] == 0:
-        return 0.0
-    return float(np.cumsum(a * b)[-1])
-
-
-def norm2(v) -> float:
-    return float(np.sqrt(dot(v, v)))
-
-
-def matvec(m, v) -> np.ndarray:
-    """Matrix-vector product, each row reduced in deterministic order."""
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise DimensionError(f"matvec shape mismatch: {m.shape} x {v.shape[0]}")
-    if m.shape[1] == 0:
-        return np.zeros(m.shape[0])
-    return np.cumsum(m * v, axis=1)[:, -1].copy()
+def format_float(x) -> str:
+    """17 significant digits: enough to round-trip any float64 exactly."""
+    return format(float(x), ".17g")
 
 
 def _mix64(*parts: int) -> int:
@@ -144,11 +94,3 @@ class SeededRng:
         rng.generator.bit_generator.state = raw
         return rng
 
-
-def gaussian_vector(rng: SeededRng, dim: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """dim i.i.d. normal draws; std = 0 degenerates to the constant `mean`."""
-    if std < 0:
-        raise ParameterError(f"std must be >= 0, got {std}")
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    return rng.normal(size=dim, mean=mean, std=std)

@@ -108,27 +108,34 @@ def sgd_step(w, grad, state: OptimizerState, lr: float, momentum: float = 0.9):
     return _momentum_update(w, grad, state, lr, momentum)
 
 
-def sam_step(grad_fn, w, state: OptimizerState, lr: float, rho: float,
-             momentum: float = 0.9, normalized: bool = True):
-    """Gradient at the (first-order) sharpest point in a rho-ball.
+def sam_perturbation(g, rho: float, normalized: bool = True):
+    """Offset from w to the first-order sharpest point of the rho-ball.
 
     normalized: eps = rho * g / ||g||  (the practical algorithm)
     unnormalized: eps = rho * g        (the form the amplification theory uses)
-    A zero first gradient in normalized mode skips the perturbation and is
-    flagged in the info dict.
+    None when there is nothing to perturb: rho = 0, or a zero gradient in
+    normalized mode.
     """
+    if rho == 0.0:
+        return None
+    if not normalized:
+        return rho * g
+    norm = float(np.linalg.norm(g))
+    return None if norm == 0.0 else (rho / norm) * g
+
+
+def sam_step(grad_fn, w, state: OptimizerState, lr: float, rho: float,
+             momentum: float = 0.9, normalized: bool = True):
+    """Gradient at w + sam_perturbation(grad(w)). A zero first gradient in
+    normalized mode skips the perturbation and is flagged in the info dict."""
     if rho < 0:
         raise ParameterError("rho must be >= 0")
     loss1, g1 = grad_fn(w)
-    g1_norm = float(np.linalg.norm(g1))
-    info = {"loss": loss1, "grad_norm": g1_norm, "eps_skipped": False}
-    if rho == 0.0 or (normalized and g1_norm == 0.0):
-        # evaluate at w itself so the trajectory is bitwise the SGD one
-        info["eps_skipped"] = rho != 0.0
-        _, g2 = grad_fn(w)
-    else:
-        eps = (rho / g1_norm) * g1 if normalized else rho * g1
-        _, g2 = grad_fn(w + eps)
+    eps = sam_perturbation(g1, rho, normalized)
+    info = {"loss": loss1, "grad_norm": float(np.linalg.norm(g1)),
+            "eps_skipped": eps is None and rho != 0.0}
+    # grad_fn is pure: without a perturbation g1 is the SGD gradient, bitwise
+    g2 = g1 if eps is None else grad_fn(w + eps)[1]
     return _momentum_update(w, g2, state, lr, momentum), info
 
 
@@ -177,6 +184,23 @@ def lpf_sgd_step(grad_fn, w, state: OptimizerState, lr: float, mc_iters: int,
     g = g_sum / mc_iters
     info = {"loss": loss_sum / mc_iters, "grad_norm": float(np.linalg.norm(g))}
     return _momentum_update(w, g, state, lr, momentum), info
+
+
+def optimizer_step(opt: OptimizerConfig, grad_fn, w, state: OptimizerState, lr: float,
+                   rho: float, blocks):
+    """One step of the optimizer opt.kind; returns (new_w, info), where info
+    holds at least the step's "loss" and "grad_norm". rho is the epoch's SAM
+    radius and blocks the (offset, size) layout LPF-SGD perturbs by."""
+    if opt.kind == SAM:
+        return sam_step(grad_fn, w, state, lr, rho, opt.momentum, opt.sam_normalized)
+    if opt.kind == PGD:
+        return pgd_step(grad_fn, w, state, lr, opt.pgd_sigma, opt.momentum)
+    if opt.kind == LPFSGD:
+        return lpf_sgd_step(grad_fn, w, state, lr, opt.lpf_mc_iters, opt.lpf_radius,
+                            blocks, opt.momentum)
+    loss, g = grad_fn(w)
+    info = {"loss": loss, "grad_norm": float(np.linalg.norm(g))}
+    return sgd_step(w, g, state, lr, opt.momentum), info
 
 
 def lr_at(schedule: LrSchedule, epoch: int, step_in_epoch: int = 0,

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ParameterError, UndefinedRatioError
-from .linalg import SeededRng
+from .linalg import SeededRng, format_float
 from .losses import LossSpec, loss_on_logits
 from .model import Batch, MlpSpec, ParamVector, forward, hvp, per_class_batch
 
@@ -336,7 +336,7 @@ def save_spectrum(entry: ClassSpectrumEntry, csv_path, json_path, meta: dict | N
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["eigenvalue", "density"])
         for g, d in zip(entry.density.grid, entry.density.density):
-            writer.writerow([format(g, ".17g"), format(d, ".17g")])
+            writer.writerow([format_float(g), format_float(d)])
     sidecar = {
         "format_version": SPECTRUM_FORMAT_VERSION,
         "class_id": entry.class_id,

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 from saddlelab.cli import main
 from saddlelab.datagen import load_dataset
-from saddlelab.harness import config_to_dict
+from saddlelab.harness import CncRunConfig, config_to_dict
+from saddlelab.spectral import SpectralSettings
 from tests.test_harness import tiny_config
 
 
@@ -50,6 +52,31 @@ def test_train_and_checkpoint_tools(tmp_path, capsys):
     assert (tmp_path / "cnc" / "cnc_4.csv").exists()
     out = capsys.readouterr().out
     assert "measured_ratio" in out
+
+
+def test_spectrum_and_cnc_check_reproduce_run_snapshots(tmp_path, capsys):
+    # the snapshot comes after the DRW switch, so the CNC loss is re-weighted
+    cfg = dataclasses.replace(
+        tiny_config(tmp_path / "run", kind="sam", rho=0.1, epochs=5),
+        reweight_epoch=2, spectrum_epochs=(4,), cnc_epochs=(4,),
+        spectral=SpectralSettings(lanczos_iters=6, num_probes=2),
+        cnc=CncRunConfig(batch_size=8, num_batches=4, rhos=(0.0, 0.3)),
+    )
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    run_dir, cli_dir = tmp_path / "run", tmp_path / "cli"
+    ckpt = str(run_dir / "checkpoint_4.json")
+    assert main(["spectrum", "--checkpoint", ckpt, "--class", "all",
+                 "--out", str(cli_dir)]) == 0
+    assert main(["cnc-check", "--checkpoint", ckpt, "--rho", "0.0,0.3",
+                 "--out", str(cli_dir)]) == 0
+    capsys.readouterr()
+    expected = sorted([f"spectrum_4_class{tag}.{ext}" for tag in ("0", "1", "all")
+                       for ext in ("csv", "json")] + ["cnc_4.csv", "cnc_4.json"])
+    assert sorted(p.name for p in cli_dir.iterdir()) == expected
+    for name in expected:
+        assert (cli_dir / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 def test_train_seed_override_changes_outputs(tmp_path):
@@ -120,10 +147,13 @@ def test_error_record_on_bad_rho_list(tmp_path, capsys):
 
 
 def test_installed_entry_point_exit_codes(tmp_path):
+    import os
     import subprocess
     import sys
+    # the child imports saddlelab from wherever this process does
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     proc = subprocess.run([sys.executable, "-m", "saddlelab.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
 
 

@@ -128,15 +128,7 @@ def test_checkpoint_version_mismatch(tmp_path):
 
 def test_resume_matches_uninterrupted_run(tmp_path):
     cfg = tiny_config(tmp_path / "full", kind="pgd", pgd_sigma=1e-3, epochs=20)
-    full = run_experiment(cfg)
-
-    # fresh 10-epoch run, then resume to 20 in a separate directory
-    cfg10 = dataclasses.replace(cfg, epochs=20, spectrum_epochs=(), cnc_epochs=())
-    half_dir = tmp_path / "half"
-    cfg_half = dataclasses.replace(cfg10, epochs=10, output_dir=str(half_dir))
-    run_experiment(cfg_half)
-    # the 10-epoch config hashes differently; re-express the full config and
-    # resume from a mid-run checkpoint of the full config instead
+    # a spectrum snapshot at epoch 10 leaves the mid-run checkpoint to resume from
     cfg_with_snapshot = dataclasses.replace(cfg, spectrum_epochs=(10,),
                                             spectral=SpectralSettings(
                                                 lanczos_iters=4, num_probes=1))
@@ -146,7 +138,6 @@ def test_resume_matches_uninterrupted_run(tmp_path):
                              resume_from=snap_dir / "checkpoint_10.json")
     uninterrupted = run_experiment(cfg_with_snapshot, out_dir=tmp_path / "uninterrupted")
     assert np.array_equal(resumed.params.data, uninterrupted.params.data)
-    del full
 
 
 def test_resume_rejects_other_config(tmp_path):
@@ -304,6 +295,31 @@ def test_sweep_rho_duplicates_identical(tmp_path):
     a, b = rows
     assert (a.overall_acc, a.tail_acc, a.tail_lambda_min) == \
         (b.overall_acc, b.tail_acc, b.tail_lambda_min)
+
+
+def test_sweep_rho_records_failed_cell_and_continues(tmp_path):
+    base = tiny_config(tmp_path / "base", kind="sam", epochs=3, sam_normalized=False)
+    # relu logits are unbounded, so a huge unnormalized rho overflows them
+    base = dataclasses.replace(base, model=MlpSpec((4, 6, 2), "relu"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = sweep_rho(base, [0.1, 1e300, 0.0], out_dir=tmp_path / "sweep")
+    assert [r.error is None for r in rows] == [True, False, True]
+    assert "non-finite" in rows[1].error
+    assert rows[1].overall_acc is None and rows[2].overall_acc is not None
+    lines = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 4 and "run aborted" in lines[2]
+
+
+def test_sweep_rho_propagates_programming_errors(tmp_path, monkeypatch):
+    from saddlelab import harness
+
+    def broken(cfg, result):
+        raise ZeroDivisionError("bug")
+
+    monkeypatch.setattr(harness, "tail_lambda_min", broken)
+    base = tiny_config(tmp_path / "base", kind="sam", epochs=1)
+    with pytest.raises(ZeroDivisionError):
+        sweep_rho(base, [0.1], out_dir=tmp_path / "sweep")
 
 
 def test_spectrum_snapshot_files(tmp_path):

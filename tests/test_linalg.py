@@ -1,124 +1,6 @@
 import numpy as np
-import pytest
 
-from saddlelab.errors import DimensionError, ParameterError
-from saddlelab.linalg import SeededRng, dot, gaussian_vector, matvec, norm2
-
-
-def kahan_dot(a, b):
-    """Compensated-summation oracle, independent of the library path."""
-    s = 0.0
-    c = 0.0
-    for x, y in zip(a, b):
-        term = x * y - c
-        t = s + term
-        c = (t - s) - term
-        s = t
-    return s
-
-
-def test_dot_hand_values():
-    assert dot([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]) == 32.0
-
-
-def test_dot_basis_projection():
-    v = np.array([3.0, -7.0, 11.0, 0.5])
-    e2 = np.zeros(4)
-    e2[2] = 1.0
-    assert dot(e2, v) == v[2]
-
-
-def test_dot_vs_kahan_oracle():
-    rng = SeededRng(101)
-    a = rng.normal(size=1000)
-    b = rng.normal(size=1000)
-    expected = kahan_dot(a.tolist(), b.tolist())
-    assert abs(dot(a, b) - expected) <= 1e-14 * abs(expected)
-
-
-def test_dot_is_exactly_symmetric():
-    rng = SeededRng(5)
-    a = rng.normal(size=313)
-    b = rng.normal(size=313)
-    assert dot(a, b) == dot(b, a)
-
-
-def test_dot_matches_sequential_loop_bitwise():
-    rng = SeededRng(6)
-    a = rng.normal(size=257)
-    b = rng.normal(size=257)
-    s = 0.0
-    for x, y in zip(a.tolist(), b.tolist()):
-        s += x * y
-    assert dot(a, b) == s
-
-
-def test_dot_length_mismatch():
-    with pytest.raises(DimensionError):
-        dot([1.0, 2.0], [1.0])
-
-
-def test_norm2_consistent_with_dot():
-    rng = SeededRng(9)
-    v = rng.normal(size=64)
-    assert norm2(v) == pytest.approx(np.sqrt(dot(v, v)), abs=0.0, rel=1e-15)
-
-
-def test_matvec_identity():
-    v = np.array([1.5, -2.0, 3.0])
-    assert np.array_equal(matvec(np.eye(3), v), v)
-
-
-def test_matvec_diag_hand():
-    m = np.diag([2.0, -1.0])
-    assert np.array_equal(matvec(m, np.array([1.0, 1.0])), np.array([2.0, -1.0]))
-
-
-def test_matvec_bitwise_vs_naive_oracle():
-    rng = SeededRng(77)
-    m = rng.normal(size=(50, 50))
-    v = rng.normal(size=50)
-    naive = []
-    for row in m.tolist():
-        s = 0.0
-        for x, y in zip(row, v.tolist()):
-            s += x * y
-        naive.append(s)
-    assert np.array_equal(matvec(m, v), np.array(naive))
-
-
-def test_matvec_shape_mismatch():
-    with pytest.raises(DimensionError):
-        matvec(np.eye(3), np.ones(2))
-
-
-def test_gaussian_vector_degenerate_std():
-    rng = SeededRng(1)
-    v = gaussian_vector(rng, 17, mean=2.5, std=0.0)
-    assert np.array_equal(v, np.full(17, 2.5))
-
-
-def test_gaussian_vector_law_of_large_numbers():
-    rng = SeededRng(2024)
-    v = gaussian_vector(rng, 10**5, mean=0.0, std=1.0)
-    assert abs(v.mean()) < 0.02
-    assert abs(v.var() - 1.0) < 0.02
-
-
-def test_gaussian_vector_determinism():
-    a = gaussian_vector(SeededRng(3, 4), 100)
-    b = gaussian_vector(SeededRng(3, 4), 100)
-    assert np.array_equal(a, b)
-
-
-def test_gaussian_vector_rejects_negative_std():
-    with pytest.raises(ParameterError):
-        gaussian_vector(SeededRng(0), 5, std=-1.0)
-
-
-def test_gaussian_vector_rejects_bad_dim():
-    with pytest.raises(ParameterError):
-        gaussian_vector(SeededRng(0), 0)
+from saddlelab.linalg import SeededRng
 
 
 def test_distinct_streams_differ():
@@ -130,7 +12,7 @@ def test_distinct_streams_differ():
 def test_pinned_philox_vectors():
     # frozen regression vectors; a numpy upgrade that breaks bit-stream
     # stability would trip these
-    v = gaussian_vector(SeededRng(12345, 7), 4)
+    v = SeededRng(12345, 7).normal(size=4)
     assert v.tolist() == [
         -0.16609734794103043,
         1.0505799526112878,

@@ -112,6 +112,23 @@ def test_sam_zero_gradient_skips_perturbation():
     assert np.array_equal(new, w)
 
 
+def test_sam_step_gradient_count():
+    # grad_fn is pure, so an unperturbed step reuses its first gradient
+    fn = quad_grad_fn(A_SADDLE)
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return fn(w)
+
+    for w, rho, expected in ((np.array([0.3, -0.7]), 0.0, 1),
+                             (np.array([0.3, -0.7]), 0.1, 2),
+                             (np.zeros(2), 0.5, 1)):  # zero gradient: skipped
+        calls.clear()
+        sam_step(counted, w, fresh_state(2), 0.1, rho=rho)
+        assert len(calls) == expected, rho
+
+
 def test_pgd_zero_sigma_bitwise_sgd():
     fn = quad_grad_fn(A_SADDLE)
     w_pgd = w_sgd = np.array([1.0, 1.0])
