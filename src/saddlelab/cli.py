@@ -183,12 +183,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except SaddleLabError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc),
-                  "command": args.command}
-        print(json.dumps(record), file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SaddleLabError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc),
                   "command": args.command}
         print(json.dumps(record), file=sys.stderr)

@@ -175,10 +175,8 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
         raise ParameterError("rho_list must be non-empty")
     full = Batch(ds.features, ds.labels)
     oracle = HvpOracle.for_batch(spec, w, full, loss)
-    extremes = extreme_eigs(
-        oracle, settings.spectral.lanczos_iters, settings.spectral.residual_tol,
-        rng.child("extreme"), max_refine_iters=settings.spectral.max_refine_iters,
-    )
+    extremes = extreme_eigs(oracle, settings.spectral.lanczos_iters,
+                            settings.spectral.residual_tol, rng.child("extreme"))
     lam_min = extremes.lambda_min
     v_w = extremes.v_min
     batches = sample_batches(ds, settings.batch_size, settings.num_batches, rng.child("batches"))

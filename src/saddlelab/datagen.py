@@ -72,6 +72,15 @@ class ClassGeometry:
         if self.mean_placement not in (CIRCLE, SIMPLEX):
             raise ParameterError(f"unknown mean_placement {self.mean_placement!r}")
 
+    def check_fits(self, num_classes: int) -> None:
+        """Raise GeometryError unless num_classes means fit in input_dim."""
+        if self.mean_placement == CIRCLE and self.input_dim < 2:
+            raise GeometryError("circle placement needs input_dim >= 2")
+        if self.mean_placement == SIMPLEX and self.input_dim < num_classes - 1:
+            raise GeometryError(
+                f"simplex placement of {num_classes} classes needs input_dim >= {num_classes - 1}"
+            )
+
 
 @dataclass
 class LabeledDataset:
@@ -130,19 +139,14 @@ def class_counts(profile: ImbalanceProfile):
 
 def class_means(geom: ClassGeometry, num_classes: int) -> np.ndarray:
     """Deterministic class-mean placement at class_mean_radius from origin."""
+    geom.check_fits(num_classes)
     r = geom.class_mean_radius
     means = np.zeros((num_classes, geom.input_dim))
     if geom.mean_placement == CIRCLE:
-        if geom.input_dim < 2:
-            raise GeometryError("circle placement needs input_dim >= 2")
         angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
         means[:, 0] = r * np.cos(angles)
         means[:, 1] = r * np.sin(angles)
         return means
-    if geom.input_dim < num_classes - 1:
-        raise GeometryError(
-            f"simplex placement of {num_classes} classes needs input_dim >= {num_classes - 1}"
-        )
     # regular simplex: centered unit vectors e_i - 1/C mapped into the
     # (C-1)-dim sum-zero subspace via a Helmert basis, then scaled to radius r
     c = num_classes
@@ -261,6 +265,11 @@ def save_dataset(ds: LabeledDataset, path) -> None:
 def load_dataset(path) -> LabeledDataset:
     with open(path, "r", encoding="utf-8") as fh:
         header = json.loads(fh.readline())
+        version = header.get("format_version")
+        if version != DATASET_FORMAT_VERSION:
+            raise ParameterError(
+                f"dataset format_version {version!r} != supported {DATASET_FORMAT_VERSION}"
+            )
         reader = csv.reader(fh)
         columns = next(reader)
         dim = len(columns) - 1

@@ -30,6 +30,7 @@ from .datagen import (
     ImbalanceProfile,
     LabeledDataset,
     balanced_test_split,
+    class_counts,
     generate,
     split_head_mid_tail,
 )
@@ -64,12 +65,6 @@ OUTPUT_DIR_ENV = "SADDLELAB_OUTPUT_DIR"
 # config schema
 # --------------------------------------------------------------------------
 
-def _reject_unknown(d: dict, allowed, context: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
-
-
 @dataclass(frozen=True)
 class DatasetConfig:
     kind: str
@@ -85,6 +80,8 @@ class DatasetConfig:
     def __post_init__(self):
         if self.test_per_class < 1:
             raise ConfigError("test_per_class must be >= 1")
+        class_counts(self.profile())  # raises on an infeasible profile
+        self.geometry().check_fits(self.num_classes)
 
     def profile(self) -> ImbalanceProfile:
         return ImbalanceProfile(self.kind, self.num_classes, self.n_max, self.beta)
@@ -101,6 +98,9 @@ class LossConfig:
     vs_gamma: float = 0.05
     vs_tau: float = 0.75
 
+    def __post_init__(self):
+        self.bind((1,))  # LossSpec's checks, before the class counts exist
+
     def bind(self, counts) -> LossSpec:
         return LossSpec(variant=self.variant, class_counts=tuple(counts),
                         ldam_max_margin=self.ldam_max_margin,
@@ -113,6 +113,11 @@ class CncRunConfig:
     num_batches: int = 100
     mode: str = "unnormalized"
     rhos: tuple | None = None  # None -> check the epoch's effective rho
+
+    def __post_init__(self):
+        CncSettings(self.batch_size, self.num_batches, self.mode)  # its checks
+        if self.rhos is not None and (not self.rhos or min(self.rhos) < 0):
+            raise ParameterError("cnc rhos must be non-empty and >= 0")
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,10 @@ class ExperimentConfig:
                              ("cnc_epochs", self.cnc_epochs)):
             if any(not 0 <= e <= self.epochs for e in epochs):
                 raise ConfigError(f"{name} must lie within [0, epochs]")
+        if (self.model.input_dim, self.model.num_classes) != \
+                (self.dataset.input_dim, self.dataset.num_classes):
+            raise ConfigError("model layer_sizes must start at dataset input_dim and "
+                              "end at dataset num_classes")
 
     def effective_rho(self, epoch: int) -> float:
         """Schedule wins when present; otherwise the phase-switched constants."""
@@ -161,93 +170,66 @@ class ExperimentConfig:
         return self.optimizer.effective_rho_drw
 
 
+# config section -> the dataclass whose fields are its keys
+SECTIONS = {
+    "dataset": DatasetConfig,
+    "model": MlpSpec,
+    "loss": LossConfig,
+    "optimizer": OptimizerConfig,
+    "lr": LrSchedule,
+    "rho_schedule": RhoSchedule,
+    "spectral": SpectralSettings,
+    "cnc": CncRunConfig,
+    "groups": GroupThresholds,
+}
+
+
+def _as_tuples(x):
+    return tuple(_as_tuples(v) for v in x) if isinstance(x, list) else x
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "dataset": dataclasses.asdict(cfg.dataset),
-        "model": {"layer_sizes": list(cfg.model.layer_sizes),
-                  "activation": cfg.model.activation, "bias": cfg.model.bias},
-        "loss": dataclasses.asdict(cfg.loss),
-        "reweight": {"threshold_epoch": cfg.reweight_epoch},
-        "optimizer": dataclasses.asdict(cfg.optimizer),
-        "lr": {"base_lr": cfg.lr.base_lr, "warmup_epochs": cfg.lr.warmup_epochs,
-               "milestones": [list(m) for m in cfg.lr.milestones]},
-        "rho_schedule": {"steps": [list(s) for s in cfg.rho_schedule.steps]},
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "seed": cfg.seed,
-        "spectrum_epochs": sorted(cfg.spectrum_epochs),
-        "cnc_epochs": sorted(cfg.cnc_epochs),
-        "spectral": {
-            "lanczos_iters": cfg.spectral.lanczos_iters,
-            "num_probes": cfg.spectral.num_probes,
-            "broadening_sigma2": cfg.spectral.broadening_sigma2,
-            "residual_tol": cfg.spectral.residual_tol,
-        },
-        "cnc": {"batch_size": cfg.cnc.batch_size, "num_batches": cfg.cnc.num_batches,
-                "mode": cfg.cnc.mode,
-                "rhos": None if cfg.cnc.rhos is None else list(cfg.cnc.rhos)},
-        "groups": {"hi": cfg.groups.hi, "lo": cfg.groups.lo},
-        "output_dir": cfg.output_dir,
-    }
+    d = json.loads(json.dumps(dataclasses.asdict(cfg)))  # tuples -> lists
+    d["reweight"] = {"threshold_epoch": d.pop("reweight_epoch")}
+    d["spectrum_epochs"] = sorted(d["spectrum_epochs"])
+    d["cnc_epochs"] = sorted(d["cnc_epochs"])
+    return d
+
+
+def _keys(cls):
+    """(every field name, the required ones) of a config dataclass."""
+    fields = dataclasses.fields(cls)
+    return ({f.name for f in fields},
+            [f.name for f in fields if f.default is dataclasses.MISSING
+             and f.default_factory is dataclasses.MISSING])
+
+
+def _check_keys(d, allowed, required, context: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    unknown = set(d) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ConfigError(f"{context} is missing required keys {missing}")
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
-    top_allowed = {"dataset", "model", "loss", "reweight", "optimizer", "lr",
-                   "rho_schedule", "epochs", "batch_size", "seed",
-                   "spectrum_epochs", "cnc_epochs", "spectral", "cnc",
-                   "groups", "output_dir"}
-    _reject_unknown(d, top_allowed, "config")
-    for key in ("dataset", "model", "lr", "epochs", "batch_size", "seed"):
-        if key not in d:
-            raise ConfigError(f"config is missing required key {key!r}")
-
-    ds = dict(d["dataset"])
-    _reject_unknown(ds, {f.name for f in dataclasses.fields(DatasetConfig)}, "dataset")
-    mdl = dict(d["model"])
-    _reject_unknown(mdl, {"layer_sizes", "activation", "bias"}, "model")
-    loss = dict(d.get("loss", {}))
-    _reject_unknown(loss, {f.name for f in dataclasses.fields(LossConfig)}, "loss")
-    rw = dict(d.get("reweight", {"threshold_epoch": 0}))
-    _reject_unknown(rw, {"threshold_epoch"}, "reweight")
-    opt = dict(d.get("optimizer", {}))
-    _reject_unknown(opt, {f.name for f in dataclasses.fields(OptimizerConfig)}, "optimizer")
-    lr = dict(d["lr"])
-    _reject_unknown(lr, {"base_lr", "warmup_epochs", "milestones"}, "lr")
-    rs = dict(d.get("rho_schedule", {"steps": []}))
-    _reject_unknown(rs, {"steps"}, "rho_schedule")
-    spectral = dict(d.get("spectral", {}))
-    _reject_unknown(spectral, {"lanczos_iters", "num_probes", "broadening_sigma2",
-                               "residual_tol"}, "spectral")
-    cnc = dict(d.get("cnc", {}))
-    _reject_unknown(cnc, {"batch_size", "num_batches", "mode", "rhos"}, "cnc")
-    groups = dict(d.get("groups", {}))
-    _reject_unknown(groups, {"hi", "lo"}, "groups")
-
+    """Inverse of config_to_dict. Every key and value is checked here, so a
+    config that loads is one the run accepts."""
+    top, required = _keys(ExperimentConfig)
+    _check_keys(d, (top - {"reweight_epoch"}) | {"reweight"}, required, "config")
+    kwargs = {k: _as_tuples(v) for k, v in d.items() if k != "reweight"}
     try:
-        if "rhos" in cnc and cnc["rhos"] is not None:
-            cnc["rhos"] = tuple(cnc["rhos"])
-        return ExperimentConfig(
-            dataset=DatasetConfig(**ds),
-            model=MlpSpec(layer_sizes=tuple(mdl["layer_sizes"]),
-                          activation=mdl.get("activation", "tanh"),
-                          bias=mdl.get("bias", True)),
-            loss=LossConfig(**loss),
-            reweight_epoch=rw["threshold_epoch"],
-            optimizer=OptimizerConfig(**opt),
-            lr=LrSchedule(base_lr=lr["base_lr"],
-                          warmup_epochs=lr.get("warmup_epochs", 0),
-                          milestones=tuple(tuple(m) for m in lr.get("milestones", []))),
-            rho_schedule=RhoSchedule(steps=tuple(tuple(s) for s in rs.get("steps", []))),
-            epochs=d["epochs"],
-            batch_size=d["batch_size"],
-            seed=d["seed"],
-            spectrum_epochs=tuple(d.get("spectrum_epochs", [])),
-            cnc_epochs=tuple(d.get("cnc_epochs", [])),
-            spectral=SpectralSettings(**spectral),
-            cnc=CncRunConfig(**cnc),
-            groups=GroupThresholds(**groups),
-            output_dir=d.get("output_dir", "runs/experiment"),
-        )
+        for name, cls in SECTIONS.items():
+            if name in d:
+                _check_keys(d[name], *_keys(cls), name)
+                kwargs[name] = cls(**{k: _as_tuples(v) for k, v in d[name].items()})
+        if "reweight" in d:
+            _check_keys(d["reweight"], ["threshold_epoch"], ["threshold_epoch"], "reweight")
+            kwargs["reweight_epoch"] = d["reweight"]["threshold_epoch"]
+        return ExperimentConfig(**kwargs)
     except (TypeError, ParameterError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -477,10 +459,12 @@ def write_cnc_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDataset
     return names
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> RunResult:
+def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None, *,
+                   env_override: bool = True) -> RunResult:
     """Execute the configured run end to end, writing metrics.csv, snapshot
-    artifacts, checkpoints, and summary.json under the output directory."""
-    out = resolve_output_dir(cfg.output_dir, out_dir)
+    artifacts, checkpoints, and summary.json under the output directory
+    (resolve_output_dir's choice; with env_override=False, out_dir as given)."""
+    out = resolve_output_dir(cfg.output_dir, out_dir) if env_override else Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     root = SeededRng(cfg.seed)
@@ -660,8 +644,7 @@ def tail_lambda_min(cfg: ExperimentConfig, result: RunResult) -> float | None:
         oracle = HvpOracle.for_batch(cfg.model, result.params, batch, loss)
         ex = extreme_eigs(oracle, cfg.spectral.lanczos_iters,
                           cfg.spectral.residual_tol,
-                          SeededRng(cfg.seed).child("tail-eig", cid),
-                          max_refine_iters=cfg.spectral.max_refine_iters)
+                          SeededRng(cfg.seed).child("tail-eig", cid))
         vals.append(ex.lambda_min)
     return float(np.mean(vals))
 
@@ -678,14 +661,16 @@ def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir=None) -> list:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, rho in enumerate(rho_values):
+        cell = out / f"rho_{i}_{rho:g}"
         cfg = dataclasses.replace(
             base_cfg,
             optimizer=dataclasses.replace(base_cfg.optimizer, rho=rho, rho_drw=rho),
             rho_schedule=RhoSchedule(),
-            output_dir=str(out / f"rho_{i}_{rho:g}"),
+            output_dir=str(cell),
         )
         try:
-            result = run_experiment(cfg, out_dir=out / f"rho_{i}_{rho:g}")
+            # the root already honoured the environment override
+            result = run_experiment(cfg, out_dir=cell, env_override=False)
             last = result.metrics[-1] if result.metrics else None
             rows.append(SweepRow(
                 rho=rho,

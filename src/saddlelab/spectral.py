@@ -47,12 +47,12 @@ class HvpOracle:
 
 @dataclass(frozen=True)
 class SpectralSettings:
+    """The config's `spectral` section: field names are its keys."""
+
     lanczos_iters: int = 80
     num_probes: int = 10
     broadening_sigma2: float = 1e-5
-    grid_spec: tuple | None = None  # (lo, hi, points); None -> auto
     residual_tol: float = 1e-6
-    max_refine_iters: int = 5000
 
     def __post_init__(self):
         if self.lanczos_iters < 2:
@@ -61,6 +61,8 @@ class SpectralSettings:
             raise ParameterError("num_probes must be >= 1")
         if self.broadening_sigma2 <= 0:
             raise ParameterError("broadening_sigma2 must be > 0")
+        if self.residual_tol <= 0:
+            raise ParameterError("residual_tol must be > 0")
 
 
 @dataclass
@@ -153,10 +155,7 @@ class SpectralDensity:
         return float(np.trapezoid(self.density[sel], self.grid[sel]))
 
 
-def _auto_grid(all_vals: np.ndarray, sigma: float, grid_spec):
-    if grid_spec is not None:
-        lo, hi, points = grid_spec
-        return np.linspace(lo, hi, int(points))
+def _auto_grid(all_vals: np.ndarray, sigma: float):
     lo = float(all_vals.min()) - 6.0 * sigma
     hi = float(all_vals.max()) + 6.0 * sigma
     # spacing <= sigma keeps the trapezoid mass error of each Gaussian bump
@@ -175,7 +174,7 @@ def spectral_density(oracle: HvpOracle, settings: SpectralSettings, rng: SeededR
         per_probe_weights.append(weights)
     sigma = math.sqrt(settings.broadening_sigma2)
     all_vals = np.concatenate(per_probe_vals)
-    grid = _auto_grid(all_vals, sigma, settings.grid_spec)
+    grid = _auto_grid(all_vals, sigma)
     density = np.zeros_like(grid)
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     for vals, weights in zip(per_probe_vals, per_probe_weights):
@@ -215,10 +214,9 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
 def _refine_eigpair(oracle: HvpOracle, v0: np.ndarray, shift: float, sign: float,
                     tol: float, max_iters: int):
     """Power iteration on sign*(H - shift*I); sign=-1 targets the bottom of the
-    spectrum (the operator becomes shift*I - H), sign=+1 the top."""
+    spectrum (the operator becomes shift*I - H), sign=+1 the top. Needs
+    max_iters >= 1: each pass's HVP gives both the residual test and the step."""
     v = v0 / np.linalg.norm(v0)
-    lam = float(v @ oracle.apply(v))
-    residual = math.inf
     for _ in range(max_iters):
         hv = np.asarray(oracle.apply(v), dtype=np.float64)
         lam = float(v @ hv)
@@ -241,6 +239,8 @@ def extreme_eigs(oracle: HvpOracle, iters: int, tol: float, rng: SeededRng,
     out, in which case converged=False and residuals tell the story)."""
     if iters < 2:
         raise ParameterError("iters must be >= 2")
+    if max_refine_iters < 1:
+        raise ParameterError("max_refine_iters must be >= 1")
     run = lanczos(oracle, iters, rng.child("lanczos"), with_basis=True)
     vals, _, vecs = ritz_decomposition(run)
     v_min0 = run.basis.T @ vecs[:, 0]
@@ -307,10 +307,8 @@ def classwise_spectrum_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
 def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpectrumEntry:
     oracle = HvpOracle.for_batch(spec, w, batch, loss)
     density = spectral_density(oracle, settings, rng.child("density"))
-    extremes = extreme_eigs(
-        oracle, settings.lanczos_iters, settings.residual_tol, rng.child("extreme"),
-        max_refine_iters=settings.max_refine_iters,
-    )
+    extremes = extreme_eigs(oracle, settings.lanczos_iters, settings.residual_tol,
+                            rng.child("extreme"))
     try:
         ratio = nonconvexity_ratio(extremes)
     except UndefinedRatioError:

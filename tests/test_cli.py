@@ -1,6 +1,8 @@
 import dataclasses
 import json
 
+import pytest
+
 from saddlelab.cli import main
 from saddlelab.datagen import load_dataset
 from saddlelab.harness import CncRunConfig, config_to_dict
@@ -125,6 +127,22 @@ def test_error_record_on_bad_config(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigError"
     assert record["command"] == "train"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.update(lr={}),
+    lambda d: d["model"].update(layer_sizes=[3, 6, 2]),
+], ids=["lr-empty", "input-dim-mismatch"])
+def test_error_record_on_invalid_config_section(tmp_path, capsys, edit):
+    _, path = write_config(tmp_path, epochs=1)
+    d = json.loads(path.read_text())
+    edit(d)
+    path.write_text(json.dumps(d))
+    assert main(["train", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ConfigError"
+    assert not (tmp_path / "run").exists()
 
 
 def test_error_record_on_missing_checkpoint(tmp_path, capsys):

@@ -12,7 +12,7 @@ from saddlelab.datagen import (
     save_dataset,
     split_head_mid_tail,
 )
-from saddlelab.errors import GeometryError, InfeasibleProfileError
+from saddlelab.errors import GeometryError, InfeasibleProfileError, ParameterError
 from saddlelab.linalg import SeededRng
 
 CIFAR10_LT = ImbalanceProfile("longtail", 10, 5000, 100.0)
@@ -169,3 +169,15 @@ def test_dataset_file_roundtrip(tmp_path):
     assert loaded.class_counts == ds.class_counts
     assert loaded.profile == ds.profile
     assert loaded.geometry == ds.geometry
+
+
+def test_dataset_file_version_mismatch(tmp_path):
+    ds = generate(ImbalanceProfile("step", 2, 4, 2.0), ClassGeometry(input_dim=2),
+                  SeededRng(9))
+    path = tmp_path / "ds.csv"
+    save_dataset(ds, path)
+    header, body = path.read_text().split("\n", 1)
+    path.write_text(header.replace('"format_version": 1', '"format_version": 2')
+                    + "\n" + body)
+    with pytest.raises(ParameterError, match="format_version"):
+        load_dataset(path)

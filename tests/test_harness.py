@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,12 +153,11 @@ def test_resume_rejects_other_config(tmp_path):
 
 def _evaluation_fixtures(radius, std, per_class, num_classes=2, seed=70):
     cfg = DatasetConfig(kind="longtail", num_classes=num_classes, n_max=40,
-                        beta=4.0, input_dim=4, class_mean_radius=radius,
+                        beta=4.0, input_dim=4 if num_classes <= 4 else num_classes,
+                        class_mean_radius=radius,
                         within_class_std=std, test_per_class=per_class,
                         mean_placement="circle" if num_classes <= 4 else "simplex")
     root = SeededRng(seed)
-    if num_classes > 4:
-        cfg = dataclasses.replace(cfg, input_dim=num_classes)
     ds = generate(cfg.profile(), cfg.geometry(), root.child("datagen"))
     _, test = balanced_test_split(ds, per_class, root.child("testgen"))
     return ds, test
@@ -232,6 +232,42 @@ def test_missing_required_key_rejected(tmp_path):
         config_from_dict(d)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: d["cnc"].update(mode="sideways"),
+    lambda d: d["cnc"].update(num_batches=1),
+    lambda d: d["cnc"].update(rhos=[]),
+    lambda d: d["dataset"].update(kind="foo"),
+    lambda d: (d["dataset"].update(input_dim=1), d["model"].update(layer_sizes=[1, 6, 2])),
+    lambda d: (d["dataset"].update(num_classes=10, n_max=5, beta=100.0),
+               d["model"].update(layer_sizes=[4, 6, 10])),
+    lambda d: d["loss"].update(variant="hinge"),
+    lambda d: d["spectral"].update(residual_tol=0),
+    lambda d: d["model"].update(layer_sizes=[5, 6, 2]),
+    lambda d: d.update(lr={}),
+    lambda d: d.update(reweight={}),
+], ids=["cnc-mode", "cnc-num-batches", "cnc-empty-rhos", "dataset-kind",
+        "circle-in-1d", "infeasible-profile", "loss-variant", "residual-tol",
+        "model-dataset-mismatch", "lr-empty", "reweight-empty"])
+def test_load_config_rejects_what_the_run_would(tmp_path, edit):
+    d = config_to_dict(tiny_config(tmp_path / "x"))
+    edit(d)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("path", sorted(REPO.glob("configs/*.json"))
+                         + sorted(REPO.glob("saddlebench/workloads/*.json")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_shipped_configs_roundtrip(path):
+    # equality here keeps every shipped config's hash fixed across schema edits
+    assert config_to_dict(load_config(path)) == json.loads(path.read_text())
+
+
 def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
     target = tmp_path / "env_target"
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
@@ -287,6 +323,17 @@ def test_sweep_rho_zero_matches_sgd_baseline(tmp_path):
     assert rows[0].overall_acc == sgd.metrics[-1].overall_acc
     assert rows[0].tail_acc == sgd.metrics[-1].tail_acc
     assert (tmp_path / "sweep" / "sweep.csv").exists()
+
+
+def test_sweep_rho_cells_stay_apart_under_env_var(tmp_path, monkeypatch):
+    target = tmp_path / "env_target"
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
+    base = tiny_config(tmp_path / "ignored", kind="sam", epochs=2)
+    sweep_rho(base, [0.0, 0.2], out_dir=tmp_path / "also_ignored")
+    assert sorted(p.name for p in target.iterdir()) == ["rho_0_0", "rho_1_0.2", "sweep.csv"]
+    for cell in ("rho_0_0", "rho_1_0.2"):
+        assert (target / cell / "summary.json").exists()
+        assert (target / cell / "metrics.csv").exists()
 
 
 def test_sweep_rho_duplicates_identical(tmp_path):

@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from saddlelab.datagen import ClassGeometry, ImbalanceProfile, LabeledDataset
-from saddlelab.errors import UndefinedRatioError
+from saddlelab.errors import ParameterError, UndefinedRatioError
 from saddlelab.linalg import SeededRng
 from saddlelab.losses import LossSpec
 from saddlelab.model import Batch, MlpSpec, hvp, init_params
@@ -82,20 +80,6 @@ def test_density_mass_is_one_for_random_operators():
         assert sd.mass() == pytest.approx(1.0, abs=0.02)
 
 
-def test_density_mass_grid_resolution_independent():
-    a = random_symmetric(50, 13)
-    op = HvpOracle.from_matrix(a)
-    lo = float(np.linalg.eigvalsh(a)[0]) - 1.0
-    hi = float(np.linalg.eigvalsh(a)[-1]) + 1.0
-    sigma = math.sqrt(1e-5)
-    coarse_points = int((hi - lo) / sigma)  # the documented minimum: spacing <= sigma
-    for points in (coarse_points, 4 * coarse_points):
-        sd = spectral_density(op, SpectralSettings(lanczos_iters=50, num_probes=4,
-                                                   grid_spec=(lo, hi, points)),
-                              SeededRng(14).child("density"))
-        assert sd.mass() == pytest.approx(1.0, abs=0.02)
-
-
 def test_extreme_eigs_diagonal_case():
     op = HvpOracle.from_matrix(np.diag([2.0, -1.0]))
     ex = extreme_eigs(op, 2, 1e-10, SeededRng(15).child("extreme"))
@@ -113,6 +97,20 @@ def test_extreme_eigs_match_dense_solver():
     assert ex.lambda_max == pytest.approx(dense[-1], abs=1e-6)
     assert ex.residual_min < 1e-8 and ex.residual_max < 1e-8
     assert np.linalg.norm(ex.v_min) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_extreme_eigs_hvp_count():
+    # a full Lanczos run makes the edge Ritz pairs exact, so each end's refine
+    # loop converges on its first pass: one HVP per end after Lanczos's six
+    base = HvpOracle.from_matrix(np.diag([3.0, 1.0, -0.5, -2.0, 0.25, 4.0]))
+    calls = []
+    op = HvpOracle(apply=lambda v: calls.append(1) or base.apply(v), dim=6)
+    ex = extreme_eigs(op, 6, 1e-8, SeededRng(20).child("e"))
+    assert ex.converged
+    assert (ex.lambda_min, ex.lambda_max) == (pytest.approx(-2.0), pytest.approx(4.0))
+    assert len(calls) == 6 + 2
+    with pytest.raises(ParameterError):
+        extreme_eigs(op, 6, 1e-8, SeededRng(20).child("e"), max_refine_iters=0)
 
 
 def test_extreme_eigs_sign_flip_swaps_extremes():
