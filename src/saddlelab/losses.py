@@ -148,15 +148,39 @@ def _adjusted_logits(spec: LossSpec, logits: np.ndarray, labels: np.ndarray):
     return logits * mult + add, mult
 
 
-def loss_on_logits(spec: LossSpec, logits, labels, weights=None, logits_tangent=None):
+@dataclass(frozen=True)
+class LogitCurvature:
+    """The loss layer's curvature at fixed logits: the softmax p, the
+    normalized sample weights omega (as a column) and the VS multiplier
+    (None for CE and LDAM, whose logit shift has no curvature)."""
+
+    p: np.ndarray
+    omega: np.ndarray
+    mult: np.ndarray | None
+
+    def apply(self, logits_tangent: np.ndarray) -> np.ndarray:
+        """Directional derivative of grad_logits along logits_tangent."""
+        tdot = logits_tangent if self.mult is None else logits_tangent * self.mult
+        # d(softmax) along tdot: p*tdot - p*(p . tdot), row-wise
+        inner = (self.p * tdot).sum(axis=1)
+        pdot = self.p * (tdot - inner[:, None])
+        grad_t_dot = pdot * self.omega
+        return grad_t_dot if self.mult is None else grad_t_dot * self.mult
+
+
+def loss_on_logits(spec: LossSpec, logits, labels, weights=None):
     """Weighted mean loss and its exact gradient w.r.t. the logits.
 
     weights are raw per-sample weights (normalized internally by their sum, so
-    uniform weights of any scale give the plain mean). When logits_tangent is
-    given, additionally returns the directional derivative of grad_logits
-    along that tangent (the loss-layer curvature action needed for exact
-    Hessian-vector products).
+    uniform weights of any scale give the plain mean).
     """
+    value, grad_logits, _ = loss_terms(spec, logits, labels, weights)
+    return value, grad_logits
+
+
+def loss_terms(spec: LossSpec, logits, labels, weights=None):
+    """(value, grad_logits, LogitCurvature): loss_on_logits plus the loss-layer
+    curvature at the same logits, which exact Hessian-vector products need."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     n, k = logits.shape
@@ -190,17 +214,4 @@ def loss_on_logits(spec: LossSpec, logits, labels, weights=None, logits_tangent=
     grad_t[rows, labels] -= 1.0
     grad_t *= omega[:, None]
     grad_logits = grad_t if mult is None else grad_t * mult
-
-    if logits_tangent is None:
-        return value, grad_logits
-
-    zdot = np.asarray(logits_tangent, dtype=np.float64)
-    if zdot.shape != logits.shape:
-        raise DimensionError("logits_tangent shape != logits shape")
-    tdot = zdot if mult is None else zdot * mult
-    # d(softmax) along tdot: p*tdot - p*(p . tdot), row-wise
-    inner = (p * tdot).sum(axis=1)
-    pdot = p * (tdot - inner[:, None])
-    grad_t_dot = pdot * omega[:, None]
-    grad_logits_dot = grad_t_dot if mult is None else grad_t_dot * mult
-    return value, grad_logits, grad_logits_dot
+    return value, grad_logits, LogitCurvature(p, omega[:, None], mult)

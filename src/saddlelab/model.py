@@ -1,20 +1,22 @@
 """Small fully-connected classifier over a flat parameter vector.
 
 Gradients are hand-written reverse mode; Hessian-vector products are exact
-forward-over-reverse (a tangent is pushed through the forward pass and then
-through the backward pass), so spectral routines see machine-precision
-curvature. Everything is a pure function of (spec, params, batch, loss).
+forward-over-reverse (Pearlmutter 1994: a tangent is pushed through the
+forward pass and then through the backward pass), so spectral routines see
+machine-precision curvature. Everything is a pure function of (spec, params,
+batch, loss).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, EmptyClassError, ParameterError
 from .linalg import SeededRng
-from .losses import LossSpec, loss_on_logits, resolve_sample_weights
+from .losses import LossSpec, loss_on_logits, loss_terms, resolve_sample_weights
 
 TANH = "tanh"
 SOFTPLUS = "softplus"
@@ -22,25 +24,20 @@ RELU = "relu"
 ACTIVATIONS = (TANH, SOFTPLUS, RELU)
 
 
-def _act_tanh(a):
-    t = np.tanh(a)
-    d1 = 1.0 - t * t
-    return t, d1, -2.0 * t * d1
-
-
-def _act_softplus(a):
-    h = np.logaddexp(0.0, a)
-    s = 1.0 / (1.0 + np.exp(-a))
-    return h, s, s * (1.0 - s)
-
-
-def _act_relu(a):
-    d1 = (a > 0).astype(np.float64)
-    # second derivative is 0 everywhere under the kink convention
-    return a * d1, d1, np.zeros_like(a)
-
-
-_ACT_FNS = {TANH: _act_tanh, SOFTPLUS: _act_softplus, RELU: _act_relu}
+# activation -> (value(a), first derivative(a, h), second derivative(a, h, d1))
+# with h = value(a); relu's second derivative is 0 everywhere under the kink
+# convention
+_ACT_FNS = {
+    TANH: (np.tanh,
+           lambda a, h: 1.0 - h * h,
+           lambda a, h, d1: -2.0 * h * d1),
+    SOFTPLUS: (lambda a: np.logaddexp(0.0, a),
+               lambda a, h: 1.0 / (1.0 + np.exp(-a)),
+               lambda a, h, d1: d1 * (1.0 - d1)),
+    RELU: (lambda a: a * (a > 0).astype(np.float64),
+           lambda a, h: (a > 0).astype(np.float64),
+           lambda a, h, d1: np.zeros_like(a)),
+}
 
 
 @dataclass(frozen=True)
@@ -102,14 +99,14 @@ class ParamVector:
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        total = sum(int(np.prod(b.shape)) for b in self.layout)
+        total = sum(math.prod(b.shape) for b in self.layout)
         if self.data.shape != (total,):
             raise DimensionError(f"param data length {self.data.shape} != layout total {total}")
 
     def view(self, name: str) -> np.ndarray:
         for b in self.layout:
             if b.name == name:
-                size = int(np.prod(b.shape))
+                size = math.prod(b.shape)
                 return self.data[b.offset : b.offset + size].reshape(b.shape)
         raise KeyError(name)
 
@@ -173,21 +170,18 @@ class Batch:
 
 
 def _forward_pass(spec: MlpSpec, ws, bs, x):
-    """Returns (logits, hs, acts) with hs[l] the input to layer l and
-    acts[l] = (d1, d2) of the hidden activation after layer l."""
-    h = x
-    hs = [x]
-    acts = []
+    """Returns (logits, hs, pre) with hs[l] the input to layer l and pre[l]
+    the pre-activation of hidden layer l, so hs[l + 1] = value(pre[l])."""
+    value = _ACT_FNS[spec.activation][0]
+    hs, pre = [x], []
     for l in range(spec.num_layers):
-        a = h @ ws[l].T
+        a = hs[l] @ ws[l].T
         if bs[l] is not None:
             a = a + bs[l]
-        if l < spec.num_layers - 1:
-            h, d1, d2 = _ACT_FNS[spec.activation](a)
-            acts.append((d1, d2, a))
-            hs.append(h)
-        else:
-            return a, hs, acts
+        if l == spec.num_layers - 1:
+            return a, hs, pre
+        pre.append(a)
+        hs.append(value(a))
     raise AssertionError("unreachable")
 
 
@@ -205,10 +199,11 @@ def loss_grad(spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec):
     if len(batch) == 0:
         raise ParameterError("empty batch")
     ws, bs = _unpack(spec, w.data)
-    logits, hs, acts = _forward_pass(spec, ws, bs, batch.features)
+    logits, hs, pre = _forward_pass(spec, ws, bs, batch.features)
     weights = resolve_sample_weights(loss, batch.labels, batch.sample_weights)
     value, g_logits = loss_on_logits(loss, logits, batch.labels, weights)
 
+    slope = _ACT_FNS[spec.activation][1]
     grad = np.zeros_like(w.data)
     gws, gbs = _unpack(spec, grad)
     g = g_logits
@@ -217,62 +212,114 @@ def loss_grad(spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec):
         if gbs[l] is not None:
             gbs[l][...] = g.sum(axis=0)
         if l > 0:
-            d1, _, _ = acts[l - 1]
-            g = (g @ ws[l]) * d1
+            g = (g @ ws[l]) * slope(pre[l - 1], hs[l])
     return value, grad
 
 
-def hvp(spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec, v) -> np.ndarray:
+class Linearization:
+    """Everything an exact HVP at fixed (spec, w, batch, loss) needs that does
+    not depend on the tangent: layer inputs hs[l], activation slopes d1[l],
+    the gradient chain g[l] (d loss / d pre-activation of layer l), the
+    products sd2[l] = (g[l+1] @ W[l+1]) * d2[l], and the loss layer's
+    curvature. hvp(v) then pushes only the tangent through a workspace
+    allocated here and overwritten by every call, so one Linearization serves
+    one caller at a time; the returned vector is always fresh. It stays valid
+    while w.data is unchanged.
+    """
+
+    def __init__(self, spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec):
+        if len(batch) == 0:
+            raise ParameterError("empty batch")
+        self.spec, self.w, self.batch, self.loss = spec, w, batch, loss
+        self._ws, self._bs = _unpack(spec, w.data)
+        logits, self._hs, pre = _forward_pass(spec, self._ws, self._bs, batch.features)
+        weights = resolve_sample_weights(loss, batch.labels, batch.sample_weights)
+        _, g, self._curvature = loss_terms(loss, logits, batch.labels, weights)
+
+        _, slope, second = _ACT_FNS[spec.activation]
+        depth = spec.num_layers
+        self._d1 = [slope(pre[l], self._hs[l + 1]) for l in range(depth - 1)]
+        self._g = [None] * depth  # g[0] is never needed
+        self._sd2 = [None] * (depth - 1)
+        for l in range(depth - 1, 0, -1):
+            self._g[l] = g
+            s = g @ self._ws[l]
+            self._sd2[l - 1] = s * second(pre[l - 1], self._hs[l], self._d1[l - 1])
+            if l > 1:
+                g = s * self._d1[l - 1]
+
+        # tangent workspace: adot[l] per layer, hdot[l] per hidden layer, one
+        # scratch array per distinct width, one weight-shaped buffer per layer
+        n, sizes = len(batch), spec.layer_sizes
+        self._adot = [np.empty((n, sizes[l + 1])) for l in range(depth)]
+        self._hdot = [np.empty((n, sizes[l + 1])) for l in range(depth - 1)]
+        self._scratch = {m: np.empty((n, m)) for m in set(sizes[1:])}
+        self._wtmp, _ = _unpack(spec, np.empty_like(w.data))
+
+    def hvp(self, v) -> np.ndarray:
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != self.w.data.shape:
+            raise DimensionError(f"v length {v.shape} != params {self.w.data.shape}")
+        ws, hs, d1, g, sd2 = self._ws, self._hs, self._d1, self._g, self._sd2
+        adot, hdot, scratch = self._adot, self._hdot, self._scratch
+        vws, vbs = _unpack(self.spec, v)
+        depth = self.spec.num_layers
+
+        # forward: adot[l] = hdot[l-1] @ W[l].T + hs[l] @ V[l].T (+ vb[l]),
+        # hdot[l] = d1[l] * adot[l]; the input carries no tangent
+        for l in range(depth):
+            if l == 0:
+                np.matmul(hs[0], vws[0].T, out=adot[0])
+            else:
+                np.matmul(hdot[l - 1], ws[l].T, out=adot[l])
+                np.add(adot[l], np.matmul(hs[l], vws[l].T, out=scratch[adot[l].shape[1]]),
+                       out=adot[l])
+            if vbs[l] is not None:
+                np.add(adot[l], vbs[l], out=adot[l])
+            if l < depth - 1:
+                np.multiply(d1[l], adot[l], out=hdot[l])
+
+        # reverse: only the tangent gdot of the gradient chain is carried; the
+        # next gdot, sdot * d1 + sd2 * adot, is written over the dead adot[l-1]
+        # and sdot over hdot[l-1], dead once this layer's weight block is done
+        out = np.empty_like(self.w.data)
+        ohw, ohb = _unpack(self.spec, out)
+        gdot = self._curvature.apply(adot[-1])
+        for l in range(depth - 1, -1, -1):
+            if ohb[l] is not None:
+                np.sum(gdot, axis=0, out=ohb[l])
+            np.matmul(gdot.T, hs[l], out=ohw[l])
+            if l == 0:
+                return out
+            ohw[l] += np.matmul(g[l].T, hdot[l - 1], out=self._wtmp[l])
+            sdot = np.matmul(gdot, ws[l], out=hdot[l - 1])
+            np.add(sdot, np.matmul(g[l], vws[l], out=scratch[sdot.shape[1]]), out=sdot)
+            np.multiply(sdot, d1[l - 1], out=sdot)
+            gdot = np.multiply(sd2[l - 1], adot[l - 1], out=adot[l - 1])
+            np.add(sdot, gdot, out=gdot)
+        raise AssertionError("unreachable")
+
+
+def linearize(spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec) -> Linearization:
+    """Run the forward pass and the gradient's reverse pass once at w, keeping
+    what every Hessian-vector product at this point reuses."""
+    return Linearization(spec, w, batch, loss)
+
+
+def hvp(spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec, v, *,
+        lin: Linearization | None = None) -> np.ndarray:
     """Exact Hessian-vector product via forward-over-reverse.
 
-    A tangent dv is carried through the forward pass (giving d(activations))
+    A tangent v is carried through the forward pass (giving d(activations))
     and then through the reverse pass (giving d(gradient) = H v). No finite
-    differences anywhere.
+    differences anywhere. lin, from linearize(spec, w, batch, loss) on these
+    same objects, skips the tangent-free work shared by every v.
     """
-    if len(batch) == 0:
-        raise ParameterError("empty batch")
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != w.data.shape:
-        raise DimensionError(f"v length {v.shape} != params {w.data.shape}")
-    ws, bs = _unpack(spec, w.data)
-    vws, vbs = _unpack(spec, v)
-    x = batch.features
-
-    # forward with tangents
-    h, hdot = x, np.zeros_like(x)
-    hs, hdots, acts = [x], [hdot], []
-    for l in range(spec.num_layers):
-        a = h @ ws[l].T
-        adot = hdot @ ws[l].T + h @ vws[l].T
-        if bs[l] is not None:
-            a = a + bs[l]
-            adot = adot + vbs[l]
-        if l < spec.num_layers - 1:
-            h, d1, d2 = _ACT_FNS[spec.activation](a)
-            hdot = d1 * adot
-            acts.append((d1, d2, adot))
-            hs.append(h)
-            hdots.append(hdot)
-        else:
-            logits, logits_dot = a, adot
-
-    weights = resolve_sample_weights(loss, batch.labels, batch.sample_weights)
-    _, g, gdot = loss_on_logits(loss, logits, batch.labels, weights, logits_tangent=logits_dot)
-
-    # reverse with tangents; only the tangent of the gradient is accumulated
-    out = np.zeros_like(w.data)
-    ohw, ohb = _unpack(spec, out)
-    for l in range(spec.num_layers - 1, -1, -1):
-        ohw[l][...] = gdot.T @ hs[l] + g.T @ hdots[l]
-        if ohb[l] is not None:
-            ohb[l][...] = gdot.sum(axis=0)
-        if l > 0:
-            d1, d2, adot = acts[l - 1]
-            s = g @ ws[l]
-            sdot = gdot @ ws[l] + g @ vws[l]
-            g = s * d1
-            gdot = sdot * d1 + s * d2 * adot
-    return out
+    if lin is None:
+        lin = linearize(spec, w, batch, loss)
+    elif not (lin.spec is spec and lin.w is w and lin.batch is batch and lin.loss is loss):
+        raise ParameterError("lin was linearized at other spec, w, batch or loss objects")
+    return lin.hvp(v)
 
 
 def per_class_batch(ds, class_id: int) -> Batch:

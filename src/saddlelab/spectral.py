@@ -21,7 +21,7 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import ParameterError, UndefinedRatioError
 from .linalg import SeededRng, format_float
 from .losses import LossSpec, loss_on_logits
-from .model import Batch, MlpSpec, ParamVector, forward, hvp, per_class_batch
+from .model import Batch, MlpSpec, ParamVector, forward, hvp, linearize, per_class_batch
 
 SPECTRUM_FORMAT_VERSION = 1
 
@@ -35,7 +35,10 @@ class HvpOracle:
 
     @classmethod
     def for_batch(cls, spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec) -> "HvpOracle":
-        return cls(apply=lambda v: hvp(spec, w, batch, loss, v), dim=w.data.shape[0])
+        """Linearizes once; every product is one model.hvp call on that
+        linearization."""
+        lin = linearize(spec, w, batch, loss)
+        return cls(apply=lambda v: hvp(spec, w, batch, loss, v, lin=lin), dim=w.data.shape[0])
 
     @classmethod
     def from_matrix(cls, a) -> "HvpOracle":
@@ -215,21 +218,23 @@ def _refine_eigpair(oracle: HvpOracle, v0: np.ndarray, shift: float, sign: float
                     tol: float, max_iters: int):
     """Power iteration on sign*(H - shift*I); sign=-1 targets the bottom of the
     spectrum (the operator becomes shift*I - H), sign=+1 the top. Needs
-    max_iters >= 1: each pass's HVP gives both the residual test and the step."""
+    max_iters >= 1: each pass's HVP gives both the residual test and the step.
+    Returns the last vector evaluated with its own Rayleigh quotient and
+    residual, converged or not."""
     v = v0 / np.linalg.norm(v0)
-    for _ in range(max_iters):
+    for i in range(max_iters):
         hv = np.asarray(oracle.apply(v), dtype=np.float64)
         lam = float(v @ hv)
         residual = float(np.linalg.norm(hv - lam * v))
-        if residual < tol:
-            return _fix_sign(v), lam, residual, True
+        if residual < tol or i == max_iters - 1:
+            break
         u = sign * (hv - shift * v)
         nu = float(np.linalg.norm(u))
         if nu == 0.0:
             # operator is shift*I on this vector; already an eigenvector
-            return _fix_sign(v), lam, residual, residual < tol
+            break
         v = u / nu
-    return _fix_sign(v), lam, residual, False
+    return _fix_sign(v), lam, residual, residual < tol
 
 
 def extreme_eigs(oracle: HvpOracle, iters: int, tol: float, rng: SeededRng,

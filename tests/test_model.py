@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from saddlelab.datagen import ClassGeometry, ImbalanceProfile, generate
 from saddlelab.errors import DimensionError, EmptyClassError, ParameterError
 from saddlelab.linalg import SeededRng
-from saddlelab.losses import LossSpec
+from saddlelab.losses import VARIANTS, LossSpec
 from saddlelab.model import (
+    ACTIVATIONS,
     Batch,
     MlpSpec,
     ParamVector,
     forward,
     hvp,
     init_params,
+    linearize,
     loss_grad,
     param_layout,
     per_class_batch,
@@ -168,6 +172,105 @@ def test_hvp_dimension_mismatch():
     loss = LossSpec(variant="ce", class_counts=(2, 2, 1))
     with pytest.raises(DimensionError):
         hvp(spec, w, batch, loss, np.zeros(w.data.shape[0] + 1))
+
+
+# every activation x loss variant x bias x class weights x sample weights,
+# with a random point, batch and tangents drawn from the seed
+HVP_CASES = st.tuples(st.sampled_from(ACTIVATIONS), st.sampled_from(VARIANTS), st.booleans(),
+                      st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+HVP_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def _hvp_case(activation, variant, bias, class_weights, sample_weights, seed):
+    spec = MlpSpec((5, 8, 6, 3), activation, bias)
+    rng = SeededRng(seed)
+    w = init_params(spec, rng.child("init"))
+    w.data += 0.3 * rng.child("shift").normal(size=w.data.shape[0])  # nonzero biases
+    data = rng.child("data")
+    n = 17
+    weights = data.generator.uniform(0.1, 2.0, n) if sample_weights else None
+    batch = Batch(data.normal(size=(n, 5)), data.generator.integers(0, 3, n), weights)
+    loss = LossSpec(variant, class_counts=(12, 6, 2),
+                    class_weights=(1.0, 2.5, 4.0) if class_weights else None)
+    u, v = rng.child("tangents").normal(size=(2, w.data.shape[0]))
+    return spec, w, batch, loss, u, v
+
+
+def _relu_pattern(spec, w, x):
+    """Signs of every hidden pre-activation, from an einsum forward pass."""
+    h, signs = x, []
+    for l in range(spec.num_layers - 1):
+        a = np.einsum("ni,oi->no", h, w.view(f"w{l}"))
+        if spec.bias:
+            a = a + w.view(f"b{l}")
+        signs.append(a > 0)
+        h = np.maximum(a, 0.0)
+    return np.concatenate(signs, axis=1)
+
+
+@HVP_SETTINGS
+@given(HVP_CASES)
+def test_linearized_hvp_matches_finite_differences_and_is_symmetric(case):
+    spec, w, batch, loss, u, v = _hvp_case(*case)
+    lin = linearize(spec, w, batch, loss)
+    hu, hv = hvp(spec, w, batch, loss, u, lin=lin), hvp(spec, w, batch, loss, v, lin=lin)
+    h = 1e-4
+    wp, wm = ParamVector(w.data + h * v, w.layout), ParamVector(w.data - h * v, w.layout)
+    if spec.activation == "relu":
+        # central differences are exact only where no kink lies between w -+ h v
+        assume(np.array_equal(_relu_pattern(spec, wp, batch.features),
+                              _relu_pattern(spec, wm, batch.features)))
+    fd = (loss_grad(spec, wp, batch, loss)[1] - loss_grad(spec, wm, batch, loss)[1]) / (2 * h)
+    assert np.linalg.norm(fd - hv) <= 1e-6 * np.linalg.norm(hv)
+    assert abs(u @ hv - v @ hu) <= 1e-12 * np.linalg.norm(u) * np.linalg.norm(hv)
+
+
+@HVP_SETTINGS
+@given(HVP_CASES)
+def test_linearization_reuse_is_bitwise_and_never_aliases(case):
+    spec, w, batch, loss, u, v = _hvp_case(*case)
+    lin = linearize(spec, w, batch, loss)
+    first = hvp(spec, w, batch, loss, u, lin=lin)
+    kept = first.copy()
+    second = hvp(spec, w, batch, loss, v, lin=lin)
+    third = hvp(spec, w, batch, loss, u, lin=lin)
+    assert third.tobytes() == kept.tobytes()
+    assert first.tobytes() == kept.tobytes()  # the v call wrote nothing into it
+    assert not np.shares_memory(first, second) and not np.shares_memory(first, third)
+    assert hvp(spec, w, batch, loss, u).tobytes() == kept.tobytes()
+    assert hvp(spec, w, batch, loss, v).tobytes() == second.tobytes()
+
+
+def test_linear_model_hvp_matches_dense_hessian():
+    # no hidden layer: the Hessian is the loss-layer curvature alone
+    spec = MlpSpec((4, 3), bias=True)
+    w = init_params(spec, SeededRng(40).child("init"))
+    batch = make_batch(41, 9, 4, 3)
+    loss = LossSpec(variant="vs", class_counts=(5, 3, 1))
+    lin = linearize(spec, w, batch, loss)
+    dim = w.data.shape[0]
+    dense = np.column_stack([hvp(spec, w, batch, loss, e, lin=lin) for e in np.eye(dim)])
+    h = 1e-5
+    fd = np.column_stack([
+        (loss_grad(spec, ParamVector(w.data + h * e, w.layout), batch, loss)[1]
+         - loss_grad(spec, ParamVector(w.data - h * e, w.layout), batch, loss)[1]) / (2 * h)
+        for e in np.eye(dim)])
+    assert np.max(np.abs(dense - fd)) < 1e-8
+    assert np.max(np.abs(dense - dense.T)) < 1e-15
+
+
+def test_hvp_rejects_a_linearization_of_other_objects():
+    spec, w, batch, loss, u, _ = _hvp_case("tanh", "ce", True, False, False, 42)
+    lin = linearize(spec, w, batch, loss)
+    # equal values, other objects: identity is what ties lin to its point
+    others = {"spec": MlpSpec(spec.layer_sizes, spec.activation, spec.bias), "w": w.copy(),
+              "batch": Batch(batch.features, batch.labels), "loss": loss.with_class_weights(None)}
+    args = {"spec": spec, "w": w, "batch": batch, "loss": loss}
+    for name, other in others.items():
+        with pytest.raises(ParameterError):
+            hvp(**{**args, name: other}, v=u, lin=lin)
+    with pytest.raises(DimensionError):
+        hvp(spec, w, batch, loss, u[:-1], lin=lin)
 
 
 def test_finite_outputs_smooth_activations():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from saddlelab import model, spectral
 from saddlelab.datagen import ClassGeometry, ImbalanceProfile, LabeledDataset
 from saddlelab.errors import ParameterError, UndefinedRatioError
 from saddlelab.linalg import SeededRng
@@ -111,6 +112,51 @@ def test_extreme_eigs_hvp_count():
     assert len(calls) == 6 + 2
     with pytest.raises(ParameterError):
         extreme_eigs(op, 6, 1e-8, SeededRng(20).child("e"), max_refine_iters=0)
+
+
+def test_nonconverged_refine_reports_its_own_vector():
+    # three power steps cannot resolve a 0.001 gap: the returned eigenvalue and
+    # residual must still be v_min's own, not those of the vector before it
+    a = np.diag(np.append(-1.0 + 0.001 * np.arange(19), 2.0))
+    ex = extreme_eigs(HvpOracle.from_matrix(a), 2, 1e-10, SeededRng(1).child("e"),
+                      max_refine_iters=3)
+    assert not ex.converged
+    v = ex.v_min
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    rayleigh = float(v @ a @ v)
+    assert abs(rayleigh - ex.lambda_min) < 1e-12
+    assert ex.residual_min == pytest.approx(np.linalg.norm(a @ v - rayleigh * v), rel=1e-12)
+
+
+def test_for_batch_oracle_linearizes_once_and_calls_hvp_per_product(monkeypatch):
+    spec = MlpSpec((4, 6, 3), "softplus")
+    w = init_params(spec, SeededRng(36).child("init"))
+    data = SeededRng(37)
+    batch = Batch(data.normal(size=(11, 4)), data.generator.integers(0, 3, 11))
+    loss = LossSpec(variant="ldam", class_counts=(6, 3, 2))
+    lins, hvp_lins = [], []
+
+    def counting_linearize(*args):
+        lins.append(model.Linearization(*args))
+        return lins[-1]
+
+    def counting_hvp(*args, lin=None):
+        hvp_lins.append(lin)
+        return hvp(*args, lin=lin)
+
+    # model.hvp would reach model.linearize if it were called without lin
+    monkeypatch.setattr(model, "linearize", counting_linearize)
+    monkeypatch.setattr(spectral, "linearize", counting_linearize)
+    monkeypatch.setattr(spectral, "hvp", counting_hvp)
+    base = HvpOracle.for_batch(spec, w, batch, loss)
+    products = []
+    oracle = HvpOracle(apply=lambda v: products.append(1) or base.apply(v), dim=base.dim)
+    settings = SpectralSettings(lanczos_iters=6, num_probes=3)
+    spectral_density(oracle, settings, SeededRng(38).child("density"))
+    extreme_eigs(oracle, 6, 1e-9, SeededRng(39).child("extreme"))
+    assert len(lins) == 1
+    assert len(hvp_lins) == len(products) > 3 * 6 + 6
+    assert all(lin is lins[0] for lin in hvp_lins)
 
 
 def test_extreme_eigs_sign_flip_swaps_extremes():
