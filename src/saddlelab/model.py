@@ -221,10 +221,11 @@ class Linearization:
     not depend on the tangent: layer inputs hs[l], activation slopes d1[l],
     the gradient chain g[l] (d loss / d pre-activation of layer l), the
     products sd2[l] = (g[l+1] @ W[l+1]) * d2[l], and the loss layer's
-    curvature. hvp(v) then pushes only the tangent through a workspace
-    allocated here and overwritten by every call, so one Linearization serves
-    one caller at a time; the returned vector is always fresh. It stays valid
-    while w.data is unchanged.
+    curvature. The pass's `logits` and weighted mean loss `value` are kept
+    for callers that report them. hvp(v) then pushes only the tangent through
+    a workspace allocated here and overwritten by every call, so one
+    Linearization serves one caller at a time; the returned vector is always
+    fresh. It stays valid while w.data is unchanged.
     """
 
     def __init__(self, spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec):
@@ -232,9 +233,9 @@ class Linearization:
             raise ParameterError("empty batch")
         self.spec, self.w, self.batch, self.loss = spec, w, batch, loss
         self._ws, self._bs = _unpack(spec, w.data)
-        logits, self._hs, pre = _forward_pass(spec, self._ws, self._bs, batch.features)
+        self.logits, self._hs, pre = _forward_pass(spec, self._ws, self._bs, batch.features)
         weights = resolve_sample_weights(loss, batch.labels, batch.sample_weights)
-        _, g, self._curvature = loss_terms(loss, logits, batch.labels, weights)
+        self.value, g, self._curvature = loss_terms(loss, self.logits, batch.labels, weights)
 
         _, slope, second = _ACT_FNS[spec.activation]
         depth = spec.num_layers
@@ -255,6 +256,7 @@ class Linearization:
         self._hdot = [np.empty((n, sizes[l + 1])) for l in range(depth - 1)]
         self._scratch = {m: np.empty((n, m)) for m in set(sizes[1:])}
         self._wtmp, _ = _unpack(spec, np.empty_like(w.data))
+        self._ones = np.ones(n)  # bias blocks sum gdot over rows as ones @ gdot
 
     def hvp(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
@@ -287,7 +289,7 @@ class Linearization:
         gdot = self._curvature.apply(adot[-1])
         for l in range(depth - 1, -1, -1):
             if ohb[l] is not None:
-                np.sum(gdot, axis=0, out=ohb[l])
+                np.matmul(self._ones, gdot, out=ohb[l])
             np.matmul(gdot.T, hs[l], out=ohw[l])
             if l == 0:
                 return out

@@ -1,11 +1,13 @@
 """Hessian eigen-spectrum diagnostics through matrix-free operator probes.
 
-A full-reorthogonalization Lanczos run turns an HVP oracle into Ritz
-values/weights; averaging Gaussian-broadened Ritz quadrature over several
-random probes estimates the eigenvalue density. Extreme eigenpairs come from
-the edge Ritz pairs refined by shifted power iteration (spectrum shifted so
-the wanted end dominates), which needs nothing beyond further HVPs. The
-|lambda_min / lambda_max| ratio summarizes how saddle-like the landscape is.
+A Lanczos run turns an HVP oracle into Ritz values/weights, reorthogonalizing
+its basis only when a bound on the lost orthogonality says it must (partial
+reorthogonalization); averaging Gaussian-broadened Ritz quadrature over
+several random probes estimates the eigenvalue density. Extreme eigenpairs
+come from the edge Ritz pairs refined by shifted power iteration (spectrum
+shifted so the wanted end dominates), which needs nothing beyond further
+HVPs. The |lambda_min / lambda_max| ratio summarizes how saddle-like the
+landscape is.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import ParameterError, UndefinedRatioError
 from .linalg import SeededRng, format_float
-from .losses import LossSpec, loss_on_logits
-from .model import Batch, MlpSpec, ParamVector, forward, hvp, linearize, per_class_batch
+from .losses import LossSpec
+from .model import Batch, Linearization, MlpSpec, ParamVector, hvp, linearize, per_class_batch
 
 SPECTRUM_FORMAT_VERSION = 1
 
@@ -32,13 +34,15 @@ class HvpOracle:
 
     apply: callable
     dim: int
+    lin: Linearization | None = None  # behind a for_batch oracle: its logits and loss value
 
     @classmethod
     def for_batch(cls, spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec) -> "HvpOracle":
         """Linearizes once; every product is one model.hvp call on that
         linearization."""
         lin = linearize(spec, w, batch, loss)
-        return cls(apply=lambda v: hvp(spec, w, batch, loss, v, lin=lin), dim=w.data.shape[0])
+        return cls(apply=lambda v: hvp(spec, w, batch, loss, v, lin=lin), dim=w.data.shape[0],
+                   lin=lin)
 
     @classmethod
     def from_matrix(cls, a) -> "HvpOracle":
@@ -68,12 +72,19 @@ class SpectralSettings:
             raise ParameterError("residual_tol must be > 0")
 
 
+# Partial reorthogonalization (Simon 1984) keeps the bound on every
+# |q_i . q_j|, i != j, of the Lanczos basis below this: the orthonormality
+# the basis is held to.
+ORTHOGONALITY_TARGET = 1e-12
+
+
 @dataclass
 class LanczosResult:
     alphas: np.ndarray  # diagonal of the tridiagonal matrix
     betas: np.ndarray  # off-diagonal (one shorter than alphas)
     basis: np.ndarray | None  # (k, dim) Krylov basis, row-major
     early_stop: bool  # hit an invariant subspace before the iteration budget
+    reorth_steps: int  # steps whose residual was reorthogonalized against the basis
 
     @property
     def iters_done(self) -> int:
@@ -83,11 +94,16 @@ class LanczosResult:
 def lanczos(oracle: HvpOracle, iters: int, rng: SeededRng, with_basis: bool = True) -> LanczosResult:
     """Tridiagonalize the operator restricted to a random Krylov subspace.
 
-    The starting vector is a normalized Gaussian probe from rng. Every new
-    residual is reorthogonalized against the whole basis (two classical
-    Gram-Schmidt passes), so ghost eigenvalues do not appear at the dims used
-    here. A residual norm at rounding level ends the recursion early with the
-    early_stop flag set.
+    The starting vector is a normalized Gaussian probe from rng. Partial
+    reorthogonalization (Simon 1984) carries the omega recurrence, a bound on
+    |q_{j+1} . q_i| for every earlier basis vector built from the alphas,
+    betas and a fixed rounding term. Only when its largest entry exceeds
+    ORTHOGONALITY_TARGET, and again on the step after, is the new residual
+    reorthogonalized against the whole basis: one classical Gram-Schmidt
+    pass, and a second only when the first cancelled more than half the norm
+    (Daniel, Gragg, Kaufman & Stewart 1976). No random numbers are drawn
+    beyond the probe. A residual norm at rounding level ends the recursion
+    early with the early_stop flag set.
     """
     k = min(iters, oracle.dim)
     if k < 1:
@@ -98,34 +114,71 @@ def lanczos(oracle: HvpOracle, iters: int, rng: SeededRng, with_basis: bool = Tr
     basis[0] = v
     alphas = np.zeros(k)
     betas = np.zeros(max(k - 1, 0))
+    # omega[i + 1] bounds |q_j . q_i|, i != j, for the current j (omega_cur)
+    # and the one before (omega_prev); entry 0 is the boundary omega_{j,-1}
+    # and beta_pad[i + 1] = betas[i], beta_pad[0] = 0 to match. The unit
+    # entries q_j . q_j are kept at 0: their terms cancel exactly
+    omega_prev, omega_cur, beta_pad = np.zeros(k + 1), np.zeros(k + 1), np.zeros(k + 1)
+    eps1 = math.sqrt(oracle.dim) * np.finfo(np.float64).eps / 2  # as in Larsen's PROPACK
     early = False
     scale = 0.0
     prev = np.zeros(oracle.dim)
     beta_prev = 0.0
     done = 0
+    reorth_steps = 0
+    again = False
     for j in range(k):
         z = np.asarray(oracle.apply(basis[j]), dtype=np.float64)
         alphas[j] = float(basis[j] @ z)
         z = z - alphas[j] * basis[j] - beta_prev * prev
-        # full reorthogonalization, twice for numerical safety
-        for _ in range(2):
-            z -= basis[: j + 1].T @ (basis[: j + 1] @ z)
         done = j + 1
         scale = max(scale, abs(alphas[j]), beta_prev)
         if j == k - 1:
             break
         beta = float(np.linalg.norm(z))
+        omega = np.zeros(k + 1)
+        if beta > 0.0:
+            # q_i . A q_j = q_j . A q_i, each side expanded by the three-term
+            # recurrence, gives q_{j+1} . q_i from the omegas of q_j and
+            # q_{j-1}; every term is taken in absolute value, so the estimate
+            # bounds the loss whatever the signs of the rounding errors
+            # (Simon's signed form fell up to 9x below the measured loss)
+            rounding = eps1 * max(scale, beta)
+            omega[1 : j + 1] = (beta_pad[1 : j + 1] * omega_cur[2 : j + 2]
+                                + np.abs(alphas[:j] - alphas[j]) * omega_cur[1 : j + 1]
+                                + beta_pad[:j] * omega_cur[:j]
+                                + beta_prev * omega_prev[1 : j + 1] + rounding) / beta
+            # q_{j+1} . q_j: the rounding of alpha_j and of the q_{j-1} term
+            omega[j + 1] = 2.0 * rounding / beta
+        else:
+            omega[1 : j + 2] = np.inf
+        if again or np.max(omega[1 : j + 2]) > ORTHOGONALITY_TARGET:
+            q = basis[: j + 1]
+            z -= q.T @ (q @ z)
+            norm = float(np.linalg.norm(z))
+            if norm < beta / math.sqrt(2.0):
+                z -= q.T @ (q @ z)
+                norm = float(np.linalg.norm(z))
+            beta = norm
+            omega[1 : j + 2] = eps1
+            reorth_steps += 1
+            # Simon's rule: q_j is only as orthogonal as its omega said, and
+            # it enters the next residual, so reorthogonalize that one too
+            again = not again
         if beta <= 1e-13 * max(scale, 1.0):
             early = True
             break
         betas[j] = beta
+        beta_pad[j + 1] = beta
         prev = basis[j]
         beta_prev = beta
         basis[j + 1] = z / beta
+        omega_prev, omega_cur = omega_cur, omega
     alphas = alphas[:done]
     betas = betas[: max(done - 1, 0)]
     basis = basis[:done] if with_basis else None
-    return LanczosResult(alphas=alphas, betas=betas, basis=basis, early_stop=early)
+    return LanczosResult(alphas=alphas, betas=betas, basis=basis, early_stop=early,
+                         reorth_steps=reorth_steps)
 
 
 def ritz_decomposition(result: LanczosResult):
@@ -151,12 +204,6 @@ class SpectralDensity:
     def mass(self) -> float:
         return float(np.trapezoid(self.density, self.grid))
 
-    def mass_between(self, lo: float, hi: float) -> float:
-        sel = (self.grid >= lo) & (self.grid <= hi)
-        if sel.sum() < 2:
-            return 0.0
-        return float(np.trapezoid(self.density[sel], self.grid[sel]))
-
 
 def _auto_grid(all_vals: np.ndarray, sigma: float):
     lo = float(all_vals.min()) - 6.0 * sigma
@@ -180,9 +227,14 @@ def spectral_density(oracle: HvpOracle, settings: SpectralSettings, rng: SeededR
     grid = _auto_grid(all_vals, sigma)
     density = np.zeros_like(grid)
     norm = 1.0 / (sigma * math.sqrt(2.0 * math.pi))
+    # exp(-0.5 * 40**2) is exactly 0.0 in float64, so each bump is added only
+    # within 40 sigma of its Ritz value: the sum is the full-grid one bitwise
+    reach = 40.0 * sigma
     for vals, weights in zip(per_probe_vals, per_probe_weights):
-        for lam, wgt in zip(vals, weights):
-            density += wgt * norm * np.exp(-0.5 * ((grid - lam) / sigma) ** 2)
+        los = np.searchsorted(grid, vals - reach)
+        his = np.searchsorted(grid, vals + reach, side="right")
+        for lam, wgt, lo, hi in zip(vals, weights, los, his):
+            density[lo:hi] += wgt * norm * np.exp(-0.5 * ((grid[lo:hi] - lam) / sigma) ** 2)
     density /= settings.num_probes
     return SpectralDensity(
         grid=grid,
@@ -318,15 +370,13 @@ def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpect
         ratio = nonconvexity_ratio(extremes)
     except UndefinedRatioError:
         ratio = math.nan
-    logits = forward(spec, w, batch.features)
-    value, _ = loss_on_logits(loss, logits, batch.labels)
-    acc = float(np.mean(np.argmax(logits, axis=1) == batch.labels))
+    acc = float(np.mean(np.argmax(oracle.lin.logits, axis=1) == batch.labels))
     return ClassSpectrumEntry(
         class_id=class_id,
         density=density,
         extremes=extremes,
         ratio=ratio,
-        loss=value,
+        loss=oracle.lin.value,
         accuracy=acc,
         num_samples=len(batch),
     )

@@ -1,11 +1,17 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlelab import model, spectral
 from saddlelab.datagen import ClassGeometry, ImbalanceProfile, LabeledDataset
 from saddlelab.errors import ParameterError, UndefinedRatioError
+from saddlelab.harness import load_config, run_experiment
 from saddlelab.linalg import SeededRng
-from saddlelab.losses import LossSpec
+from saddlelab.losses import LossSpec, loss_on_logits
 from saddlelab.model import Batch, MlpSpec, hvp, init_params
 from saddlelab.spectral import (
     ExtremeEigs,
@@ -18,6 +24,8 @@ from saddlelab.spectral import (
     ritz_decomposition,
     spectral_density,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_symmetric(dim, seed):
@@ -60,8 +68,9 @@ def test_density_two_point_spectrum_splits_mass():
     op = HvpOracle.from_matrix(np.diag([1.0] * 50 + [-1.0] * 50))
     settings = SpectralSettings(lanczos_iters=80, num_probes=64)
     sd = spectral_density(op, settings, SeededRng(7).child("density"))
-    assert abs(sd.mass_between(0.5, 1.5) - 0.5) < 0.02
-    assert abs(sd.mass_between(-1.5, -0.5) - 0.5) < 0.02
+    for lo, hi in ((0.5, 1.5), (-1.5, -0.5)):
+        sel = (sd.grid >= lo) & (sd.grid <= hi)
+        assert abs(np.trapezoid(sd.density[sel], sd.grid[sel]) - 0.5) < 0.02
 
 
 def test_density_zero_operator():
@@ -280,3 +289,165 @@ def test_lanczos_probe_determinism():
     r2 = lanczos(op, 30, SeededRng(35).child("p"))
     assert np.array_equal(r1.alphas, r2.alphas)
     assert np.array_equal(r1.betas, r2.betas)
+
+
+def _full_reorth_ritz_pairs(a, iters, rng):
+    """Reference: Lanczos with two classical Gram-Schmidt passes against the
+    whole basis on every step, the same probe and the same early stop.
+    Returns the Ritz values and their residual bounds |beta_k s_{k,i}|."""
+    dim = a.shape[0]
+    k = min(iters, dim)
+    q = np.zeros((k, dim))
+    v = rng.normal(size=dim)
+    q[0] = v / np.linalg.norm(v)
+    alphas, betas = [], []
+    scale = 0.0
+    for j in range(k):
+        z = a @ q[j]
+        alphas.append(float(q[j] @ z))
+        z = z - alphas[j] * q[j] - (betas[j - 1] * q[j - 1] if j else 0.0)
+        for _ in range(2):
+            z -= q[: j + 1].T @ (q[: j + 1] @ z)
+        scale = max(scale, abs(alphas[j]), betas[j - 1] if j else 0.0)
+        beta = float(np.linalg.norm(z))
+        if j == k - 1 or beta <= 1e-13 * max(scale, 1.0):
+            break
+        betas.append(beta)
+        q[j + 1] = z / beta
+    vals, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+    return vals, np.abs(beta * vecs[-1])
+
+
+SPECTRA = ("spread", "clustered", "repeated", "graded")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SPECTRA), st.integers(2, 90), st.floats(0.0, 1.0),
+       st.integers(0, 2**32 - 1))
+def test_partial_reorth_lanczos_matches_full_reorth_and_dense(kind, dim, frac, seed):
+    rng = SeededRng(seed)
+    if kind == "spread":
+        ev = rng.normal(size=dim)
+    elif kind == "clustered":
+        half = dim // 2
+        ev = np.concatenate([1.0 + 1e-6 * rng.normal(size=half), rng.normal(size=dim - half)])
+    elif kind == "repeated":
+        ev = rng.generator.integers(-3, 4, size=dim).astype(np.float64)
+    else:
+        ev = np.logspace(-8, 2, dim) * rng.generator.choice([-1.0, 1.0], size=dim)
+    if kind == "repeated":
+        a = np.diag(ev)  # a rotation would split the repeats at rounding level
+    else:
+        rot, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        a = (rot * ev) @ rot.T
+        a = (a + a.T) / 2.0
+    iters = max(1, round(frac * dim))
+    run = lanczos(HvpOracle.from_matrix(a), iters, SeededRng(seed).child("probe"))
+    gram = run.basis @ run.basis.T
+    assert np.max(np.abs(gram - np.eye(run.iters_done))) < 1e-12
+    norm_a = np.max(np.abs(ev))
+    vals = np.sort(ritz_decomposition(run)[0])
+    ref, residuals = _full_reorth_ritz_pairs(a, iters, SeededRng(seed).child("probe"))
+    assert vals.shape == ref.shape
+    # converged Ritz values are well-posed; unconverged ones next to a cluster
+    # are not: the reference itself moves by 1e-11 * norm_a when A is scaled
+    # by one ulp, so they get a looser bound that a ghost eigenvalue still fails
+    converged = residuals <= 1e-4 * norm_a
+    assert np.all(np.abs(vals - ref)[converged] <= 1e-12 * norm_a)
+    assert np.max(np.abs(vals - ref)) <= 1e-9 * norm_a
+    dense = np.linalg.eigvalsh(a)
+    if run.iters_done == dim:
+        assert np.max(np.abs(vals - dense)) <= 1e-12 * norm_a
+    elif run.early_stop:
+        # an invariant Krylov space: its Ritz values are eigenvalues, and it
+        # reaches every eigenvalue, possibly not every copy of a repeated one
+        gaps = np.abs(vals[:, None] - dense[None, :])
+        assert np.max(np.min(gaps, axis=1)) <= 1e-12 * norm_a
+        assert np.max(np.min(gaps, axis=0)) <= 1e-12 * norm_a
+
+
+def test_density_window_sums_bitwise_like_the_full_grid():
+    # a spread spectrum and a tiny sigma: most grid points lie outside the
+    # 40-sigma window of most Ritz values
+    cases = ((np.diag(np.linspace(-3.0, 5.0, 40)), SpectralSettings(lanczos_iters=40, num_probes=3)),
+             (random_symmetric(80, 9),
+              SpectralSettings(lanczos_iters=30, num_probes=4, broadening_sigma2=1e-3)))
+    for a, settings in cases:
+        sd = spectral_density(HvpOracle.from_matrix(a), settings, SeededRng(9).child("density"))
+        sigma = np.sqrt(settings.broadening_sigma2)
+        norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
+        full = np.zeros_like(sd.grid)
+        for vals, weights in zip(sd.ritz_values, sd.ritz_weights):
+            for lam, wgt in zip(vals, weights):
+                full += wgt * norm * np.exp(-0.5 * ((sd.grid - lam) / sigma) ** 2)
+        full /= settings.num_probes
+        assert np.array_equal(sd.density, full)
+
+
+def test_w1_density_moments_and_extremes_match_the_dense_hessian(tmp_path):
+    cfg = dataclasses.replace(load_config(ROOT / "configs" / "quickstart.json"),
+                              spectrum_epochs=(), cnc_epochs=())
+    result = run_experiment(cfg, out_dir=tmp_path, env_override=False)
+    ds = result.dataset
+    oracle = HvpOracle.for_batch(cfg.model, result.params, Batch(ds.features, ds.labels),
+                                 cfg.loss.bind(ds.class_counts))
+    dim = oracle.dim
+    assert dim == 110
+    dense = np.column_stack([oracle.apply(e) for e in np.eye(dim)])
+    eigs = np.linalg.eigvalsh((dense + dense.T) / 2.0)
+
+    settings = cfg.spectral
+    sd = spectral_density(oracle, settings, SeededRng(1).child("density"))
+    # moments of the broadened density, less the Gaussian's own (sigma^2)
+    s2 = settings.broadening_sigma2
+    raw = [np.trapezoid(sd.grid**k * sd.density, sd.grid) for k in range(5)]
+    moments = [raw[1], raw[2] - s2, raw[3] - 3 * s2 * raw[1], raw[4] - 6 * s2 * raw[2] + 3 * s2**2]
+    for k, m in enumerate(moments, start=1):
+        trace = np.sum(eigs**k) / dim
+        # unit probes uniform on the sphere: Var(v'Mv) = 2/(n+2) (tr M^2/n - (tr M/n)^2)
+        var = 2.0 / (dim + 2) * (np.sum(eigs ** (2 * k)) / dim - trace**2)
+        assert abs(m - trace) <= 3.0 * np.sqrt(var / settings.num_probes)
+
+    ex = extreme_eigs(oracle, settings.lanczos_iters, settings.residual_tol, SeededRng(2).child("e"))
+    assert ex.converged
+    assert abs(ex.lambda_min - eigs[0]) <= settings.residual_tol
+    assert abs(ex.lambda_max - eigs[-1]) <= settings.residual_tol
+
+
+def test_lanczos_on_a_w2_sized_oracle_skips_reorthogonalization_and_reruns_bitwise():
+    spec = MlpSpec((16, 64, 64, 10))
+    w = init_params(spec, SeededRng(40).child("init"))
+    data = SeededRng(41)
+    batch = Batch(data.normal(size=(300, 16)), data.generator.integers(0, 10, 300))
+    oracle = HvpOracle.for_batch(spec, w, batch, LossSpec(variant="ce", class_counts=(30,) * 10))
+    assert oracle.dim == 5898
+    first = lanczos(oracle, 80, SeededRng(42).child("probe"))
+    again = lanczos(oracle, 80, SeededRng(42).child("probe"))
+    assert first.iters_done == 80 and not first.early_stop
+    assert 0 < first.reorth_steps < 80
+    assert np.max(np.abs(first.basis @ first.basis.T - np.eye(80))) < 1e-12
+    for name in ("alphas", "betas", "basis"):
+        assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
+    assert first.reorth_steps == again.reorth_steps
+
+
+def test_spectrum_entry_reuses_the_linearizations_forward_pass(monkeypatch):
+    ds = _linear_model_dataset(balanced=False)
+    spec = MlpSpec((3, 5, 2))
+    w = init_params(spec, SeededRng(43).child("init"))
+    loss = LossSpec(variant="ce", class_counts=ds.class_counts)
+    passes = []
+    forward_pass = model._forward_pass
+    monkeypatch.setattr(model, "_forward_pass", lambda *a: passes.append(1) or forward_pass(*a))
+    settings = SpectralSettings(lanczos_iters=6, num_probes=2)
+    entries = classwise_spectrum_report(spec, w, ds, loss, [0, 1], settings,
+                                        SeededRng(44).child("report"))
+    assert len(passes) == len(entries) == 3  # one linearization each, nothing more
+    monkeypatch.undo()
+    for entry in entries:
+        batch = (Batch(ds.features, ds.labels) if entry.class_id is None
+                 else model.per_class_batch(ds, entry.class_id))
+        logits = model.forward(spec, w, batch.features)
+        value, _ = loss_on_logits(loss, logits, batch.labels)
+        assert entry.loss == value
+        assert entry.accuracy == float(np.mean(np.argmax(logits, axis=1) == batch.labels))
