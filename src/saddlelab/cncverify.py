@@ -12,15 +12,15 @@ the check is visible rather than assumed.
 
 from __future__ import annotations
 
-import csv
-import json
+import dataclasses
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import SeededRng, format_float
+from .linalg import SeededRng, csv_lines, write_json, write_text
 from .losses import LossSpec
 from .model import Batch, MlpSpec, ParamVector, hvp, loss_grad
 from .optim import sam_perturbation
@@ -34,10 +34,13 @@ CNC_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class CncSettings:
+    """The config's cnc section: mini-batch sampling, perturbation mode, and
+    the rhos a run's snapshots check."""
+
     batch_size: int = 32
-    num_batches: int = 200
+    num_batches: int = 100
     mode: str = UNNORMALIZED  # the theory uses the unnormalized perturbation
-    spectral: SpectralSettings = field(default_factory=SpectralSettings)
+    rhos: tuple | None = None  # None -> check the epoch's effective rho
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -46,6 +49,8 @@ class CncSettings:
             raise ParameterError("num_batches must be >= 2 for a standard error")
         if self.mode not in (UNNORMALIZED, NORMALIZED):
             raise ParameterError(f"unknown mode {self.mode!r}")
+        if self.rhos is not None and (not self.rhos or min(self.rhos) < 0):
+            raise ParameterError("cnc rhos must be non-empty and >= 0")
 
 
 @dataclass
@@ -162,7 +167,8 @@ def _taylor_residual(spec, w, ds, loss, rho: float, mode: str, batches) -> float
 
 
 def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
-                    rho_list, settings: CncSettings, rng: SeededRng):
+                    rho_list, settings: CncSettings, rng: SeededRng,
+                    spectral: SpectralSettings):
     """One row per rho: both projection moments over a shared batch sequence,
     their ratio, and the predicted (1 + rho*lambda_min)^2 factor.
 
@@ -175,8 +181,8 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
         raise ParameterError("rho_list must be non-empty")
     full = Batch(ds.features, ds.labels)
     oracle = HvpOracle.for_batch(spec, w, full, loss)
-    extremes = extreme_eigs(oracle, settings.spectral.lanczos_iters,
-                            settings.spectral.residual_tol, rng.child("extreme"))
+    extremes = extreme_eigs(oracle, spectral.lanczos_iters, spectral.residual_tol,
+                            rng.child("extreme"))
     lam_min = extremes.lambda_min
     v_w = extremes.v_min
     batches = sample_batches(ds, settings.batch_size, settings.num_batches, rng.child("batches"))
@@ -208,36 +214,24 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
 
 
 def save_theorem1_report(rows, csv_path, json_path, settings: CncSettings,
-                         meta: dict | None = None) -> None:
-    fields = ["rho", "lambda_min", "gamma_hat", "gamma_stderr", "sam_moment_hat",
-              "sam_stderr", "measured_ratio", "predicted_factor",
-              "taylor_residual", "cnc_violation"]
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        for r in rows:
-            writer.writerow(
-                ["" if getattr(r, f) is None else format_float(getattr(r, f))
-                 for f in fields[:-1]] + [int(r.cnc_violation)])
+                         spectral: SpectralSettings, meta: dict | None = None) -> None:
+    header = [f.name for f in dataclasses.fields(Theorem1Row)]
+    write_text(csv_path, csv_lines(itertools.chain([header],
+                                                   (vars(r).values() for r in rows))))
     sidecar = {
         "format_version": CNC_FORMAT_VERSION,
         "settings": {
             "batch_size": settings.batch_size,
             "num_batches": settings.num_batches,
             "mode": settings.mode,
-            "lanczos_iters": settings.spectral.lanczos_iters,
-            "residual_tol": settings.spectral.residual_tol,
+            "lanczos_iters": spectral.lanczos_iters,
+            "residual_tol": spectral.residual_tol,
         },
-        "rows": [
-            {f: getattr(r, f) for f in fields}
-            for r in rows
-        ],
+        "rows": [dataclasses.asdict(r) for r in rows],
     }
     if meta:
         sidecar.update(meta)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, sidecar)
 
 
 @dataclass

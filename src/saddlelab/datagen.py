@@ -9,7 +9,8 @@ circle or on regular-simplex vertices; samples are isotropic Gaussians.
 from __future__ import annotations
 
 import csv
-import io
+import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from .errors import (
     InfeasibleProfileError,
     ParameterError,
 )
-from .linalg import SeededRng, format_float
+from .linalg import SeededRng, csv_lines, write_text
 
 LONGTAIL = "longtail"
 STEP = "step"
@@ -204,9 +205,9 @@ def split_head_mid_tail(counts, hi_threshold: float | None = None, lo_threshold:
     return ClassGroups(tuple(head), tuple(mid), tuple(tail))
 
 
-def balanced_test_split(ds: LabeledDataset, per_class: int, rng: SeededRng):
-    """(train, test): test holds per_class fresh draws per class from the same
-    geometry; train is returned unchanged (nothing is removed)."""
+def balanced_test_split(ds: LabeledDataset, per_class: int, rng: SeededRng) -> LabeledDataset:
+    """A test set of per_class fresh draws per class from ds's geometry; ds
+    itself is left as it is (nothing is removed from it)."""
     if per_class < 0:
         raise ParameterError("per_class must be >= 0")
     if ds.geometry is None:
@@ -217,7 +218,7 @@ def balanced_test_split(ds: LabeledDataset, per_class: int, rng: SeededRng):
         noise = rng.normal(size=(per_class, ds.geometry.input_dim), std=ds.geometry.within_class_std)
         feats.append(means[j] + noise)
         labels.append(np.full(per_class, j, dtype=np.intp))
-    test = LabeledDataset(
+    return LabeledDataset(
         features=np.vstack(feats) if per_class > 0 else np.zeros((0, ds.geometry.input_dim)),
         labels=np.concatenate(labels) if per_class > 0 else np.zeros(0, dtype=np.intp),
         class_counts=tuple([per_class] * ds.num_classes),
@@ -225,7 +226,6 @@ def balanced_test_split(ds: LabeledDataset, per_class: int, rng: SeededRng):
         geometry=ds.geometry,
         seed=rng.seed,
     )
-    return ds, test
 
 
 def save_dataset(ds: LabeledDataset, path) -> None:
@@ -237,29 +237,15 @@ def save_dataset(ds: LabeledDataset, path) -> None:
         raise ParameterError("dataset has no geometry; cannot serialize header")
     header = {
         "format_version": DATASET_FORMAT_VERSION,
-        "profile": {
-            "kind": ds.profile.kind,
-            "num_classes": ds.profile.num_classes,
-            "n_max": ds.profile.n_max,
-            "beta": ds.profile.beta,
-        },
-        "geometry": {
-            "input_dim": ds.geometry.input_dim,
-            "class_mean_radius": ds.geometry.class_mean_radius,
-            "within_class_std": ds.geometry.within_class_std,
-            "mean_placement": ds.geometry.mean_placement,
-        },
+        "profile": dataclasses.asdict(ds.profile),
+        "geometry": dataclasses.asdict(ds.geometry),
         "seed": ds.seed,
         "class_counts": list(ds.class_counts),
     }
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([f"f{i}" for i in range(ds.features.shape[1])] + ["label"])
-    for row, label in zip(ds.features, ds.labels):
-        writer.writerow([format_float(x) for x in row] + [int(label)])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        fh.write(buf.getvalue())
+    columns = [f"f{i}" for i in range(ds.features.shape[1])] + ["label"]
+    rows = ((*row, int(label)) for row, label in zip(ds.features, ds.labels))
+    write_text(path, itertools.chain([json.dumps(header, sort_keys=True) + "\n"],
+                                     csv_lines(itertools.chain([columns], rows))))
 
 
 def load_dataset(path) -> LabeledDataset:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -41,7 +42,7 @@ from .errors import (
     RunAbortedError,
     SaddleLabError,
 )
-from .linalg import SeededRng, format_float
+from .linalg import SeededRng, csv_cell, csv_lines, format_float, write_json, write_text
 from .losses import LossSpec, ReweightSchedule, drw_weights, loss_on_logits
 from .model import Batch, MlpSpec, ParamVector, forward, init_params, loss_grad, param_layout
 from .optim import (
@@ -108,19 +109,6 @@ class LossConfig:
 
 
 @dataclass(frozen=True)
-class CncRunConfig:
-    batch_size: int = 32
-    num_batches: int = 100
-    mode: str = "unnormalized"
-    rhos: tuple | None = None  # None -> check the epoch's effective rho
-
-    def __post_init__(self):
-        CncSettings(self.batch_size, self.num_batches, self.mode)  # its checks
-        if self.rhos is not None and (not self.rhos or min(self.rhos) < 0):
-            raise ParameterError("cnc rhos must be non-empty and >= 0")
-
-
-@dataclass(frozen=True)
 class GroupThresholds:
     hi: float | None = None
     lo: float | None = None
@@ -141,7 +129,7 @@ class ExperimentConfig:
     spectrum_epochs: tuple = ()
     cnc_epochs: tuple = ()
     spectral: SpectralSettings = SpectralSettings()
-    cnc: CncRunConfig = CncRunConfig()
+    cnc: CncSettings = CncSettings()
     groups: GroupThresholds = GroupThresholds()
     output_dir: str = "runs/experiment"
 
@@ -179,7 +167,7 @@ SECTIONS = {
     "lr": LrSchedule,
     "rho_schedule": RhoSchedule,
     "spectral": SpectralSettings,
-    "cnc": CncRunConfig,
+    "cnc": CncSettings,
     "groups": GroupThresholds,
 }
 
@@ -252,6 +240,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # metrics
 # --------------------------------------------------------------------------
 
+_PER_CLASS = "per_class_"
+
+
 @dataclass
 class MetricsRecord:
     epoch: int
@@ -268,28 +259,33 @@ class MetricsRecord:
     config_hash: str
     code_version: str
 
+    # each per_class_<x> field is one <x>_<j> column per class
     @staticmethod
     def csv_header(num_classes: int) -> list:
-        return (["epoch", "train_loss", "grad_norm", "lr", "rho", "overall_acc",
-                 "head_acc", "mid_acc", "tail_acc"]
-                + [f"acc_{j}" for j in range(num_classes)]
-                + [f"loss_{j}" for j in range(num_classes)]
-                + ["config_hash", "code_version"])
+        header = []
+        for f in dataclasses.fields(MetricsRecord):
+            if f.name.startswith(_PER_CLASS):
+                stem = f.name.removeprefix(_PER_CLASS)
+                header += [f"{stem}_{j}" for j in range(num_classes)]
+            else:
+                header.append(f.name)
+        return header
 
     def csv_row(self) -> list:
-        opt = lambda v: "" if v is None else format_float(v)
-        floats = (self.train_loss, self.grad_norm, self.lr, self.rho, self.overall_acc)
-        return ([str(self.epoch)] + [format_float(x) for x in floats]
-                + [opt(self.head_acc), opt(self.mid_acc), opt(self.tail_acc)]
-                + [format_float(a) for a in self.per_class_acc]
-                + [format_float(l) for l in self.per_class_loss]
-                + [self.config_hash, self.code_version])
+        row = []
+        for name, v in vars(self).items():
+            if name.startswith(_PER_CLASS):
+                row += map(csv_cell, v)
+            else:
+                row.append(csv_cell(v))
+        return row
 
 
 def evaluate(spec: MlpSpec, w: ParamVector, test: LabeledDataset,
              groups: ClassGroups, loss: LossSpec) -> dict:
-    """Argmax-logit metrics on the balanced test set: per-class accuracy and
-    loss, group means, and the overall balanced accuracy (mean of per-class)."""
+    """Argmax-logit metrics on the balanced test set, keyed by MetricsRecord
+    field: per-class accuracy and loss, group means, and the overall balanced
+    accuracy (mean of per-class)."""
     logits = forward(spec, w, test.features)
     preds = np.argmax(logits, axis=1)
     labels = test.labels
@@ -332,20 +328,17 @@ class Checkpoint:
     rng_states: dict  # stream name -> SeededRng state
 
 
+def _is_array(f: dataclasses.Field) -> bool:
+    """Array fields are stored as lists of 17-digit strings (exact round trip)."""
+    return f.type == "np.ndarray"
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    payload = {
-        "format_version": ckpt.format_version,
-        "config_hash": ckpt.config_hash,
-        "config": ckpt.config,
-        "epoch": ckpt.epoch,
-        "params": [format_float(x) for x in ckpt.params],
-        "velocity": [format_float(x) for x in ckpt.velocity],
-        "step_count": ckpt.step_count,
-        "rng_states": ckpt.rng_states,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    payload = {}
+    for f in dataclasses.fields(Checkpoint):
+        v = getattr(ckpt, f.name)
+        payload[f.name] = [format_float(x) for x in v] if _is_array(f) else v
+    write_json(path, payload, indent=None)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -361,21 +354,15 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint format_version {version!r} != supported {CHECKPOINT_FORMAT_VERSION}"
         )
-    required = {"config_hash", "config", "epoch", "params", "velocity",
-                "step_count", "rng_states"}
-    missing = required - set(payload)
+    fields = dataclasses.fields(Checkpoint)
+    missing = [f.name for f in fields if f.name not in payload]
     if missing:
-        raise CheckpointError(f"corrupt checkpoint: missing keys {sorted(missing)}")
-    return Checkpoint(
-        format_version=version,
-        config_hash=payload["config_hash"],
-        config=payload["config"],
-        epoch=payload["epoch"],
-        params=np.array([float(x) for x in payload["params"]]),
-        velocity=np.array([float(x) for x in payload["velocity"]]),
-        step_count=payload["step_count"],
-        rng_states=payload["rng_states"],
-    )
+        raise CheckpointError(f"corrupt checkpoint: missing keys {missing}")
+    return Checkpoint(**{
+        f.name: np.array([float(x) for x in payload[f.name]]) if _is_array(f)
+        else payload[f.name]
+        for f in fields
+    })
 
 
 # --------------------------------------------------------------------------
@@ -406,9 +393,14 @@ def resolve_output_dir(cfg_output_dir: str, override=None) -> Path:
 
 def _build_data(cfg: ExperimentConfig, root: SeededRng):
     ds = generate(cfg.dataset.profile(), cfg.dataset.geometry(), root.child("datagen"))
-    _, test = balanced_test_split(ds, cfg.dataset.test_per_class, root.child("testgen"))
+    test = balanced_test_split(ds, cfg.dataset.test_per_class, root.child("testgen"))
     groups = split_head_mid_tail(ds.class_counts, cfg.groups.hi, cfg.groups.lo)
     return ds, test, groups
+
+
+def _snapshot_meta(cfg: ExperimentConfig, epoch: int, chash: str) -> dict:
+    return {"epoch": epoch, "seed": cfg.seed, "config_hash": chash,
+            "code_version": CODE_VERSION}
 
 
 def write_spectrum_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDataset,
@@ -419,13 +411,8 @@ def write_spectrum_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDa
         cfg.model, w, ds, cfg.loss.bind(ds.class_counts), classes, cfg.spectral,
         SeededRng(cfg.seed).child("spectrum", epoch),
     )
-    meta = {
-        "epoch": epoch,
-        "seed": cfg.seed,
-        "config_hash": chash,
-        "code_version": CODE_VERSION,
-        "generalized_hessian": cfg.model.activation == "relu",
-    }
+    meta = dict(_snapshot_meta(cfg, epoch, chash),
+                generalized_hessian=cfg.model.activation == "relu")
     names = []
     for entry in entries:
         stem = f"spectrum_{epoch}_class{'all' if entry.class_id is None else entry.class_id}"
@@ -445,17 +432,15 @@ def write_cnc_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDataset
     """
     last_epoch = min(epoch, max(cfg.epochs - 1, 0))
     weights = drw_weights(ReweightSchedule(cfg.reweight_epoch, ds.class_counts), last_epoch)
-    settings = CncSettings(batch_size=cfg.cnc.batch_size, num_batches=cfg.cnc.num_batches,
-                           mode=mode or cfg.cnc.mode, spectral=cfg.spectral)
+    settings = dataclasses.replace(cfg.cnc, mode=mode or cfg.cnc.mode)
     rows = theorem1_report(
         cfg.model, w, ds, cfg.loss.bind(ds.class_counts).with_class_weights(weights),
-        rhos or cfg.cnc.rhos or (cfg.effective_rho(last_epoch),), settings,
-        SeededRng(cfg.seed).child("cnc", epoch),
+        rhos or settings.rhos or (cfg.effective_rho(last_epoch),), settings,
+        SeededRng(cfg.seed).child("cnc", epoch), cfg.spectral,
     )
     names = [f"cnc_{epoch}.csv", f"cnc_{epoch}.json"]
-    save_theorem1_report(rows, out / names[0], out / names[1], settings,
-                         meta={"epoch": epoch, "seed": cfg.seed, "config_hash": chash,
-                               "code_version": CODE_VERSION})
+    save_theorem1_report(rows, out / names[0], out / names[1], settings, cfg.spectral,
+                         meta=_snapshot_meta(cfg, epoch, chash))
     return names
 
 
@@ -498,10 +483,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None, *,
     artifacts: list = []
     metrics: list = []
 
-    metrics_path = out / "metrics.csv"
-    metrics_fh = open(metrics_path, "w", newline="", encoding="utf-8")
-    header = MetricsRecord.csv_header(ds.num_classes)
-    metrics_fh.write(",".join(header) + "\n")
+    metrics_fh = open(out / "metrics.csv", "w", newline="", encoding="utf-8")
+    metrics_fh.write(",".join(MetricsRecord.csv_header(ds.num_classes)) + "\n")
     artifacts.append("metrics.csv")
 
     def snapshot(epochs_done: int) -> None:
@@ -561,21 +544,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None, *,
                 gnorm_sum += info["grad_norm"]
 
             epochs_done = epoch + 1
-            ev = evaluate(cfg.model, w, test, groups, base_loss)
             record = MetricsRecord(
-                epoch=epochs_done,
-                train_loss=loss_sum / steps_per_epoch,
-                grad_norm=gnorm_sum / steps_per_epoch,
-                lr=last_lr,
-                rho=rho,
-                overall_acc=ev["overall_acc"],
-                head_acc=ev["head_acc"],
-                mid_acc=ev["mid_acc"],
-                tail_acc=ev["tail_acc"],
-                per_class_acc=ev["per_class_acc"],
-                per_class_loss=ev["per_class_loss"],
-                config_hash=chash,
-                code_version=CODE_VERSION,
+                epoch=epochs_done, train_loss=loss_sum / steps_per_epoch,
+                grad_norm=gnorm_sum / steps_per_epoch, lr=last_lr, rho=rho,
+                config_hash=chash, code_version=CODE_VERSION,
+                **evaluate(cfg.model, w, test, groups, base_loss),
             )
             metrics.append(record)
             metrics_fh.write(",".join(record.csv_row()) + "\n")
@@ -599,20 +572,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None, *,
         "code_version": CODE_VERSION,
         "epochs_completed": epochs_done,
         "final": None if not metrics else {
-            "overall_acc": metrics[-1].overall_acc,
-            "head_acc": metrics[-1].head_acc,
-            "mid_acc": metrics[-1].mid_acc,
-            "tail_acc": metrics[-1].tail_acc,
-            "train_loss": metrics[-1].train_loss,
+            k: getattr(metrics[-1], k)
+            for k in ("overall_acc", "head_acc", "mid_acc", "tail_acc", "train_loss")
         },
         "class_counts": list(ds.class_counts),
         "groups": {"head": list(groups.head), "mid": list(groups.mid),
                    "tail": list(groups.tail)},
         "artifacts": sorted(set(artifacts)),
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
 
     return RunResult(params=w, metrics=metrics, out_dir=out, config_hash=chash,
                      dataset=ds, test=test, groups=groups,
@@ -626,9 +594,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None, *,
 @dataclass
 class SweepRow:
     rho: float
-    overall_acc: float | None
-    tail_acc: float | None
-    tail_lambda_min: float | None
+    overall_acc: float | None = None
+    tail_acc: float | None = None
+    tail_lambda_min: float | None = None
     error: str | None = None
 
 
@@ -666,7 +634,6 @@ def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir=None) -> list:
             base_cfg,
             optimizer=dataclasses.replace(base_cfg.optimizer, rho=rho, rho_drw=rho),
             rho_schedule=RhoSchedule(),
-            output_dir=str(cell),
         )
         try:
             # the root already honoured the environment override
@@ -679,17 +646,11 @@ def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir=None) -> list:
                 tail_lambda_min=tail_lambda_min(cfg, result),
             ))
         except SaddleLabError as exc:
-            rows.append(SweepRow(rho=rho, overall_acc=None, tail_acc=None,
-                                 tail_lambda_min=None, error=str(exc)))
+            rows.append(SweepRow(rho=rho, error=str(exc)))
     _write_sweep_csv(rows, out / "sweep.csv")
     return rows
 
 
 def _write_sweep_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("rho,overall_acc,tail_acc,tail_lambda_min,error\n")
-        for r in rows:
-            opt = lambda v: "" if v is None else format_float(v)
-            err = "" if r.error is None else r.error.replace(",", ";").replace("\n", " ")
-            fh.write(f"{format_float(r.rho)},{opt(r.overall_acc)},{opt(r.tail_acc)},"
-                     f"{opt(r.tail_lambda_min)},{err}\n")
+    header = [f.name for f in dataclasses.fields(SweepRow)]
+    write_text(path, csv_lines(itertools.chain([header], (vars(r).values() for r in rows))))

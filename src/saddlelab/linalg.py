@@ -1,4 +1,9 @@
-"""Seeded random streams and the float serializer every artifact uses.
+"""Seeded random streams and the one writer every artifact goes through.
+
+Artifacts are written whole: text streams into a sibling temp file that
+os.replace then moves onto the target, so a reader (or a crash) sees the old
+bytes or the new ones, never a torn file. JSON is sorted-key, CSV cells are
+formatted by csv_cell, and floats carry 17 significant digits.
 
 Random streams use numpy's counter-based Philox generator keyed by
 ``(stream_id << 64) | seed``; numpy pins the bit stream across platforms and
@@ -7,6 +12,10 @@ draw values are asserted in the test suite as regression vectors.
 """
 
 from __future__ import annotations
+
+import itertools
+import json
+import os
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -17,6 +26,46 @@ _MASK64 = (1 << 64) - 1
 def format_float(x) -> str:
     """17 significant digits: enough to round-trip any float64 exactly."""
     return format(float(x), ".17g")
+
+
+def csv_cell(v) -> str:
+    """One CSV cell: a float via format_float, None empty, a bool 0 or 1, and
+    anything else as text with ',' -> ';' and newlines -> spaces."""
+    if isinstance(v, float):  # covers np.float64; tested first, it is the common case
+        return format(v, ".17g")  # format_float, without its float() conversion
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    return str(v).replace(",", ";").replace("\n", " ")
+
+
+def csv_lines(rows):
+    """Each row of cells as one comma-separated, newline-terminated line."""
+    for row in rows:
+        yield ",".join(map(csv_cell, row)) + "\n"
+
+
+def write_text(path, chunks) -> None:
+    """Stream text chunks into path's sibling <name>.tmp, then os.replace it
+    onto path. If writing raises, the temp file is removed and path keeps its
+    old bytes."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path, obj, indent=1) -> None:
+    """Sorted-key JSON plus a newline, encoded in chunks as json.dump does."""
+    encoder = json.JSONEncoder(indent=indent, sort_keys=True)
+    write_text(path, itertools.chain(encoder.iterencode(obj), ("\n",)))
 
 
 def _mix64(*parts: int) -> int:

@@ -12,8 +12,7 @@ landscape is.
 
 from __future__ import annotations
 
-import csv
-import json
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ParameterError, UndefinedRatioError
-from .linalg import SeededRng, format_float
+from .linalg import SeededRng, csv_lines, write_json, write_text
 from .losses import LossSpec
 from .model import Batch, Linearization, MlpSpec, ParamVector, hvp, linearize, per_class_batch
 
@@ -256,10 +255,6 @@ class ExtremeEigs:
     residual_max: float
     converged: bool
 
-    @property
-    def spread(self) -> float:
-        return self.lambda_max - self.lambda_min
-
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     i = int(np.argmax(np.abs(v)))
@@ -385,33 +380,24 @@ def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpect
 def save_spectrum(entry: ClassSpectrumEntry, csv_path, json_path, meta: dict | None = None) -> None:
     """CSV of (grid, density) plus a JSON sidecar with the Ritz data, extreme
     eigenpair summary, settings, and any caller metadata (seed, epoch, ...)."""
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["eigenvalue", "density"])
-        for g, d in zip(entry.density.grid, entry.density.density):
-            writer.writerow([format_float(g), format_float(d)])
+    write_text(csv_path, csv_lines(itertools.chain(
+        [("eigenvalue", "density")], zip(entry.density.grid, entry.density.density))))
     sidecar = {
         "format_version": SPECTRUM_FORMAT_VERSION,
         "class_id": entry.class_id,
         "num_samples": entry.num_samples,
         "loss": entry.loss,
         "accuracy": entry.accuracy,
-        "lambda_min": entry.extremes.lambda_min,
-        "lambda_max": entry.extremes.lambda_max,
-        "residual_min": entry.extremes.residual_min,
-        "residual_max": entry.extremes.residual_max,
-        "converged": entry.extremes.converged,
+        **{k: v for k, v in vars(entry.extremes).items() if k != "v_min"},
         "nonconvexity_ratio": None if math.isnan(entry.ratio) else entry.ratio,
         "settings": {
             "lanczos_iters": entry.density.lanczos_iters,
             "num_probes": entry.density.num_probes,
             "broadening_sigma2": entry.density.broadening_sigma2,
         },
-        "ritz_values": [[float(x) for x in vals] for vals in entry.density.ritz_values],
-        "ritz_weights": [[float(x) for x in wts] for wts in entry.density.ritz_weights],
+        "ritz_values": [vals.tolist() for vals in entry.density.ritz_values],
+        "ritz_weights": [wts.tolist() for wts in entry.density.ritz_weights],
     }
     if meta:
         sidecar.update(meta)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, sidecar)

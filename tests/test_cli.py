@@ -5,7 +5,8 @@ import pytest
 
 from saddlelab.cli import main
 from saddlelab.datagen import load_dataset
-from saddlelab.harness import CncRunConfig, config_to_dict
+from saddlelab.cncverify import CncSettings
+from saddlelab.harness import config_to_dict
 from saddlelab.spectral import SpectralSettings
 from tests.test_harness import tiny_config
 
@@ -62,7 +63,7 @@ def test_spectrum_and_cnc_check_reproduce_run_snapshots(tmp_path, capsys):
         tiny_config(tmp_path / "run", kind="sam", rho=0.1, epochs=5),
         reweight_epoch=2, spectrum_epochs=(4,), cnc_epochs=(4,),
         spectral=SpectralSettings(lanczos_iters=6, num_probes=2),
-        cnc=CncRunConfig(batch_size=8, num_batches=4, rhos=(0.0, 0.3)),
+        cnc=CncSettings(batch_size=8, num_batches=4, rhos=(0.0, 0.3)),
     )
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config_to_dict(cfg)))

@@ -138,11 +138,10 @@ def test_sam_moment_rho_zero_equals_gamma():
 
 def test_theorem1_report_rows():
     ds, spec, w, loss = small_problem(48)
-    settings = CncSettings(batch_size=16, num_batches=24,
-                           spectral=SpectralSettings(lanczos_iters=30, num_probes=2,
-                                                     residual_tol=1e-7))
+    settings = CncSettings(batch_size=16, num_batches=24)
     rows = theorem1_report(spec, w, ds, loss, [0.0, 0.1], settings,
-                           SeededRng(49).child("cnc"))
+                           SeededRng(49).child("cnc"),
+                           SpectralSettings(lanczos_iters=30, num_probes=2, residual_tol=1e-7))
     assert [r.rho for r in rows] == [0.0, 0.1]
     r0, r1 = rows
     assert r0.predicted_factor == pytest.approx((1 + 0.0 * r0.lambda_min) ** 2)
@@ -158,21 +157,22 @@ def test_theorem1_report_rows():
 
 def test_taylor_residual_shrinks_with_rho():
     ds, spec, w, loss = small_problem(50)
-    settings_small = CncSettings(batch_size=len(ds), num_batches=2,
-                                 spectral=SpectralSettings(lanczos_iters=20, num_probes=2))
+    settings_small = CncSettings(batch_size=len(ds), num_batches=2)
     rows = theorem1_report(spec, w, ds, loss, [1e-4, 1e-1], settings_small,
-                           SeededRng(51).child("cnc"))
+                           SeededRng(51).child("cnc"),
+                           SpectralSettings(lanczos_iters=20, num_probes=2))
     assert rows[0].taylor_residual < rows[1].taylor_residual
 
 
 def test_report_export(tmp_path):
     ds, spec, w, loss = small_problem(52)
-    settings = CncSettings(batch_size=16, num_batches=8,
-                           spectral=SpectralSettings(lanczos_iters=20, num_probes=2))
-    rows = theorem1_report(spec, w, ds, loss, [0.0], settings, SeededRng(53).child("c"))
+    settings = CncSettings(batch_size=16, num_batches=8)
+    spectral = SpectralSettings(lanczos_iters=20, num_probes=2)
+    rows = theorem1_report(spec, w, ds, loss, [0.0], settings, SeededRng(53).child("c"),
+                           spectral)
     csv_path = tmp_path / "cnc.csv"
     json_path = tmp_path / "cnc.json"
-    save_theorem1_report(rows, csv_path, json_path, settings, meta={"seed": 53})
+    save_theorem1_report(rows, csv_path, json_path, settings, spectral, meta={"seed": 53})
     text = csv_path.read_text().splitlines()
     assert text[0].startswith("rho,lambda_min,gamma_hat")
     assert len(text) == 2
@@ -187,3 +187,6 @@ def test_settings_validation():
         CncSettings(num_batches=1)
     with pytest.raises(ParameterError):
         CncSettings(mode="sideways")
+    for rhos in ((), (0.1, -0.1)):
+        with pytest.raises(ParameterError):
+            CncSettings(rhos=rhos)

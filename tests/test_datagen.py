@@ -91,7 +91,7 @@ def test_linear_probe_separates_well_separated_classes():
     profile = ImbalanceProfile("longtail", 2, 400, 4.0)
     geom = ClassGeometry(input_dim=6, class_mean_radius=5.0, within_class_std=0.5)
     ds = generate(profile, geom, SeededRng(31).child("datagen"))
-    _, test = balanced_test_split(ds, 250, SeededRng(31).child("testgen"))
+    test = balanced_test_split(ds, 250, SeededRng(31).child("testgen"))
     x = np.hstack([ds.features, np.ones((len(ds), 1))])
     y = np.where(ds.labels == 0, -1.0, 1.0)
     coef, *_ = np.linalg.lstsq(x, y, rcond=None)
@@ -137,15 +137,14 @@ def test_split_partitions_classes():
 def test_balanced_test_split_empty():
     ds = generate(ImbalanceProfile("longtail", 2, 20, 2.0),
                   ClassGeometry(input_dim=2), SeededRng(0))
-    _, test = balanced_test_split(ds, 0, SeededRng(1))
+    test = balanced_test_split(ds, 0, SeededRng(1))
     assert len(test) == 0
 
 
 def test_balanced_test_split_counts():
     ds = generate(ImbalanceProfile("longtail", 10, 60, 3.0),
                   ClassGeometry(input_dim=2), SeededRng(2))
-    train, test = balanced_test_split(ds, 100, SeededRng(3))
-    assert train is ds
+    test = balanced_test_split(ds, 100, SeededRng(3))
     assert len(test) == 1000
     assert np.bincount(test.labels).tolist() == [100] * 10
 
@@ -153,7 +152,7 @@ def test_balanced_test_split_counts():
 def test_test_rows_disjoint_from_train():
     ds = generate(ImbalanceProfile("longtail", 2, 50, 5.0),
                   ClassGeometry(input_dim=3), SeededRng(4).child("datagen"))
-    _, test = balanced_test_split(ds, 30, SeededRng(4).child("testgen"))
+    test = balanced_test_split(ds, 30, SeededRng(4).child("testgen"))
     train_rows = {row.tobytes() for row in ds.features}
     assert all(row.tobytes() not in train_rows for row in test.features)
 

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from saddlelab.cncverify import CncSettings
 from saddlelab.datagen import ClassGroups, balanced_test_split, generate
 from saddlelab.errors import CheckpointError, ConfigError, RunAbortedError
 from saddlelab.harness import (
@@ -83,10 +84,10 @@ def test_degenerate_optimizers_reproduce_sgd(tmp_path):
             assert a.csv_row()[:-2] == b.csv_row()[:-2]
 
 
-def test_checkpoint_roundtrip_bitwise(tmp_path):
+def _sample_checkpoint() -> Checkpoint:
     layout, total = param_layout(MlpSpec((4, 6, 2)))
     rng = SeededRng(60)
-    ckpt = Checkpoint(
+    return Checkpoint(
         format_version=1,
         config_hash="abc",
         config={"stub": True},
@@ -97,6 +98,10 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
         rng_states={"batches": SeededRng(1).get_state(),
                     "optnoise": SeededRng(2).get_state()},
     )
+
+
+def test_checkpoint_roundtrip_bitwise(tmp_path):
+    ckpt = _sample_checkpoint()
     path = tmp_path / "ckpt.json"
     save_checkpoint(ckpt, path)
     loaded = load_checkpoint(path)
@@ -104,6 +109,17 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert np.array_equal(loaded.velocity, ckpt.velocity)
     assert loaded.epoch == 3 and loaded.step_count == 12
     assert loaded.rng_states == ckpt.rng_states
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Checkpoint)])
+def test_checkpoint_missing_field_is_named(tmp_path, name):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(_sample_checkpoint(), path)
+    payload = json.loads(path.read_text())
+    del payload[name]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointError, match=name):
+        load_checkpoint(path)
 
 
 def test_checkpoint_truncated_file(tmp_path):
@@ -159,7 +175,7 @@ def _evaluation_fixtures(radius, std, per_class, num_classes=2, seed=70):
                         mean_placement="circle" if num_classes <= 4 else "simplex")
     root = SeededRng(seed)
     ds = generate(cfg.profile(), cfg.geometry(), root.child("datagen"))
-    _, test = balanced_test_split(ds, per_class, root.child("testgen"))
+    test = balanced_test_split(ds, per_class, root.child("testgen"))
     return ds, test
 
 
@@ -391,10 +407,51 @@ def test_spectrum_snapshot_files(tmp_path):
     assert "spectrum_4_classall.csv" in summary["artifacts"]
 
 
-def test_metrics_header_shape():
+def test_metrics_header_shape(tmp_path):
     header = MetricsRecord.csv_header(3)
     assert header[:5] == ["epoch", "train_loss", "grad_norm", "lr", "rho"]
     assert "acc_2" in header and "loss_2" in header
+    result = run_experiment(tiny_config(tmp_path / "m", epochs=3))
+    lines = (tmp_path / "m" / "metrics.csv").read_text().splitlines()
+    header = MetricsRecord.csv_header(2)
+    assert lines[0].split(",") == header
+    for line, r in zip(lines[1:], result.metrics, strict=True):
+        cells = line.split(",")
+        assert cells == r.csv_row() and len(cells) == len(header)
+        expected = [r.epoch, r.train_loss, r.grad_norm, r.lr, r.rho, r.overall_acc,
+                    r.head_acc, r.mid_acc, r.tail_acc, *r.per_class_acc,
+                    *r.per_class_loss, r.config_hash, r.code_version]
+        for cell, value in zip(cells, expected, strict=True):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):
+                assert np.float64(float(cell)).tobytes() == np.float64(value).tobytes()
+            else:
+                assert cell == str(value)
+
+
+def test_finished_run_leaves_only_its_artifacts(tmp_path):
+    cfg = dataclasses.replace(tiny_config(tmp_path / "run", epochs=4),
+                              spectrum_epochs=(4,), cnc_epochs=(4,),
+                              spectral=SpectralSettings(lanczos_iters=6, num_probes=2),
+                              cnc=CncSettings(batch_size=8, num_batches=4))
+    result = run_experiment(cfg)
+    names = sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert not [n for n in names if n.endswith(".tmp")]
+    assert names == sorted(result.artifacts + ["summary.json"])
+
+
+def test_sweep_under_two_roots_is_byte_identical(tmp_path):
+    base = dataclasses.replace(tiny_config(tmp_path / "cfg", kind="sam", epochs=3),
+                               spectrum_epochs=(3,),
+                               spectral=SpectralSettings(lanczos_iters=6, num_probes=2))
+    trees = []
+    for root in (tmp_path / "one", tmp_path / "elsewhere" / "two"):
+        sweep_rho(base, [0.0, 0.2], out_dir=root)
+        trees.append({p.relative_to(root).as_posix(): p.read_bytes()
+                      for p in sorted(root.rglob("*")) if p.is_file()})
+    assert len(trees[0]) == 2 * 9 + 1
+    assert trees[0] == trees[1]
 
 
 def test_diverging_run_reports_epoch_and_step(tmp_path):

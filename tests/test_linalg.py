@@ -1,6 +1,12 @@
-import numpy as np
+import json
+import math
 
-from saddlelab.linalg import SeededRng
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from saddlelab.linalg import SeededRng, csv_cell, csv_lines, write_json, write_text
 
 
 def test_distinct_streams_differ():
@@ -43,3 +49,61 @@ def test_child_streams_are_deterministic_and_distinct():
     assert np.array_equal(a.normal(size=8), b.normal(size=8))
     assert not np.array_equal(SeededRng(7).child("batches").normal(size=8),
                               c.normal(size=8))
+
+
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-2.2250738585072009e-308)
+@example(math.inf)
+@example(-math.inf)
+@example(1.7976931348623157e308)
+@given(st.floats(allow_nan=False))
+def test_csv_cell_round_trips_every_float64_bitwise(x):
+    for value in (x, np.float64(x)):
+        assert np.float64(float(csv_cell(value))).tobytes() == np.float64(x).tobytes()
+
+
+def test_csv_cell_keeps_nan_none_and_bool():
+    assert math.isnan(float(csv_cell(math.nan)))
+    assert math.isnan(float(csv_cell(np.float64("nan"))))
+    assert csv_cell(None) == ""
+    assert (csv_cell(True), csv_cell(False)) == ("1", "0")
+    assert csv_cell(7) == "7"
+
+
+@given(st.text())
+def test_csv_text_cell_never_splits_a_row(text):
+    cell = csv_cell(text)
+    assert "," not in cell and "\n" not in cell
+
+
+def test_csv_lines_joins_cells():
+    assert list(csv_lines([("a", "b"), (0.5, None, True, "x,\ny")])) == \
+        ["a,b\n", "0.5,,1,x; y\n"]
+
+
+@pytest.mark.parametrize("indent", [None, 1])
+def test_write_json_matches_json_dump(tmp_path, indent):
+    obj = {"b": [1.5, None, True, -0.0, 5e-324], "a": {"z": "text", "y": []}}
+    path = tmp_path / "obj.json"
+    write_json(path, obj, indent=indent)
+    with open(tmp_path / "ref.json", "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_write_text_interrupted_keeps_old_bytes(tmp_path):
+    path = tmp_path / "artifact.csv"
+    path.write_bytes(b"old,bytes\n")
+
+    def chunks():
+        yield "new,"
+        yield "half"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        write_text(path, chunks())
+    assert path.read_bytes() == b"old,bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.csv"]
