@@ -2,8 +2,10 @@
 
 Subcommands: train, spectrum, cnc-check, sweep-rho, gen-data. Every failure
 exits nonzero after printing a one-line machine-readable JSON error record to
-stderr. The SADDLELAB_OUTPUT_DIR environment variable overrides any output
-directory; everything else is config-file driven.
+stderr. Every override is applied here, as an edit of the config the library
+then runs: --seed, cnc-check's --rho and --mode, and the output directory,
+where the SADDLELAB_OUTPUT_DIR environment variable wins over --out, which
+wins over the command's default.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import os
 import sys
 from pathlib import Path
 
@@ -18,11 +22,11 @@ from . import __version__
 from .datagen import ClassGeometry, ImbalanceProfile, generate, save_dataset
 from .errors import SaddleLabError
 from .harness import (
+    OUTPUT_DIR_ENV,
     _build_data,
     config_from_dict,
     load_checkpoint,
     load_config,
-    resolve_output_dir,
     run_experiment,
     sweep_rho,
     write_cnc_snapshot,
@@ -34,18 +38,29 @@ from .model import ParamVector, param_layout
 
 def _parse_float_list(text: str):
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as exc:
         raise SaddleLabError(f"could not parse float list {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise SaddleLabError(f"float list {text!r} holds a non-finite value")
+    return values
+
+
+def _output_dir(out, default=None):
+    """SADDLELAB_OUTPUT_DIR, else --out, else the command's default (None:
+    the library's, from the config's output_dir)."""
+    out = os.environ.get(OUTPUT_DIR_ENV) or out or default
+    return None if out is None else Path(out)
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    result = run_experiment(cfg, out_dir=args.out, resume_from=args.resume)
+    out = _output_dir(args.out, cfg.output_dir)
+    result = run_experiment(cfg, out_dir=out, resume_from=args.resume)
     final = result.metrics[-1] if result.metrics else None
-    print(f"run complete: {result.out_dir}")
+    print(f"run complete: {out}")
     if final is not None:
         tail = "" if final.tail_acc is None else f" tail_acc={final.tail_acc:.4f}"
         print(f"epoch {final.epoch}: overall_acc={final.overall_acc:.4f}{tail}")
@@ -54,13 +69,12 @@ def cmd_train(args) -> int:
 
 def _load_checkpoint_context(args):
     """Checkpoint, its config, parameters and training set, and the output
-    directory (default: the checkpoint's own directory)."""
+    directory (default: the checkpoint's own directory), not yet created."""
     ckpt = load_checkpoint(args.checkpoint)
     cfg = config_from_dict(ckpt.config)
     layout, _ = param_layout(cfg.model)
     ds, _, _ = _build_data(cfg, SeededRng(cfg.seed))
-    out = resolve_output_dir(str(Path(args.checkpoint).parent), args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out, Path(args.checkpoint).parent)
     return ckpt, cfg, ParamVector(ckpt.params, layout), ds, out
 
 
@@ -72,6 +86,7 @@ def _read_json(path):
 def cmd_spectrum(args) -> int:
     ckpt, cfg, w, ds, out = _load_checkpoint_context(args)
     classes = range(ds.num_classes) if args.class_id == "all" else [int(args.class_id)]
+    out.mkdir(parents=True, exist_ok=True)
     names = write_spectrum_snapshot(cfg, w, ds, ckpt.epoch, out, ckpt.config_hash, classes)
     for name in names[1::2]:
         side = _read_json(out / name)
@@ -85,12 +100,13 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_cnc_check(args) -> int:
-    rhos = _parse_float_list(args.rho)
-    if not rhos:
-        raise SaddleLabError("--rho list is empty")
+    rhos = tuple(_parse_float_list(args.rho))
     ckpt, cfg, w, ds, out = _load_checkpoint_context(args)
-    names = write_cnc_snapshot(cfg, w, ds, ckpt.epoch, out, ckpt.config_hash, rhos,
-                               args.mode)
+    # the report keeps the checkpoint's hash, as the run's own cnc_<epoch> does
+    cfg = dataclasses.replace(cfg, cnc=dataclasses.replace(
+        cfg.cnc, rhos=rhos, mode=args.mode or cfg.cnc.mode))
+    out.mkdir(parents=True, exist_ok=True)
+    names = write_cnc_snapshot(cfg, w, ds, ckpt.epoch, out, ckpt.config_hash)
     for r in _read_json(out / names[1])["rows"]:
         ratio = ("n/a (CNC violation)" if r["measured_ratio"] is None
                  else f"{r['measured_ratio']:.6g}")
@@ -102,10 +118,7 @@ def cmd_cnc_check(args) -> int:
 
 def cmd_sweep_rho(args) -> int:
     cfg = load_config(args.config)
-    rhos = _parse_float_list(args.rhos)
-    if not rhos:
-        raise SaddleLabError("--rhos list is empty")
-    rows = sweep_rho(cfg, rhos, out_dir=args.out)
+    rows = sweep_rho(cfg, _parse_float_list(args.rhos), out_dir=_output_dir(args.out))
     fmt = lambda v, spec: "n/a" if v is None else format(v, spec)
     for r in rows:
         if r.error is not None:

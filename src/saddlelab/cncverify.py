@@ -49,7 +49,7 @@ class CncSettings:
             raise ParameterError("num_batches must be >= 2 for a standard error")
         if self.mode not in (UNNORMALIZED, NORMALIZED):
             raise ParameterError(f"unknown mode {self.mode!r}")
-        if self.rhos is not None and (not self.rhos or min(self.rhos) < 0):
+        if self.rhos is not None and not (self.rhos and all(r >= 0 for r in self.rhos)):
             raise ParameterError("cnc rhos must be non-empty and >= 0")
 
 

@@ -163,19 +163,21 @@ def class_means(geom: ClassGeometry, num_classes: int) -> np.ndarray:
     return means
 
 
+def _sample(geom: ClassGeometry, counts, rng: SeededRng):
+    """(features, labels): counts[j] isotropic-Gaussian draws around class
+    mean j, class by class."""
+    means = class_means(geom, len(counts))
+    feats = [means[j] + rng.normal(size=(n_j, geom.input_dim), std=geom.within_class_std)
+             for j, n_j in enumerate(counts)]
+    labels = [np.full(n_j, j, dtype=np.intp) for j, n_j in enumerate(counts)]
+    return np.vstack(feats), np.concatenate(labels)
+
+
 def generate(profile: ImbalanceProfile, geom: ClassGeometry, rng: SeededRng) -> LabeledDataset:
     """Draw the dataset: counts[j] isotropic-Gaussian samples around mean j."""
     counts = class_counts(profile)
-    means = class_means(geom, profile.num_classes)
-    feats = []
-    labels = []
-    for j, n_j in enumerate(counts):
-        noise = rng.normal(size=(n_j, geom.input_dim), std=geom.within_class_std)
-        feats.append(means[j] + noise)
-        labels.append(np.full(n_j, j, dtype=np.intp))
     return LabeledDataset(
-        features=np.vstack(feats),
-        labels=np.concatenate(labels),
+        *_sample(geom, counts, rng),
         class_counts=counts,
         profile=profile,
         geometry=geom,
@@ -212,16 +214,10 @@ def balanced_test_split(ds: LabeledDataset, per_class: int, rng: SeededRng) -> L
         raise ParameterError("per_class must be >= 0")
     if ds.geometry is None:
         raise ParameterError("dataset carries no geometry to sample a test set from")
-    means = class_means(ds.geometry, ds.num_classes)
-    feats, labels = [], []
-    for j in range(ds.num_classes):
-        noise = rng.normal(size=(per_class, ds.geometry.input_dim), std=ds.geometry.within_class_std)
-        feats.append(means[j] + noise)
-        labels.append(np.full(per_class, j, dtype=np.intp))
+    counts = (per_class,) * ds.num_classes
     return LabeledDataset(
-        features=np.vstack(feats) if per_class > 0 else np.zeros((0, ds.geometry.input_dim)),
-        labels=np.concatenate(labels) if per_class > 0 else np.zeros(0, dtype=np.intp),
-        class_counts=tuple([per_class] * ds.num_classes),
+        *_sample(ds.geometry, counts, rng),
+        class_counts=counts,
         profile=ds.profile,
         geometry=ds.geometry,
         seed=rng.seed,

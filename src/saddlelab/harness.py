@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,6 +58,7 @@ from .spectral import HvpOracle
 from .model import per_class_batch
 
 CHECKPOINT_FORMAT_VERSION = 1
+# the CLI's output-directory override; the library writes where it is told
 OUTPUT_DIR_ENV = "SADDLELAB_OUTPUT_DIR"
 
 
@@ -222,10 +222,18 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _finite(text: str) -> float:
+    """A JSON number or NaN/Infinity constant, which must be finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config holds the non-finite number {text}")
+    return value
+
+
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_float=_finite, parse_constant=_finite)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return config_from_dict(payload)
@@ -241,6 +249,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # --------------------------------------------------------------------------
 
 _PER_CLASS = "per_class_"
+# csv_cell's inverse, by MetricsRecord field type
+_FROM_CELL = {"int": int, "float": float, "str": str,
+              "float | None": lambda cell: float(cell) if cell else None}
 
 
 @dataclass
@@ -279,6 +290,18 @@ class MetricsRecord:
             else:
                 row.append(csv_cell(v))
         return row
+
+    @classmethod
+    def from_csv_row(cls, cells: list, num_classes: int) -> MetricsRecord:
+        """Inverse of csv_row (17-digit floats read back exactly)."""
+        if len(cells) != len(cls.csv_header(num_classes)):
+            raise ValueError(f"a metrics row of {len(cells)} cells for {num_classes} classes")
+        cells = iter(cells)
+        return cls(**{
+            f.name: tuple(float(next(cells)) for _ in range(num_classes))
+            if f.name.startswith(_PER_CLASS) else _FROM_CELL[f.type](next(cells))
+            for f in dataclasses.fields(cls)
+        })
 
 
 def evaluate(spec: MlpSpec, w: ParamVector, test: LabeledDataset,
@@ -373,22 +396,10 @@ def load_checkpoint(path) -> Checkpoint:
 class RunResult:
     params: ParamVector
     metrics: list
-    out_dir: Path
     config_hash: str
     dataset: LabeledDataset
-    test: LabeledDataset
     groups: ClassGroups
     artifacts: list
-
-
-def resolve_output_dir(cfg_output_dir: str, override=None) -> Path:
-    """Precedence: env var > explicit override > config value."""
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    if override is not None:
-        return Path(override)
-    return Path(cfg_output_dir)
 
 
 def _build_data(cfg: ExperimentConfig, root: SeededRng):
@@ -403,6 +414,34 @@ def _snapshot_meta(cfg: ExperimentConfig, epoch: int, chash: str) -> dict:
             "code_version": CODE_VERSION}
 
 
+def _spectrum_names(epoch: int, classes) -> list:
+    """spectrum_<epoch>_class<id|all>.{csv,json}: `classes`, then the full dataset."""
+    return [f"spectrum_{epoch}_class{c}.{ext}" for c in [*classes, "all"]
+            for ext in ("csv", "json")]
+
+
+def _cnc_names(epoch: int) -> list:
+    return [f"cnc_{epoch}.csv", f"cnc_{epoch}.json"]
+
+
+def _checkpoint_name(epoch: int) -> str:
+    return f"checkpoint_{epoch}.json"
+
+
+def _snapshot_names(cfg: ExperimentConfig, num_classes: int, epoch: int) -> list:
+    """The files a run writes after `epoch` completed epochs: spectra and the
+    CNC report at their scheduled epochs, and a checkpoint, last, with each of
+    those and at the last epoch."""
+    names = []
+    if epoch in cfg.spectrum_epochs:
+        names += _spectrum_names(epoch, range(num_classes))
+    if epoch in cfg.cnc_epochs:
+        names += _cnc_names(epoch)
+    if names or epoch == cfg.epochs:
+        names.append(_checkpoint_name(epoch))
+    return names
+
+
 def write_spectrum_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDataset,
                             epoch: int, out: Path, chash: str, classes) -> list:
     """Class-wise spectra for `classes` plus the full-dataset entry, written as
@@ -413,43 +452,60 @@ def write_spectrum_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDa
     )
     meta = dict(_snapshot_meta(cfg, epoch, chash),
                 generalized_hessian=cfg.model.activation == "relu")
-    names = []
-    for entry in entries:
-        stem = f"spectrum_{epoch}_class{'all' if entry.class_id is None else entry.class_id}"
-        save_spectrum(entry, out / f"{stem}.csv", out / f"{stem}.json", meta)
-        names.extend([f"{stem}.csv", f"{stem}.json"])
+    names = _spectrum_names(epoch, classes)
+    for entry, csv_name, json_name in zip(entries, names[::2], names[1::2], strict=True):
+        save_spectrum(entry, out / csv_name, out / json_name, meta)
     return names
 
 
 def write_cnc_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDataset,
-                       epoch: int, out: Path, chash: str, rhos=None, mode=None) -> list:
+                       epoch: int, out: Path, chash: str) -> list:
     """Theorem-1 report after `epoch` completed epochs, written as
     cnc_<epoch>.{csv,json}; returns the file names.
 
     The loss carries the DRW class weights of the last epoch trained, so the
-    report probes the objective the optimizer was stepping on. rhos and mode
-    default to the config's cnc section (rhos: the epoch's effective rho).
+    report probes the objective the optimizer was stepping on. The rhos are
+    the config's cnc.rhos, or else the epoch's effective rho.
     """
     last_epoch = min(epoch, max(cfg.epochs - 1, 0))
     weights = drw_weights(ReweightSchedule(cfg.reweight_epoch, ds.class_counts), last_epoch)
-    settings = dataclasses.replace(cfg.cnc, mode=mode or cfg.cnc.mode)
     rows = theorem1_report(
         cfg.model, w, ds, cfg.loss.bind(ds.class_counts).with_class_weights(weights),
-        rhos or settings.rhos or (cfg.effective_rho(last_epoch),), settings,
+        cfg.cnc.rhos or (cfg.effective_rho(last_epoch),), cfg.cnc,
         SeededRng(cfg.seed).child("cnc", epoch), cfg.spectral,
     )
-    names = [f"cnc_{epoch}.csv", f"cnc_{epoch}.json"]
-    save_theorem1_report(rows, out / names[0], out / names[1], settings, cfg.spectral,
+    names = _cnc_names(epoch)
+    save_theorem1_report(rows, out / names[0], out / names[1], cfg.cnc, cfg.spectral,
                          meta=_snapshot_meta(cfg, epoch, chash))
     return names
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None, *,
-                   env_override: bool = True) -> RunResult:
-    """Execute the configured run end to end, writing metrics.csv, snapshot
-    artifacts, checkpoints, and summary.json under the output directory
-    (resolve_output_dir's choice; with env_override=False, out_dir as given)."""
-    out = resolve_output_dir(cfg.output_dir, out_dir) if env_override else Path(out_dir)
+def _metrics_history(path: Path, epochs: int, num_classes: int) -> list:
+    """The records of the first `epochs` rows of a run's metrics.csv: the
+    history that a resume from the run's checkpoint of that epoch continues."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = fh.read().splitlines()[1:epochs + 1]
+        records = [MetricsRecord.from_csv_row(row.split(","), num_classes) for row in rows]
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"unreadable run history {path}: {exc}") from exc
+    if [r.epoch for r in records] != list(range(1, epochs + 1)):
+        raise CheckpointError(f"{path} lacks the first {epochs} epoch rows of the "
+                              "run the checkpoint continues")
+    return records
+
+
+def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> RunResult:
+    """Execute the configured run end to end into out_dir (default: the
+    config's output_dir), writing metrics.csv, each epoch's snapshots and
+    checkpoint as _snapshot_names lists them, and summary.json.
+
+    A resume from a checkpoint of epoch E continues its run's history: the
+    first E rows of the metrics.csv beside the checkpoint open the new one, and
+    resumed in the checkpoint's own directory, the run's earlier snapshots stay
+    among its artifacts. A resume with no epoch left writes its checkpoint
+    into out_dir."""
+    out = Path(cfg.output_dir if out_dir is None else out_dir)
     out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     root = SeededRng(cfg.seed)
@@ -464,6 +520,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None, *,
     w = init_params(cfg.model, root.child("init"))
     state = OptimizerState.fresh(dim, noise_rng)
     start_epoch = 0
+    metrics: list = []
+    artifacts: list = ["metrics.csv"]
 
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
@@ -477,100 +535,87 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None, *,
         state = OptimizerState(velocity=ckpt.velocity.copy(), rng=noise_rng,
                                step_count=ckpt.step_count)
         start_epoch = ckpt.epoch
+        run_dir = Path(resume_from).parent
+        metrics = _metrics_history(run_dir / "metrics.csv", start_epoch, ds.num_classes)
+        if run_dir.resolve() == out.resolve():
+            artifacts += [name for e in range(start_epoch + 1)
+                          for name in _snapshot_names(cfg, ds.num_classes, e)]
+        elif start_epoch == cfg.epochs:
+            save_checkpoint(ckpt, out / _checkpoint_name(start_epoch))
+            artifacts.append(_checkpoint_name(start_epoch))
 
     n = len(ds)
     steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
-    artifacts: list = []
-    metrics: list = []
-
-    metrics_fh = open(out / "metrics.csv", "w", newline="", encoding="utf-8")
-    metrics_fh.write(",".join(MetricsRecord.csv_header(ds.num_classes)) + "\n")
-    artifacts.append("metrics.csv")
 
     def snapshot(epochs_done: int) -> None:
-        wrote_ckpt = False
+        names = _snapshot_names(cfg, ds.num_classes, epochs_done)
         if epochs_done in cfg.spectrum_epochs:
-            artifacts.extend(write_spectrum_snapshot(
-                cfg, w, ds, epochs_done, out, chash, range(ds.num_classes)))
-            wrote_ckpt = True
+            write_spectrum_snapshot(cfg, w, ds, epochs_done, out, chash, range(ds.num_classes))
         if epochs_done in cfg.cnc_epochs:
-            artifacts.extend(write_cnc_snapshot(cfg, w, ds, epochs_done, out, chash))
-            wrote_ckpt = True
-        if wrote_ckpt or epochs_done == cfg.epochs:
-            name = f"checkpoint_{epochs_done}.json"
-            save_checkpoint(_make_checkpoint(), out / name)
-            artifacts.append(name)
+            write_cnc_snapshot(cfg, w, ds, epochs_done, out, chash)
+        if names:  # the checkpoint is the last name
+            save_checkpoint(Checkpoint(
+                format_version=CHECKPOINT_FORMAT_VERSION,
+                config_hash=chash,
+                config=config_to_dict(cfg),
+                epoch=epochs_done,
+                params=w.data.copy(),
+                velocity=state.velocity.copy(),
+                step_count=state.step_count,
+                rng_states={"batches": batches_rng.get_state(),
+                            "optnoise": noise_rng.get_state()},
+            ), out / names[-1])
+        artifacts.extend(names)
 
-    def _make_checkpoint() -> Checkpoint:
-        return Checkpoint(
-            format_version=CHECKPOINT_FORMAT_VERSION,
-            config_hash=chash,
-            config=config_to_dict(cfg),
-            epoch=epochs_done,
-            params=w.data.copy(),
-            velocity=state.velocity.copy(),
-            step_count=state.step_count,
-            rng_states={"batches": batches_rng.get_state(),
-                        "optnoise": noise_rng.get_state()},
-        )
-
-    epochs_done = start_epoch
     epoch = start_epoch
     step = 0
     try:
-        if start_epoch == 0:
-            snapshot(0)
-        for epoch in range(start_epoch, cfg.epochs):
-            class_w = drw_weights(reweight, epoch)
-            epoch_loss = base_loss.with_class_weights(class_w)
-            rho = cfg.effective_rho(epoch)
-            perm = batches_rng.permutation(n)
-            loss_sum = 0.0
-            gnorm_sum = 0.0
-            last_lr = 0.0
-            for step in range(steps_per_epoch):
-                idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
-                batch = Batch(ds.features[idx], ds.labels[idx])
-                lr = lr_at(cfg.lr, epoch, step, steps_per_epoch)
-                last_lr = lr
+        with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as metrics_fh:
+            metrics_fh.writelines(csv_lines([MetricsRecord.csv_header(ds.num_classes),
+                                             *(r.csv_row() for r in metrics)]))
+            if resume_from is None:
+                snapshot(0)
+            for epoch in range(start_epoch, cfg.epochs):
+                class_w = drw_weights(reweight, epoch)
+                epoch_loss = base_loss.with_class_weights(class_w)
+                rho = cfg.effective_rho(epoch)
+                perm = batches_rng.permutation(n)
+                loss_sum = 0.0
+                gnorm_sum = 0.0
+                for step in range(steps_per_epoch):
+                    idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
+                    batch = Batch(ds.features[idx], ds.labels[idx])
+                    lr = lr_at(cfg.lr, epoch, step, steps_per_epoch)
 
-                def grad_fn(x, _batch=batch, _loss=epoch_loss):
-                    return loss_grad(cfg.model, ParamVector(x, layout), _batch, _loss)
+                    def grad_fn(x):
+                        return loss_grad(cfg.model, ParamVector(x, layout), batch, epoch_loss)
 
-                new, info = optimizer_step(cfg.optimizer, grad_fn, w.data, state, lr,
-                                           rho, blocks)
-                w = ParamVector(new, layout)
-                loss_sum += info["loss"]
-                gnorm_sum += info["grad_norm"]
+                    new, info = optimizer_step(cfg.optimizer, grad_fn, w.data, state, lr,
+                                               rho, blocks)
+                    w = ParamVector(new, layout)
+                    loss_sum += info["loss"]
+                    gnorm_sum += info["grad_norm"]
 
-            epochs_done = epoch + 1
-            record = MetricsRecord(
-                epoch=epochs_done, train_loss=loss_sum / steps_per_epoch,
-                grad_norm=gnorm_sum / steps_per_epoch, lr=last_lr, rho=rho,
-                config_hash=chash, code_version=CODE_VERSION,
-                **evaluate(cfg.model, w, test, groups, base_loss),
-            )
-            metrics.append(record)
-            metrics_fh.write(",".join(record.csv_row()) + "\n")
-            metrics_fh.flush()
-            snapshot(epochs_done)
-
-        if epochs_done == cfg.epochs and f"checkpoint_{cfg.epochs}.json" not in artifacts:
-            name = f"checkpoint_{cfg.epochs}.json"
-            save_checkpoint(_make_checkpoint(), out / name)
-            artifacts.append(name)
+                record = MetricsRecord(
+                    epoch=epoch + 1, train_loss=loss_sum / steps_per_epoch,
+                    grad_norm=gnorm_sum / steps_per_epoch, lr=lr, rho=rho,
+                    config_hash=chash, code_version=CODE_VERSION,
+                    **evaluate(cfg.model, w, test, groups, base_loss),
+                )
+                metrics.append(record)
+                metrics_fh.writelines(csv_lines([record.csv_row()]))
+                metrics_fh.flush()
+                snapshot(epoch + 1)
     except SaddleLabError as exc:
         raise RunAbortedError(
             f"run aborted at epoch {epoch}, step {step}: {exc}"
         ) from exc
-    finally:
-        metrics_fh.close()
 
     summary = {
         "config": config_to_dict(cfg),
         "config_hash": chash,
         "code_version": CODE_VERSION,
-        "epochs_completed": epochs_done,
+        "epochs_completed": len(metrics),
         "final": None if not metrics else {
             k: getattr(metrics[-1], k)
             for k in ("overall_acc", "head_acc", "mid_acc", "tail_acc", "train_loss")
@@ -582,9 +627,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None, *,
     }
     write_json(out / "summary.json", summary)
 
-    return RunResult(params=w, metrics=metrics, out_dir=out, config_hash=chash,
-                     dataset=ds, test=test, groups=groups,
-                     artifacts=summary["artifacts"])
+    return RunResult(params=w, metrics=metrics, config_hash=chash, dataset=ds,
+                     groups=groups, artifacts=summary["artifacts"])
 
 
 # --------------------------------------------------------------------------
@@ -625,7 +669,7 @@ def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir=None) -> list:
     rho_values = list(rho_values)
     if not rho_values:
         raise ParameterError("rho_values must be non-empty")
-    out = resolve_output_dir(str(Path(base_cfg.output_dir) / "sweep"), out_dir)
+    out = Path(base_cfg.output_dir) / "sweep" if out_dir is None else Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, rho in enumerate(rho_values):
@@ -636,8 +680,7 @@ def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir=None) -> list:
             rho_schedule=RhoSchedule(),
         )
         try:
-            # the root already honoured the environment override
-            result = run_experiment(cfg, out_dir=cell, env_override=False)
+            result = run_experiment(cfg, out_dir=cell)
             last = result.metrics[-1] if result.metrics else None
             rows.append(SweepRow(
                 rho=rho,

@@ -6,7 +6,7 @@ import pytest
 from saddlelab.cli import main
 from saddlelab.datagen import load_dataset
 from saddlelab.cncverify import CncSettings
-from saddlelab.harness import config_to_dict
+from saddlelab.harness import OUTPUT_DIR_ENV, config_to_dict
 from saddlelab.spectral import SpectralSettings
 from tests.test_harness import tiny_config
 
@@ -163,6 +163,63 @@ def test_error_record_on_bad_rho_list(tmp_path, capsys):
     assert code == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "SaddleLabError"
+
+
+@pytest.mark.parametrize("rho", ["nan", "0.1,inf"])
+def test_error_record_on_non_finite_rho(tmp_path, capsys, rho):
+    _, cfg_path = write_config(tmp_path, epochs=1)
+    main(["train", "--config", str(cfg_path)])
+    capsys.readouterr()
+    code = main(["cnc-check", "--checkpoint", str(tmp_path / "run" / "checkpoint_1.json"),
+                 "--rho", rho, "--out", str(tmp_path / "cnc")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "SaddleLabError"
+    assert not (tmp_path / "cnc").exists()
+
+
+def test_cnc_check_rho_is_validated_as_the_config_is(tmp_path, capsys):
+    _, cfg_path = write_config(tmp_path, epochs=1)
+    main(["train", "--config", str(cfg_path)])
+    capsys.readouterr()
+    code = main(["cnc-check", "--checkpoint", str(tmp_path / "run" / "checkpoint_1.json"),
+                 "--rho=-0.5,0.1", "--out", str(tmp_path / "cnc")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ParameterError"
+    assert not (tmp_path / "cnc").exists()
+
+
+def test_env_var_overrides_train_out(tmp_path, monkeypatch):
+    _, cfg_path = write_config(tmp_path, epochs=1)
+    target = tmp_path / "env_target"
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
+    assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert (target / "metrics.csv").exists()
+    assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
+
+
+def test_env_var_holds_sweep_cells_apart(tmp_path, monkeypatch):
+    _, cfg_path = write_config(tmp_path, epochs=2, kind="sam")
+    target = tmp_path / "env_target"
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
+    assert main(["sweep-rho", "--config", str(cfg_path), "--rhos", "0.0,0.2",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert sorted(p.name for p in target.iterdir()) == ["rho_0_0", "rho_1_0.2", "sweep.csv"]
+    for cell in ("rho_0_0", "rho_1_0.2"):
+        assert (target / cell / "summary.json").exists()
+        assert (target / cell / "metrics.csv").exists()
+    assert not (tmp_path / "out").exists() and not (tmp_path / "run").exists()
+
+
+def test_env_var_overrides_spectrum_out(tmp_path, monkeypatch):
+    _, cfg_path = write_config(tmp_path, epochs=1)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    target = tmp_path / "env_target"
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
+    assert main(["spectrum", "--checkpoint", str(tmp_path / "run" / "checkpoint_1.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert (target / "spectrum_1_classall.json").exists()
+    assert not (tmp_path / "out").exists()
+    assert not list((tmp_path / "run").glob("spectrum_*"))
 
 
 def test_installed_entry_point_exit_codes(tmp_path):

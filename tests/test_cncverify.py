@@ -187,6 +187,6 @@ def test_settings_validation():
         CncSettings(num_batches=1)
     with pytest.raises(ParameterError):
         CncSettings(mode="sideways")
-    for rhos in ((), (0.1, -0.1)):
+    for rhos in ((), (0.1, -0.1), (0.1, float("nan"))):
         with pytest.raises(ParameterError):
             CncSettings(rhos=rhos)

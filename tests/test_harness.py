@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from saddlelab.cncverify import CncSettings
 from saddlelab.datagen import ClassGroups, balanced_test_split, generate
@@ -14,7 +17,6 @@ from saddlelab.harness import (
     ExperimentConfig,
     LossConfig,
     MetricsRecord,
-    OUTPUT_DIR_ENV,
     config_from_dict,
     config_hash,
     config_to_dict,
@@ -155,6 +157,77 @@ def test_resume_matches_uninterrupted_run(tmp_path):
                              resume_from=snap_dir / "checkpoint_10.json")
     uninterrupted = run_experiment(cfg_with_snapshot, out_dir=tmp_path / "uninterrupted")
     assert np.array_equal(resumed.params.data, uninterrupted.params.data)
+    # the resumed metrics.csv carries the first 10 rows of the run it continues
+    assert resumed.metrics == uninterrupted.metrics
+    assert (tmp_path / "resumed" / "metrics.csv").read_bytes() == \
+        (tmp_path / "uninterrupted" / "metrics.csv").read_bytes()
+
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class _Crash(Exception):
+    pass
+
+
+# a CNC report every epoch leaves a checkpoint to resume from at each one
+RESUME_CFG = dataclasses.replace(
+    tiny_config("unused", kind="pgd", pgd_sigma=1e-3, epochs=6),
+    spectrum_epochs=(0, 3), cnc_epochs=tuple(range(7)),
+    spectral=SpectralSettings(lanczos_iters=4, num_probes=1, residual_tol=0.5),
+    cnc=CncSettings(batch_size=8, num_batches=2),
+)
+
+
+@pytest.fixture(scope="module")
+def uninterrupted_resume_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("resume") / "uninterrupted"
+    run_experiment(RESUME_CFG, out_dir=out)
+    return out
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_resume_in_place_after_a_crash_reproduces_the_run(
+        tmp_path, monkeypatch, uninterrupted_resume_run, data):
+    from saddlelab import harness
+    epochs = RESUME_CFG.epochs
+    crash = data.draw(st.integers(0, epochs), label="epochs done at the crash")
+    resume = data.draw(st.integers(0, crash), label="checkpoint epoch resumed")
+    out = tmp_path / f"run_{crash}_{resume}"
+    shutil.rmtree(out, ignore_errors=True)
+    if crash < epochs:
+        # the evaluation of epoch crash + 1 dies: rows and snapshots stop at crash
+        calls = iter(range(crash))
+        real = harness.evaluate
+
+        def dying(*args):
+            if next(calls, None) is None:
+                raise _Crash
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(harness, "evaluate", dying)
+            with pytest.raises(_Crash):
+                run_experiment(RESUME_CFG, out_dir=out)
+    else:
+        run_experiment(RESUME_CFG, out_dir=out)
+    run_experiment(RESUME_CFG, out_dir=out, resume_from=out / f"checkpoint_{resume}.json")
+    assert _tree(out) == _tree(uninterrupted_resume_run)
+
+
+def test_resume_needs_the_history_beside_its_checkpoint(tmp_path):
+    cfg = dataclasses.replace(tiny_config(tmp_path / "h", epochs=4), cnc_epochs=(2,),
+                              cnc=CncSettings(batch_size=8, num_batches=2))
+    run_experiment(cfg)
+    metrics = tmp_path / "h" / "metrics.csv"
+    metrics.write_text("".join(metrics.read_text().splitlines(keepends=True)[:2]))
+    with pytest.raises(CheckpointError, match="metrics.csv"):
+        run_experiment(cfg, out_dir=tmp_path / "again",
+                       resume_from=tmp_path / "h" / "checkpoint_2.json")
 
 
 def test_resume_rejects_other_config(tmp_path):
@@ -261,15 +334,28 @@ def test_missing_required_key_rejected(tmp_path):
     lambda d: d["model"].update(layer_sizes=[5, 6, 2]),
     lambda d: d.update(lr={}),
     lambda d: d.update(reweight={}),
+    lambda d: d["optimizer"].update(rho=float("nan")),
+    lambda d: d["lr"].update(base_lr=float("inf")),
+    lambda d: d["cnc"].update(rhos=[0.1, float("-inf")]),
 ], ids=["cnc-mode", "cnc-num-batches", "cnc-empty-rhos", "dataset-kind",
         "circle-in-1d", "infeasible-profile", "loss-variant", "residual-tol",
-        "model-dataset-mismatch", "lr-empty", "reweight-empty"])
+        "model-dataset-mismatch", "lr-empty", "reweight-empty", "nan-rho",
+        "infinite-lr", "infinite-cnc-rho"])
 def test_load_config_rejects_what_the_run_would(tmp_path, edit):
     d = config_to_dict(tiny_config(tmp_path / "x"))
     edit(d)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(d))
     with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_load_config_rejects_an_overflowing_number(tmp_path):
+    text = json.dumps(config_to_dict(tiny_config(tmp_path / "x")))
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace('"base_lr": 0.1', '"base_lr": 1e999'))
+    assert path.read_text() != text
+    with pytest.raises(ConfigError, match="non-finite"):
         load_config(path)
 
 
@@ -282,16 +368,6 @@ REPO = Path(__file__).resolve().parent.parent
 def test_shipped_configs_roundtrip(path):
     # equality here keeps every shipped config's hash fixed across schema edits
     assert config_to_dict(load_config(path)) == json.loads(path.read_text())
-
-
-def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
-    target = tmp_path / "env_target"
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
-    cfg = tiny_config(tmp_path / "ignored", epochs=1)
-    result = run_experiment(cfg, out_dir=tmp_path / "also_ignored")
-    assert result.out_dir == target
-    assert (target / "metrics.csv").exists()
-    assert not (tmp_path / "ignored").exists()
 
 
 def test_metrics_rows_carry_hash_and_version(tmp_path):
@@ -339,17 +415,6 @@ def test_sweep_rho_zero_matches_sgd_baseline(tmp_path):
     assert rows[0].overall_acc == sgd.metrics[-1].overall_acc
     assert rows[0].tail_acc == sgd.metrics[-1].tail_acc
     assert (tmp_path / "sweep" / "sweep.csv").exists()
-
-
-def test_sweep_rho_cells_stay_apart_under_env_var(tmp_path, monkeypatch):
-    target = tmp_path / "env_target"
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(target))
-    base = tiny_config(tmp_path / "ignored", kind="sam", epochs=2)
-    sweep_rho(base, [0.0, 0.2], out_dir=tmp_path / "also_ignored")
-    assert sorted(p.name for p in target.iterdir()) == ["rho_0_0", "rho_1_0.2", "sweep.csv"]
-    for cell in ("rho_0_0", "rho_1_0.2"):
-        assert (target / cell / "summary.json").exists()
-        assert (target / cell / "metrics.csv").exists()
 
 
 def test_sweep_rho_duplicates_identical(tmp_path):
@@ -448,8 +513,7 @@ def test_sweep_under_two_roots_is_byte_identical(tmp_path):
     trees = []
     for root in (tmp_path / "one", tmp_path / "elsewhere" / "two"):
         sweep_rho(base, [0.0, 0.2], out_dir=root)
-        trees.append({p.relative_to(root).as_posix(): p.read_bytes()
-                      for p in sorted(root.rglob("*")) if p.is_file()})
+        trees.append(_tree(root))
     assert len(trees[0]) == 2 * 9 + 1
     assert trees[0] == trees[1]
 

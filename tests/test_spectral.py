@@ -387,7 +387,7 @@ def test_density_window_sums_bitwise_like_the_full_grid():
 def test_w1_density_moments_and_extremes_match_the_dense_hessian(tmp_path):
     cfg = dataclasses.replace(load_config(ROOT / "configs" / "quickstart.json"),
                               spectrum_epochs=(), cnc_epochs=())
-    result = run_experiment(cfg, out_dir=tmp_path, env_override=False)
+    result = run_experiment(cfg, out_dir=tmp_path)
     ds = result.dataset
     oracle = HvpOracle.for_batch(cfg.model, result.params, Batch(ds.features, ds.labels),
                                  cfg.loss.bind(ds.class_counts))
