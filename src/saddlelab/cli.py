@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .datagen import ClassGeometry, ImbalanceProfile, generate, save_dataset
-from .errors import SaddleLabError
+from .errors import ParameterError, SaddleLabError
 from .harness import (
     OUTPUT_DIR_ENV,
     _build_data,
@@ -83,9 +83,22 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _class_ids(text: str, num_classes: int):
+    """--class: 'all', or one class index of the run."""
+    if text == "all":
+        return range(num_classes)
+    try:
+        cid = int(text)
+    except ValueError:
+        raise ParameterError(f"--class must be a class index or 'all', got {text!r}") from None
+    if not 0 <= cid < num_classes:
+        raise ParameterError(f"--class {cid} is out of range for {num_classes} classes")
+    return [cid]
+
+
 def cmd_spectrum(args) -> int:
     ckpt, cfg, w, ds, out = _load_checkpoint_context(args)
-    classes = range(ds.num_classes) if args.class_id == "all" else [int(args.class_id)]
+    classes = _class_ids(args.class_id, ds.num_classes)
     out.mkdir(parents=True, exist_ok=True)
     names = write_spectrum_snapshot(cfg, w, ds, ckpt.epoch, out, ckpt.config_hash, classes)
     for name in names[1::2]:

@@ -23,7 +23,7 @@ from .errors import ParameterError
 from .linalg import SeededRng, csv_lines, write_json, write_text
 from .losses import LossSpec
 from .model import Batch, MlpSpec, ParamVector, hvp, loss_grad
-from .optim import sam_perturbation
+from .optim import sam_gradients
 from .spectral import HvpOracle, SpectralSettings, extreme_eigs
 
 UNNORMALIZED = "unnormalized"
@@ -63,7 +63,7 @@ class Theorem1Row:
     sam_stderr: float
     measured_ratio: float | None  # None when the CNC moment is indistinguishable from 0
     predicted_factor: float
-    taylor_residual: float  # mean ||grad_sam - (grad + rho*H grad)||_2 over batches
+    taylor_residual: float  # mean ||grad_sam - (grad + H eps)||_2 over batches
     cnc_violation: bool
 
 
@@ -84,16 +84,12 @@ def sample_batches(ds, batch_size: int, num_batches: int, rng: SeededRng):
     """Index sets of mini-batches drawn without replacement within each batch.
 
     batch_size >= len(ds) degenerates to the full dataset every time (no
-    stochasticity), which is the zero-variance case the estimators promise.
+    stochasticity), which is the zero-variance case the report promises.
     """
     n = len(ds)
     if batch_size >= n:
         return [np.arange(n) for _ in range(num_batches)]
     return [rng.choice(n, size=batch_size, replace=False) for _ in range(num_batches)]
-
-
-def _batch_of(ds, idx) -> Batch:
-    return Batch(ds.features[idx], np.asarray(ds.labels)[idx])
 
 
 def projection_second_moment(grads, v_w: np.ndarray):
@@ -108,73 +104,20 @@ def projection_second_moment(grads, v_w: np.ndarray):
 def sam_gradient(grad_fn, w: np.ndarray, rho: float, mode: str = UNNORMALIZED):
     """One sharpness-aware gradient with the same stochastic draw inside and
     outside: grad_fn must be bound to a fixed batch/noise realization."""
-    _, g1 = grad_fn(w)
-    eps = sam_perturbation(g1, rho, normalized=mode == NORMALIZED)
-    return g1 if eps is None else grad_fn(w + eps)[1]
-
-
-def estimate_gamma(spec: MlpSpec, w: ParamVector, v_w, ds, loss: LossSpec,
-                   batch_size: int, num_batches: int, rng: SeededRng, batches=None):
-    """Second moment of <v_w, grad on a random mini-batch> with its standard
-    error of the mean. Pass precomputed batch index sets to pair this with a
-    SAM-moment estimate over identical draws."""
-    v_w = _check_unit(v_w)
-    if num_batches < 2:
-        raise ParameterError("num_batches must be >= 2 for a standard error")
-    if batches is None:
-        batches = sample_batches(ds, batch_size, num_batches, rng)
-    grads = []
-    for idx in batches:
-        _, g = loss_grad(spec, w, _batch_of(ds, idx), loss)
-        grads.append(g)
-    return projection_second_moment(grads, v_w)
-
-
-def sam_projection_moment(spec: MlpSpec, w: ParamVector, v_w, ds, loss: LossSpec,
-                          rho: float, mode: str, batch_size: int, num_batches: int,
-                          rng: SeededRng, batches=None):
-    """Second moment of <v_w, sharpness-aware gradient> over mini-batches."""
-    v_w = _check_unit(v_w)
-    if num_batches < 2:
-        raise ParameterError("num_batches must be >= 2 for a standard error")
-    if batches is None:
-        batches = sample_batches(ds, batch_size, num_batches, rng)
-    grads = []
-    for idx in batches:
-        batch = _batch_of(ds, idx)
-        grad_fn = lambda x: loss_grad(spec, ParamVector(x, w.layout), batch, loss)
-        grads.append(sam_gradient(grad_fn, w.data, rho, mode))
-    return projection_second_moment(grads, v_w)
-
-
-def _taylor_residual(spec, w, ds, loss, rho: float, mode: str, batches) -> float:
-    """Mean ||grad(w+eps) - (grad + rho*H grad)||_2; exact-zero on quadratics,
-    grows with rho elsewhere (the expansion's validity gauge)."""
-    if rho == 0.0:
-        return 0.0
-    residuals = []
-    for idx in batches:
-        batch = _batch_of(ds, idx)
-        _, g1 = loss_grad(spec, w, batch, loss)
-        eps = sam_perturbation(g1, rho, normalized=mode == NORMALIZED)
-        if eps is None:
-            residuals.append(0.0)
-            continue
-        _, g2 = loss_grad(spec, ParamVector(w.data + eps, w.layout), batch, loss)
-        h_eps = hvp(spec, w, batch, loss, eps)
-        residuals.append(float(np.linalg.norm(g2 - (g1 + h_eps))))
-    return float(np.mean(residuals))
+    return sam_gradients(grad_fn, w, rho, normalized=mode == NORMALIZED)[3]
 
 
 def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
                     rho_list, settings: CncSettings, rng: SeededRng,
                     spectral: SpectralSettings):
     """One row per rho: both projection moments over a shared batch sequence,
-    their ratio, and the predicted (1 + rho*lambda_min)^2 factor.
+    their ratio, the predicted (1 + rho*lambda_min)^2 factor, and the mean
+    first-order expansion residual ||grad(w+eps) - (grad + H eps)||_2, exactly
+    0 on quadratics and growing with rho elsewhere.
 
     lambda_min and v_w come from one extreme-eigenpair run on the full-dataset
-    Hessian; the same mini-batches are reused across all rows (and for the
-    plain moment), so the rho = 0 row has ratio exactly 1.
+    Hessian; the mini-batches are drawn once and reused across all rows (and
+    for the plain moment), so the rho = 0 row has ratio exactly 1.
     """
     rho_list = list(rho_list)
     if not rho_list:
@@ -185,19 +128,26 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
                             rng.child("extreme"))
     lam_min = extremes.lambda_min
     v_w = extremes.v_min
-    batches = sample_batches(ds, settings.batch_size, settings.num_batches, rng.child("batches"))
-    gamma_hat, gamma_se = estimate_gamma(
-        spec, w, v_w, ds, loss, settings.batch_size, settings.num_batches,
-        rng, batches=batches,
-    )
+    batches = [Batch(ds.features[idx], ds.labels[idx]) for idx in
+               sample_batches(ds, settings.batch_size, settings.num_batches, rng.child("batches"))]
+    grad_fns = [lambda x, b=b: loss_grad(spec, ParamVector(x, w.layout), b, loss)
+                for b in batches]
+    normalized = settings.mode == NORMALIZED
+
+    # its own gradients, not the moment's: the bench self-test pins the
+    # report at B(1 + sum(1 if rho == 0 else 4)) of them (ROADMAP item 1)
+    def residual(batch, grad_fn, rho):
+        _, g, eps, g_sam = sam_gradients(grad_fn, w.data, rho, normalized)
+        if eps is None:
+            return 0.0
+        return float(np.linalg.norm(g_sam - (g + hvp(spec, w, batch, loss, eps))))
+
+    gamma_hat, gamma_se = projection_second_moment([fn(w.data)[1] for fn in grad_fns], v_w)
+    violation = gamma_hat <= gamma_se
     rows = []
     for rho in rho_list:
-        moment, moment_se = sam_projection_moment(
-            spec, w, v_w, ds, loss, rho, settings.mode,
-            settings.batch_size, settings.num_batches, rng, batches=batches,
-        )
-        violation = gamma_hat <= gamma_se
-        ratio = None if violation else moment / gamma_hat
+        moment, moment_se = projection_second_moment(
+            [sam_gradients(fn, w.data, rho, normalized)[3] for fn in grad_fns], v_w)
         rows.append(Theorem1Row(
             rho=rho,
             lambda_min=lam_min,
@@ -205,9 +155,10 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
             gamma_stderr=gamma_se,
             sam_moment_hat=moment,
             sam_stderr=moment_se,
-            measured_ratio=ratio,
+            measured_ratio=None if violation else moment / gamma_hat,
             predicted_factor=(1.0 + rho * lam_min) ** 2,
-            taylor_residual=_taylor_residual(spec, w, ds, loss, rho, settings.mode, batches),
+            taylor_residual=0.0 if rho == 0.0 else float(np.mean(
+                [residual(b, fn, rho) for b, fn in zip(batches, grad_fns)])),
             cnc_violation=violation,
         ))
     return rows

@@ -8,6 +8,7 @@ gradients are exact closed forms (softmax computed with max subtraction).
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ class LossSpec:
     """Loss family plus the per-class quantities it derives from sample counts.
 
     class_weights are optional raw per-class weights (e.g. from the deferred
-    re-weighting schedule); they are resolved to per-sample weights and
+    re-weighting schedule); each sample is weighted by its class's weight,
     normalized inside the loss, so only their ratios matter.
     """
 
@@ -56,14 +57,8 @@ class LossSpec:
         return len(self.class_counts)
 
     def with_class_weights(self, weights) -> "LossSpec":
-        return LossSpec(
-            variant=self.variant,
-            class_counts=tuple(self.class_counts),
-            class_weights=None if weights is None else tuple(float(w) for w in weights),
-            ldam_max_margin=self.ldam_max_margin,
-            vs_gamma=self.vs_gamma,
-            vs_tau=self.vs_tau,
-        )
+        return dataclasses.replace(
+            self, class_weights=None if weights is None else tuple(float(w) for w in weights))
 
 
 @dataclass(frozen=True)
@@ -117,23 +112,6 @@ def vs_adjustments(counts, gamma: float, tau: float):
     return mult, add
 
 
-def resolve_sample_weights(spec: LossSpec, labels, sample_weights=None) -> np.ndarray:
-    """Combine per-class weights (looked up by label) with optional per-sample
-    weights into one raw per-sample weight vector."""
-    labels = np.asarray(labels, dtype=np.intp)
-    w = np.ones(labels.shape[0])
-    if spec.class_weights is not None:
-        w = w * np.asarray(spec.class_weights, dtype=np.float64)[labels]
-    if sample_weights is not None:
-        sw = np.asarray(sample_weights, dtype=np.float64)
-        if sw.shape[0] != labels.shape[0]:
-            raise DimensionError("sample_weights length != batch size")
-        if np.any(sw < 0):
-            raise ParameterError("sample_weights must be non-negative")
-        w = w * sw
-    return w
-
-
 def _adjusted_logits(spec: LossSpec, logits: np.ndarray, labels: np.ndarray):
     """Apply the variant's logit transform; returns (t, mult) where mult is the
     diagonal scaling that chain-rules gradients back to raw logits."""
@@ -168,17 +146,18 @@ class LogitCurvature:
         return grad_t_dot if self.mult is None else grad_t_dot * self.mult
 
 
-def loss_on_logits(spec: LossSpec, logits, labels, weights=None):
+def loss_on_logits(spec: LossSpec, logits, labels):
     """Weighted mean loss and its exact gradient w.r.t. the logits.
 
-    weights are raw per-sample weights (normalized internally by their sum, so
-    uniform weights of any scale give the plain mean).
+    Each sample weighs spec.class_weights[label], or 1 without class weights;
+    the weights are normalized by their sum, so uniform weights of any scale
+    give the plain mean.
     """
-    value, grad_logits, _ = loss_terms(spec, logits, labels, weights)
+    value, grad_logits, _ = loss_terms(spec, logits, labels)
     return value, grad_logits
 
 
-def loss_terms(spec: LossSpec, logits, labels, weights=None):
+def loss_terms(spec: LossSpec, logits, labels):
     """(value, grad_logits, LogitCurvature): loss_on_logits plus the loss-layer
     curvature at the same logits, which exact Hessian-vector products need."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -190,12 +169,10 @@ def loss_terms(spec: LossSpec, logits, labels, weights=None):
         raise DimensionError(f"logits have {k} columns, loss expects {spec.num_classes}")
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits")
-    if weights is None:
+    if spec.class_weights is None:
         w = np.ones(n)
     else:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape[0] != n:
-            raise DimensionError("weights length != logits rows")
+        w = np.asarray(spec.class_weights, dtype=np.float64)[labels]
     wsum = w.sum()
     if wsum <= 0:
         raise ParameterError("sample weights must have positive sum")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, EmptyClassError, ParameterError
 from .linalg import SeededRng
-from .losses import LossSpec, loss_on_logits, loss_terms, resolve_sample_weights
+from .losses import LossSpec, loss_on_logits, loss_terms
 
 TANH = "tanh"
 SOFTPLUS = "softplus"
@@ -149,7 +149,6 @@ def init_params(spec: MlpSpec, rng: SeededRng) -> ParamVector:
 class Batch:
     features: np.ndarray
     labels: np.ndarray
-    sample_weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -158,12 +157,6 @@ class Batch:
             raise DimensionError("batch features must be 2-D")
         if self.labels.shape[0] != self.features.shape[0]:
             raise DimensionError("labels length != feature rows")
-        if self.sample_weights is not None:
-            self.sample_weights = np.asarray(self.sample_weights, dtype=np.float64)
-            if self.sample_weights.shape[0] != self.features.shape[0]:
-                raise DimensionError("sample_weights length != feature rows")
-            if np.any(self.sample_weights < 0):
-                raise ParameterError("sample_weights must be non-negative")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -200,8 +193,7 @@ def loss_grad(spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec):
         raise ParameterError("empty batch")
     ws, bs = _unpack(spec, w.data)
     logits, hs, pre = _forward_pass(spec, ws, bs, batch.features)
-    weights = resolve_sample_weights(loss, batch.labels, batch.sample_weights)
-    value, g_logits = loss_on_logits(loss, logits, batch.labels, weights)
+    value, g_logits = loss_on_logits(loss, logits, batch.labels)
 
     slope = _ACT_FNS[spec.activation][1]
     grad = np.zeros_like(w.data)
@@ -234,8 +226,7 @@ class Linearization:
         self.spec, self.w, self.batch, self.loss = spec, w, batch, loss
         self._ws, self._bs = _unpack(spec, w.data)
         self.logits, self._hs, pre = _forward_pass(spec, self._ws, self._bs, batch.features)
-        weights = resolve_sample_weights(loss, batch.labels, batch.sample_weights)
-        self.value, g, self._curvature = loss_terms(loss, self.logits, batch.labels, weights)
+        self.value, g, self._curvature = loss_terms(loss, self.logits, batch.labels)
 
         _, slope, second = _ACT_FNS[spec.activation]
         depth = spec.num_layers
@@ -325,7 +316,7 @@ def hvp(spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec, v, *,
 
 
 def per_class_batch(ds, class_id: int) -> Batch:
-    """All samples of one class, unit weights."""
+    """All samples of one class."""
     labels = np.asarray(ds.labels)
     idx = np.flatnonzero(labels == class_id)
     if idx.size == 0:

@@ -124,19 +124,27 @@ def sam_perturbation(g, rho: float, normalized: bool = True):
     return None if norm == 0.0 else (rho / norm) * g
 
 
+def sam_gradients(grad_fn, w, rho: float, normalized: bool = True):
+    """(loss, g, eps, g_sam): the loss and gradient at w, the offset
+    sam_perturbation takes from them, and the sharpness-aware gradient at
+    w + eps on the same draw (grad_fn is bound to one batch). Without a
+    perturbation eps is None and g_sam is g itself: grad_fn is pure, so that
+    is the plain gradient, bitwise, for one evaluation instead of two."""
+    loss, g = grad_fn(w)
+    eps = sam_perturbation(g, rho, normalized)
+    return loss, g, eps, g if eps is None else grad_fn(w + eps)[1]
+
+
 def sam_step(grad_fn, w, state: OptimizerState, lr: float, rho: float,
              momentum: float = 0.9, normalized: bool = True):
     """Gradient at w + sam_perturbation(grad(w)). A zero first gradient in
     normalized mode skips the perturbation and is flagged in the info dict."""
     if rho < 0:
         raise ParameterError("rho must be >= 0")
-    loss1, g1 = grad_fn(w)
-    eps = sam_perturbation(g1, rho, normalized)
-    info = {"loss": loss1, "grad_norm": float(np.linalg.norm(g1)),
+    loss, g, eps, g_sam = sam_gradients(grad_fn, w, rho, normalized)
+    info = {"loss": loss, "grad_norm": float(np.linalg.norm(g)),
             "eps_skipped": eps is None and rho != 0.0}
-    # grad_fn is pure: without a perturbation g1 is the SGD gradient, bitwise
-    g2 = g1 if eps is None else grad_fn(w + eps)[1]
-    return _momentum_update(w, g2, state, lr, momentum), info
+    return _momentum_update(w, g_sam, state, lr, momentum), info
 
 
 def pgd_step(grad_fn, w, state: OptimizerState, lr: float, sigma: float,

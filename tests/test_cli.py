@@ -188,6 +188,19 @@ def test_cnc_check_rho_is_validated_as_the_config_is(tmp_path, capsys):
     assert not (tmp_path / "cnc").exists()
 
 
+def test_spectrum_class_is_validated_before_any_output(tmp_path, capsys):
+    _, cfg_path = write_config(tmp_path, epochs=1)
+    main(["train", "--config", str(cfg_path)])
+    capsys.readouterr()
+    for value in ("abc", "2", "-1"):  # the run has classes 0 and 1
+        code = main(["spectrum", "--checkpoint", str(tmp_path / "run" / "checkpoint_1.json"),
+                     f"--class={value}", "--out", str(tmp_path / "spec")])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ParameterError" and value in record["message"]
+        assert not (tmp_path / "spec").exists()
+
+
 def test_env_var_overrides_train_out(tmp_path, monkeypatch):
     _, cfg_path = write_config(tmp_path, epochs=1)
     target = tmp_path / "env_target"

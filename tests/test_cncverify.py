@@ -4,11 +4,8 @@ import pytest
 from saddlelab.cncverify import (
     CncSettings,
     QuadraticSurrogate,
-    estimate_gamma,
     projection_second_moment,
     sam_gradient,
-    sam_projection_moment,
-    sample_batches,
     save_theorem1_report,
     theorem1_report,
 )
@@ -16,7 +13,7 @@ from saddlelab.datagen import ClassGeometry, ImbalanceProfile, generate
 from saddlelab.errors import ParameterError
 from saddlelab.linalg import SeededRng
 from saddlelab.losses import LossSpec
-from saddlelab.model import Batch, MlpSpec, init_params, loss_grad
+from saddlelab.model import MlpSpec, init_params
 from saddlelab.spectral import SpectralSettings
 
 A_SADDLE = np.diag([2.0, -1.0])
@@ -34,13 +31,16 @@ def small_problem(seed=40):
 
 
 def test_full_batch_gamma_is_deterministic():
+    # batch_size >= len(ds): every batch is the whole dataset, so each moment
+    # averages one number B times; with B = 2 that mean is exact and so the
+    # standard errors are exactly 0
     ds, spec, w, loss = small_problem()
-    _, g = loss_grad(spec, w, Batch(ds.features, ds.labels), loss)
-    v = g / np.linalg.norm(g)
-    gamma, se = estimate_gamma(spec, w, v, ds, loss, batch_size=len(ds),
-                               num_batches=5, rng=SeededRng(41).child("b"))
-    assert gamma == pytest.approx(float(v @ g) ** 2, rel=1e-12)
-    assert se == 0.0
+    rows = theorem1_report(spec, w, ds, loss, [0.0, 0.1],
+                           CncSettings(batch_size=len(ds), num_batches=2),
+                           SeededRng(41).child("cnc"),
+                           SpectralSettings(lanczos_iters=20, num_probes=2))
+    assert [(r.gamma_stderr, r.sam_stderr) for r in rows] == [(0.0, 0.0), (0.0, 0.0)]
+    assert rows[0].gamma_hat == rows[1].gamma_hat > 0.0
 
 
 def test_gamma_with_isotropic_noise_matches_closed_form():
@@ -126,14 +126,18 @@ def test_factor_zero_degeneracy():
 
 
 def test_sam_moment_rho_zero_equals_gamma():
+    # rho = 0 takes no perturbation: the SAM gradients are the plain ones on
+    # the same batches, so the moments and the ratio agree exactly
     ds, spec, w, loss = small_problem(46)
-    _, g = loss_grad(spec, w, Batch(ds.features, ds.labels), loss)
-    v = g / np.linalg.norm(g)
-    batches = sample_batches(ds, 16, 20, SeededRng(47).child("batches"))
-    gamma = estimate_gamma(spec, w, v, ds, loss, 16, 20, SeededRng(0), batches=batches)
-    moment = sam_projection_moment(spec, w, v, ds, loss, 0.0, "unnormalized",
-                                   16, 20, SeededRng(0), batches=batches)
-    assert moment == gamma
+    rows = theorem1_report(spec, w, ds, loss, [0.0, 0.2],
+                           CncSettings(batch_size=16, num_batches=20),
+                           SeededRng(47).child("cnc"),
+                           SpectralSettings(lanczos_iters=20, num_probes=2))
+    r0 = rows[0]
+    assert not r0.cnc_violation
+    assert (r0.sam_moment_hat, r0.sam_stderr) == (r0.gamma_hat, r0.gamma_stderr)
+    assert r0.measured_ratio == 1.0
+    assert rows[1].sam_moment_hat != rows[1].gamma_hat
 
 
 def test_theorem1_report_rows():

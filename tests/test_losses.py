@@ -11,7 +11,6 @@ from saddlelab.losses import (
     drw_weights,
     ldam_margins,
     loss_on_logits,
-    resolve_sample_weights,
     vs_adjustments,
 )
 
@@ -42,8 +41,7 @@ def test_drw_equal_counts_neutral_any_epoch():
     logits, labels = random_logits(1, 30, 3)
     spec = LossSpec(variant="ce", class_counts=(7, 7, 7))
     v_unit, g_unit = loss_on_logits(spec, logits, labels)
-    w = resolve_sample_weights(spec.with_class_weights(drw_weights(sched, 10)), labels)
-    v_w, g_w = loss_on_logits(spec, logits, labels, weights=w)
+    v_w, g_w = loss_on_logits(spec.with_class_weights(drw_weights(sched, 10)), logits, labels)
     assert v_w == pytest.approx(v_unit, rel=1e-15)
     assert np.allclose(g_w, g_unit, atol=1e-16)
 
@@ -115,9 +113,8 @@ def test_vs_identity_adjustments_is_ce():
 @pytest.mark.parametrize("variant", ["ce", "ldam", "vs"])
 def test_grad_logits_matches_finite_differences(variant):
     logits, labels = random_logits(4, 12, 3)
-    spec = LossSpec(variant=variant, class_counts=(30, 12, 5))
-    weights = resolve_sample_weights(spec, labels, None) * np.linspace(0.5, 2.0, 12)
-    _, grad = loss_on_logits(spec, logits, labels, weights)
+    spec = LossSpec(variant=variant, class_counts=(30, 12, 5), class_weights=(0.5, 1.25, 2.0))
+    _, grad = loss_on_logits(spec, logits, labels)
     h = 1e-6
     for i in range(logits.shape[0]):
         for j in range(logits.shape[1]):
@@ -125,8 +122,8 @@ def test_grad_logits_matches_finite_differences(variant):
             lp[i, j] += h
             lm = logits.copy()
             lm[i, j] -= h
-            vp, _ = loss_on_logits(spec, lp, labels, weights)
-            vm, _ = loss_on_logits(spec, lm, labels, weights)
+            vp, _ = loss_on_logits(spec, lp, labels)
+            vm, _ = loss_on_logits(spec, lm, labels)
             fd = (vp - vm) / (2 * h)
             assert fd == pytest.approx(grad[i, j], rel=1e-6, abs=1e-10)
 
@@ -153,11 +150,11 @@ def test_vs_shift_invariance_after_scaling():
 
 def test_permutation_invariance():
     logits, labels = random_logits(7, 25, 4)
-    spec = LossSpec(variant="ce", class_counts=(10, 10, 10, 10))
-    weights = np.linspace(0.1, 1.0, 25)
+    spec = LossSpec(variant="ce", class_counts=(10, 10, 10, 10),
+                    class_weights=(0.1, 0.4, 0.7, 1.0))
     perm = SeededRng(8).permutation(25)
-    v1, _ = loss_on_logits(spec, logits, labels, weights)
-    v2, _ = loss_on_logits(spec, logits[perm], labels[perm], weights[perm])
+    v1, _ = loss_on_logits(spec, logits, labels)
+    v2, _ = loss_on_logits(spec, logits[perm], labels[perm])
     assert v1 == pytest.approx(v2, rel=1e-15)
 
 
@@ -171,10 +168,30 @@ def test_ce_grad_rows_sum_to_zero():
 def test_uniform_weight_scale_is_neutral():
     logits, labels = random_logits(10, 16, 3)
     spec = LossSpec(variant="ce", class_counts=(8, 5, 3))
-    v1, g1 = loss_on_logits(spec, logits, labels, np.full(16, 1.0))
-    v2, g2 = loss_on_logits(spec, logits, labels, np.full(16, 37.0))
-    assert v1 == v2
-    assert np.array_equal(g1, g2)
+    v1, g1 = loss_on_logits(spec.with_class_weights((1.0,) * 3), logits, labels)
+    v2, g2 = loss_on_logits(spec.with_class_weights((37.0,) * 3), logits, labels)
+    v0, g0 = loss_on_logits(spec, logits, labels)
+    assert v1 == v2 == v0
+    assert np.array_equal(g1, g2) and np.array_equal(g1, g0)
+
+
+@pytest.mark.parametrize("variant", ["ce", "ldam", "vs"])
+def test_loss_on_logits_weighs_each_sample_by_its_class_weight(variant):
+    logits, labels = random_logits(11, 20, 3)
+    counts, class_w = (9, 4, 2), (1.0, 2.0, 9.0)
+    plain = LossSpec(variant=variant, class_counts=counts)
+    weighted = plain.with_class_weights(class_w)
+    # per-sample losses and logit gradients of the unweighted loss, scaled
+    # back from its 1/n mean, then averaged with weights class_w[label]
+    n = labels.shape[0]
+    per_sample = np.array([loss_on_logits(plain, logits[i : i + 1], labels[i : i + 1])[0]
+                           for i in range(n)])
+    _, g_plain = loss_on_logits(plain, logits, labels)
+    w = np.array([class_w[y] for y in labels])
+    value, grad = loss_on_logits(weighted, logits, labels)
+    assert value == pytest.approx(float(np.sum(w * per_sample) / np.sum(w)), rel=1e-14)
+    assert np.allclose(grad, g_plain * n * (w / w.sum())[:, None], rtol=1e-13, atol=1e-17)
+    assert value != pytest.approx(float(per_sample.mean()), rel=1e-3)
 
 
 def test_non_finite_logits_rejected():

@@ -110,13 +110,14 @@ def test_loss_grad_uniform_weights_neutral():
     feats = SeededRng(10).normal(size=(12, 6))
     labels = SeededRng(11).generator.integers(0, 3, 12)
     loss = LossSpec(variant="ce", class_counts=(4, 4, 4))
-    v1, g1 = loss_grad(spec, w, Batch(feats, labels), loss)
+    batch = Batch(feats, labels)
+    v1, g1 = loss_grad(spec, w, batch, loss)
     # power-of-two scale: normalization divides it out exactly
-    v2, g2 = loss_grad(spec, w, Batch(feats, labels, np.full(12, 4.0)), loss)
+    v2, g2 = loss_grad(spec, w, batch, loss.with_class_weights((4.0,) * 3))
     assert v1 == v2
     assert np.array_equal(g1, g2)
     # arbitrary scale: exact up to one rounding in the normalization
-    v3, g3 = loss_grad(spec, w, Batch(feats, labels, np.full(12, 3.7)), loss)
+    v3, g3 = loss_grad(spec, w, batch, loss.with_class_weights((3.7,) * 3))
     assert v3 == pytest.approx(v1, rel=1e-14)
     assert np.allclose(g3, g1, rtol=1e-13, atol=1e-17)
 
@@ -174,22 +175,21 @@ def test_hvp_dimension_mismatch():
         hvp(spec, w, batch, loss, np.zeros(w.data.shape[0] + 1))
 
 
-# every activation x loss variant x bias x class weights x sample weights,
-# with a random point, batch and tangents drawn from the seed
+# every activation x loss variant x bias x class weights, with a random
+# point, batch and tangents drawn from the seed
 HVP_CASES = st.tuples(st.sampled_from(ACTIVATIONS), st.sampled_from(VARIANTS), st.booleans(),
-                      st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+                      st.booleans(), st.integers(0, 2**32 - 1))
 HVP_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
-def _hvp_case(activation, variant, bias, class_weights, sample_weights, seed):
+def _hvp_case(activation, variant, bias, class_weights, seed):
     spec = MlpSpec((5, 8, 6, 3), activation, bias)
     rng = SeededRng(seed)
     w = init_params(spec, rng.child("init"))
     w.data += 0.3 * rng.child("shift").normal(size=w.data.shape[0])  # nonzero biases
     data = rng.child("data")
     n = 17
-    weights = data.generator.uniform(0.1, 2.0, n) if sample_weights else None
-    batch = Batch(data.normal(size=(n, 5)), data.generator.integers(0, 3, n), weights)
+    batch = Batch(data.normal(size=(n, 5)), data.generator.integers(0, 3, n))
     loss = LossSpec(variant, class_counts=(12, 6, 2),
                     class_weights=(1.0, 2.5, 4.0) if class_weights else None)
     u, v = rng.child("tangents").normal(size=(2, w.data.shape[0]))
@@ -260,7 +260,7 @@ def test_linear_model_hvp_matches_dense_hessian():
 
 
 def test_hvp_rejects_a_linearization_of_other_objects():
-    spec, w, batch, loss, u, _ = _hvp_case("tanh", "ce", True, False, False, 42)
+    spec, w, batch, loss, u, _ = _hvp_case("tanh", "ce", True, False, 42)
     lin = linearize(spec, w, batch, loss)
     # equal values, other objects: identity is what ties lin to its point
     others = {"spec": MlpSpec(spec.layer_sizes, spec.activation, spec.bias), "w": w.copy(),

@@ -49,6 +49,28 @@ def test_lanczos_scaled_identity_terminates_after_one_iter():
     assert run.alphas[0] == pytest.approx(2.5, rel=1e-14)
 
 
+# diagonal operators with repeated eigenvalues: (distinct values, their
+# multiplicities, log10 of the scale, probe seed). The Krylov space of a
+# generic probe is invariant after exactly len(values) steps; the first three
+# leave a rounding residual above 1e-13 of the operator's scale there.
+REPEATED_SPECTRA = [
+    ((-2, -1, 0, 5), (1, 1, 1, 2), -0.6, 852),
+    ((-5, -4, -3, -2, 3, 5), (1, 1, 1, 4, 1, 5), -0.68, 718),
+    ((-5, -2, 1, 2, 3, 4, 5), (3, 2, 1, 1, 1, 3, 2), -1.24, 698),
+    ((-5, -4, -2, 1, 2, 4), (1, 4, 4, 2, 1, 1), -2.99, 707),
+    ((-4, 4), (9, 5), 2.99, 61),
+    ((-2,), (9,), -2.81, 315),
+]
+
+
+@pytest.mark.parametrize("values, counts, log_scale, seed", REPEATED_SPECTRA)
+def test_lanczos_stops_at_the_invariant_krylov_space(values, counts, log_scale, seed):
+    diag = np.repeat(np.array(values, dtype=np.float64), counts) * 10.0 ** log_scale
+    run = lanczos(HvpOracle.from_matrix(np.diag(diag)), diag.shape[0], SeededRng(seed))
+    assert run.early_stop
+    assert run.iters_done == len(values)
+
+
 def test_lanczos_full_iteration_matches_dense_solver():
     a = random_symmetric(100, 3)
     run = lanczos(HvpOracle.from_matrix(a), 100, SeededRng(4).child("probe"))
