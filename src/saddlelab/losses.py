@@ -167,6 +167,8 @@ def loss_terms(spec: LossSpec, logits, labels):
         raise DimensionError("labels length != logits rows")
     if k != spec.num_classes:
         raise DimensionError(f"logits have {k} columns, loss expects {spec.num_classes}")
+    if n and (labels.min() < 0 or labels.max() >= k):
+        raise DimensionError(f"labels must lie in [0, {k})")
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits")
     if spec.class_weights is None:

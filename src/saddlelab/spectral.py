@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ParameterError, UndefinedRatioError
 from .linalg import SeededRng, csv_lines, write_json, write_text
@@ -186,10 +185,10 @@ def lanczos(oracle: HvpOracle, iters: int, rng: SeededRng, with_basis: bool = Tr
 
 def ritz_decomposition(result: LanczosResult):
     """(ritz_values, ritz_weights, tridiag_eigvecs); weights are the squared
-    first components, the quadrature weights of the probe's spectral measure."""
-    if result.alphas.shape[0] == 1:
-        return result.alphas.copy(), np.ones(1), np.ones((1, 1))
-    vals, vecs = eigh_tridiagonal(result.alphas, result.betas)
+    first components, the quadrature weights of the probe's spectral measure
+    (Golub & Welsch 1969)."""
+    a, b = result.alphas, result.betas
+    vals, vecs = np.linalg.eigh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
     weights = vecs[0] ** 2
     return vals, weights, vecs
 

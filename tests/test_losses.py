@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from saddlelab.errors import NumericError, ParameterError
+from saddlelab.errors import DimensionError, NumericError, ParameterError
 from saddlelab.linalg import SeededRng
 from saddlelab.losses import (
     LossSpec,
@@ -11,6 +11,7 @@ from saddlelab.losses import (
     drw_weights,
     ldam_margins,
     loss_on_logits,
+    loss_terms,
     vs_adjustments,
 )
 
@@ -199,6 +200,18 @@ def test_non_finite_logits_rejected():
     bad = np.array([[0.0, np.inf]])
     with pytest.raises(NumericError):
         loss_on_logits(spec, bad, [0])
+
+
+@pytest.mark.parametrize("variant", ["ce", "ldam", "vs"])
+@pytest.mark.parametrize("class_weights", [None, (1.0, 5.0)])
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_labels_outside_the_classes_rejected(variant, class_weights, bad):
+    # -1 would wrap to the last class in the weight and logit lookups
+    spec = LossSpec(variant=variant, class_counts=(3, 3), class_weights=class_weights)
+    logits = np.array([[0.0, 1.0], [0.5, -0.5]])
+    for fn in (loss_on_logits, loss_terms):
+        with pytest.raises(DimensionError, match=r"\[0, 2\)"):
+            fn(spec, logits, [0, bad])
 
 
 def test_class_weights_must_be_positive():

@@ -16,6 +16,7 @@ from saddlelab.model import Batch, MlpSpec, hvp, init_params
 from saddlelab.spectral import (
     ExtremeEigs,
     HvpOracle,
+    LanczosResult,
     SpectralSettings,
     classwise_spectrum_report,
     extreme_eigs,
@@ -77,6 +78,58 @@ def test_lanczos_full_iteration_matches_dense_solver():
     vals, _, _ = ritz_decomposition(run)
     dense = np.linalg.eigvalsh(a)
     assert np.max(np.abs(np.sort(vals) - dense)) < 1e-8
+
+
+EPS = np.finfo(np.float64).eps
+
+
+def assert_gauss_rule(alphas, betas):
+    """ritz_decomposition of the tridiagonal T against facts that need no
+    eigensolver: its values and weights are the nodes and weights of the
+    k-point Gauss rule of T's spectral measure at e_0 (Golub & Welsch 1969),
+    so the rule reproduces (T^m)[0, 0] for every m < 2k."""
+    k = alphas.shape[0]
+    vals, weights, vecs = ritz_decomposition(LanczosResult(alphas, betas, None, False, 0))
+    assert vals.shape == weights.shape == (k,) and vecs.shape == (k, k)
+    assert np.all(np.diff(vals) >= 0.0)
+    assert abs(weights.sum() - 1.0) <= 64 * EPS
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) <= 64 * EPS
+    # moments of T / r, r the largest |Ritz value|: each error is then
+    # relative to r^m, the size of the rule's largest term
+    r = np.abs(vals).max()
+    t = (np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)) / r
+    t_m_e0 = np.eye(k)[0]
+    nodes_m = np.ones(k)
+    for m in range(2 * k):
+        assert abs(weights @ nodes_m - t_m_e0[0]) <= 64 * (m + 1) * EPS, (k, m)
+        t_m_e0 = t @ t_m_e0
+        nodes_m *= vals / r
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 9.0])
+def test_ritz_decomposition_is_the_gauss_rule_of_random_tridiagonals(scale):
+    rng = np.random.default_rng(int(scale * 1e6))
+    for k in range(1, 81):
+        alphas = scale * rng.normal(size=k)
+        betas = scale * rng.uniform(0.01, 1.0, size=k - 1)
+        assert_gauss_rule(alphas, betas)
+
+
+def test_ritz_decomposition_is_the_gauss_rule_of_w2_sized_lanczos_runs():
+    # a diagonal operator of W2's dimension and spectral span: a bulk near 0
+    # and outliers out to W2's class-wise extremes, -2.5 and 8.8; every
+    # prefix of one Lanczos run is the tridiagonal of a shorter run
+    rng = np.random.default_rng(5898)
+    diag = np.concatenate([0.05 * rng.normal(size=5878), rng.uniform(-2.5, 8.8, size=20)])
+    run = lanczos(HvpOracle(apply=lambda v: diag * v, dim=diag.shape[0]), 80, SeededRng(7))
+    assert run.iters_done == 80
+    for k in range(1, 81):
+        assert_gauss_rule(run.alphas[:k], run.betas[: k - 1])
+
+
+def test_ritz_decomposition_of_one_step_is_exact():
+    vals, weights, vecs = ritz_decomposition(LanczosResult(np.array([-0.3]), np.zeros(0), None, True, 0))
+    assert vals.tolist() == [-0.3] and weights.tolist() == [1.0] and vecs.tolist() == [[1.0]]
 
 
 def test_lanczos_basis_orthonormal():
