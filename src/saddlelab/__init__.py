@@ -16,7 +16,6 @@ from .errors import (
     ParameterError,
     RunAbortedError,
     SaddleLabError,
-    UndefinedRatioError,
 )
 from .linalg import SeededRng
 
@@ -29,7 +28,6 @@ __all__ = [
     "InfeasibleProfileError",
     "GeometryError",
     "EmptyClassError",
-    "UndefinedRatioError",
     "ConfigError",
     "CheckpointError",
     "RunAbortedError",

@@ -78,11 +78,6 @@ def _load_checkpoint_context(args):
     return ckpt, cfg, ParamVector(ckpt.params, layout), ds, out
 
 
-def _read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _class_ids(text: str, num_classes: int):
     """--class: 'all', or one class index of the run."""
     if text == "all":
@@ -100,14 +95,11 @@ def cmd_spectrum(args) -> int:
     ckpt, cfg, w, ds, out = _load_checkpoint_context(args)
     classes = _class_ids(args.class_id, ds.num_classes)
     out.mkdir(parents=True, exist_ok=True)
-    names = write_spectrum_snapshot(cfg, w, ds, ckpt.epoch, out, ckpt.config_hash, classes)
-    for name in names[1::2]:
-        side = _read_json(out / name)
-        cid, ratio = side["class_id"], side["nonconvexity_ratio"]
-        label = "full dataset" if cid is None else f"class {cid}"
-        print(f"{label}: lambda_min={side['lambda_min']:.6g} "
-              f"lambda_max={side['lambda_max']:.6g} "
-              f"ratio={'n/a' if ratio is None else format(ratio, '.6g')}")
+    for e in write_spectrum_snapshot(cfg, w, ds, ckpt.epoch, out, ckpt.config_hash, classes):
+        label = "full dataset" if e.class_id is None else f"class {e.class_id}"
+        print(f"{label}: lambda_min={e.extremes.lambda_min:.6g} "
+              f"lambda_max={e.extremes.lambda_max:.6g} "
+              f"ratio={'n/a' if e.ratio is None else format(e.ratio, '.6g')}")
     print(f"wrote spectra to {out}")
     return 0
 
@@ -119,12 +111,11 @@ def cmd_cnc_check(args) -> int:
     cfg = dataclasses.replace(cfg, cnc=dataclasses.replace(
         cfg.cnc, rhos=rhos, mode=args.mode or cfg.cnc.mode))
     out.mkdir(parents=True, exist_ok=True)
-    names = write_cnc_snapshot(cfg, w, ds, ckpt.epoch, out, ckpt.config_hash)
-    for r in _read_json(out / names[1])["rows"]:
-        ratio = ("n/a (CNC violation)" if r["measured_ratio"] is None
-                 else f"{r['measured_ratio']:.6g}")
-        print(f"rho={r['rho']:g}: measured_ratio={ratio} "
-              f"predicted={r['predicted_factor']:.6g} lambda_min={r['lambda_min']:.6g}")
+    for r in write_cnc_snapshot(cfg, w, ds, ckpt.epoch, out, ckpt.config_hash):
+        ratio = ("n/a (CNC violation)" if r.measured_ratio is None
+                 else f"{r.measured_ratio:.6g}")
+        print(f"rho={r.rho:g}: measured_ratio={ratio} "
+              f"predicted={r.predicted_factor:.6g} lambda_min={r.lambda_min:.6g}")
     print(f"wrote report to {out}")
     return 0
 

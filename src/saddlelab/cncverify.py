@@ -101,12 +101,6 @@ def projection_second_moment(grads, v_w: np.ndarray):
     return _moment(proj ** 2)
 
 
-def sam_gradient(grad_fn, w: np.ndarray, rho: float, mode: str = UNNORMALIZED):
-    """One sharpness-aware gradient with the same stochastic draw inside and
-    outside: grad_fn must be bound to a fixed batch/noise realization."""
-    return sam_gradients(grad_fn, w, rho, normalized=mode == NORMALIZED)[3]
-
-
 def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
                     rho_list, settings: CncSettings, rng: SeededRng,
                     spectral: SpectralSettings):

@@ -52,8 +52,8 @@ class ImbalanceProfile:
             raise ParameterError("num_classes must be >= 2")
         if self.n_max < 1:
             raise ParameterError("n_max must be >= 1")
-        if self.beta < 1.0:
-            raise ParameterError("beta must be >= 1")
+        if not (math.isfinite(self.beta) and self.beta >= 1.0):
+            raise ParameterError("beta must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,10 @@ class ClassGeometry:
     def __post_init__(self):
         if self.input_dim < 1:
             raise ParameterError("input_dim must be >= 1")
-        if self.class_mean_radius <= 0:
-            raise ParameterError("class_mean_radius must be > 0")
-        if self.within_class_std < 0:
-            raise ParameterError("within_class_std must be >= 0")
+        if not (math.isfinite(self.class_mean_radius) and self.class_mean_radius > 0):
+            raise ParameterError("class_mean_radius must be finite and > 0")
+        if not (math.isfinite(self.within_class_std) and self.within_class_std >= 0):
+            raise ParameterError("within_class_std must be finite and >= 0")
         if self.mean_placement not in (CIRCLE, SIMPLEX):
             raise ParameterError(f"unknown mean_placement {self.mean_placement!r}")
 
@@ -114,9 +114,6 @@ class ClassGroups:
     head: tuple
     mid: tuple
     tail: tuple
-
-    def all_classes(self) -> tuple:
-        return tuple(sorted(self.head + self.mid + self.tail))
 
 
 def class_counts(profile: ImbalanceProfile):

@@ -29,10 +29,6 @@ class EmptyClassError(SaddleLabError):
     """Requested class has no samples."""
 
 
-class UndefinedRatioError(SaddleLabError):
-    """Non-convexity ratio is undefined (zero maximum eigenvalue)."""
-
-
 class ConfigError(SaddleLabError):
     """Experiment config file is malformed or contains unknown keys."""
 

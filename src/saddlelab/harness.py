@@ -43,7 +43,16 @@ from .errors import (
 )
 from .linalg import SeededRng, csv_cell, csv_lines, format_float, write_json, write_text
 from .losses import LossSpec, ReweightSchedule, drw_weights, loss_on_logits
-from .model import Batch, MlpSpec, ParamVector, forward, init_params, loss_grad, param_layout
+from .model import (
+    Batch,
+    MlpSpec,
+    ParamVector,
+    forward,
+    init_params,
+    loss_grad,
+    param_layout,
+    per_class_batch,
+)
 from .optim import (
     LrSchedule,
     OptimizerConfig,
@@ -53,9 +62,13 @@ from .optim import (
     optimizer_step,
     rho_at,
 )
-from .spectral import SpectralSettings, classwise_spectrum_report, extreme_eigs, save_spectrum
-from .spectral import HvpOracle
-from .model import per_class_batch
+from .spectral import (
+    HvpOracle,
+    SpectralSettings,
+    classwise_spectrum_report,
+    extreme_eigs,
+    save_spectrum,
+)
 
 CHECKPOINT_FORMAT_VERSION = 1
 # the CLI's output-directory override; the library writes where it is told
@@ -126,8 +139,8 @@ class ExperimentConfig:
     reweight_epoch: int = 0
     optimizer: OptimizerConfig = OptimizerConfig()
     rho_schedule: RhoSchedule = RhoSchedule()
-    spectrum_epochs: tuple = ()
-    cnc_epochs: tuple = ()
+    spectrum_epochs: tuple[int, ...] = ()
+    cnc_epochs: tuple[int, ...] = ()
     spectral: SpectralSettings = SpectralSettings()
     cnc: CncSettings = CncSettings()
     groups: GroupThresholds = GroupThresholds()
@@ -149,13 +162,19 @@ class ExperimentConfig:
             raise ConfigError("model layer_sizes must start at dataset input_dim and "
                               "end at dataset num_classes")
 
-    def effective_rho(self, epoch: int) -> float:
-        """Schedule wins when present; otherwise the phase-switched constants."""
+    def objective(self, epoch: int, loss: LossSpec) -> tuple:
+        """(loss with the DRW class weights of 0-based training epoch `epoch`,
+        that epoch's rho): what the optimizer steps on in that epoch. A rho
+        schedule wins when present; otherwise rho and rho_drw switch at the
+        re-weighting threshold, as the weights do."""
+        weights = drw_weights(ReweightSchedule(self.reweight_epoch, loss.class_counts), epoch)
         if self.rho_schedule.steps:
-            return rho_at(self.rho_schedule, epoch)
-        if epoch < self.reweight_epoch:
-            return self.optimizer.rho
-        return self.optimizer.effective_rho_drw
+            rho = rho_at(self.rho_schedule, epoch)
+        elif epoch < self.reweight_epoch:
+            rho = self.optimizer.rho
+        else:
+            rho = self.optimizer.effective_rho_drw
+        return loss.with_class_weights(weights), rho
 
 
 # config section -> the dataclass whose fields are its keys
@@ -203,21 +222,34 @@ def _check_keys(d, allowed, required, context: str) -> None:
         raise ConfigError(f"{context} is missing required keys {missing}")
 
 
+def _build(cls, values: dict, context: str):
+    """cls from the JSON object `values`, once every int field holds integers:
+    a float passes the range checks and then fails mid-run, or as a listed
+    epoch matches none."""
+    values = {k: _as_tuples(v) for k, v in values.items()}
+    for f in dataclasses.fields(cls):
+        v = values.get(f.name, 0)  # an absent field takes its int default
+        if f.type in ("int", "tuple[int, ...]") and not all(
+                type(x) is int for x in (v if isinstance(v, tuple) else (v,))):
+            raise ConfigError(f"{context} {f.name} must hold integers, not {v!r}")
+    return cls(**values)
+
+
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Inverse of config_to_dict. Every key and value is checked here, so a
     config that loads is one the run accepts."""
     top, required = _keys(ExperimentConfig)
     _check_keys(d, (top - {"reweight_epoch"}) | {"reweight"}, required, "config")
-    kwargs = {k: _as_tuples(v) for k, v in d.items() if k != "reweight"}
+    kwargs = {k: v for k, v in d.items() if k != "reweight"}
     try:
         for name, cls in SECTIONS.items():
             if name in d:
                 _check_keys(d[name], *_keys(cls), name)
-                kwargs[name] = cls(**{k: _as_tuples(v) for k, v in d[name].items()})
+                kwargs[name] = _build(cls, d[name], name)
         if "reweight" in d:
             _check_keys(d["reweight"], ["threshold_epoch"], ["threshold_epoch"], "reweight")
             kwargs["reweight_epoch"] = d["reweight"]["threshold_epoch"]
-        return ExperimentConfig(**kwargs)
+        return _build(ExperimentConfig, kwargs, "config")
     except (TypeError, ParameterError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -381,11 +413,18 @@ def load_checkpoint(path) -> Checkpoint:
     missing = [f.name for f in fields if f.name not in payload]
     if missing:
         raise CheckpointError(f"corrupt checkpoint: missing keys {missing}")
-    return Checkpoint(**{
-        f.name: np.array([float(x) for x in payload[f.name]]) if _is_array(f)
-        else payload[f.name]
-        for f in fields
-    })
+    ckpt = {f.name: payload[f.name] for f in fields}
+    for f in filter(_is_array, fields):
+        try:
+            ckpt[f.name] = np.array([float(x) for x in ckpt[f.name]])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"corrupt checkpoint: {f.name} is not a list of "
+                                  "numbers") from exc
+    rngs = ckpt["rng_states"]
+    if not (isinstance(rngs, dict) and {"batches", "optnoise"} <= rngs.keys()):
+        raise CheckpointError("corrupt checkpoint: rng_states lacks the batches or "
+                              "optnoise stream")
+    return Checkpoint(**ckpt)
 
 
 # --------------------------------------------------------------------------
@@ -445,7 +484,7 @@ def _snapshot_names(cfg: ExperimentConfig, num_classes: int, epoch: int) -> list
 def write_spectrum_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDataset,
                             epoch: int, out: Path, chash: str, classes) -> list:
     """Class-wise spectra for `classes` plus the full-dataset entry, written as
-    spectrum_<epoch>_class<id|all>.{csv,json}; returns the file names."""
+    spectrum_<epoch>_class<id|all>.{csv,json}; returns those entries."""
     entries = classwise_spectrum_report(
         cfg.model, w, ds, cfg.loss.bind(ds.class_counts), classes, cfg.spectral,
         SeededRng(cfg.seed).child("spectrum", epoch),
@@ -455,29 +494,22 @@ def write_spectrum_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDa
     names = _spectrum_names(epoch, classes)
     for entry, csv_name, json_name in zip(entries, names[::2], names[1::2], strict=True):
         save_spectrum(entry, out / csv_name, out / json_name, meta)
-    return names
+    return entries
 
 
 def write_cnc_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDataset,
                        epoch: int, out: Path, chash: str) -> list:
     """Theorem-1 report after `epoch` completed epochs, written as
-    cnc_<epoch>.{csv,json}; returns the file names.
-
-    The loss carries the DRW class weights of the last epoch trained, so the
-    report probes the objective the optimizer was stepping on. The rhos are
-    the config's cnc.rhos, or else the epoch's effective rho.
-    """
-    last_epoch = min(epoch, max(cfg.epochs - 1, 0))
-    weights = drw_weights(ReweightSchedule(cfg.reweight_epoch, ds.class_counts), last_epoch)
-    rows = theorem1_report(
-        cfg.model, w, ds, cfg.loss.bind(ds.class_counts).with_class_weights(weights),
-        cfg.cnc.rhos or (cfg.effective_rho(last_epoch),), cfg.cnc,
-        SeededRng(cfg.seed).child("cnc", epoch), cfg.spectral,
-    )
+    cnc_<epoch>.{csv,json}; returns its rows. It probes the objective of the
+    last epoch trained (epoch - 1, or 0 before any): its DRW class weights
+    and, unless the config's cnc.rhos are set, its rho."""
+    loss, rho = cfg.objective(max(epoch - 1, 0), cfg.loss.bind(ds.class_counts))
+    rows = theorem1_report(cfg.model, w, ds, loss, cfg.cnc.rhos or (rho,), cfg.cnc,
+                           SeededRng(cfg.seed).child("cnc", epoch), cfg.spectral)
     names = _cnc_names(epoch)
     save_theorem1_report(rows, out / names[0], out / names[1], cfg.cnc, cfg.spectral,
                          meta=_snapshot_meta(cfg, epoch, chash))
-    return names
+    return rows
 
 
 def _metrics_history(path: Path, epochs: int, num_classes: int) -> list:
@@ -511,7 +543,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
     root = SeededRng(cfg.seed)
     ds, test, groups = _build_data(cfg, root)
     base_loss = cfg.loss.bind(ds.class_counts)
-    reweight = ReweightSchedule(cfg.reweight_epoch, ds.class_counts)
     layout, dim = param_layout(cfg.model)
     blocks = tuple((b.offset, int(np.prod(b.shape))) for b in layout)
 
@@ -576,9 +607,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
             if resume_from is None:
                 snapshot(0)
             for epoch in range(start_epoch, cfg.epochs):
-                class_w = drw_weights(reweight, epoch)
-                epoch_loss = base_loss.with_class_weights(class_w)
-                rho = cfg.effective_rho(epoch)
+                epoch_loss, rho = cfg.objective(epoch, base_loss)
                 perm = batches_rng.permutation(n)
                 loss_sum = 0.0
                 gnorm_sum = 0.0

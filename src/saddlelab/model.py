@@ -44,7 +44,7 @@ _ACT_FNS = {
 class MlpSpec:
     """layer_sizes = (input_dim, hidden..., num_classes); last layer is linear."""
 
-    layer_sizes: tuple
+    layer_sizes: tuple[int, ...]
     activation: str = TANH
     bias: bool = True
 

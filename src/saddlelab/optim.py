@@ -95,17 +95,13 @@ class OptimizerState:
         return cls(velocity=np.zeros(dim), rng=rng)
 
 
-def _momentum_update(w, grad, state: OptimizerState, lr: float, momentum: float):
+def sgd_step(w, grad, state: OptimizerState, lr: float, momentum: float = 0.9):
+    """velocity <- momentum*velocity + grad; w <- w - lr*velocity."""
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient in optimizer step")
     state.velocity = momentum * state.velocity + grad
     state.step_count += 1
     return w - lr * state.velocity
-
-
-def sgd_step(w, grad, state: OptimizerState, lr: float, momentum: float = 0.9):
-    """velocity <- momentum*velocity + grad; w <- w - lr*velocity."""
-    return _momentum_update(w, grad, state, lr, momentum)
 
 
 def sam_perturbation(g, rho: float, normalized: bool = True):
@@ -144,7 +140,7 @@ def sam_step(grad_fn, w, state: OptimizerState, lr: float, rho: float,
     loss, g, eps, g_sam = sam_gradients(grad_fn, w, rho, normalized)
     info = {"loss": loss, "grad_norm": float(np.linalg.norm(g)),
             "eps_skipped": eps is None and rho != 0.0}
-    return _momentum_update(w, g_sam, state, lr, momentum), info
+    return sgd_step(w, g_sam, state, lr, momentum), info
 
 
 def pgd_step(grad_fn, w, state: OptimizerState, lr: float, sigma: float,
@@ -158,7 +154,7 @@ def pgd_step(grad_fn, w, state: OptimizerState, lr: float, sigma: float,
         xi = state.rng.normal(size=w.shape[0], std=sigma)
         loss, g = grad_fn(w + xi)
     info = {"loss": loss, "grad_norm": float(np.linalg.norm(g))}
-    return _momentum_update(w, g, state, lr, momentum), info
+    return sgd_step(w, g, state, lr, momentum), info
 
 
 def lpf_sgd_step(grad_fn, w, state: OptimizerState, lr: float, mc_iters: int,
@@ -176,7 +172,7 @@ def lpf_sgd_step(grad_fn, w, state: OptimizerState, lr: float, mc_iters: int,
     if radius == 0.0:
         loss, g = grad_fn(w)
         info = {"loss": loss, "grad_norm": float(np.linalg.norm(g))}
-        return _momentum_update(w, g, state, lr, momentum), info
+        return sgd_step(w, g, state, lr, momentum), info
 
     stds = np.empty(w.shape[0])
     for offset, size in blocks:
@@ -191,7 +187,7 @@ def lpf_sgd_step(grad_fn, w, state: OptimizerState, lr: float, mc_iters: int,
         loss_sum += loss_m
     g = g_sum / mc_iters
     info = {"loss": loss_sum / mc_iters, "grad_norm": float(np.linalg.norm(g))}
-    return _momentum_update(w, g, state, lr, momentum), info
+    return sgd_step(w, g, state, lr, momentum), info
 
 
 def optimizer_step(opt: OptimizerConfig, grad_fn, w, state: OptimizerState, lr: float,

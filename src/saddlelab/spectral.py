@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UndefinedRatioError
+from .errors import ParameterError
 from .linalg import SeededRng, csv_lines, write_json, write_text
 from .losses import LossSpec
 from .model import Batch, Linearization, MlpSpec, ParamVector, hvp, linearize, per_class_batch
@@ -318,10 +318,11 @@ def extreme_eigs(oracle: HvpOracle, iters: int, tol: float, rng: SeededRng,
     )
 
 
-def nonconvexity_ratio(extremes: ExtremeEigs) -> float:
-    """|lambda_min/lambda_max|, with 0 for positive-definite spectra."""
+def nonconvexity_ratio(extremes: ExtremeEigs) -> float | None:
+    """|lambda_min/lambda_max|, with 0 for positive-definite spectra; None,
+    undefined, when lambda_max is 0."""
     if extremes.lambda_max == 0.0:
-        raise UndefinedRatioError("lambda_max is zero")
+        return None
     if extremes.lambda_min > 0.0:
         return 0.0
     return abs(extremes.lambda_min / extremes.lambda_max)
@@ -332,7 +333,7 @@ class ClassSpectrumEntry:
     class_id: int | None  # None = spectrum of the full-dataset average loss
     density: SpectralDensity
     extremes: ExtremeEigs
-    ratio: float
+    ratio: float | None  # nonconvexity_ratio's
     loss: float
     accuracy: float
     num_samples: int
@@ -364,16 +365,12 @@ def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpect
     density = spectral_density(oracle, settings, rng.child("density"))
     extremes = extreme_eigs(oracle, settings.lanczos_iters, settings.residual_tol,
                             rng.child("extreme"))
-    try:
-        ratio = nonconvexity_ratio(extremes)
-    except UndefinedRatioError:
-        ratio = math.nan
     acc = float(np.mean(np.argmax(oracle.lin.logits, axis=1) == batch.labels))
     return ClassSpectrumEntry(
         class_id=class_id,
         density=density,
         extremes=extremes,
-        ratio=ratio,
+        ratio=nonconvexity_ratio(extremes),
         loss=oracle.lin.value,
         accuracy=acc,
         num_samples=len(batch),
@@ -392,7 +389,7 @@ def save_spectrum(entry: ClassSpectrumEntry, csv_path, json_path, meta: dict | N
         "loss": entry.loss,
         "accuracy": entry.accuracy,
         **{k: v for k, v in vars(entry.extremes).items() if k != "v_min"},
-        "nonconvexity_ratio": None if math.isnan(entry.ratio) else entry.ratio,
+        "nonconvexity_ratio": entry.ratio,
         "settings": {
             "lanczos_iters": entry.density.lanczos_iters,
             "num_probes": entry.density.num_probes,

@@ -19,7 +19,6 @@ import pytest
 from saddlelab.cncverify import (
     QuadraticSurrogate,
     projection_second_moment,
-    sam_gradient,
 )
 from saddlelab.datagen import ClassGeometry, ImbalanceProfile, generate
 from saddlelab.harness import (
@@ -40,7 +39,7 @@ from saddlelab.model import (
     loss_grad,
     per_class_batch,
 )
-from saddlelab.optim import LrSchedule, OptimizerConfig
+from saddlelab.optim import LrSchedule, OptimizerConfig, sam_gradients
 from saddlelab.spectral import (
     HvpOracle,
     SpectralSettings,
@@ -165,7 +164,7 @@ def test_criterion_3_theorem1_exact_on_quadratics():
     base = float(v_min @ g) ** 2
     exact_ok = True
     for rho in (0.0, 0.25, 0.5):
-        g_sam = sam_gradient(fn, w, rho, "unnormalized")
+        g_sam = sam_gradients(fn, w, rho, normalized=False)[3]
         measured = float(v_min @ g_sam) ** 2 / base
         predicted = (1.0 + rho * lam_min) ** 2
         if abs(measured - predicted) > 1e-12 * max(predicted, 1.0):
@@ -179,8 +178,8 @@ def test_criterion_3_theorem1_exact_on_quadratics():
     for rho in (0.0, 0.25, 0.5):
         plain = [noisy.grad_fn_for_noise(noisy.draw_noise(noise_rng))(w)[1]
                  for _ in range(4000)]
-        perturbed = [sam_gradient(noisy.grad_fn_for_noise(noisy.draw_noise(noise_rng)),
-                                  w, rho, "unnormalized")
+        perturbed = [sam_gradients(noisy.grad_fn_for_noise(noisy.draw_noise(noise_rng)),
+                                   w, rho, normalized=False)[3]
                      for _ in range(4000)]
         gamma, g_se = projection_second_moment(plain, v_min)
         moment, m_se = projection_second_moment(perturbed, v_min)

@@ -133,7 +133,9 @@ def test_error_record_on_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize("edit", [
     lambda d: d.update(lr={}),
     lambda d: d["model"].update(layer_sizes=[3, 6, 2]),
-], ids=["lr-empty", "input-dim-mismatch"])
+    lambda d: d.update(epochs=3.5),
+    lambda d: d.update(batch_size=64.5),
+], ids=["lr-empty", "input-dim-mismatch", "float-epochs", "float-batch-size"])
 def test_error_record_on_invalid_config_section(tmp_path, capsys, edit):
     _, path = write_config(tmp_path, epochs=1)
     d = json.loads(path.read_text())
@@ -253,3 +255,38 @@ def test_gen_data_infeasible_profile_error(tmp_path, capsys):
     assert code == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "InfeasibleProfileError"
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--radius", "nan"), ("--std", "nan"), ("--std", "inf"), ("--beta", "nan"),
+])
+def test_gen_data_rejects_non_finite_values(tmp_path, capsys, flag, value):
+    # the last --beta given wins
+    assert main(["gen-data", "--profile", "longtail", "--classes", "4", "--n-max", "100",
+                 "--beta", "10", "--dim", "3", "--out", str(tmp_path / "ds.csv"),
+                 flag, value]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ParameterError"
+    assert not (tmp_path / "ds.csv").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("params", 5), ("params", ["abc", "0.5"]), ("velocity", None), ("rng_states", {}),
+], ids=["params-number", "params-text", "velocity-null", "rng-states-empty"])
+@pytest.mark.parametrize("command", ["spectrum", "resume"])
+def test_malformed_checkpoint_gives_an_error_record(tmp_path, capsys, command, field, value):
+    _, cfg_path = write_config(tmp_path, epochs=1)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = tmp_path / "run" / "checkpoint_1.json"
+    payload = json.loads(ckpt.read_text())
+    payload[field] = value
+    ckpt.write_text(json.dumps(payload))
+    capsys.readouterr()
+    argv = (["spectrum", "--checkpoint", str(ckpt)] if command == "spectrum" else
+            ["train", "--config", str(cfg_path), "--resume", str(ckpt)])
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "CheckpointError" and field in record["message"]

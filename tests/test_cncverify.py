@@ -5,7 +5,6 @@ from saddlelab.cncverify import (
     CncSettings,
     QuadraticSurrogate,
     projection_second_moment,
-    sam_gradient,
     save_theorem1_report,
     theorem1_report,
 )
@@ -14,6 +13,7 @@ from saddlelab.errors import ParameterError
 from saddlelab.linalg import SeededRng
 from saddlelab.losses import LossSpec
 from saddlelab.model import MlpSpec, init_params
+from saddlelab.optim import sam_gradients
 from saddlelab.spectral import SpectralSettings
 
 A_SADDLE = np.diag([2.0, -1.0])
@@ -78,7 +78,7 @@ def test_sam_gradient_quadratic_closed_form():
     # w=(1,1): g = (2,-1); eps = rho*g; g_sam = A(w+eps)+0 = (I+rho*A)g
     quad = QuadraticSurrogate(A_SADDLE)
     fn = quad.grad_fn_for_noise(np.zeros(2))
-    g_sam = sam_gradient(fn, np.array([1.0, 1.0]), rho=0.5, mode="unnormalized")
+    g_sam = sam_gradients(fn, np.array([1.0, 1.0]), 0.5, normalized=False)[3]
     assert np.array_equal(g_sam, np.array([4.0, -0.5]))
     proj = float(V_MIN @ g_sam)
     assert proj == -0.5
@@ -98,7 +98,7 @@ def test_noisy_quadratic_ratio_exact_per_draw():
             fn = quad.grad_fn_for_noise(xi)
             _, g = fn(w)
             plain.append(g)
-            perturbed.append(sam_gradient(fn, w, rho, "unnormalized"))
+            perturbed.append(sam_gradients(fn, w, rho, normalized=False)[3])
         gamma, _ = projection_second_moment(plain, V_MIN)
         moment, _ = projection_second_moment(perturbed, V_MIN)
         assert moment / gamma == pytest.approx((1 - rho) ** 2, rel=1e-12)
@@ -121,7 +121,7 @@ def test_factor_zero_degeneracy():
     # lambda_min = -1, rho = 1: (1 + rho*lambda_min) = 0 kills the projection
     quad = QuadraticSurrogate(A_SADDLE)
     fn = quad.grad_fn_for_noise(np.zeros(2))
-    g_sam = sam_gradient(fn, np.array([1.0, 1.0]), rho=1.0, mode="unnormalized")
+    g_sam = sam_gradients(fn, np.array([1.0, 1.0]), 1.0, normalized=False)[3]
     assert float(V_MIN @ g_sam) == 0.0
 
 

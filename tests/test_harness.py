@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from saddlelab.cncverify import CncSettings
+from saddlelab.cncverify import CncSettings, theorem1_report
 from saddlelab.datagen import ClassGroups, balanced_test_split, generate
 from saddlelab.errors import CheckpointError, ConfigError, RunAbortedError
 from saddlelab.harness import (
@@ -337,10 +337,17 @@ def test_missing_required_key_rejected(tmp_path):
     lambda d: d["optimizer"].update(rho=float("nan")),
     lambda d: d["lr"].update(base_lr=float("inf")),
     lambda d: d["cnc"].update(rhos=[0.1, float("-inf")]),
+    lambda d: d.update(epochs=12.5),
+    lambda d: d.update(batch_size=64.5),
+    lambda d: d.update(spectrum_epochs=[1.5]),
+    lambda d: d["model"].update(layer_sizes=[4, 12.5, 2]),
+    lambda d: d["reweight"].update(threshold_epoch=2.0),
+    lambda d: d.update(seed=True),
 ], ids=["cnc-mode", "cnc-num-batches", "cnc-empty-rhos", "dataset-kind",
         "circle-in-1d", "infeasible-profile", "loss-variant", "residual-tol",
         "model-dataset-mismatch", "lr-empty", "reweight-empty", "nan-rho",
-        "infinite-lr", "infinite-cnc-rho"])
+        "infinite-lr", "infinite-cnc-rho", "float-epochs", "float-batch-size",
+        "float-spectrum-epoch", "float-layer-size", "float-threshold", "bool-seed"])
 def test_load_config_rejects_what_the_run_would(tmp_path, edit):
     d = config_to_dict(tiny_config(tmp_path / "x"))
     edit(d)
@@ -470,6 +477,27 @@ def test_spectrum_snapshot_files(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["epochs_completed"] == 4
     assert "spectrum_4_classall.csv" in summary["artifacts"]
+
+
+def test_mid_run_cnc_probes_the_last_epoch_trained(tmp_path):
+    # after E = threshold epochs the optimizer has only stepped on the
+    # uniform-weight loss at rho, never on the DRW one at rho_drw
+    cfg = dataclasses.replace(
+        tiny_config(tmp_path / "run", kind="sam", rho=0.05, rho_drw=0.8, epochs=4),
+        reweight_epoch=2, cnc_epochs=(2,),
+        spectral=SpectralSettings(lanczos_iters=6, num_probes=2),
+        cnc=CncSettings(batch_size=8, num_batches=4),
+    )
+    result = run_experiment(cfg)
+    assert [m.rho for m in result.metrics[:2]] == [0.05, 0.05]
+    ckpt = load_checkpoint(tmp_path / "run" / "checkpoint_2.json")
+    w = ParamVector(ckpt.params, param_layout(cfg.model)[0])
+    uniform = cfg.loss.bind(result.dataset.class_counts)
+    rows = theorem1_report(cfg.model, w, result.dataset, uniform, [0.05], cfg.cnc,
+                           SeededRng(cfg.seed).child("cnc", 2), cfg.spectral)
+    report = json.loads((tmp_path / "run" / "cnc_2.json").read_text())
+    assert [r["rho"] for r in report["rows"]] == [0.05]
+    assert report["rows"] == [dataclasses.asdict(r) for r in rows]
 
 
 def test_metrics_header_shape(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from saddlelab import model, spectral
 from saddlelab.datagen import ClassGeometry, ImbalanceProfile, LabeledDataset
-from saddlelab.errors import ParameterError, UndefinedRatioError
+from saddlelab.errors import ParameterError
 from saddlelab.harness import load_config, run_experiment
 from saddlelab.linalg import SeededRng
 from saddlelab.losses import LossSpec, loss_on_logits
@@ -259,8 +259,7 @@ def test_nonconvexity_ratio_values():
     assert nonconvexity_ratio(ex(-1.0, 2.0)) == 0.5
     assert nonconvexity_ratio(ex(0.0, 2.0)) == 0.0
     assert nonconvexity_ratio(ex(0.3, 2.0)) == 0.0  # positive definite convention
-    with pytest.raises(UndefinedRatioError):
-        nonconvexity_ratio(ex(0.0, 0.0))
+    assert nonconvexity_ratio(ex(0.0, 0.0)) is None
 
 
 def test_psd_operator_ratio_zero():
