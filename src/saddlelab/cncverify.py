@@ -159,7 +159,7 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
 
 
 def save_theorem1_report(rows, csv_path, json_path, settings: CncSettings,
-                         spectral: SpectralSettings, meta: dict | None = None) -> None:
+                         spectral: SpectralSettings, meta: dict) -> None:
     header = [f.name for f in dataclasses.fields(Theorem1Row)]
     write_text(csv_path, csv_lines(itertools.chain([header],
                                                    (vars(r).values() for r in rows))))
@@ -173,9 +173,8 @@ def save_theorem1_report(rows, csv_path, json_path, settings: CncSettings,
             "residual_tol": spectral.residual_tol,
         },
         "rows": [dataclasses.asdict(r) for r in rows],
+        **meta,
     }
-    if meta:
-        sidecar.update(meta)
     write_json(json_path, sidecar)
 
 
@@ -213,6 +212,3 @@ class QuadraticSurrogate:
             value = 0.5 * float(w @ (self.a @ w)) + float(xi @ w)
             return value, self.a @ w + xi
         return fn
-
-    def oracle(self) -> HvpOracle:
-        return HvpOracle.from_matrix(self.a)

@@ -89,8 +89,8 @@ class LabeledDataset:
     labels: np.ndarray
     class_counts: tuple
     profile: ImbalanceProfile
-    geometry: ClassGeometry | None = None
-    seed: int | None = None
+    geometry: ClassGeometry
+    seed: int
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -209,8 +209,6 @@ def balanced_test_split(ds: LabeledDataset, per_class: int, rng: SeededRng) -> L
     itself is left as it is (nothing is removed from it)."""
     if per_class < 0:
         raise ParameterError("per_class must be >= 0")
-    if ds.geometry is None:
-        raise ParameterError("dataset carries no geometry to sample a test set from")
     counts = (per_class,) * ds.num_classes
     return LabeledDataset(
         *_sample(ds.geometry, counts, rng),
@@ -226,8 +224,6 @@ def save_dataset(ds: LabeledDataset, path) -> None:
 
     Floats are written with 17 significant digits, so a round trip is exact.
     """
-    if ds.geometry is None:
-        raise ParameterError("dataset has no geometry; cannot serialize header")
     header = {
         "format_version": DATASET_FORMAT_VERSION,
         "profile": dataclasses.asdict(ds.profile),

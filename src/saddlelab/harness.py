@@ -388,6 +388,11 @@ def _is_array(f: dataclasses.Field) -> bool:
     return f.type == "np.ndarray"
 
 
+# the JSON type of every other Checkpoint field, by its annotation; compared
+# with `is`, so a bool is no int
+_CHECKPOINT_TYPES = {"int": int, "str": str, "dict": dict}
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     payload = {}
     for f in dataclasses.fields(Checkpoint):
@@ -414,16 +419,26 @@ def load_checkpoint(path) -> Checkpoint:
     if missing:
         raise CheckpointError(f"corrupt checkpoint: missing keys {missing}")
     ckpt = {f.name: payload[f.name] for f in fields}
-    for f in filter(_is_array, fields):
-        try:
-            ckpt[f.name] = np.array([float(x) for x in ckpt[f.name]])
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"corrupt checkpoint: {f.name} is not a list of "
-                                  "numbers") from exc
-    rngs = ckpt["rng_states"]
-    if not (isinstance(rngs, dict) and {"batches", "optnoise"} <= rngs.keys()):
+    for f in fields:
+        if _is_array(f):
+            try:
+                ckpt[f.name] = np.array([float(x) for x in ckpt[f.name]])
+            except (TypeError, ValueError) as exc:
+                raise CheckpointError(f"corrupt checkpoint: {f.name} is not a list of "
+                                      "numbers") from exc
+        elif type(ckpt[f.name]) is not _CHECKPOINT_TYPES[f.type]:
+            raise CheckpointError(f"corrupt checkpoint: {f.name} {ckpt[f.name]!r} is "
+                                  f"not of type {f.type}")
+    if not {"batches", "optnoise"} <= ckpt["rng_states"].keys():
         raise CheckpointError("corrupt checkpoint: rng_states lacks the batches or "
                               "optnoise stream")
+    try:
+        echo_hash = config_hash(config_from_dict(ckpt["config"]))
+    except ConfigError as exc:
+        raise CheckpointError(f"corrupt checkpoint: its config does not load: {exc}") from exc
+    if echo_hash != ckpt["config_hash"]:
+        raise CheckpointError(f"corrupt checkpoint: its config hashes to {echo_hash}, "
+                              f"not to its config_hash {ckpt['config_hash']}")
     return Checkpoint(**ckpt)
 
 
@@ -538,7 +553,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
     among its artifacts. A resume with no epoch left writes its checkpoint
     into out_dir."""
     out = Path(cfg.output_dir if out_dir is None else out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     chash = config_hash(cfg)
     root = SeededRng(cfg.seed)
     ds, test, groups = _build_data(cfg, root)
@@ -554,6 +568,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
     metrics: list = []
     artifacts: list = ["metrics.csv"]
 
+    # every read a resume makes comes before the first write, so a resume
+    # that fails leaves nothing behind
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         if ckpt.config_hash != chash:
@@ -568,6 +584,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
         start_epoch = ckpt.epoch
         run_dir = Path(resume_from).parent
         metrics = _metrics_history(run_dir / "metrics.csv", start_epoch, ds.num_classes)
+    out.mkdir(parents=True, exist_ok=True)
+    if resume_from is not None:
         if run_dir.resolve() == out.resolve():
             artifacts += [name for e in range(start_epoch + 1)
                           for name in _snapshot_names(cfg, ds.num_classes, e)]
@@ -698,18 +716,18 @@ def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir=None) -> list:
     rho_values = list(rho_values)
     if not rho_values:
         raise ParameterError("rho_values must be non-empty")
+    # every cell's config is built, and so checked, before the first output
+    cfgs = [dataclasses.replace(
+        base_cfg,
+        optimizer=dataclasses.replace(base_cfg.optimizer, rho=rho, rho_drw=rho),
+        rho_schedule=RhoSchedule(),
+    ) for rho in rho_values]
     out = Path(base_cfg.output_dir) / "sweep" if out_dir is None else Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for i, rho in enumerate(rho_values):
-        cell = out / f"rho_{i}_{rho:g}"
-        cfg = dataclasses.replace(
-            base_cfg,
-            optimizer=dataclasses.replace(base_cfg.optimizer, rho=rho, rho_drw=rho),
-            rho_schedule=RhoSchedule(),
-        )
+    for i, (rho, cfg) in enumerate(zip(rho_values, cfgs)):
         try:
-            result = run_experiment(cfg, out_dir=cell)
+            result = run_experiment(cfg, out_dir=out / f"rho_{i}_{rho:g}")
             last = result.metrics[-1] if result.metrics else None
             rows.append(SweepRow(
                 rho=rho,

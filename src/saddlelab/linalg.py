@@ -107,8 +107,8 @@ class SeededRng:
         ints = [self.stream_id] + [_tag_to_int(t) for t in tags]
         return SeededRng(self.seed, _mix64(*ints))
 
-    def normal(self, size=None, mean: float = 0.0, std: float = 1.0):
-        return self.generator.normal(loc=mean, scale=std, size=size)
+    def normal(self, size=None, std: float = 1.0):
+        return self.generator.normal(scale=std, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
         return self.generator.permutation(n)

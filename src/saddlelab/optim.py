@@ -143,66 +143,39 @@ def sam_step(grad_fn, w, state: OptimizerState, lr: float, rho: float,
     return sgd_step(w, g_sam, state, lr, momentum), info
 
 
-def pgd_step(grad_fn, w, state: OptimizerState, lr: float, sigma: float,
-             momentum: float = 0.9):
-    """Gradient at a Gaussian-perturbed iterate w + xi, xi ~ N(0, sigma^2 I)."""
-    if sigma < 0:
-        raise ParameterError("sigma must be >= 0")
-    if sigma == 0.0:
-        loss, g = grad_fn(w)
-    else:
-        xi = state.rng.normal(size=w.shape[0], std=sigma)
-        loss, g = grad_fn(w + xi)
-    info = {"loss": loss, "grad_norm": float(np.linalg.norm(g))}
-    return sgd_step(w, g, state, lr, momentum), info
-
-
-def lpf_sgd_step(grad_fn, w, state: OptimizerState, lr: float, mc_iters: int,
-                 radius: float, blocks, momentum: float = 0.9):
-    """Monte-Carlo smoothed gradient: average of mc_iters gradients at
-    block-wise Gaussian perturbations with std = radius*||w_block||/sqrt(size).
-
-    blocks is a sequence of (offset, size) covering the parameter vector (for
-    an MLP, the per-layer weight and bias blocks).
-    """
-    if mc_iters < 1:
-        raise ParameterError("mc_iters must be >= 1")
-    if radius < 0:
-        raise ParameterError("radius must be >= 0")
-    if radius == 0.0:
-        loss, g = grad_fn(w)
-        info = {"loss": loss, "grad_norm": float(np.linalg.norm(g))}
-        return sgd_step(w, g, state, lr, momentum), info
-
+def _lpf_gradient(grad_fn, w, rng: SeededRng, opt: OptimizerConfig, blocks):
+    """(loss, grad) averaged over opt.lpf_mc_iters evaluations at block-wise
+    Gaussian perturbations with std = lpf_radius*||w_block||/sqrt(size): the
+    Monte-Carlo smoothed gradient of LPF-SGD."""
     stds = np.empty(w.shape[0])
     for offset, size in blocks:
         block = w[offset : offset + size]
-        stds[offset : offset + size] = radius * np.linalg.norm(block) / np.sqrt(size)
+        stds[offset : offset + size] = opt.lpf_radius * np.linalg.norm(block) / np.sqrt(size)
     g_sum = np.zeros_like(w)
     loss_sum = 0.0
-    for _ in range(mc_iters):
-        xi = state.rng.normal(size=w.shape[0]) * stds
+    for _ in range(opt.lpf_mc_iters):
+        xi = rng.normal(size=w.shape[0]) * stds
         loss_m, g_m = grad_fn(w + xi)
         g_sum += g_m
         loss_sum += loss_m
-    g = g_sum / mc_iters
-    info = {"loss": loss_sum / mc_iters, "grad_norm": float(np.linalg.norm(g))}
-    return sgd_step(w, g, state, lr, momentum), info
+    return loss_sum / opt.lpf_mc_iters, g_sum / opt.lpf_mc_iters
 
 
 def optimizer_step(opt: OptimizerConfig, grad_fn, w, state: OptimizerState, lr: float,
                    rho: float, blocks):
     """One step of the optimizer opt.kind; returns (new_w, info), where info
     holds at least the step's "loss" and "grad_norm". rho is the epoch's SAM
-    radius and blocks the (offset, size) layout LPF-SGD perturbs by."""
+    radius and blocks the (offset, size) layout LPF-SGD perturbs by. A kind
+    only picks the gradient, PGD's at w + xi with xi ~ N(0, pgd_sigma^2 I);
+    sgd_step applies it. A zero pgd_sigma or lpf_radius picks plain SGD's."""
     if opt.kind == SAM:
         return sam_step(grad_fn, w, state, lr, rho, opt.momentum, opt.sam_normalized)
-    if opt.kind == PGD:
-        return pgd_step(grad_fn, w, state, lr, opt.pgd_sigma, opt.momentum)
-    if opt.kind == LPFSGD:
-        return lpf_sgd_step(grad_fn, w, state, lr, opt.lpf_mc_iters, opt.lpf_radius,
-                            blocks, opt.momentum)
-    loss, g = grad_fn(w)
+    if opt.kind == PGD and opt.pgd_sigma != 0.0:
+        loss, g = grad_fn(w + state.rng.normal(size=w.shape[0], std=opt.pgd_sigma))
+    elif opt.kind == LPFSGD and opt.lpf_radius != 0.0:
+        loss, g = _lpf_gradient(grad_fn, w, state.rng, opt, blocks)
+    else:
+        loss, g = grad_fn(w)
     info = {"loss": loss, "grad_norm": float(np.linalg.norm(g))}
     return sgd_step(w, g, state, lr, opt.momentum), info
 

@@ -80,7 +80,7 @@ ORTHOGONALITY_TARGET = 1e-12
 class LanczosResult:
     alphas: np.ndarray  # diagonal of the tridiagonal matrix
     betas: np.ndarray  # off-diagonal (one shorter than alphas)
-    basis: np.ndarray | None  # (k, dim) Krylov basis, row-major
+    basis: np.ndarray  # (k, dim) Krylov basis, row-major
     early_stop: bool  # hit an invariant subspace before the iteration budget
     reorth_steps: int  # steps whose residual was reorthogonalized against the basis
 
@@ -89,7 +89,7 @@ class LanczosResult:
         return self.alphas.shape[0]
 
 
-def lanczos(oracle: HvpOracle, iters: int, rng: SeededRng, with_basis: bool = True) -> LanczosResult:
+def lanczos(oracle: HvpOracle, iters: int, rng: SeededRng) -> LanczosResult:
     """Tridiagonalize the operator restricted to a random Krylov subspace.
 
     The starting vector is a normalized Gaussian probe from rng. Partial
@@ -178,8 +178,7 @@ def lanczos(oracle: HvpOracle, iters: int, rng: SeededRng, with_basis: bool = Tr
         omega_prev, omega_cur = omega_cur, omega
     alphas = alphas[:done]
     betas = betas[: max(done - 1, 0)]
-    basis = basis[:done] if with_basis else None
-    return LanczosResult(alphas=alphas, betas=betas, basis=basis, early_stop=early,
+    return LanczosResult(alphas=alphas, betas=betas, basis=basis[:done], early_stop=early,
                          reorth_steps=reorth_steps)
 
 
@@ -220,8 +219,10 @@ def spectral_density(oracle: HvpOracle, settings: SpectralSettings, rng: SeededR
     """Average Gaussian-broadened Ritz quadrature over independent probes."""
     per_probe_vals, per_probe_weights = [], []
     for p in range(settings.num_probes):
-        run = lanczos(oracle, settings.lanczos_iters, rng.child("probe", p), with_basis=False)
-        vals, weights, _ = ritz_decomposition(run)
+        # no name holds a probe's run, so its (iters, dim) basis is freed
+        # before the next probe allocates its own
+        vals, weights, _ = ritz_decomposition(
+            lanczos(oracle, settings.lanczos_iters, rng.child("probe", p)))
         per_probe_vals.append(vals)
         per_probe_weights.append(weights)
     sigma = math.sqrt(settings.broadening_sigma2)
@@ -296,7 +297,7 @@ def extreme_eigs(oracle: HvpOracle, iters: int, tol: float, rng: SeededRng,
         raise ParameterError("iters must be >= 2")
     if max_refine_iters < 1:
         raise ParameterError("max_refine_iters must be >= 1")
-    run = lanczos(oracle, iters, rng.child("lanczos"), with_basis=True)
+    run = lanczos(oracle, iters, rng.child("lanczos"))
     vals, _, vecs = ritz_decomposition(run)
     v_min0 = run.basis.T @ vecs[:, 0]
     v_max0 = run.basis.T @ vecs[:, -1]
@@ -377,9 +378,9 @@ def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpect
     )
 
 
-def save_spectrum(entry: ClassSpectrumEntry, csv_path, json_path, meta: dict | None = None) -> None:
+def save_spectrum(entry: ClassSpectrumEntry, csv_path, json_path, meta: dict) -> None:
     """CSV of (grid, density) plus a JSON sidecar with the Ritz data, extreme
-    eigenpair summary, settings, and any caller metadata (seed, epoch, ...)."""
+    eigenpair summary, settings, and the caller's metadata (seed, epoch, ...)."""
     write_text(csv_path, csv_lines(itertools.chain(
         [("eigenvalue", "density")], zip(entry.density.grid, entry.density.density))))
     sidecar = {
@@ -397,7 +398,6 @@ def save_spectrum(entry: ClassSpectrumEntry, csv_path, json_path, meta: dict | N
         },
         "ritz_values": [vals.tolist() for vals in entry.density.ritz_values],
         "ritz_weights": [wts.tolist() for wts in entry.density.ritz_weights],
+        **meta,
     }
-    if meta:
-        sidecar.update(meta)
     write_json(json_path, sidecar)

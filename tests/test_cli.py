@@ -271,16 +271,24 @@ def test_gen_data_rejects_non_finite_values(tmp_path, capsys, flag, value):
     assert not (tmp_path / "ds.csv").exists()
 
 
+def _edited_echo(config):
+    # a valid config, but not the one the checkpoint's config_hash names
+    config["spectral"]["num_probes"] += 3
+    return config
+
+
 @pytest.mark.parametrize("field, value", [
     ("params", 5), ("params", ["abc", "0.5"]), ("velocity", None), ("rng_states", {}),
-], ids=["params-number", "params-text", "velocity-null", "rng-states-empty"])
+    ("epoch", "x"), ("step_count", 1.5), ("config_hash", 5), ("config", _edited_echo),
+], ids=["params-number", "params-text", "velocity-null", "rng-states-empty",
+        "epoch-text", "step-count-float", "config-hash-number", "config-edited"])
 @pytest.mark.parametrize("command", ["spectrum", "resume"])
 def test_malformed_checkpoint_gives_an_error_record(tmp_path, capsys, command, field, value):
     _, cfg_path = write_config(tmp_path, epochs=1)
     assert main(["train", "--config", str(cfg_path)]) == 0
     ckpt = tmp_path / "run" / "checkpoint_1.json"
     payload = json.loads(ckpt.read_text())
-    payload[field] = value
+    payload[field] = value(payload[field]) if callable(value) else value
     ckpt.write_text(json.dumps(payload))
     capsys.readouterr()
     argv = (["spectrum", "--checkpoint", str(ckpt)] if command == "spectrum" else
@@ -290,3 +298,14 @@ def test_malformed_checkpoint_gives_an_error_record(tmp_path, capsys, command, f
     assert len(err) == 1
     record = json.loads(err[0])
     assert record["error"] == "CheckpointError" and field in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rho_rejects_a_bad_rho_before_any_work(tmp_path, capsys):
+    _, cfg_path = write_config(tmp_path, epochs=1, kind="sam", rho=0.1)
+    assert main(["sweep-rho", "--config", str(cfg_path), "--rhos", "0.1,-1",
+                 "--out", str(tmp_path / "sweep")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "ParameterError"
+    assert not (tmp_path / "sweep").exists()

@@ -87,12 +87,13 @@ def test_degenerate_optimizers_reproduce_sgd(tmp_path):
 
 
 def _sample_checkpoint() -> Checkpoint:
-    layout, total = param_layout(MlpSpec((4, 6, 2)))
+    cfg = tiny_config("unused")
+    layout, total = param_layout(cfg.model)
     rng = SeededRng(60)
     return Checkpoint(
         format_version=1,
-        config_hash="abc",
-        config={"stub": True},
+        config_hash=config_hash(cfg),
+        config=config_to_dict(cfg),
         epoch=3,
         params=rng.normal(size=total),
         velocity=rng.normal(size=total),
@@ -219,6 +220,21 @@ def test_resume_in_place_after_a_crash_reproduces_the_run(
     assert _tree(out) == _tree(uninterrupted_resume_run)
 
 
+def test_resume_from_the_final_checkpoint_copies_it_into_the_new_directory(tmp_path):
+    cfg = tiny_config(tmp_path / "done", epochs=3)
+    run_experiment(cfg)
+    source = tmp_path / "done"
+    copy = tmp_path / "copy"
+    run_experiment(cfg, out_dir=copy, resume_from=source / "checkpoint_3.json")
+    assert (copy / "checkpoint_3.json").read_bytes() == \
+        (source / "checkpoint_3.json").read_bytes()
+    assert (copy / "metrics.csv").read_bytes() == (source / "metrics.csv").read_bytes()
+    summary = json.loads((copy / "summary.json").read_text())
+    assert summary["artifacts"] == ["checkpoint_3.json", "metrics.csv"]
+    assert sorted(p.name for p in copy.iterdir()) == \
+        ["checkpoint_3.json", "metrics.csv", "summary.json"]
+
+
 def test_resume_needs_the_history_beside_its_checkpoint(tmp_path):
     cfg = dataclasses.replace(tiny_config(tmp_path / "h", epochs=4), cnc_epochs=(2,),
                               cnc=CncSettings(batch_size=8, num_batches=2))
@@ -343,11 +359,23 @@ def test_missing_required_key_rejected(tmp_path):
     lambda d: d["model"].update(layer_sizes=[4, 12.5, 2]),
     lambda d: d["reweight"].update(threshold_epoch=2.0),
     lambda d: d.update(seed=True),
+    lambda d: d.update(epochs=-1),
+    lambda d: d.update(batch_size=0),
+    lambda d: d["reweight"].update(threshold_epoch=d["epochs"] + 1),
+    lambda d: d.update(spectrum_epochs=[d["epochs"] + 1]),
+    lambda d: d["dataset"].update(test_per_class=0),
+    lambda d: d.update(lr=5),
+    lambda d: d["optimizer"].update(kind="adam"),
+    lambda d: d["optimizer"].update(pgd_sigma=-1.0),
+    lambda d: d["optimizer"].update(lpf_radius=-1.0),
 ], ids=["cnc-mode", "cnc-num-batches", "cnc-empty-rhos", "dataset-kind",
         "circle-in-1d", "infeasible-profile", "loss-variant", "residual-tol",
         "model-dataset-mismatch", "lr-empty", "reweight-empty", "nan-rho",
         "infinite-lr", "infinite-cnc-rho", "float-epochs", "float-batch-size",
-        "float-spectrum-epoch", "float-layer-size", "float-threshold", "bool-seed"])
+        "float-spectrum-epoch", "float-layer-size", "float-threshold", "bool-seed",
+        "negative-epochs", "zero-batch-size", "threshold-past-epochs",
+        "spectrum-epoch-past-epochs", "zero-test-per-class", "section-not-object",
+        "optimizer-kind", "negative-pgd-sigma", "negative-lpf-radius"])
 def test_load_config_rejects_what_the_run_would(tmp_path, edit):
     d = config_to_dict(tiny_config(tmp_path / "x"))
     edit(d)

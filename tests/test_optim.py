@@ -8,9 +8,8 @@ from saddlelab.optim import (
     OptimizerConfig,
     OptimizerState,
     RhoSchedule,
-    lpf_sgd_step,
     lr_at,
-    pgd_step,
+    optimizer_step,
     rho_at,
     sam_step,
     sgd_step,
@@ -134,7 +133,8 @@ def test_pgd_zero_sigma_bitwise_sgd():
     w_pgd = w_sgd = np.array([1.0, 1.0])
     s_pgd, s_sgd = fresh_state(2), fresh_state(2)
     for _ in range(25):
-        w_pgd, _ = pgd_step(fn, w_pgd, s_pgd, 0.05, sigma=0.0)
+        w_pgd, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.0), fn, w_pgd,
+                                  s_pgd, 0.05, rho=0.0, blocks=((0, 2),))
         _, g = fn(w_sgd)
         w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05)
     assert np.array_equal(w_pgd, w_sgd)
@@ -146,7 +146,8 @@ def test_pgd_deterministic_replay():
         w = np.array([1.0, 1.0])
         state = fresh_state(2, seed=9)
         for _ in range(10):
-            w, _ = pgd_step(fn, w, state, 0.05, sigma=1e-3)
+            w, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=1e-3), fn, w,
+                                  state, 0.05, rho=0.0, blocks=((0, 2),))
         return w
     assert np.array_equal(run(), run())
 
@@ -169,8 +170,9 @@ def test_lpf_zero_radius_bitwise_sgd():
     w_lpf = w_sgd = np.array([1.0, 1.0])
     s_lpf, s_sgd = fresh_state(2), fresh_state(2)
     for _ in range(25):
-        w_lpf, _ = lpf_sgd_step(fn, w_lpf, s_lpf, 0.05, mc_iters=3, radius=0.0,
-                                blocks=((0, 2),))
+        w_lpf, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=3,
+                                                  lpf_radius=0.0),
+                                  fn, w_lpf, s_lpf, 0.05, rho=0.0, blocks=((0, 2),))
         _, g = fn(w_sgd)
         w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05)
     assert np.array_equal(w_lpf, w_sgd)
@@ -182,8 +184,9 @@ def test_lpf_single_iter_equals_matched_manual_perturbation():
     w = np.array([1.0, 1.0])
     radius = 0.01
     state = fresh_state(2, seed=21)
-    new, _ = lpf_sgd_step(fn, w, state, 0.1, mc_iters=1, radius=radius,
-                          blocks=((0, 2),), momentum=0.0)
+    new, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=1, lpf_radius=radius,
+                                            momentum=0.0),
+                            fn, w, state, 0.1, rho=0.0, blocks=((0, 2),))
     std = radius * np.linalg.norm(w) / np.sqrt(2)
     xi = SeededRng(21).child("noise").normal(size=2) * std
     _, g = fn(w + xi)
@@ -200,8 +203,9 @@ def test_lpf_smoothing_error_linear_in_radius():
     errs = []
     for radius in (1e-1, 1e-2, 1e-3):
         state = fresh_state(2, seed=33)
-        new, _ = lpf_sgd_step(fn, w, state, 1.0, mc_iters=64, radius=radius,
-                              blocks=((0, 2),), momentum=0.0)
+        new, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=64,
+                                                lpf_radius=radius, momentum=0.0),
+                                fn, w, state, 1.0, rho=0.0, blocks=((0, 2),))
         errs.append(np.linalg.norm((w - new) - exact))
     assert errs[0] / errs[1] == pytest.approx(10.0, rel=1e-9)
     assert errs[1] / errs[2] == pytest.approx(10.0, rel=1e-9)
@@ -263,7 +267,10 @@ def test_lr_zero_is_fixed_point_for_all_optimizers():
         elif step == "sam":
             new, _ = sam_step(fn, w, state, 0.0, rho=0.3)
         elif step == "pgd":
-            new, _ = pgd_step(fn, w, state, 0.0, sigma=0.1)
+            new, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.1), fn, w, state,
+                                    0.0, rho=0.0, blocks=((0, 2),))
         else:
-            new, _ = lpf_sgd_step(fn, w, state, 0.0, 4, 0.1, ((0, 2),))
+            new, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=4,
+                                                    lpf_radius=0.1),
+                                    fn, w, state, 0.0, rho=0.0, blocks=((0, 2),))
         assert np.array_equal(new, w)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,22 @@ def test_density_mass_is_one_for_random_operators():
                               SpectralSettings(lanczos_iters=60, num_probes=6),
                               SeededRng(seed).child("density"))
         assert sd.mass() == pytest.approx(1.0, abs=0.02)
+
+
+def test_density_holds_one_lanczos_basis_at_a_time():
+    # each probe's run keeps its basis; it must be freed before the next probe
+    # allocates its own, or the peak doubles
+    dim, iters = 6000, 60
+    diag = np.linspace(-1.0, 2.0, dim)
+    oracle = HvpOracle(apply=lambda v: diag * v, dim=dim)
+    settings = SpectralSettings(lanczos_iters=iters, num_probes=4)
+    tracemalloc.start()
+    try:
+        spectral_density(oracle, settings, SeededRng(13).child("density"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * iters * dim * 8
 
 
 def test_extreme_eigs_diagonal_case():
@@ -340,7 +357,7 @@ def test_single_class_dataset_report_matches_full():
     profile = ImbalanceProfile("longtail", 2, 20, 20.0)
     geom = ClassGeometry(input_dim=3)
     feats = SeededRng(31).normal(size=(20, 3))
-    ds = LabeledDataset(feats, np.zeros(20, dtype=np.intp), (20, 0), profile, geom)
+    ds = LabeledDataset(feats, np.zeros(20, dtype=np.intp), (20, 0), profile, geom, seed=31)
     spec = MlpSpec((3, 4, 2))
     w = init_params(spec, SeededRng(32).child("init"))
     loss = LossSpec(variant="ce", class_counts=(20, 1))
