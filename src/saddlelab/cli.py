@@ -24,7 +24,6 @@ from .errors import ParameterError, SaddleLabError
 from .harness import (
     OUTPUT_DIR_ENV,
     _build_data,
-    config_from_dict,
     load_checkpoint,
     load_config,
     run_experiment,
@@ -71,7 +70,7 @@ def _load_checkpoint_context(args):
     """Checkpoint, its config, parameters and training set, and the output
     directory (default: the checkpoint's own directory), not yet created."""
     ckpt = load_checkpoint(args.checkpoint)
-    cfg = config_from_dict(ckpt.config)
+    cfg = ckpt.config
     layout, _ = param_layout(cfg.model)
     ds, _, _ = _build_data(cfg, SeededRng(cfg.seed))
     out = _output_dir(args.out, Path(args.checkpoint).parent)

@@ -40,7 +40,7 @@ class CncSettings:
     batch_size: int = 32
     num_batches: int = 100
     mode: str = UNNORMALIZED  # the theory uses the unnormalized perturbation
-    rhos: tuple | None = None  # None -> check the epoch's effective rho
+    rhos: tuple[float, ...] | None = None  # None -> check the epoch's effective rho
 
     def __post_init__(self):
         if self.batch_size < 1:

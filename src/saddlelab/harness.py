@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -136,7 +137,7 @@ class ExperimentConfig:
     batch_size: int
     seed: int
     loss: LossConfig = LossConfig()
-    reweight_epoch: int = 0
+    reweight: ReweightSchedule = ReweightSchedule(0)
     optimizer: OptimizerConfig = OptimizerConfig()
     rho_schedule: RhoSchedule = RhoSchedule()
     spectrum_epochs: tuple[int, ...] = ()
@@ -151,8 +152,8 @@ class ExperimentConfig:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if not 0 <= self.reweight_epoch <= self.epochs:
-            raise ConfigError("reweight_epoch must be within [0, epochs]")
+        if self.reweight.threshold_epoch > self.epochs:
+            raise ConfigError("reweight threshold_epoch must be within [0, epochs]")
         for name, epochs in (("spectrum_epochs", self.spectrum_epochs),
                              ("cnc_epochs", self.cnc_epochs)):
             if any(not 0 <= e <= self.epochs for e in epochs):
@@ -167,91 +168,101 @@ class ExperimentConfig:
         that epoch's rho): what the optimizer steps on in that epoch. A rho
         schedule wins when present; otherwise rho and rho_drw switch at the
         re-weighting threshold, as the weights do."""
-        weights = drw_weights(ReweightSchedule(self.reweight_epoch, loss.class_counts), epoch)
+        weights = drw_weights(self.reweight, loss.class_counts, epoch)
         if self.rho_schedule.steps:
             rho = rho_at(self.rho_schedule, epoch)
-        elif epoch < self.reweight_epoch:
+        elif epoch < self.reweight.threshold_epoch:
             rho = self.optimizer.rho
         else:
             rho = self.optimizer.effective_rho_drw
         return loss.with_class_weights(weights), rho
 
 
-# config section -> the dataclass whose fields are its keys
-SECTIONS = {
-    "dataset": DatasetConfig,
-    "model": MlpSpec,
-    "loss": LossConfig,
-    "optimizer": OptimizerConfig,
-    "lr": LrSchedule,
-    "rho_schedule": RhoSchedule,
-    "spectral": SpectralSettings,
-    "cnc": CncSettings,
-    "groups": GroupThresholds,
-}
-
-
-def _as_tuples(x):
-    return tuple(_as_tuples(v) for v in x) if isinstance(x, list) else x
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     d = json.loads(json.dumps(dataclasses.asdict(cfg)))  # tuples -> lists
-    d["reweight"] = {"threshold_epoch": d.pop("reweight_epoch")}
     d["spectrum_epochs"] = sorted(d["spectrum_epochs"])
     d["cnc_epochs"] = sorted(d["cnc_epochs"])
     return d
 
 
-def _keys(cls):
-    """(every field name, the required ones) of a config dataclass."""
-    fields = dataclasses.fields(cls)
-    return ({f.name for f in fields},
-            [f.name for f in fields if f.default is dataclasses.MISSING
-             and f.default_factory is dataclasses.MISSING])
+def _is(*types):
+    """A reader of a JSON value whose type is one of `types`: a bool is no
+    int, and an int stays an int, so a config written back keeps its bytes."""
+    def read(v):
+        if type(v) not in types:
+            raise ValueError(v)
+        return v
+    return read
 
 
-def _check_keys(d, allowed, required, context: str) -> None:
-    if not isinstance(d, dict):
+def _tuple(*items):
+    """tuple[a, b]: a JSON list of one value per reader in `items`."""
+    return lambda v: tuple(item(x) for item, x in zip(items, _is(list)(v), strict=True))
+
+
+def _tuple_of(item):
+    """tuple[a, ...]: a JSON list of any length."""
+    return lambda v: tuple(map(item, _is(list)(v)))
+
+
+def _or_none(read):
+    return lambda v: None if v is None else read(v)
+
+
+_int, _float = _is(int), _is(int, float)
+# every field annotation of a record but a nested one -> its JSON reader
+_READERS = {
+    "int": _int,
+    "float": _float,
+    "bool": _is(bool),
+    "str": _is(str),
+    "dict": _is(dict),
+    "float | None": _or_none(_float),
+    "tuple[int, ...]": _tuple_of(_int),
+    "tuple[float, ...] | None": _or_none(_tuple_of(_float)),
+    "tuple[tuple[int, float], ...]": _tuple_of(_tuple(_int, _float)),
+    # arrays are stored as lists of 17-digit strings (exact round trip)
+    "np.ndarray": lambda v: np.array([float(x) for x in _tuple_of(_is(str))(v)]),
+}
+# the config dataclasses: a config section, or a checkpoint's config, by annotation
+_RECORDS = {cls.__name__: cls for cls in (
+    DatasetConfig, MlpSpec, LossConfig, ReweightSchedule, OptimizerConfig, LrSchedule,
+    RhoSchedule, SpectralSettings, CncSettings, GroupThresholds, ExperimentConfig)}
+
+
+def _record(cls, obj, context: str):
+    """cls from the JSON object `obj`, whose keys must be fields of cls and
+    include every field without a default. Each value is read by its field's
+    annotation: a config dataclass as a record named by the field, any other
+    type through _READERS."""
+    if type(obj) is not dict:
         raise ConfigError(f"{context} must be a JSON object")
-    unknown = set(d) - set(allowed)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(obj.keys() - fields.keys())
     if unknown:
-        raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
-    missing = [k for k in required if k not in d]
+        raise ConfigError(f"unknown keys in {context}: {unknown}")
+    missing = [n for n, f in fields.items() if n not in obj and f.default is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"{context} is missing required keys {missing}")
-
-
-def _build(cls, values: dict, context: str):
-    """cls from the JSON object `values`, once every int field holds integers:
-    a float passes the range checks and then fails mid-run, or as a listed
-    epoch matches none."""
-    values = {k: _as_tuples(v) for k, v in values.items()}
-    for f in dataclasses.fields(cls):
-        v = values.get(f.name, 0)  # an absent field takes its int default
-        if f.type in ("int", "tuple[int, ...]") and not all(
-                type(x) is int for x in (v if isinstance(v, tuple) else (v,))):
-            raise ConfigError(f"{context} {f.name} must hold integers, not {v!r}")
-    return cls(**values)
+    values = {}
+    for name, v in obj.items():
+        annotation = fields[name].type
+        try:
+            values[name] = (_record(_RECORDS[annotation], v, name) if annotation in _RECORDS
+                            else _READERS[annotation](v))
+        except ValueError:
+            raise ConfigError(f"{context} {name}: {reprlib.repr(v)} is not of type "
+                              f"{annotation}") from None
+    try:
+        return cls(**values)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Inverse of config_to_dict. Every key and value is checked here, so a
     config that loads is one the run accepts."""
-    top, required = _keys(ExperimentConfig)
-    _check_keys(d, (top - {"reweight_epoch"}) | {"reweight"}, required, "config")
-    kwargs = {k: v for k, v in d.items() if k != "reweight"}
-    try:
-        for name, cls in SECTIONS.items():
-            if name in d:
-                _check_keys(d[name], *_keys(cls), name)
-                kwargs[name] = _build(cls, d[name], name)
-        if "reweight" in d:
-            _check_keys(d["reweight"], ["threshold_epoch"], ["threshold_epoch"], "reweight")
-            kwargs["reweight_epoch"] = d["reweight"]["threshold_epoch"]
-        return _build(ExperimentConfig, kwargs, "config")
-    except (TypeError, ParameterError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return _record(ExperimentConfig, d, "config")
 
 
 def _finite(text: str) -> float:
@@ -375,7 +386,7 @@ def evaluate(spec: MlpSpec, w: ParamVector, test: LabeledDataset,
 class Checkpoint:
     format_version: int
     config_hash: str
-    config: dict
+    config: ExperimentConfig
     epoch: int  # epochs completed when the snapshot was taken
     params: np.ndarray
     velocity: np.ndarray
@@ -383,22 +394,10 @@ class Checkpoint:
     rng_states: dict  # stream name -> SeededRng state
 
 
-def _is_array(f: dataclasses.Field) -> bool:
-    """Array fields are stored as lists of 17-digit strings (exact round trip)."""
-    return f.type == "np.ndarray"
-
-
-# the JSON type of every other Checkpoint field, by its annotation; compared
-# with `is`, so a bool is no int
-_CHECKPOINT_TYPES = {"int": int, "str": str, "dict": dict}
-
-
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    payload = {}
-    for f in dataclasses.fields(Checkpoint):
-        v = getattr(ckpt, f.name)
-        payload[f.name] = [format_float(x) for x in v] if _is_array(f) else v
-    write_json(path, payload, indent=None)
+    write_json(path, dict(vars(ckpt), config=config_to_dict(ckpt.config),
+                          params=[format_float(x) for x in ckpt.params],
+                          velocity=[format_float(x) for x in ckpt.velocity]), indent=None)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -414,32 +413,24 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(
             f"checkpoint format_version {version!r} != supported {CHECKPOINT_FORMAT_VERSION}"
         )
-    fields = dataclasses.fields(Checkpoint)
-    missing = [f.name for f in fields if f.name not in payload]
-    if missing:
-        raise CheckpointError(f"corrupt checkpoint: missing keys {missing}")
-    ckpt = {f.name: payload[f.name] for f in fields}
-    for f in fields:
-        if _is_array(f):
-            try:
-                ckpt[f.name] = np.array([float(x) for x in ckpt[f.name]])
-            except (TypeError, ValueError) as exc:
-                raise CheckpointError(f"corrupt checkpoint: {f.name} is not a list of "
-                                      "numbers") from exc
-        elif type(ckpt[f.name]) is not _CHECKPOINT_TYPES[f.type]:
-            raise CheckpointError(f"corrupt checkpoint: {f.name} {ckpt[f.name]!r} is "
-                                  f"not of type {f.type}")
-    if not {"batches", "optnoise"} <= ckpt["rng_states"].keys():
-        raise CheckpointError("corrupt checkpoint: rng_states lacks the batches or "
-                              "optnoise stream")
     try:
-        echo_hash = config_hash(config_from_dict(ckpt["config"]))
+        ckpt = _record(Checkpoint, payload, "checkpoint")
     except ConfigError as exc:
-        raise CheckpointError(f"corrupt checkpoint: its config does not load: {exc}") from exc
-    if echo_hash != ckpt["config_hash"]:
+        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
+    echo_hash = config_hash(ckpt.config)
+    if echo_hash != ckpt.config_hash:
         raise CheckpointError(f"corrupt checkpoint: its config hashes to {echo_hash}, "
-                              f"not to its config_hash {ckpt['config_hash']}")
-    return Checkpoint(**ckpt)
+                              f"not to its config_hash {ckpt.config_hash}")
+    if not 0 <= ckpt.epoch <= ckpt.config.epochs:
+        raise CheckpointError(f"corrupt checkpoint: epoch {ckpt.epoch} lies outside "
+                              f"[0, {ckpt.config.epochs}]")
+    for stream in ("batches", "optnoise"):
+        try:
+            SeededRng.from_state(ckpt.rng_states[stream])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise CheckpointError(f"corrupt checkpoint: rng_states {stream} is not a "
+                                  f"stream state: {exc!r}") from exc
+    return ckpt
 
 
 # --------------------------------------------------------------------------
@@ -606,7 +597,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
             save_checkpoint(Checkpoint(
                 format_version=CHECKPOINT_FORMAT_VERSION,
                 config_hash=chash,
-                config=config_to_dict(cfg),
+                config=cfg,
                 epoch=epochs_done,
                 params=w.data.copy(),
                 velocity=state.velocity.copy(),

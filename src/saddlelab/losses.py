@@ -66,24 +66,22 @@ class ReweightSchedule:
     """Uniform weights before threshold_epoch, inverse-frequency from it on."""
 
     threshold_epoch: int
-    class_counts: tuple = ()
 
     def __post_init__(self):
         if self.threshold_epoch < 0:
             raise ParameterError("threshold_epoch must be >= 0")
-        if any(c <= 0 for c in self.class_counts):
-            raise ParameterError("class_counts must be strictly positive")
 
 
-def drw_weights(sched: ReweightSchedule, epoch: int) -> np.ndarray:
-    """Raw per-class weights: all ones before the threshold, 1/n_j after.
+def drw_weights(sched: ReweightSchedule, counts, epoch: int) -> np.ndarray:
+    """Raw per-class weights for per-class sample counts `counts`: all ones
+    before the threshold, 1/n_j after.
 
     Callers normalize downstream (the loss divides by the weight sum), so the
     raw scale is immaterial.
     """
     if epoch < 0:
         raise ParameterError("epoch must be >= 0")
-    counts = np.asarray(sched.class_counts, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
     if epoch < sched.threshold_epoch:
         return np.ones_like(counts)
     return 1.0 / counts

@@ -293,23 +293,17 @@ class Linearization:
         raise AssertionError("unreachable")
 
 
-def linearize(spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec) -> Linearization:
-    """Run the forward pass and the gradient's reverse pass once at w, keeping
-    what every Hessian-vector product at this point reuses."""
-    return Linearization(spec, w, batch, loss)
-
-
 def hvp(spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec, v, *,
         lin: Linearization | None = None) -> np.ndarray:
     """Exact Hessian-vector product via forward-over-reverse.
 
     A tangent v is carried through the forward pass (giving d(activations))
     and then through the reverse pass (giving d(gradient) = H v). No finite
-    differences anywhere. lin, from linearize(spec, w, batch, loss) on these
+    differences anywhere. lin, a Linearization(spec, w, batch, loss) of these
     same objects, skips the tangent-free work shared by every v.
     """
     if lin is None:
-        lin = linearize(spec, w, batch, loss)
+        lin = Linearization(spec, w, batch, loss)
     elif not (lin.spec is spec and lin.w is w and lin.batch is batch and lin.loss is loss):
         raise ParameterError("lin was linearized at other spec, w, batch or loss objects")
     return lin.hvp(v)

@@ -54,34 +54,38 @@ class OptimizerConfig:
         return self.rho if self.rho_drw is None else self.rho_drw
 
 
+def _check_steps(steps, what: str) -> None:
+    """steps is ((epoch, value), ...) with strictly increasing epochs."""
+    if not all(isinstance(s, (tuple, list)) and len(s) == 2 for s in steps):
+        raise ParameterError(f"{what} must be (epoch, value) pairs")
+    if [e for e, _ in steps] != sorted({e for e, _ in steps}):
+        raise ParameterError(f"{what} epochs must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class LrSchedule:
     base_lr: float
     warmup_epochs: int = 0
-    milestones: tuple = ()  # ((epoch, multiplier), ...)
+    milestones: tuple[tuple[int, float], ...] = ()  # ((epoch, multiplier), ...)
 
     def __post_init__(self):
         if self.base_lr < 0:
             raise ParameterError("base_lr must be >= 0")
         if self.warmup_epochs < 0:
             raise ParameterError("warmup_epochs must be >= 0")
-        epochs = [e for e, _ in self.milestones]
+        _check_steps(self.milestones, "milestones")
         if any(m <= 0 for _, m in self.milestones):
             raise ParameterError("milestone multipliers must be positive")
-        if epochs != sorted(set(epochs)):
-            raise ParameterError("milestone epochs must be strictly increasing")
 
 
 @dataclass(frozen=True)
 class RhoSchedule:
-    steps: tuple = ()  # ((start_epoch, rho_value), ...)
+    steps: tuple[tuple[int, float], ...] = ()  # ((start_epoch, rho_value), ...)
 
     def __post_init__(self):
-        starts = [e for e, _ in self.steps]
+        _check_steps(self.steps, "rho schedule steps")
         if any(v < 0 for _, v in self.steps):
             raise ParameterError("rho values must be >= 0")
-        if starts != sorted(set(starts)):
-            raise ParameterError("step start epochs must be strictly increasing")
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .linalg import SeededRng, csv_lines, write_json, write_text
 from .losses import LossSpec
-from .model import Batch, Linearization, MlpSpec, ParamVector, hvp, linearize, per_class_batch
+from .model import Batch, Linearization, MlpSpec, ParamVector, hvp, per_class_batch
 
 SPECTRUM_FORMAT_VERSION = 1
 
@@ -38,7 +38,7 @@ class HvpOracle:
     def for_batch(cls, spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec) -> "HvpOracle":
         """Linearizes once; every product is one model.hvp call on that
         linearization."""
-        lin = linearize(spec, w, batch, loss)
+        lin = Linearization(spec, w, batch, loss)
         return cls(apply=lambda v: hvp(spec, w, batch, loss, v, lin=lin), dim=w.data.shape[0],
                    lin=lin)
 

@@ -209,7 +209,7 @@ def _degeneracy_config(out_dir, kind, **opt_kwargs):
                               within_class_std=1.0, test_per_class=25),
         model=MlpSpec((4, 6, 2)),
         loss=LossConfig(variant="ce"),
-        reweight_epoch=16,
+        reweight=ReweightSchedule(16),
         optimizer=OptimizerConfig(kind=kind, **opt_kwargs),
         lr=LrSchedule(base_lr=0.1),
         epochs=22,
@@ -256,9 +256,9 @@ def test_criterion_5_loss_algebra():
     ldam_ok = abs(v_ce - v_ldam) < 1e-12 and np.max(np.abs(g_ce - g_ldam)) < 1e-12
     vs_ok = abs(v_ce - v_vs) < 1e-12 and np.max(np.abs(g_ce - g_vs)) < 1e-12
 
-    sched = ReweightSchedule(threshold_epoch=5, class_counts=(100, 10, 1))
-    drw_ok = (np.array_equal(drw_weights(sched, 4), [1.0, 1.0, 1.0])
-              and np.array_equal(drw_weights(sched, 5), [1 / 100, 1 / 10, 1.0]))
+    sched, counts = ReweightSchedule(threshold_epoch=5), (100, 10, 1)
+    drw_ok = (np.array_equal(drw_weights(sched, counts, 4), [1.0, 1.0, 1.0])
+              and np.array_equal(drw_weights(sched, counts, 5), [1 / 100, 1 / 10, 1.0]))
 
     margins = ldam_margins((5000, 50), 0.5)
     margin_ok = (abs(margins[0] - 0.158114) < 1e-6 and margins[1] == 0.5)
@@ -312,7 +312,7 @@ def _trend_config(out_dir, kind, seed, rho=0.0, rho_drw=0.0):
                               within_class_std=1.0, test_per_class=200),
         model=MlpSpec((6, 12, 2), "tanh"),
         loss=LossConfig(variant="ce"),
-        reweight_epoch=32,
+        reweight=ReweightSchedule(32),
         optimizer=OptimizerConfig(kind=kind, rho=rho, rho_drw=rho_drw,
                                   sam_normalized=True),
         lr=LrSchedule(base_lr=0.1, milestones=((32, 0.1),)),
@@ -419,7 +419,7 @@ def test_criterion_8_rho_monotonicity(tmp_path):
 def test_criterion_9_reproducibility(tmp_path):
     start = time.time()
     cfg = _trend_config(tmp_path / "a", "sam", seed=3, rho=0.05, rho_drw=0.5)
-    cfg = dataclasses.replace(cfg, epochs=20, reweight_epoch=16,
+    cfg = dataclasses.replace(cfg, epochs=20, reweight=ReweightSchedule(16),
                               spectrum_epochs=(10,),
                               spectral=SpectralSettings(lanczos_iters=6, num_probes=1))
     run_experiment(cfg)

@@ -7,6 +7,7 @@ from saddlelab.cli import main
 from saddlelab.datagen import load_dataset
 from saddlelab.cncverify import CncSettings
 from saddlelab.harness import OUTPUT_DIR_ENV, config_to_dict
+from saddlelab.losses import ReweightSchedule
 from saddlelab.spectral import SpectralSettings
 from tests.test_harness import tiny_config
 
@@ -61,7 +62,7 @@ def test_spectrum_and_cnc_check_reproduce_run_snapshots(tmp_path, capsys):
     # the snapshot comes after the DRW switch, so the CNC loss is re-weighted
     cfg = dataclasses.replace(
         tiny_config(tmp_path / "run", kind="sam", rho=0.1, epochs=5),
-        reweight_epoch=2, spectrum_epochs=(4,), cnc_epochs=(4,),
+        reweight=ReweightSchedule(2), spectrum_epochs=(4,), cnc_epochs=(4,),
         spectral=SpectralSettings(lanczos_iters=6, num_probes=2),
         cnc=CncSettings(batch_size=8, num_batches=4, rhos=(0.0, 0.3)),
     )
@@ -279,9 +280,14 @@ def _edited_echo(config):
 
 @pytest.mark.parametrize("field, value", [
     ("params", 5), ("params", ["abc", "0.5"]), ("velocity", None), ("rng_states", {}),
-    ("epoch", "x"), ("step_count", 1.5), ("config_hash", 5), ("config", _edited_echo),
+    ("rng_states", lambda states: dict(states, batches={})),
+    ("rng_states", lambda states: dict(states, optnoise={"seed": 1})),
+    ("epoch", "x"), ("epoch", -1), ("epoch", 2), ("step_count", 1.5), ("config_hash", 5),
+    ("config", _edited_echo), ("extra", 1),
 ], ids=["params-number", "params-text", "velocity-null", "rng-states-empty",
-        "epoch-text", "step-count-float", "config-hash-number", "config-edited"])
+        "batches-state-empty", "optnoise-state-partial", "epoch-text", "epoch-negative",
+        "epoch-past-epochs", "step-count-float", "config-hash-number", "config-edited",
+        "extra-key"])
 @pytest.mark.parametrize("command", ["spectrum", "resume"])
 def test_malformed_checkpoint_gives_an_error_record(tmp_path, capsys, command, field, value):
     _, cfg_path = write_config(tmp_path, epochs=1)

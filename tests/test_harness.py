@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from saddlelab import harness
 from saddlelab.cncverify import CncSettings, theorem1_report
 from saddlelab.datagen import ClassGroups, balanced_test_split, generate
 from saddlelab.errors import CheckpointError, ConfigError, RunAbortedError
@@ -28,7 +29,7 @@ from saddlelab.harness import (
     sweep_rho,
 )
 from saddlelab.linalg import SeededRng
-from saddlelab.losses import LossSpec
+from saddlelab.losses import LossSpec, ReweightSchedule
 from saddlelab.model import MlpSpec, ParamVector, param_layout
 from saddlelab.optim import LrSchedule, OptimizerConfig, RhoSchedule
 from saddlelab.spectral import SpectralSettings
@@ -41,7 +42,7 @@ def tiny_config(out_dir, kind="sgd", rho=0.0, epochs=12, seed=5, **opt_kwargs):
                               within_class_std=1.0, test_per_class=25),
         model=MlpSpec((4, 6, 2)),
         loss=LossConfig(variant="ce"),
-        reweight_epoch=min(8, epochs),
+        reweight=ReweightSchedule(min(8, epochs)),
         optimizer=OptimizerConfig(kind=kind, rho=rho, **opt_kwargs),
         lr=LrSchedule(base_lr=0.1),
         epochs=epochs,
@@ -93,7 +94,7 @@ def _sample_checkpoint() -> Checkpoint:
     return Checkpoint(
         format_version=1,
         config_hash=config_hash(cfg),
-        config=config_to_dict(cfg),
+        config=cfg,
         epoch=3,
         params=rng.normal(size=total),
         velocity=rng.normal(size=total),
@@ -112,6 +113,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert np.array_equal(loaded.velocity, ckpt.velocity)
     assert loaded.epoch == 3 and loaded.step_count == 12
     assert loaded.rng_states == ckpt.rng_states
+    assert loaded.config == ckpt.config
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Checkpoint)])
@@ -368,6 +370,23 @@ def test_missing_required_key_rejected(tmp_path):
     lambda d: d["optimizer"].update(kind="adam"),
     lambda d: d["optimizer"].update(pgd_sigma=-1.0),
     lambda d: d["optimizer"].update(lpf_radius=-1.0),
+    lambda d: d["lr"].update(milestones=[[1]]),
+    lambda d: d["lr"].update(milestones=[5]),
+    lambda d: d["lr"].update(milestones=[[1.5, 0.1]]),
+    lambda d: d["lr"].update(milestones=[[True, 0.1]]),
+    lambda d: d["rho_schedule"].update(steps=[[1]]),
+    lambda d: d["rho_schedule"].update(steps=[5]),
+    lambda d: d["rho_schedule"].update(steps=[[1.5, 0.1]]),
+    lambda d: d["rho_schedule"].update(steps=[[True, 0.1]]),
+    lambda d: d["optimizer"].update(sam_normalized="false"),
+    lambda d: d["optimizer"].update(sam_normalized=0),
+    lambda d: d["model"].update(bias="no"),
+    lambda d: d["groups"].update(hi="x"),
+    lambda d: d["groups"].update(hi=True),
+    lambda d: d["lr"].update(base_lr=True),
+    lambda d: d["dataset"].update(beta=True),
+    lambda d: d.update(output_dir=5),
+    lambda d: d["cnc"].update(rhos=[True]),
 ], ids=["cnc-mode", "cnc-num-batches", "cnc-empty-rhos", "dataset-kind",
         "circle-in-1d", "infeasible-profile", "loss-variant", "residual-tol",
         "model-dataset-mismatch", "lr-empty", "reweight-empty", "nan-rho",
@@ -375,7 +394,12 @@ def test_missing_required_key_rejected(tmp_path):
         "float-spectrum-epoch", "float-layer-size", "float-threshold", "bool-seed",
         "negative-epochs", "zero-batch-size", "threshold-past-epochs",
         "spectrum-epoch-past-epochs", "zero-test-per-class", "section-not-object",
-        "optimizer-kind", "negative-pgd-sigma", "negative-lpf-radius"])
+        "optimizer-kind", "negative-pgd-sigma", "negative-lpf-radius",
+        "milestone-one-item", "milestone-not-a-pair", "milestone-float-epoch",
+        "milestone-bool-epoch", "rho-step-one-item", "rho-step-not-a-pair",
+        "rho-step-float-epoch", "rho-step-bool-epoch", "text-bool", "int-bool", "text-bias",
+        "text-group-threshold", "bool-group-threshold", "bool-base-lr", "bool-beta",
+        "number-output-dir", "bool-cnc-rho"])
 def test_load_config_rejects_what_the_run_would(tmp_path, edit):
     d = config_to_dict(tiny_config(tmp_path / "x"))
     edit(d)
@@ -383,6 +407,21 @@ def test_load_config_rejects_what_the_run_would(tmp_path, edit):
     path.write_text(json.dumps(d))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_a_type_error_names_the_section_and_field():
+    d = config_to_dict(tiny_config("unused"))
+    d["optimizer"]["sam_normalized"] = "false"
+    with pytest.raises(ConfigError, match="optimizer sam_normalized: 'false' is not of type bool"):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize("cls", [*harness._RECORDS.values(), Checkpoint],
+                         ids=lambda cls: cls.__name__)
+def test_every_record_field_has_a_reader(cls):
+    # an annotation without a reader would fail only the first load that sets it
+    for f in dataclasses.fields(cls):
+        assert f.type in harness._READERS or f.type in harness._RECORDS, (f.name, f.type)
 
 
 def test_load_config_rejects_an_overflowing_number(tmp_path):
@@ -421,8 +460,9 @@ def test_rho_column_switches_at_reweight_epoch(tmp_path):
     cfg = tiny_config(tmp_path / "rho", kind="sam", rho=0.1, rho_drw=0.4, epochs=12)
     result = run_experiment(cfg)
     rhos = [m.rho for m in result.metrics]
-    assert rhos[: cfg.reweight_epoch] == [0.1] * cfg.reweight_epoch
-    assert rhos[cfg.reweight_epoch :] == [0.4] * (cfg.epochs - cfg.reweight_epoch)
+    threshold = cfg.reweight.threshold_epoch
+    assert rhos[:threshold] == [0.1] * threshold
+    assert rhos[threshold:] == [0.4] * (cfg.epochs - threshold)
 
 
 def test_rho_schedule_takes_precedence(tmp_path):
@@ -434,9 +474,9 @@ def test_rho_schedule_takes_precedence(tmp_path):
 
 def test_reweighting_changes_trajectory(tmp_path):
     never = dataclasses.replace(tiny_config(tmp_path / "never", epochs=10),
-                                reweight_epoch=10)
+                                reweight=ReweightSchedule(10))
     always = dataclasses.replace(tiny_config(tmp_path / "always", epochs=10),
-                                 reweight_epoch=0)
+                                 reweight=ReweightSchedule(0))
     r_never = run_experiment(never)
     r_always = run_experiment(always)
     assert not np.array_equal(r_never.params.data, r_always.params.data)
@@ -512,7 +552,7 @@ def test_mid_run_cnc_probes_the_last_epoch_trained(tmp_path):
     # uniform-weight loss at rho, never on the DRW one at rho_drw
     cfg = dataclasses.replace(
         tiny_config(tmp_path / "run", kind="sam", rho=0.05, rho_drw=0.8, epochs=4),
-        reweight_epoch=2, cnc_epochs=(2,),
+        reweight=ReweightSchedule(2), cnc_epochs=(2,),
         spectral=SpectralSettings(lanczos_iters=6, num_probes=2),
         cnc=CncSettings(batch_size=8, num_batches=4),
     )

@@ -27,22 +27,22 @@ def random_logits(seed, n, k):
 
 
 def test_drw_before_threshold():
-    sched = ReweightSchedule(threshold_epoch=5, class_counts=(100, 10, 1))
-    assert np.array_equal(drw_weights(sched, 4), np.ones(3))
+    sched = ReweightSchedule(threshold_epoch=5)
+    assert np.array_equal(drw_weights(sched, (100, 10, 1), 4), np.ones(3))
 
 
 def test_drw_after_threshold_raw_values():
-    sched = ReweightSchedule(threshold_epoch=5, class_counts=(100, 10, 1))
-    assert np.allclose(drw_weights(sched, 5), [0.01, 0.1, 1.0], rtol=0, atol=0)
+    sched = ReweightSchedule(threshold_epoch=5)
+    assert np.allclose(drw_weights(sched, (100, 10, 1), 5), [0.01, 0.1, 1.0], rtol=0, atol=0)
 
 
 def test_drw_equal_counts_neutral_any_epoch():
     # equal raw weights normalize away inside the loss
-    sched = ReweightSchedule(threshold_epoch=0, class_counts=(7, 7, 7))
+    sched = ReweightSchedule(threshold_epoch=0)
     logits, labels = random_logits(1, 30, 3)
     spec = LossSpec(variant="ce", class_counts=(7, 7, 7))
     v_unit, g_unit = loss_on_logits(spec, logits, labels)
-    v_w, g_w = loss_on_logits(spec.with_class_weights(drw_weights(sched, 10)), logits, labels)
+    v_w, g_w = loss_on_logits(spec.with_class_weights(drw_weights(sched, (7, 7, 7), 10)), logits, labels)
     assert v_w == pytest.approx(v_unit, rel=1e-15)
     assert np.allclose(g_w, g_unit, atol=1e-16)
 

@@ -10,12 +10,12 @@ from saddlelab.losses import VARIANTS, LossSpec
 from saddlelab.model import (
     ACTIVATIONS,
     Batch,
+    Linearization,
     MlpSpec,
     ParamVector,
     forward,
     hvp,
     init_params,
-    linearize,
     loss_grad,
     param_layout,
     per_class_batch,
@@ -212,7 +212,7 @@ def _relu_pattern(spec, w, x):
 @given(HVP_CASES)
 def test_linearized_hvp_matches_finite_differences_and_is_symmetric(case):
     spec, w, batch, loss, u, v = _hvp_case(*case)
-    lin = linearize(spec, w, batch, loss)
+    lin = Linearization(spec, w, batch, loss)
     hu, hv = hvp(spec, w, batch, loss, u, lin=lin), hvp(spec, w, batch, loss, v, lin=lin)
     h = 1e-4
     wp, wm = ParamVector(w.data + h * v, w.layout), ParamVector(w.data - h * v, w.layout)
@@ -229,7 +229,7 @@ def test_linearized_hvp_matches_finite_differences_and_is_symmetric(case):
 @given(HVP_CASES)
 def test_linearization_reuse_is_bitwise_and_never_aliases(case):
     spec, w, batch, loss, u, v = _hvp_case(*case)
-    lin = linearize(spec, w, batch, loss)
+    lin = Linearization(spec, w, batch, loss)
     first = hvp(spec, w, batch, loss, u, lin=lin)
     kept = first.copy()
     second = hvp(spec, w, batch, loss, v, lin=lin)
@@ -247,7 +247,7 @@ def test_linear_model_hvp_matches_dense_hessian():
     w = init_params(spec, SeededRng(40).child("init"))
     batch = make_batch(41, 9, 4, 3)
     loss = LossSpec(variant="vs", class_counts=(5, 3, 1))
-    lin = linearize(spec, w, batch, loss)
+    lin = Linearization(spec, w, batch, loss)
     dim = w.data.shape[0]
     dense = np.column_stack([hvp(spec, w, batch, loss, e, lin=lin) for e in np.eye(dim)])
     h = 1e-5
@@ -261,7 +261,7 @@ def test_linear_model_hvp_matches_dense_hessian():
 
 def test_hvp_rejects_a_linearization_of_other_objects():
     spec, w, batch, loss, u, _ = _hvp_case("tanh", "ce", True, False, 42)
-    lin = linearize(spec, w, batch, loss)
+    lin = Linearization(spec, w, batch, loss)
     # equal values, other objects: identity is what ties lin to its point
     others = {"spec": MlpSpec(spec.layer_sizes, spec.activation, spec.bias), "w": w.copy(),
               "batch": Batch(batch.features, batch.labels), "loss": loss.with_class_weights(None)}

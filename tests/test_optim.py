@@ -245,6 +245,15 @@ def test_rho_schedule_constant_and_before_first():
     assert rho_at(RhoSchedule(steps=((10, 0.3),)), 5) == 0.0
 
 
+@pytest.mark.parametrize("steps", [((1,),), (5,), ((1, 0.1), (1, 0.2)), ((2, 0.1), (1, 0.2))],
+                         ids=["one-item", "not-a-pair", "repeated-epoch", "decreasing"])
+@pytest.mark.parametrize("schedule", [lambda s: LrSchedule(base_lr=0.1, milestones=s),
+                                      lambda s: RhoSchedule(steps=s)], ids=["lr", "rho"])
+def test_step_lists_are_increasing_pairs(schedule, steps):
+    with pytest.raises(ParameterError):
+        schedule(steps)
+
+
 def test_optimizer_config_validation():
     with pytest.raises(ParameterError):
         OptimizerConfig(momentum=1.0)

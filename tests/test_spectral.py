@@ -236,18 +236,19 @@ def test_for_batch_oracle_linearizes_once_and_calls_hvp_per_product(monkeypatch)
     batch = Batch(data.normal(size=(11, 4)), data.generator.integers(0, 3, 11))
     loss = LossSpec(variant="ldam", class_counts=(6, 3, 2))
     lins, hvp_lins = [], []
+    linearization = model.Linearization
 
-    def counting_linearize(*args):
-        lins.append(model.Linearization(*args))
+    def counting_linearization(*args):
+        lins.append(linearization(*args))
         return lins[-1]
 
     def counting_hvp(*args, lin=None):
         hvp_lins.append(lin)
         return hvp(*args, lin=lin)
 
-    # model.hvp would reach model.linearize if it were called without lin
-    monkeypatch.setattr(model, "linearize", counting_linearize)
-    monkeypatch.setattr(spectral, "linearize", counting_linearize)
+    # model.hvp would build a model.Linearization if it were called without lin
+    monkeypatch.setattr(model, "Linearization", counting_linearization)
+    monkeypatch.setattr(spectral, "Linearization", counting_linearization)
     monkeypatch.setattr(spectral, "hvp", counting_hvp)
     base = HvpOracle.for_batch(spec, w, batch, loss)
     products = []
