@@ -139,6 +139,7 @@ def cmd_gen_data(args) -> int:
     geom = ClassGeometry(input_dim=args.dim, class_mean_radius=args.radius,
                          within_class_std=args.std, mean_placement=args.placement)
     ds = generate(profile, geom, SeededRng(args.seed).child("datagen"))
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, args.out)
     print(f"wrote {len(ds)} samples across {ds.num_classes} classes to {args.out}")
     print(f"class counts: {list(ds.class_counts)}")

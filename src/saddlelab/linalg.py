@@ -115,31 +115,3 @@ class SeededRng:
 
     def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
         return self.generator.choice(n, size=size, replace=replace)
-
-    def get_state(self) -> dict:
-        """JSON-serializable bit-generator state (for checkpointing)."""
-        raw = self.generator.bit_generator.state
-        return {
-            "seed": self.seed,
-            "stream_id": self.stream_id,
-            "counter": [int(x) for x in raw["state"]["counter"]],
-            "key": [int(x) for x in raw["state"]["key"]],
-            "buffer": [int(x) for x in raw["buffer"]],
-            "buffer_pos": int(raw["buffer_pos"]),
-            "has_uint32": int(raw["has_uint32"]),
-            "uinteger": int(raw["uinteger"]),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "SeededRng":
-        rng = cls(state["seed"], state["stream_id"])
-        raw = rng.generator.bit_generator.state
-        raw["state"]["counter"] = np.array(state["counter"], dtype=np.uint64)
-        raw["state"]["key"] = np.array(state["key"], dtype=np.uint64)
-        raw["buffer"] = np.array(state["buffer"], dtype=np.uint64)
-        raw["buffer_pos"] = state["buffer_pos"]
-        raw["has_uint32"] = state["has_uint32"]
-        raw["uinteger"] = state["uinteger"]
-        rng.generator.bit_generator.state = raw
-        return rng
-

@@ -91,8 +91,7 @@ class RhoSchedule:
 @dataclass
 class OptimizerState:
     velocity: np.ndarray
-    rng: SeededRng
-    step_count: int = 0
+    rng: SeededRng  # optimizer noise; the training loop gives each epoch its own
 
     @classmethod
     def fresh(cls, dim: int, rng: SeededRng) -> "OptimizerState":
@@ -104,7 +103,6 @@ def sgd_step(w, grad, state: OptimizerState, lr: float, momentum: float = 0.9):
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient in optimizer step")
     state.velocity = momentum * state.velocity + grad
-    state.step_count += 1
     return w - lr * state.velocity
 
 

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -57,6 +58,21 @@ def test_traced_function_exists(module, function):
 def test_extracted_argument_keeps_its_position(module, function, position, name):
     fn = getattr(importlib.import_module(f"saddlelab.{module}"), function)
     assert list(inspect.signature(fn).parameters)[position] == name
+
+
+# (module, record, field) of each attribute the bench reads off a returned
+# record, which the module-level scan below does not see
+RECORD_FIELDS = (
+    ("harness", "Checkpoint", "params"),  # checks.dense_hessian_check
+    ("harness", "RunResult", "dataset"),  # run.py's self-test
+)
+
+
+@pytest.mark.parametrize("module, record, field", RECORD_FIELDS,
+                         ids=[f"{m}.{r}.{f}" for m, r, f in RECORD_FIELDS])
+def test_bench_record_field_exists(module, record, field):
+    cls = getattr(importlib.import_module(f"saddlelab.{module}"), record)
+    assert field in {f.name for f in dataclasses.fields(cls)}
 
 
 def test_bench_uses_are_found():
