@@ -8,9 +8,10 @@ streams are derived per purpose (data, init, batch order, optimizer noise,
 per-analysis), floats are serialized with 17 significant digits, and no
 timestamps enter any artifact, so reruns reproduce outputs byte-for-byte and
 a checkpoint resume rejoins the uninterrupted trajectory bitwise. A checkpoint
-holds only what cannot be recomputed, the parameters and the momentum: a
-resume replays the batch order of the epochs before it, and optimizer noise
-draws from one stream per epoch.
+holds only what cannot be recomputed, the parameters, the momentum and the
+metrics rows so far, so a resume reads nothing else: it replays the batch
+order of the epochs before it, and optimizer noise draws from one stream per
+epoch.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .spectral import (
     save_spectrum,
 )
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 # the CLI's output-directory override; the library writes where it is told
 OUTPUT_DIR_ENV = "SADDLELAB_OUTPUT_DIR"
 
@@ -161,6 +162,7 @@ class ExperimentConfig:
                              ("cnc_epochs", self.cnc_epochs)):
             if any(not 0 <= e <= self.epochs for e in epochs):
                 raise ConfigError(f"{name} must lie within [0, epochs]")
+        SeededRng(self.seed)  # raises on a seed outside [0, 2**64)
         if (self.model.input_dim, self.model.num_classes) != \
                 (self.dataset.input_dim, self.dataset.num_classes):
             raise ConfigError("model layer_sizes must start at dataset input_dim and "
@@ -221,10 +223,12 @@ _READERS = {
     "str": _is(str),
     "float | None": _or_none(_float),
     "tuple[int, ...]": _tuple_of(_int),
+    "tuple[float, ...]": _tuple_of(_float),
     "tuple[float, ...] | None": _or_none(_tuple_of(_float)),
     "tuple[tuple[int, float], ...]": _tuple_of(_tuple(_int, _float)),
     # arrays are stored as lists of 17-digit strings (exact round trip)
     "np.ndarray": lambda v: np.array([float(x) for x in _tuple_of(_is(str))(v)]),
+    "tuple[MetricsRecord, ...]": _tuple_of(lambda v: _record(MetricsRecord, v, "metrics")),
 }
 # the config dataclasses: a config section, or a checkpoint's config, by annotation
 _RECORDS = {cls.__name__: cls for cls in (
@@ -296,9 +300,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # --------------------------------------------------------------------------
 
 _PER_CLASS = "per_class_"
-# csv_cell's inverse, by MetricsRecord field type
-_FROM_CELL = {"int": int, "float": float, "str": str,
-              "float | None": lambda cell: float(cell) if cell else None}
 
 
 @dataclass
@@ -312,8 +313,8 @@ class MetricsRecord:
     head_acc: float | None
     mid_acc: float | None
     tail_acc: float | None
-    per_class_acc: tuple
-    per_class_loss: tuple
+    per_class_acc: tuple[float, ...]
+    per_class_loss: tuple[float, ...]
     config_hash: str
     code_version: str
 
@@ -337,18 +338,6 @@ class MetricsRecord:
             else:
                 row.append(csv_cell(v))
         return row
-
-    @classmethod
-    def from_csv_row(cls, cells: list, num_classes: int) -> MetricsRecord:
-        """Inverse of csv_row (17-digit floats read back exactly)."""
-        if len(cells) != len(cls.csv_header(num_classes)):
-            raise ValueError(f"a metrics row of {len(cells)} cells for {num_classes} classes")
-        cells = iter(cells)
-        return cls(**{
-            f.name: tuple(float(next(cells)) for _ in range(num_classes))
-            if f.name.startswith(_PER_CLASS) else _FROM_CELL[f.type](next(cells))
-            for f in dataclasses.fields(cls)
-        })
 
 
 def evaluate(spec: MlpSpec, w: ParamVector, test: LabeledDataset,
@@ -392,12 +381,14 @@ class Checkpoint:
     config_hash: str
     config: ExperimentConfig
     epoch: int  # epochs completed when the snapshot was taken
+    metrics: tuple[MetricsRecord, ...]  # the rows of epochs 1..epoch
     params: np.ndarray
     velocity: np.ndarray
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     write_json(path, dict(vars(ckpt), config=config_to_dict(ckpt.config),
+                          metrics=[vars(r) for r in ckpt.metrics],
                           params=[format_float(x) for x in ckpt.params],
                           velocity=[format_float(x) for x in ckpt.velocity]), indent=None)
 
@@ -426,6 +417,14 @@ def load_checkpoint(path) -> Checkpoint:
     if not 0 <= ckpt.epoch <= ckpt.config.epochs:
         raise CheckpointError(f"corrupt checkpoint: epoch {ckpt.epoch} lies outside "
                               f"[0, {ckpt.config.epochs}]")
+    epochs = [r.epoch for r in ckpt.metrics]
+    if epochs != list(range(1, ckpt.epoch + 1)):
+        raise CheckpointError(f"corrupt checkpoint: metrics holds the rows of epochs "
+                              f"{reprlib.repr(epochs)}, not of 1..{ckpt.epoch}")
+    k = ckpt.config.dataset.num_classes
+    if any(len(r.per_class_acc) != k or len(r.per_class_loss) != k for r in ckpt.metrics):
+        raise CheckpointError(f"corrupt checkpoint: a metrics row's per-class values "
+                              f"are not one for each of {k} classes")
     return ckpt
 
 
@@ -514,31 +513,15 @@ def write_cnc_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDataset
     return rows
 
 
-def _metrics_history(path: Path, epochs: int, num_classes: int) -> list:
-    """The records of the first `epochs` rows of a run's metrics.csv: the
-    history that a resume from the run's checkpoint of that epoch continues."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = fh.read().splitlines()[1:epochs + 1]
-        records = [MetricsRecord.from_csv_row(row.split(","), num_classes) for row in rows]
-    except (OSError, ValueError) as exc:
-        raise CheckpointError(f"unreadable run history {path}: {exc}") from exc
-    if [r.epoch for r in records] != list(range(1, epochs + 1)):
-        raise CheckpointError(f"{path} lacks the first {epochs} epoch rows of the "
-                              "run the checkpoint continues")
-    return records
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> RunResult:
     """Execute the configured run end to end into out_dir (default: the
     config's output_dir), writing metrics.csv, each epoch's snapshots and
     checkpoint as _snapshot_names lists them, and summary.json.
 
     A resume from a checkpoint of epoch E continues its run's history: the
-    first E rows of the metrics.csv beside the checkpoint open the new one, and
-    resumed in the checkpoint's own directory, the run's earlier snapshots stay
-    among its artifacts. A resume with no epoch left writes its checkpoint
-    into out_dir."""
+    checkpoint's E metrics rows open the new metrics.csv, and resumed in the
+    checkpoint's own directory, the run's earlier snapshots stay among its
+    artifacts. A resume with no epoch left writes its checkpoint into out_dir."""
     out = Path(cfg.output_dir if out_dir is None else out_dir)
     chash = config_hash(cfg)
     root = SeededRng(cfg.seed)
@@ -565,11 +548,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
         w = ParamVector(ckpt.params, layout)
         state.velocity = ckpt.velocity.copy()
         start_epoch = ckpt.epoch
-        run_dir = Path(resume_from).parent
-        metrics = _metrics_history(run_dir / "metrics.csv", start_epoch, ds.num_classes)
+        metrics = list(ckpt.metrics)
     out.mkdir(parents=True, exist_ok=True)
     if resume_from is not None:
-        if run_dir.resolve() == out.resolve():
+        if Path(resume_from).parent.resolve() == out.resolve():
             artifacts += [name for e in range(start_epoch + 1)
                           for name in _snapshot_names(cfg, ds.num_classes, e)]
         elif start_epoch == cfg.epochs:
@@ -591,6 +573,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
                 config_hash=chash,
                 config=cfg,
                 epoch=epochs_done,
+                metrics=tuple(metrics),
                 params=w.data.copy(),
                 velocity=state.velocity.copy(),
             ), out / names[-1])

@@ -20,6 +20,8 @@ import os
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .errors import ParameterError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -49,16 +51,18 @@ def csv_lines(rows):
 def write_text(path, chunks) -> None:
     """Stream text chunks into path's sibling <name>.tmp, then os.replace it
     onto path. If writing raises, the temp file is removed and path keeps its
-    old bytes."""
+    old bytes; an OSError that names a file is raised again naming path."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -97,7 +101,9 @@ class SeededRng:
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
+        if not 0 <= seed <= _MASK64:
+            raise ParameterError(f"seed must lie within [0, 2**64), got {seed}")
+        self.seed = int(seed)
         self.stream_id = int(stream_id) & _MASK64
         key = (self.stream_id << 64) | self.seed
         self.generator = Generator(Philox(key=key))

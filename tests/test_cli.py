@@ -258,6 +258,30 @@ def test_gen_data_infeasible_profile_error(tmp_path, capsys):
     assert record["error"] == "InfeasibleProfileError"
 
 
+def test_gen_data_error_names_the_path_asked_for(tmp_path, capsys):
+    # the atomic writer's temp file is an implementation detail
+    target = tmp_path / "adir"
+    target.mkdir()
+    assert main(["gen-data", "--profile", "longtail", "--classes", "2", "--n-max", "10",
+                 "--beta", "2", "--dim", "2", "--out", str(target)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "IsADirectoryError"
+    assert repr(str(target)) in record["message"] and ".tmp" not in record["message"]
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_negative_seed_gives_an_error_record(tmp_path, capsys, command):
+    _, cfg_path = write_config(tmp_path, epochs=1)
+    argv = (["gen-data", "--profile", "longtail", "--classes", "2", "--n-max", "10",
+             "--beta", "2", "--dim", "2", "--out", str(tmp_path / "ds.csv")]
+            if command == "gen-data" else ["train", "--config", str(cfg_path)])
+    assert main([*argv, "--seed", "-1"]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ParameterError" and "seed" in record["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--radius", "nan"), ("--std", "nan"), ("--std", "inf"), ("--beta", "nan"),
 ])
@@ -280,20 +304,26 @@ def _edited_echo(config):
 
 @pytest.mark.parametrize("field, value", [
     ("params", 5), ("params", ["abc", "0.5"]), ("velocity", None),
-    # fields of checkpoint format 1, which format 2 refuses as unknown keys
+    # fields of checkpoint format 1, which format 3 refuses as unknown keys
     ("rng_states", {}), ("rng_states", {"batches": {}}),
     ("rng_states", {"optnoise": {"seed": 1}}),
-    ("epoch", "x"), ("epoch", -1), ("epoch", 2), ("step_count", 1.5), ("config_hash", 5),
+    ("epoch", "x"), ("epoch", -1), ("epoch", 3), ("step_count", 1.5), ("config_hash", 5),
     ("config", _edited_echo), ("extra", 1),
+    ("metrics", lambda rows: rows[1:]), ("metrics", lambda rows: rows[::-1]),
+    ("metrics", lambda rows: [dict(rows[0], per_class_loss=rows[0]["per_class_loss"][:1]),
+                              *rows[1:]]),
+    ("metrics", lambda rows: [dict(rows[0], train_loss="0.5"), *rows[1:]]),
 ], ids=["params-number", "params-text", "velocity-null", "rng-states-empty",
         "batches-state-empty", "optnoise-state-partial", "epoch-text", "epoch-negative",
         "epoch-past-epochs", "step-count-float", "config-hash-number", "config-edited",
-        "extra-key"])
+        "extra-key", "metrics-dropped-row", "metrics-out-of-order",
+        "metrics-short-per-class", "metrics-text-loss"])
 @pytest.mark.parametrize("command", ["spectrum", "resume"])
 def test_malformed_checkpoint_gives_an_error_record(tmp_path, capsys, command, field, value):
-    _, cfg_path = write_config(tmp_path, epochs=1)
+    # two epochs, so the checkpoint holds two metrics rows to drop or reorder
+    _, cfg_path = write_config(tmp_path, epochs=2)
     assert main(["train", "--config", str(cfg_path)]) == 0
-    ckpt = tmp_path / "run" / "checkpoint_1.json"
+    ckpt = tmp_path / "run" / "checkpoint_2.json"
     payload = json.loads(ckpt.read_text())
     payload[field] = value(payload[field]) if callable(value) else value
     ckpt.write_text(json.dumps(payload))

@@ -92,11 +92,18 @@ def _sample_checkpoint() -> Checkpoint:
     cfg = tiny_config("unused")
     layout, total = param_layout(cfg.model)
     rng = SeededRng(60)
+    metrics = tuple(MetricsRecord(
+        epoch=e, train_loss=rng.normal(), grad_norm=rng.normal(), lr=0.1, rho=0,
+        overall_acc=rng.normal(), head_acc=rng.normal(), mid_acc=None, tail_acc=rng.normal(),
+        per_class_acc=tuple(rng.normal(size=2)), per_class_loss=tuple(rng.normal(size=2)),
+        config_hash=config_hash(cfg), code_version="test",
+    ) for e in (1, 2, 3))
     return Checkpoint(
         format_version=CHECKPOINT_FORMAT_VERSION,
         config_hash=config_hash(cfg),
         config=cfg,
         epoch=3,
+        metrics=metrics,
         params=rng.normal(size=total),
         velocity=rng.normal(size=total),
     )
@@ -111,6 +118,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert np.array_equal(loaded.velocity, ckpt.velocity)
     assert loaded.epoch == 3
     assert loaded.config == ckpt.config
+    assert loaded.metrics == ckpt.metrics
+    assert [r.csv_row() for r in loaded.metrics] == [r.csv_row() for r in ckpt.metrics]
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Checkpoint)])
@@ -139,10 +148,13 @@ def test_checkpoint_version_mismatch(tmp_path):
     run_experiment(cfg)
     path = tmp_path / "v" / "checkpoint_1.json"
     payload = json.loads(path.read_text())
-    # format 1 also stored the optimizer's step count and random stream states
-    old = dict(payload, format_version=1, step_count=12,
-               rng_states={"batches": {}, "optnoise": {}})
-    for edited in (old, dict(payload, format_version=999)):
+    # format 1 also stored the optimizer's step count and random stream states,
+    # and formats 1 and 2 stored no metrics rows
+    del payload["metrics"]
+    format_1 = dict(payload, format_version=1, step_count=12,
+                    rng_states={"batches": {}, "optnoise": {}})
+    for edited in (format_1, dict(payload, format_version=2),
+                   dict(payload, format_version=999)):
         path.write_text(json.dumps(edited))
         with pytest.raises(CheckpointError, match="format_version"):
             load_checkpoint(path)
@@ -237,15 +249,20 @@ def test_resume_from_the_final_checkpoint_copies_it_into_the_new_directory(tmp_p
         ["checkpoint_3.json", "metrics.csv", "summary.json"]
 
 
-def test_resume_needs_the_history_beside_its_checkpoint(tmp_path):
+def test_resume_from_a_lone_checkpoint_matches_the_run(tmp_path):
+    # the checkpoint carries its run's metrics rows: a resume reads no other file
     cfg = dataclasses.replace(tiny_config(tmp_path / "h", epochs=4), cnc_epochs=(2,),
                               cnc=CncSettings(batch_size=8, num_batches=2))
-    run_experiment(cfg)
-    metrics = tmp_path / "h" / "metrics.csv"
-    metrics.write_text("".join(metrics.read_text().splitlines(keepends=True)[:2]))
-    with pytest.raises(CheckpointError, match="metrics.csv"):
-        run_experiment(cfg, out_dir=tmp_path / "again",
-                       resume_from=tmp_path / "h" / "checkpoint_2.json")
+    uninterrupted = run_experiment(cfg)
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    shutil.copy(tmp_path / "h" / "checkpoint_2.json", lone)
+    resumed = run_experiment(cfg, out_dir=tmp_path / "resumed",
+                             resume_from=lone / "checkpoint_2.json")
+    assert (tmp_path / "resumed" / "metrics.csv").read_bytes() == \
+        (tmp_path / "h" / "metrics.csv").read_bytes()
+    assert np.array_equal(resumed.params.data, uninterrupted.params.data)
+    assert [p.name for p in lone.iterdir()] == ["checkpoint_2.json"]
 
 
 def test_resume_rejects_other_config(tmp_path):
@@ -418,12 +435,22 @@ def test_a_type_error_names_the_section_and_field():
         config_from_dict(d)
 
 
-@pytest.mark.parametrize("cls", [*harness._RECORDS.values(), Checkpoint],
+@pytest.mark.parametrize("cls", [*harness._RECORDS.values(), Checkpoint, MetricsRecord],
                          ids=lambda cls: cls.__name__)
 def test_every_record_field_has_a_reader(cls):
     # an annotation without a reader would fail only the first load that sets it
     for f in dataclasses.fields(cls):
         assert f.type in harness._READERS or f.type in harness._RECORDS, (f.name, f.type)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_load_config_rejects_a_seed_outside_64_bits(tmp_path, seed):
+    # SeededRng would alias it: 2**64 + s drew the streams of seed s
+    d = dict(config_to_dict(tiny_config(tmp_path / "x")), seed=seed)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ConfigError, match="seed"):
+        load_config(path)
 
 
 def test_load_config_rejects_an_overflowing_number(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from saddlelab.errors import ParameterError
 from saddlelab.linalg import SeededRng, csv_cell, csv_lines, write_json, write_text
 
 
@@ -98,3 +99,10 @@ def test_write_text_interrupted_keeps_old_bytes(tmp_path):
         write_text(path, chunks())
     assert path.read_bytes() == b"old,bytes\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.csv"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+def test_seed_outside_64_bits_is_rejected(seed):
+    # masking it would alias another seed's streams
+    with pytest.raises(ParameterError, match="seed"):
+        SeededRng(seed)
