@@ -17,11 +17,14 @@ epoch.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import math
 import reprlib
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -190,57 +193,41 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return d
 
 
-def _is(*types):
-    """A reader of a JSON value whose type is one of `types`: a bool is no
-    int, and an int stays an int, so a config written back keeps its bytes."""
-    def read(v):
-        if type(v) not in types:
-            raise ValueError(v)
-        return v
-    return read
+def _is(v, *json_types):
+    """v, if its JSON type is one of `json_types`: a bool is no int."""
+    if type(v) not in json_types:
+        raise ValueError(v)
+    return v
 
 
-def _tuple(*items):
-    """tuple[a, b]: a JSON list of one value per reader in `items`."""
-    return lambda v: tuple(item(x) for item, x in zip(items, _is(list)(v), strict=True))
+def _read(hint, v, name: str):
+    """The JSON value `v` of field `name`, read by its type hint: a dataclass
+    as a record named by the field, `X | None` as null or an X, a tuple as a
+    list (`tuple[X, Y]` of exactly its length), an array as a list of 17-digit
+    strings (an exact round trip), and any other type as that exact JSON type,
+    but that a float field takes an int and keeps it an int, so a config
+    written back keeps its bytes. A value of another type raises ValueError."""
+    if dataclasses.is_dataclass(hint):
+        return _record(hint, v, name)
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType) and args[1:] == (type(None),):
+        return None if v is None else _read(args[0], v, name)
+    if typing.get_origin(hint) is tuple:
+        items = _is(v, list)
+        hints = [args[0]] * len(items) if args[1:] == (...,) else args
+        return tuple(_read(h, x, name) for h, x in zip(hints, items, strict=True))
+    if hint is np.ndarray:
+        return np.array([float(_is(x, str)) for x in _is(v, list)])
+    return _is(v, int, float) if hint is float else _is(v, hint)
 
 
-def _tuple_of(item):
-    """tuple[a, ...]: a JSON list of any length."""
-    return lambda v: tuple(map(item, _is(list)(v)))
-
-
-def _or_none(read):
-    return lambda v: None if v is None else read(v)
-
-
-_int, _float = _is(int), _is(int, float)
-# every field annotation of a record but a nested one -> its JSON reader
-_READERS = {
-    "int": _int,
-    "float": _float,
-    "bool": _is(bool),
-    "str": _is(str),
-    "float | None": _or_none(_float),
-    "tuple[int, ...]": _tuple_of(_int),
-    "tuple[float, ...]": _tuple_of(_float),
-    "tuple[float, ...] | None": _or_none(_tuple_of(_float)),
-    "tuple[tuple[int, float], ...]": _tuple_of(_tuple(_int, _float)),
-    # arrays are stored as lists of 17-digit strings (exact round trip)
-    "np.ndarray": lambda v: np.array([float(x) for x in _tuple_of(_is(str))(v)]),
-    "tuple[MetricsRecord, ...]": _tuple_of(lambda v: _record(MetricsRecord, v, "metrics")),
-}
-# the config dataclasses: a config section, or a checkpoint's config, by annotation
-_RECORDS = {cls.__name__: cls for cls in (
-    DatasetConfig, MlpSpec, LossConfig, ReweightSchedule, OptimizerConfig, LrSchedule,
-    RhoSchedule, SpectralSettings, CncSettings, GroupThresholds, ExperimentConfig)}
+# a record's resolved field type hints, once per class
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def _record(cls, obj, context: str):
     """cls from the JSON object `obj`, whose keys must be fields of cls and
-    include every field without a default. Each value is read by its field's
-    annotation: a config dataclass as a record named by the field, any other
-    type through _READERS."""
+    include every field without a default, each read by _read."""
     if type(obj) is not dict:
         raise ConfigError(f"{context} must be a JSON object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -250,15 +237,14 @@ def _record(cls, obj, context: str):
     missing = [n for n, f in fields.items() if n not in obj and f.default is dataclasses.MISSING]
     if missing:
         raise ConfigError(f"{context} is missing required keys {missing}")
+    hints = _type_hints(cls)
     values = {}
     for name, v in obj.items():
-        annotation = fields[name].type
         try:
-            values[name] = (_record(_RECORDS[annotation], v, name) if annotation in _RECORDS
-                            else _READERS[annotation](v))
+            values[name] = _read(hints[name], v, name)
         except ValueError:
             raise ConfigError(f"{context} {name}: {reprlib.repr(v)} is not of type "
-                              f"{annotation}") from None
+                              f"{fields[name].type}") from None
     try:
         return cls(**values)
     except ParameterError as exc:
@@ -425,6 +411,11 @@ def load_checkpoint(path) -> Checkpoint:
     if any(len(r.per_class_acc) != k or len(r.per_class_loss) != k for r in ckpt.metrics):
         raise CheckpointError(f"corrupt checkpoint: a metrics row's per-class values "
                               f"are not one for each of {k} classes")
+    # a row's code_version may differ: a resume under newer code is legitimate
+    hashes = sorted({r.config_hash for r in ckpt.metrics} - {ckpt.config_hash})
+    if hashes:
+        raise CheckpointError(f"corrupt checkpoint: metrics holds rows of config_hash "
+                              f"{reprlib.repr(hashes)}, not only of {ckpt.config_hash}")
     return ckpt
 
 

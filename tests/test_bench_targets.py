@@ -1,7 +1,9 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,16 @@ def test_bench_uses_are_found():
 @pytest.mark.parametrize("module, name", BENCH_USES, ids=[f"{m}.{n}" for m, n in BENCH_USES])
 def test_bench_use_exists(module, name):
     assert hasattr(importlib.import_module(f"saddlelab.{module}"), name)
+
+
+def test_bench_selftest_passes(tmp_path, monkeypatch):
+    # the self-test checks a tiny traced run's outputs and pins its counts to
+    # closed forms; without it here, a changed count fails only a traced bench run
+    monkeypatch.syspath_prepend(str(BENCH))  # run.py imports checks and spans
+    importlib.import_module("saddlelab.cli")  # the tracer wraps cli.cmd_train
+    spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    run.harness = importlib.import_module("saddlelab.harness")
+    assert run.selftest(importlib.import_module("spans").Tracer(), tmp_path) == []

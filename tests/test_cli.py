@@ -313,11 +313,12 @@ def _edited_echo(config):
     ("metrics", lambda rows: [dict(rows[0], per_class_loss=rows[0]["per_class_loss"][:1]),
                               *rows[1:]]),
     ("metrics", lambda rows: [dict(rows[0], train_loss="0.5"), *rows[1:]]),
+    ("metrics", lambda rows: [rows[0], dict(rows[1], config_hash="0000000000000000")]),
 ], ids=["params-number", "params-text", "velocity-null", "rng-states-empty",
         "batches-state-empty", "optnoise-state-partial", "epoch-text", "epoch-negative",
         "epoch-past-epochs", "step-count-float", "config-hash-number", "config-edited",
         "extra-key", "metrics-dropped-row", "metrics-out-of-order",
-        "metrics-short-per-class", "metrics-text-loss"])
+        "metrics-short-per-class", "metrics-text-loss", "metrics-forged-hash"])
 @pytest.mark.parametrize("command", ["spectrum", "resume"])
 def test_malformed_checkpoint_gives_an_error_record(tmp_path, capsys, command, field, value):
     # two epochs, so the checkpoint holds two metrics rows to drop or reorder

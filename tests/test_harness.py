@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import shutil
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,16 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert loaded.config == ckpt.config
     assert loaded.metrics == ckpt.metrics
     assert [r.csv_row() for r in loaded.metrics] == [r.csv_row() for r in ckpt.metrics]
+
+
+def test_checkpoint_rows_of_older_code_load(tmp_path):
+    # a resume under newer code is legitimate; only a row's config_hash is checked
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(_sample_checkpoint(), path)
+    payload = json.loads(path.read_text())
+    payload["metrics"][0]["code_version"] = "0.0.1"
+    path.write_text(json.dumps(payload))
+    assert load_checkpoint(path).metrics[0].code_version == "0.0.1"
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(Checkpoint)])
@@ -435,12 +446,35 @@ def test_a_type_error_names_the_section_and_field():
         config_from_dict(d)
 
 
-@pytest.mark.parametrize("cls", [*harness._RECORDS.values(), Checkpoint, MetricsRecord],
-                         ids=lambda cls: cls.__name__)
+# every record a config or a checkpoint holds: the test below checks that no
+# field of one names a record outside this list
+RECORDS = (ExperimentConfig, DatasetConfig, MlpSpec, LossConfig, ReweightSchedule,
+           OptimizerConfig, LrSchedule, RhoSchedule, SpectralSettings, CncSettings,
+           harness.GroupThresholds, Checkpoint, MetricsRecord)
+
+
+def _hint_types(hint):
+    yield hint
+    for arg in typing.get_args(hint):
+        yield from _hint_types(arg)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
 def test_every_record_field_has_a_reader(cls):
-    # an annotation without a reader would fail only the first load that sets it
-    for f in dataclasses.fields(cls):
-        assert f.type in harness._READERS or f.type in harness._RECORDS, (f.name, f.type)
+    # _record reads each field by its resolved type hint, so an annotation
+    # naming a type its module does not import would fail only a user's load
+    hints = typing.get_type_hints(cls)
+    assert {t for hint in hints.values() for t in _hint_types(hint)
+            if dataclasses.is_dataclass(t)} <= set(RECORDS)
+
+
+def test_a_field_of_an_unreadable_type_is_a_config_error():
+    @dataclasses.dataclass
+    class Unreadable:
+        sizes: list[int]
+
+    with pytest.raises(ConfigError, match=r"unreadable sizes: \[1, 2\] is not of type list\[int\]"):
+        harness._record(Unreadable, {"sizes": [1, 2]}, "unreadable")
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
