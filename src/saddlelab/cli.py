@@ -32,7 +32,6 @@ from .harness import (
     write_spectrum_snapshot,
 )
 from .linalg import SeededRng
-from .model import ParamVector, param_layout
 
 
 def _parse_float_list(text: str):
@@ -67,14 +66,11 @@ def cmd_train(args) -> int:
 
 
 def _load_checkpoint_context(args):
-    """Checkpoint, its config, parameters and training set, and the output
-    directory (default: the checkpoint's own directory), not yet created."""
+    """Checkpoint, its run's training set, and the output directory (default:
+    the checkpoint's own directory), not yet created."""
     ckpt = load_checkpoint(args.checkpoint)
-    cfg = ckpt.config
-    layout, _ = param_layout(cfg.model)
-    ds, _, _ = _build_data(cfg, SeededRng(cfg.seed))
-    out = _output_dir(args.out, Path(args.checkpoint).parent)
-    return ckpt, cfg, ParamVector(ckpt.params, layout), ds, out
+    ds, _, _ = _build_data(ckpt.config, SeededRng(ckpt.config.seed))
+    return ckpt, ds, _output_dir(args.out, Path(args.checkpoint).parent)
 
 
 def _class_ids(text: str, num_classes: int):
@@ -91,10 +87,10 @@ def _class_ids(text: str, num_classes: int):
 
 
 def cmd_spectrum(args) -> int:
-    ckpt, cfg, w, ds, out = _load_checkpoint_context(args)
+    ckpt, ds, out = _load_checkpoint_context(args)
     classes = _class_ids(args.class_id, ds.num_classes)
     out.mkdir(parents=True, exist_ok=True)
-    for e in write_spectrum_snapshot(cfg, w, ds, ckpt.epoch, out, ckpt.config_hash, classes):
+    for e in write_spectrum_snapshot(ckpt, ds, out, classes):
         label = "full dataset" if e.class_id is None else f"class {e.class_id}"
         print(f"{label}: lambda_min={e.extremes.lambda_min:.6g} "
               f"lambda_max={e.extremes.lambda_max:.6g} "
@@ -105,12 +101,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_cnc_check(args) -> int:
     rhos = tuple(_parse_float_list(args.rho))
-    ckpt, cfg, w, ds, out = _load_checkpoint_context(args)
+    ckpt, ds, out = _load_checkpoint_context(args)
     # the report keeps the checkpoint's hash, as the run's own cnc_<epoch> does
-    cfg = dataclasses.replace(cfg, cnc=dataclasses.replace(
-        cfg.cnc, rhos=rhos, mode=args.mode or cfg.cnc.mode))
+    cfg = ckpt.config
+    ckpt = dataclasses.replace(ckpt, config=dataclasses.replace(cfg, cnc=dataclasses.replace(
+        cfg.cnc, rhos=rhos, mode=args.mode or cfg.cnc.mode)))
     out.mkdir(parents=True, exist_ok=True)
-    for r in write_cnc_snapshot(cfg, w, ds, ckpt.epoch, out, ckpt.config_hash):
+    for r in write_cnc_snapshot(ckpt, ds, out):
         ratio = ("n/a (CNC violation)" if r.measured_ratio is None
                  else f"{r.measured_ratio:.6g}")
         print(f"rho={r.rho:g}: measured_ratio={ratio} "

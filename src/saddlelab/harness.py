@@ -263,17 +263,22 @@ def _finite(text: str) -> float:
     """A JSON number or NaN/Infinity constant, which must be finite."""
     value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"config holds the non-finite number {text}")
+        raise ValueError(f"it holds the non-finite number {text}")
     return value
 
 
+def _load_json(path, error: type[SaddleLabError], what: str):
+    """The JSON document in the UTF-8 file at path, every number in it finite.
+    A file that cannot be read or is not such a document raises `error`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError too
+        raise error(f"corrupt or unreadable {what}: {exc}") from exc
+
+
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh, parse_float=_finite, parse_constant=_finite)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    return config_from_dict(payload)
+    return config_from_dict(_load_json(path, ConfigError, "config"))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -380,11 +385,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt or unreadable checkpoint: {exc}") from exc
+    payload = _load_json(path, CheckpointError, "checkpoint")
     if not isinstance(payload, dict):
         raise CheckpointError("corrupt checkpoint: not a JSON object")
     version = payload.get("format_version")
@@ -400,6 +401,14 @@ def load_checkpoint(path) -> Checkpoint:
     if echo_hash != ckpt.config_hash:
         raise CheckpointError(f"corrupt checkpoint: its config hashes to {echo_hash}, "
                               f"not to its config_hash {ckpt.config_hash}")
+    _, dim = param_layout(ckpt.config.model)
+    for name in ("params", "velocity"):
+        values = getattr(ckpt, name)
+        if len(values) != dim:
+            raise CheckpointError(f"corrupt checkpoint: {name} holds {len(values)} "
+                                  f"values, not the model's {dim}")
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(f"corrupt checkpoint: {name} holds a non-finite value")
     if not 0 <= ckpt.epoch <= ckpt.config.epochs:
         raise CheckpointError(f"corrupt checkpoint: epoch {ckpt.epoch} lies outside "
                               f"[0, {ckpt.config.epochs}]")
@@ -440,9 +449,13 @@ def _build_data(cfg: ExperimentConfig, root: SeededRng):
     return ds, test, groups
 
 
-def _snapshot_meta(cfg: ExperimentConfig, epoch: int, chash: str) -> dict:
-    return {"epoch": epoch, "seed": cfg.seed, "config_hash": chash,
+def _snapshot_meta(ckpt: Checkpoint) -> dict:
+    return {"epoch": ckpt.epoch, "seed": ckpt.config.seed, "config_hash": ckpt.config_hash,
             "code_version": CODE_VERSION}
+
+
+def _weights(ckpt: Checkpoint) -> ParamVector:
+    return ParamVector(ckpt.params, param_layout(ckpt.config.model)[0])
 
 
 def _spectrum_names(epoch: int, classes) -> list:
@@ -473,34 +486,33 @@ def _snapshot_names(cfg: ExperimentConfig, num_classes: int, epoch: int) -> list
     return names
 
 
-def write_spectrum_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDataset,
-                            epoch: int, out: Path, chash: str, classes) -> list:
+def write_spectrum_snapshot(ckpt: Checkpoint, ds: LabeledDataset, out: Path, classes) -> list:
     """Class-wise spectra for `classes` plus the full-dataset entry, written as
     spectrum_<epoch>_class<id|all>.{csv,json}; returns those entries."""
+    cfg = ckpt.config
     entries = classwise_spectrum_report(
-        cfg.model, w, ds, cfg.loss.bind(ds.class_counts), classes, cfg.spectral,
-        SeededRng(cfg.seed).child("spectrum", epoch),
+        cfg.model, _weights(ckpt), ds, cfg.loss.bind(ds.class_counts), classes,
+        cfg.spectral, SeededRng(cfg.seed).child("spectrum", ckpt.epoch),
     )
-    meta = dict(_snapshot_meta(cfg, epoch, chash),
-                generalized_hessian=cfg.model.activation == "relu")
-    names = _spectrum_names(epoch, classes)
+    meta = dict(_snapshot_meta(ckpt), generalized_hessian=cfg.model.activation == "relu")
+    names = _spectrum_names(ckpt.epoch, classes)
     for entry, csv_name, json_name in zip(entries, names[::2], names[1::2], strict=True):
         save_spectrum(entry, out / csv_name, out / json_name, meta)
     return entries
 
 
-def write_cnc_snapshot(cfg: ExperimentConfig, w: ParamVector, ds: LabeledDataset,
-                       epoch: int, out: Path, chash: str) -> list:
-    """Theorem-1 report after `epoch` completed epochs, written as
+def write_cnc_snapshot(ckpt: Checkpoint, ds: LabeledDataset, out: Path) -> list:
+    """Theorem-1 report after the checkpoint's epochs, written as
     cnc_<epoch>.{csv,json}; returns its rows. It probes the objective of the
     last epoch trained (epoch - 1, or 0 before any): its DRW class weights
     and, unless the config's cnc.rhos are set, its rho."""
-    loss, rho = cfg.objective(max(epoch - 1, 0), cfg.loss.bind(ds.class_counts))
-    rows = theorem1_report(cfg.model, w, ds, loss, cfg.cnc.rhos or (rho,), cfg.cnc,
-                           SeededRng(cfg.seed).child("cnc", epoch), cfg.spectral)
-    names = _cnc_names(epoch)
+    cfg = ckpt.config
+    loss, rho = cfg.objective(max(ckpt.epoch - 1, 0), cfg.loss.bind(ds.class_counts))
+    rows = theorem1_report(cfg.model, _weights(ckpt), ds, loss, cfg.cnc.rhos or (rho,),
+                           cfg.cnc, SeededRng(cfg.seed).child("cnc", ckpt.epoch), cfg.spectral)
+    names = _cnc_names(ckpt.epoch)
     save_theorem1_report(rows, out / names[0], out / names[1], cfg.cnc, cfg.spectral,
-                         meta=_snapshot_meta(cfg, epoch, chash))
+                         meta=_snapshot_meta(ckpt))
     return rows
 
 
@@ -509,7 +521,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
     config's output_dir), writing metrics.csv, each epoch's snapshots and
     checkpoint as _snapshot_names lists them, and summary.json.
 
-    A resume from a checkpoint of epoch E continues its run's history: the
+    A run starts from a Checkpoint: epoch 0's, or that of `resume_from`. A
+    resume from a checkpoint of epoch E continues its run's history: the
     checkpoint's E metrics rows open the new metrics.csv, and resumed in the
     checkpoint's own directory, the run's earlier snapshots stay among its
     artifacts. A resume with no epoch left writes its checkpoint into out_dir."""
@@ -521,25 +534,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
     layout, dim = param_layout(cfg.model)
     blocks = tuple((b.offset, int(np.prod(b.shape))) for b in layout)
 
-    batches_rng = root.child("batches")
-    w = init_params(cfg.model, root.child("init"))
-    state = OptimizerState.fresh(dim, root.child("optnoise", 0))
-    start_epoch = 0
-    metrics: list = []
-    artifacts: list = ["metrics.csv"]
-
     # every read a resume makes comes before the first write, so a resume
     # that fails leaves nothing behind
-    if resume_from is not None:
+    if resume_from is None:
+        ckpt = Checkpoint(format_version=CHECKPOINT_FORMAT_VERSION, config_hash=chash,
+                          config=cfg, epoch=0, metrics=(),
+                          params=init_params(cfg.model, root.child("init")).data,
+                          velocity=np.zeros(dim))
+    else:
         ckpt = load_checkpoint(resume_from)
         if ckpt.config_hash != chash:
             raise CheckpointError(
                 f"checkpoint config hash {ckpt.config_hash} != current config {chash}"
             )
-        w = ParamVector(ckpt.params, layout)
-        state.velocity = ckpt.velocity.copy()
-        start_epoch = ckpt.epoch
-        metrics = list(ckpt.metrics)
+    start_epoch = ckpt.epoch
+    w = ParamVector(ckpt.params, layout)
+    state = OptimizerState(velocity=ckpt.velocity.copy(),
+                           rng=root.child("optnoise", start_epoch))
+    metrics = list(ckpt.metrics)
+    batches_rng = root.child("batches")
+    artifacts: list = ["metrics.csv"]
     out.mkdir(parents=True, exist_ok=True)
     if resume_from is not None:
         if Path(resume_from).parent.resolve() == out.resolve():
@@ -554,28 +568,25 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
 
     def snapshot(epochs_done: int) -> None:
         names = _snapshot_names(cfg, ds.num_classes, epochs_done)
+        if not names:
+            return
+        snap = dataclasses.replace(ckpt, epoch=epochs_done, metrics=tuple(metrics),
+                                   params=w.data.copy(), velocity=state.velocity.copy())
         if epochs_done in cfg.spectrum_epochs:
-            write_spectrum_snapshot(cfg, w, ds, epochs_done, out, chash, range(ds.num_classes))
+            write_spectrum_snapshot(snap, ds, out, range(ds.num_classes))
         if epochs_done in cfg.cnc_epochs:
-            write_cnc_snapshot(cfg, w, ds, epochs_done, out, chash)
-        if names:  # the checkpoint is the last name
-            save_checkpoint(Checkpoint(
-                format_version=CHECKPOINT_FORMAT_VERSION,
-                config_hash=chash,
-                config=cfg,
-                epoch=epochs_done,
-                metrics=tuple(metrics),
-                params=w.data.copy(),
-                velocity=state.velocity.copy(),
-            ), out / names[-1])
+            write_cnc_snapshot(snap, ds, out)
+        save_checkpoint(snap, out / names[-1])  # the checkpoint is the last name
         artifacts.extend(names)
 
     epoch = start_epoch
     step = 0
+    # the header and the resumed rows replace metrics.csv whole, so a run
+    # killed before its first row leaves the checkpoint's rows in place
+    write_text(out / "metrics.csv", csv_lines([MetricsRecord.csv_header(ds.num_classes),
+                                               *(r.csv_row() for r in metrics)]))
     try:
-        with open(out / "metrics.csv", "w", newline="", encoding="utf-8") as metrics_fh:
-            metrics_fh.writelines(csv_lines([MetricsRecord.csv_header(ds.num_classes),
-                                             *(r.csv_row() for r in metrics)]))
+        with open(out / "metrics.csv", "a", newline="", encoding="utf-8") as metrics_fh:
             if resume_from is None:
                 snapshot(0)
             for epoch in range(cfg.epochs):

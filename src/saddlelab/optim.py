@@ -93,10 +93,6 @@ class OptimizerState:
     velocity: np.ndarray
     rng: SeededRng  # optimizer noise; the training loop gives each epoch its own
 
-    @classmethod
-    def fresh(cls, dim: int, rng: SeededRng) -> "OptimizerState":
-        return cls(velocity=np.zeros(dim), rng=rng)
-
 
 def sgd_step(w, grad, state: OptimizerState, lr: float, momentum: float = 0.9):
     """velocity <- momentum*velocity + grad; w <- w - lr*velocity."""

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from saddlelab.cli import main
@@ -123,12 +124,13 @@ def test_sweep_rho_cli(tmp_path, capsys):
 
 def test_error_record_on_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"epochs": 3}))
-    code = main(["train", "--config", str(bad)])
-    assert code == 1
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "ConfigError"
-    assert record["command"] == "train"
+    for text in (json.dumps({"epochs": 3}), "not json"):
+        bad.write_text(text)
+        code = main(["train", "--config", str(bad)])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError"
+        assert record["command"] == "train"
 
 
 @pytest.mark.parametrize("edit", [
@@ -150,11 +152,12 @@ def test_error_record_on_invalid_config_section(tmp_path, capsys, edit):
 
 
 def test_error_record_on_missing_checkpoint(tmp_path, capsys):
-    code = main(["spectrum", "--checkpoint", str(tmp_path / "nope.json"),
-                 "--class", "all"])
-    assert code == 1
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "CheckpointError"
+    (tmp_path / "list.json").write_text("[]")  # JSON, but no checkpoint object
+    for name in ("nope.json", "list.json"):
+        code = main(["spectrum", "--checkpoint", str(tmp_path / name), "--class", "all"])
+        assert code == 1
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "CheckpointError"
 
 
 def test_error_record_on_bad_rho_list(tmp_path, capsys):
@@ -304,6 +307,10 @@ def _edited_echo(config):
 
 @pytest.mark.parametrize("field, value", [
     ("params", 5), ("params", ["abc", "0.5"]), ("velocity", None),
+    # arrays of other lengths than the model's, or with a non-finite entry
+    ("params", lambda p: p[:5]), ("params", lambda p: ["nan", *p[1:]]),
+    ("params", lambda p: ["1e400", *p[1:]]), ("velocity", ["0.5"]), ("velocity", []),
+    ("velocity", lambda v: v[:3]),
     # fields of checkpoint format 1, which format 3 refuses as unknown keys
     ("rng_states", {}), ("rng_states", {"batches": {}}),
     ("rng_states", {"optnoise": {"seed": 1}}),
@@ -314,12 +321,14 @@ def _edited_echo(config):
                               *rows[1:]]),
     ("metrics", lambda rows: [dict(rows[0], train_loss="0.5"), *rows[1:]]),
     ("metrics", lambda rows: [rows[0], dict(rows[1], config_hash="0000000000000000")]),
-], ids=["params-number", "params-text", "velocity-null", "rng-states-empty",
-        "batches-state-empty", "optnoise-state-partial", "epoch-text", "epoch-negative",
+], ids=["params-number", "params-text", "velocity-null", "params-five", "params-nan",
+        "params-overflow", "velocity-one", "velocity-empty", "velocity-three",
+        "rng-states-empty", "batches-state-empty", "optnoise-state-partial",
+        "epoch-text", "epoch-negative",
         "epoch-past-epochs", "step-count-float", "config-hash-number", "config-edited",
         "extra-key", "metrics-dropped-row", "metrics-out-of-order",
         "metrics-short-per-class", "metrics-text-loss", "metrics-forged-hash"])
-@pytest.mark.parametrize("command", ["spectrum", "resume"])
+@pytest.mark.parametrize("command", ["spectrum", "resume", "cnc-check"])
 def test_malformed_checkpoint_gives_an_error_record(tmp_path, capsys, command, field, value):
     # two epochs, so the checkpoint holds two metrics rows to drop or reorder
     _, cfg_path = write_config(tmp_path, epochs=2)
@@ -329,9 +338,7 @@ def test_malformed_checkpoint_gives_an_error_record(tmp_path, capsys, command, f
     payload[field] = value(payload[field]) if callable(value) else value
     ckpt.write_text(json.dumps(payload))
     capsys.readouterr()
-    argv = (["spectrum", "--checkpoint", str(ckpt)] if command == "spectrum" else
-            ["train", "--config", str(cfg_path), "--resume", str(ckpt)])
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert main([*_checkpoint_argv(command, cfg_path, ckpt), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     record = json.loads(err[0])
@@ -339,11 +346,62 @@ def test_malformed_checkpoint_gives_an_error_record(tmp_path, capsys, command, f
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_rho_rejects_a_bad_rho_before_any_work(tmp_path, capsys):
-    _, cfg_path = write_config(tmp_path, epochs=1, kind="sam", rho=0.1)
-    assert main(["sweep-rho", "--config", str(cfg_path), "--rhos", "0.1,-1",
-                 "--out", str(tmp_path / "sweep")]) == 1
+def _checkpoint_argv(command, cfg_path, ckpt):
+    return {"spectrum": ["spectrum", "--checkpoint", str(ckpt)],
+            "cnc-check": ["cnc-check", "--checkpoint", str(ckpt), "--rho", "0.1"],
+            "resume": ["train", "--config", str(cfg_path), "--resume", str(ckpt)],
+            "train": ["train", "--config", str(cfg_path)]}[command]
+
+
+@pytest.mark.parametrize("defect", ["not-utf8", "nan"])
+@pytest.mark.parametrize("command", ["train", "spectrum", "cnc-check", "resume"])
+def test_undecodable_or_non_finite_json_gives_an_error_record(tmp_path, capsys, command,
+                                                              defect):
+    # configs and checkpoints are read by one rule: UTF-8 JSON of finite numbers
+    _, cfg_path = write_config(tmp_path, epochs=2)
+    assert main(["train", "--config", str(cfg_path)]) == 0
+    ckpt = tmp_path / "run" / "checkpoint_2.json"
+    path = cfg_path if command == "train" else ckpt
+    if defect == "not-utf8":
+        path.write_bytes(b"\xff\xfe{")
+    else:
+        payload = json.loads(path.read_text())
+        if command == "train":
+            payload["dataset"]["beta"] = float("nan")
+        else:
+            payload["metrics"][0]["train_loss"] = float("nan")
+        path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main([*_checkpoint_argv(command, cfg_path, ckpt), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
-    assert json.loads(err[0])["error"] == "ParameterError"
-    assert not (tmp_path / "sweep").exists()
+    record = json.loads(err[0])
+    assert record["error"] == ("ConfigError" if command == "train" else "CheckpointError")
+    assert ("non-finite" if defect == "nan" else "utf-8") in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_rho_rejects_a_bad_rho_before_any_work(tmp_path, capsys):
+    _, cfg_path = write_config(tmp_path, epochs=1, kind="sam", rho=0.1)
+    for rhos in ("0.1,-1", ""):  # a negative rho, and no rho at all
+        assert main(["sweep-rho", "--config", str(cfg_path), "--rhos", rhos,
+                     "--out", str(tmp_path / "sweep")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ParameterError"
+        assert not (tmp_path / "sweep").exists()
+
+
+def test_sweep_rho_prints_a_failed_cell_and_exits_0(tmp_path, capsys):
+    # relu logits are unbounded, so a huge unnormalized rho overflows them
+    _, cfg_path = write_config(tmp_path, epochs=2, kind="sam", sam_normalized=False)
+    d = json.loads(cfg_path.read_text())
+    d["model"]["activation"] = "relu"
+    cfg_path.write_text(json.dumps(d))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["sweep-rho", "--config", str(cfg_path), "--rhos", "0.1,1e300",
+                     "--out", str(tmp_path / "sweep")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("rho=0.1: overall_acc=")
+    assert lines[1].startswith("rho=1e+300: FAILED (run aborted at epoch ")

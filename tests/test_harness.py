@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
 import shutil
+import signal
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -274,6 +278,27 @@ def test_resume_from_a_lone_checkpoint_matches_the_run(tmp_path):
         (tmp_path / "h" / "metrics.csv").read_bytes()
     assert np.array_equal(resumed.params.data, uninterrupted.params.data)
     assert [p.name for p in lone.iterdir()] == ["checkpoint_2.json"]
+
+
+def test_a_resume_killed_in_its_first_step_keeps_the_checkpoint_rows(tmp_path):
+    # metrics.csv is replaced whole before training, not truncated and refilled
+    cfg = dataclasses.replace(tiny_config(tmp_path / "run", epochs=4), cnc_epochs=(2,),
+                              cnc=CncSettings(batch_size=8, num_batches=2))
+    run_experiment(cfg)
+    out = tmp_path / "run"
+    rows = (out / "metrics.csv").read_text().splitlines(keepends=True)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    script = ("import os, signal, sys\n"
+              "from saddlelab import harness\n"
+              "harness.optimizer_step = lambda *a: os.kill(os.getpid(), signal.SIGKILL)\n"
+              "harness.run_experiment(harness.load_config(sys.argv[1]), "
+              "resume_from=sys.argv[2])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg_path),
+                           str(out / "checkpoint_2.json")], env=env, timeout=120)
+    assert proc.returncode == -signal.SIGKILL
+    assert (out / "metrics.csv").read_text() == "".join(rows[:3])  # header, epochs 1-2
 
 
 def test_resume_rejects_other_config(tmp_path):

@@ -25,7 +25,7 @@ def quad_grad_fn(a):
 
 
 def fresh_state(dim, seed=0, stream="noise"):
-    return OptimizerState.fresh(dim, SeededRng(seed).child(stream))
+    return OptimizerState(velocity=np.zeros(dim), rng=SeededRng(seed).child(stream))
 
 
 def test_sgd_no_momentum_unit_lr():
