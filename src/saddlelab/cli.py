@@ -18,6 +18,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .datagen import ClassGeometry, ImbalanceProfile, generate, save_dataset
 from .errors import ParameterError, SaddleLabError
@@ -196,7 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # the program rejects non-finite logits and gradients itself, so
+        # numpy's floating-point warnings would only put lines on stderr
+        # ahead of the one error record
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (SaddleLabError, OSError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc),
                   "command": args.command}

@@ -93,11 +93,12 @@ def sample_batches(ds, batch_size: int, num_batches: int, rng: SeededRng):
 
 
 def projection_second_moment(grads, v_w: np.ndarray):
-    """(mean, stderr) of <v_w, g>^2 over an explicit list of gradients."""
+    """(mean, stderr) of <v_w, g>^2 over an iterable of gradients, each
+    projected as it arrives, so a generator keeps one gradient alive."""
     v_w = _check_unit(v_w)
-    if len(grads) < 2:
-        raise ParameterError("need at least 2 samples for a standard error")
     proj = np.array([float(v_w @ g) for g in grads])
+    if proj.shape[0] < 2:
+        raise ParameterError("need at least 2 samples for a standard error")
     return _moment(proj ** 2)
 
 
@@ -116,9 +117,10 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
     rho_list = list(rho_list)
     if not rho_list:
         raise ParameterError("rho_list must be non-empty")
-    full = Batch(ds.features, ds.labels)
-    oracle = HvpOracle.for_batch(spec, w, full, loss)
-    extremes = extreme_eigs(oracle, spectral.lanczos_iters, spectral.residual_tol,
+    # no name holds the full-batch oracle, so its linearization is freed
+    # once the extreme run returns
+    extremes = extreme_eigs(HvpOracle.for_batch(spec, w, Batch(ds.features, ds.labels), loss),
+                            spectral.lanczos_iters, spectral.residual_tol,
                             rng.child("extreme"))
     lam_min = extremes.lambda_min
     v_w = extremes.v_min
@@ -136,12 +138,12 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
             return 0.0
         return float(np.linalg.norm(g_sam - (g + hvp(spec, w, batch, loss, eps))))
 
-    gamma_hat, gamma_se = projection_second_moment([fn(w.data)[1] for fn in grad_fns], v_w)
+    gamma_hat, gamma_se = projection_second_moment((fn(w.data)[1] for fn in grad_fns), v_w)
     violation = gamma_hat <= gamma_se
     rows = []
     for rho in rho_list:
         moment, moment_se = projection_second_moment(
-            [sam_gradients(fn, w.data, rho, normalized)[3] for fn in grad_fns], v_w)
+            (sam_gradients(fn, w.data, rho, normalized)[3] for fn in grad_fns), v_w)
         rows.append(Theorem1Row(
             rho=rho,
             lambda_min=lam_min,

@@ -335,16 +335,18 @@ def evaluate(spec: MlpSpec, w: ParamVector, test: LabeledDataset,
              groups: ClassGroups, loss: LossSpec) -> dict:
     """Argmax-logit metrics on the balanced test set, keyed by MetricsRecord
     field: per-class accuracy and loss, group means, and the overall balanced
-    accuracy (mean of per-class)."""
-    logits = forward(spec, w, test.features)
-    preds = np.argmax(logits, axis=1)
-    labels = test.labels
+    accuracy (mean of per-class).
+
+    Each class is scored from its own forward pass, so only one class's
+    activations are alive at a time; a row's logits do not depend on the
+    other rows of its pass, so the numbers are those of one full pass."""
     plain = loss.with_class_weights(None)
     accs, losses = [], []
     for j in range(test.num_classes):
-        sel = labels == j
-        accs.append(float(np.mean(preds[sel] == j)))
-        value, _ = loss_on_logits(plain, logits[sel], labels[sel])
+        batch = per_class_batch(test, j)
+        logits = forward(spec, w, batch.features)
+        accs.append(float(np.mean(np.argmax(logits, axis=1) == j)))
+        value, _ = loss_on_logits(plain, logits, batch.labels)
         losses.append(value)
 
     def group_acc(members):

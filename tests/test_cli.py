@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
-import numpy as np
 import pytest
 
 from saddlelab.cli import main
@@ -392,16 +394,44 @@ def test_sweep_rho_rejects_a_bad_rho_before_any_work(tmp_path, capsys):
         assert not (tmp_path / "sweep").exists()
 
 
-def test_sweep_rho_prints_a_failed_cell_and_exits_0(tmp_path, capsys):
-    # relu logits are unbounded, so a huge unnormalized rho overflows them
+def _run_cli(argv):
+    # numpy's warnings would print in the child: -W shows every one
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    return subprocess.run([sys.executable, "-W", "default::RuntimeWarning",
+                           "-m", "saddlelab.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def _relu_config(tmp_path, base_lr=0.1):
     _, cfg_path = write_config(tmp_path, epochs=2, kind="sam", sam_normalized=False)
     d = json.loads(cfg_path.read_text())
-    d["model"]["activation"] = "relu"
+    d["model"]["activation"] = "relu"  # unbounded logits, so they can overflow
+    d["lr"]["base_lr"] = base_lr
     cfg_path.write_text(json.dumps(d))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["sweep-rho", "--config", str(cfg_path), "--rhos", "0.1,1e300",
-                     "--out", str(tmp_path / "sweep")]) == 0
-    lines = capsys.readouterr().out.splitlines()
+    return cfg_path
+
+
+def test_diverging_train_writes_one_json_line_to_stderr(tmp_path):
+    cfg_path = _relu_config(tmp_path, base_lr=1e200)
+    proc = _run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1, proc.stderr
+    assert json.loads(err[0])["error"] == "RunAbortedError"
+
+
+def test_sweep_rho_prints_a_failed_cell_and_exits_0(tmp_path):
+    cfg_path = _relu_config(tmp_path)
+    proc = _run_cli(["sweep-rho", "--config", str(cfg_path), "--rhos", "0.1,1e300",
+                     "--out", str(tmp_path / "sweep")])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("rho=0.1: overall_acc=")
     assert lines[1].startswith("rho=1e+300: FAILED (run aborted at epoch ")
+    header, ok, failed = (line.split(",") for line in
+                          (tmp_path / "sweep" / "sweep.csv").read_text().splitlines())
+    error = header.index("error")
+    assert ok[error] == ""
+    assert failed[error].startswith("run aborted at epoch ")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,3 +196,22 @@ def test_settings_validation():
     for rhos in ((), (0.1, -0.1), (0.1, float("nan"))):
         with pytest.raises(ParameterError):
             CncSettings(rhos=rhos)
+
+
+def test_theorem1_report_keeps_no_list_of_gradients():
+    # 100 gradients held at once would take num_batches * dim * 8 bytes
+    profile = ImbalanceProfile("longtail", 4, 100, 4.0)
+    geom = ClassGeometry(input_dim=8, class_mean_radius=2.0, within_class_std=1.0)
+    ds = generate(profile, geom, SeededRng(44).child("datagen"))
+    spec = MlpSpec((8, 64, 64, 4))
+    w = init_params(spec, SeededRng(44).child("init"))
+    loss = LossSpec(variant="ce", class_counts=ds.class_counts)
+    settings = CncSettings(batch_size=16, num_batches=100)
+    tracemalloc.start()
+    try:
+        theorem1_report(spec, w, ds, loss, [0.0, 0.5], settings, SeededRng(45).child("cnc"),
+                        SpectralSettings(lanczos_iters=20, num_probes=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < settings.num_batches * w.data.shape[0] * 8

@@ -5,6 +5,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -35,8 +36,8 @@ from saddlelab.harness import (
     sweep_rho,
 )
 from saddlelab.linalg import SeededRng
-from saddlelab.losses import LossSpec, ReweightSchedule
-from saddlelab.model import MlpSpec, ParamVector, param_layout
+from saddlelab.losses import LossSpec, ReweightSchedule, loss_on_logits
+from saddlelab.model import MlpSpec, ParamVector, forward, init_params, param_layout
 from saddlelab.optim import LrSchedule, OptimizerConfig, RhoSchedule
 from saddlelab.spectral import SpectralSettings
 
@@ -360,6 +361,54 @@ def test_evaluate_random_logits_near_chance():
                    LossSpec(variant="ce", class_counts=ds.class_counts))
     sigma = np.sqrt(0.1 * 0.9 / 10_000)
     assert abs(out["overall_acc"] - 0.1) <= 3 * sigma
+
+
+def test_evaluate_equals_one_pass_over_interleaved_classes():
+    ds, test = _evaluation_fixtures(radius=2.0, std=1.0, per_class=40, num_classes=5)
+    order = SeededRng(72).permutation(len(test))  # classes interleave
+    test = dataclasses.replace(test, features=test.features[order], labels=test.labels[order])
+    assert len(set(test.labels[:10])) > 1
+    spec = MlpSpec((5, 12, 8, 5))
+    w = init_params(spec, SeededRng(73).child("init"))
+    groups = ClassGroups(head=(0, 1), mid=(2,), tail=(3, 4))
+    # the class weights must not enter the per-class losses
+    loss = LossSpec(variant="ldam", class_counts=ds.class_counts,
+                    class_weights=(1.0, 2.0, 3.0, 4.0, 5.0))
+
+    logits = forward(spec, w, test.features)
+    accs, losses = [], []
+    for j in range(test.num_classes):
+        sel = test.labels == j
+        accs.append(float(np.mean(np.argmax(logits[sel], axis=1) == j)))
+        losses.append(loss_on_logits(loss.with_class_weights(None),
+                                      logits[sel], test.labels[sel])[0])
+    assert evaluate(spec, w, test, groups, loss) == {
+        "per_class_acc": tuple(accs),
+        "per_class_loss": tuple(losses),
+        "overall_acc": float(np.mean(accs)),
+        "head_acc": float(np.mean(accs[:2])),
+        "mid_acc": accs[2],
+        "tail_acc": float(np.mean(accs[3:])),
+    }
+
+
+def test_evaluate_keeps_one_class_of_activations_alive():
+    ds, test = _evaluation_fixtures(radius=2.0, std=1.0, per_class=1000, num_classes=10)
+    spec = MlpSpec((10, 64, 64, 10))
+    w = init_params(spec, SeededRng(74).child("init"))
+    groups = ClassGroups(head=tuple(range(10)), mid=(), tail=())
+    loss = LossSpec(variant="ce", class_counts=ds.class_counts)
+    # one pass over the whole set keeps each hidden layer's pre-activation
+    # and value, and the logits
+    hidden = spec.layer_sizes[1:-1]
+    activation_bytes = len(test) * (2 * sum(hidden) + spec.layer_sizes[-1]) * 8
+    tracemalloc.start()
+    try:
+        evaluate(spec, w, test, groups, loss)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < activation_bytes / 4
 
 
 def test_config_json_roundtrip(tmp_path):
