@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import SeededRng, csv_lines, write_json, write_text
+from .linalg import SeededRng, blas_threads, csv_lines, write_json, write_text
 from .losses import LossSpec
 from .model import Batch, MlpSpec, ParamVector, hvp, loss_grad
 from .optim import sam_gradients
@@ -119,9 +119,10 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
         raise ParameterError("rho_list must be non-empty")
     # no name holds the full-batch oracle, so its linearization is freed
     # once the extreme run returns
-    extremes = extreme_eigs(HvpOracle.for_batch(spec, w, Batch(ds.features, ds.labels), loss),
-                            spectral.lanczos_iters, spectral.residual_tol,
-                            rng.child("extreme"))
+    with blas_threads(len(ds)):
+        extremes = extreme_eigs(
+            HvpOracle.for_batch(spec, w, Batch(ds.features, ds.labels), loss),
+            spectral.lanczos_iters, spectral.residual_tol, rng.child("extreme"))
     lam_min = extremes.lambda_min
     v_w = extremes.v_min
     batches = [Batch(ds.features[idx], ds.labels[idx]) for idx in
@@ -138,26 +139,27 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
             return 0.0
         return float(np.linalg.norm(g_sam - (g + hvp(spec, w, batch, loss, eps))))
 
-    gamma_hat, gamma_se = projection_second_moment((fn(w.data)[1] for fn in grad_fns), v_w)
-    violation = gamma_hat <= gamma_se
-    rows = []
-    for rho in rho_list:
-        moment, moment_se = projection_second_moment(
-            (sam_gradients(fn, w.data, rho, normalized)[3] for fn in grad_fns), v_w)
-        rows.append(Theorem1Row(
-            rho=rho,
-            lambda_min=lam_min,
-            gamma_hat=gamma_hat,
-            gamma_stderr=gamma_se,
-            sam_moment_hat=moment,
-            sam_stderr=moment_se,
-            measured_ratio=None if violation else moment / gamma_hat,
-            predicted_factor=(1.0 + rho * lam_min) ** 2,
-            taylor_residual=0.0 if rho == 0.0 else float(np.mean(
-                [residual(b, fn, rho) for b, fn in zip(batches, grad_fns)])),
-            cnc_violation=violation,
-        ))
-    return rows
+    with blas_threads(len(batches[0])):
+        gamma_hat, gamma_se = projection_second_moment((fn(w.data)[1] for fn in grad_fns), v_w)
+        violation = gamma_hat <= gamma_se
+        rows = []
+        for rho in rho_list:
+            moment, moment_se = projection_second_moment(
+                (sam_gradients(fn, w.data, rho, normalized)[3] for fn in grad_fns), v_w)
+            rows.append(Theorem1Row(
+                rho=rho,
+                lambda_min=lam_min,
+                gamma_hat=gamma_hat,
+                gamma_stderr=gamma_se,
+                sam_moment_hat=moment,
+                sam_stderr=moment_se,
+                measured_ratio=None if violation else moment / gamma_hat,
+                predicted_factor=(1.0 + rho * lam_min) ** 2,
+                taylor_residual=0.0 if rho == 0.0 else float(np.mean(
+                    [residual(b, fn, rho) for b, fn in zip(batches, grad_fns)])),
+                cnc_violation=violation,
+            ))
+        return rows
 
 
 def save_theorem1_report(rows, csv_path, json_path, settings: CncSettings,

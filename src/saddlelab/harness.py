@@ -49,7 +49,15 @@ from .errors import (
     RunAbortedError,
     SaddleLabError,
 )
-from .linalg import SeededRng, csv_cell, csv_lines, format_float, write_json, write_text
+from .linalg import (
+    SeededRng,
+    blas_threads,
+    csv_cell,
+    csv_lines,
+    format_float,
+    write_json,
+    write_text,
+)
 from .losses import LossSpec, ReweightSchedule, drw_weights, loss_on_logits
 from .model import (
     Batch,
@@ -344,7 +352,8 @@ def evaluate(spec: MlpSpec, w: ParamVector, test: LabeledDataset,
     accs, losses = [], []
     for j in range(test.num_classes):
         batch = per_class_batch(test, j)
-        logits = forward(spec, w, batch.features)
+        with blas_threads(len(batch)):
+            logits = forward(spec, w, batch.features)
         accs.append(float(np.mean(np.argmax(logits, axis=1) == j)))
         value, _ = loss_on_logits(plain, logits, batch.labels)
         losses.append(value)
@@ -601,19 +610,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
                 epoch_loss, rho = cfg.objective(epoch, base_loss)
                 loss_sum = 0.0
                 gnorm_sum = 0.0
-                for step in range(steps_per_epoch):
-                    idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
-                    batch = Batch(ds.features[idx], ds.labels[idx])
-                    lr = lr_at(cfg.lr, epoch, step, steps_per_epoch)
+                with blas_threads(cfg.batch_size):
+                    for step in range(steps_per_epoch):
+                        idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
+                        batch = Batch(ds.features[idx], ds.labels[idx])
+                        lr = lr_at(cfg.lr, epoch, step, steps_per_epoch)
 
-                    def grad_fn(x):
-                        return loss_grad(cfg.model, ParamVector(x, layout), batch, epoch_loss)
+                        def grad_fn(x):
+                            return loss_grad(cfg.model, ParamVector(x, layout), batch,
+                                             epoch_loss)
 
-                    new, info = optimizer_step(cfg.optimizer, grad_fn, w.data, state, lr,
-                                               rho, blocks)
-                    w = ParamVector(new, layout)
-                    loss_sum += info["loss"]
-                    gnorm_sum += info["grad_norm"]
+                        new, info = optimizer_step(cfg.optimizer, grad_fn, w.data, state, lr,
+                                                   rho, blocks)
+                        w = ParamVector(new, layout)
+                        loss_sum += info["loss"]
+                        gnorm_sum += info["grad_norm"]
 
                 record = MetricsRecord(
                     epoch=epoch + 1, train_loss=loss_sum / steps_per_epoch,
@@ -672,10 +683,11 @@ def tail_lambda_min(cfg: ExperimentConfig, result: RunResult) -> float | None:
     vals = []
     for cid in result.groups.tail:
         batch = per_class_batch(result.dataset, cid)
-        oracle = HvpOracle.for_batch(cfg.model, result.params, batch, loss)
-        ex = extreme_eigs(oracle, cfg.spectral.lanczos_iters,
-                          cfg.spectral.residual_tol,
-                          SeededRng(cfg.seed).child("tail-eig", cid))
+        with blas_threads(len(batch)):
+            oracle = HvpOracle.for_batch(cfg.model, result.params, batch, loss)
+            ex = extreme_eigs(oracle, cfg.spectral.lanczos_iters,
+                              cfg.spectral.residual_tol,
+                              SeededRng(cfg.seed).child("tail-eig", cid))
         vals.append(ex.lambda_min)
     return float(np.mean(vals))
 

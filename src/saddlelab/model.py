@@ -165,6 +165,8 @@ class Batch:
 def _forward_pass(spec: MlpSpec, ws, bs, x):
     """Returns (logits, hs, pre) with hs[l] the input to layer l and pre[l]
     the pre-activation of hidden layer l, so hs[l + 1] = value(pre[l])."""
+    if x.ndim != 2 or x.shape[1] != spec.input_dim:
+        raise DimensionError(f"inputs must be (n, {spec.input_dim}), got {x.shape}")
     value = _ACT_FNS[spec.activation][0]
     hs, pre = [x], []
     for l in range(spec.num_layers):
@@ -179,11 +181,8 @@ def _forward_pass(spec: MlpSpec, ws, bs, x):
 
 
 def forward(spec: MlpSpec, w: ParamVector, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise DimensionError(f"inputs must be (n, {spec.input_dim}), got {x.shape}")
     ws, bs = _unpack(spec, w.data)
-    logits, _, _ = _forward_pass(spec, ws, bs, x)
+    logits, _, _ = _forward_pass(spec, ws, bs, np.asarray(x, dtype=np.float64))
     return logits
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import SeededRng, csv_lines, write_json, write_text
+from .linalg import SeededRng, blas_threads, csv_lines, write_json, write_text
 from .losses import LossSpec
 from .model import Batch, Linearization, MlpSpec, ParamVector, hvp, per_class_batch
 
@@ -362,10 +362,11 @@ def classwise_spectrum_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
 
 
 def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpectrumEntry:
-    oracle = HvpOracle.for_batch(spec, w, batch, loss)
-    density = spectral_density(oracle, settings, rng.child("density"))
-    extremes = extreme_eigs(oracle, settings.lanczos_iters, settings.residual_tol,
-                            rng.child("extreme"))
+    with blas_threads(len(batch)):
+        oracle = HvpOracle.for_batch(spec, w, batch, loss)
+        density = spectral_density(oracle, settings, rng.child("density"))
+        extremes = extreme_eigs(oracle, settings.lanczos_iters, settings.residual_tol,
+                                rng.child("extreme"))
     acc = float(np.mean(np.argmax(oracle.lin.logits, axis=1) == batch.labels))
     return ClassSpectrumEntry(
         class_id=class_id,

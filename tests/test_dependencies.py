@@ -1,6 +1,7 @@
 """saddlelab needs numpy and nothing else: the dependencies pyproject.toml
 declares are the third-party modules the package imports, and nothing it
-runs loads scipy (whose import alone costs about half a cold start)."""
+runs loads scipy (whose import alone costs about half a cold start).
+Importing it looks up no BLAS library and changes no BLAS thread count."""
 
 import ast
 import json
@@ -16,18 +17,38 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "saddlelab"
 
 # every module, `python -m saddlelab.cli --help` and one small density, then
-# the scipy modules loaded, as the last stdout line
+# the scipy modules loaded, as the last stdout line; the OpenBLAS thread count
+# read before and after the imports and --help must be the same
 CHILD = """
-import importlib, json, pkgutil, runpy, sys
+import ctypes, importlib, json, pkgutil, runpy, sys
+import numpy as np
+
+def blas_threads():
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line and ".so" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            if hasattr(lib, symbol):
+                return getattr(lib, symbol)()
+    return None
+
+threads = blas_threads()
 sys.argv = ["saddlelab", "--help"]
 try:
     runpy.run_module("saddlelab.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-import numpy as np
 import saddlelab
 for info in pkgutil.iter_modules(saddlelab.__path__):
     importlib.import_module("saddlelab." + info.name)
+assert blas_threads() == threads, (threads, blas_threads())
+assert saddlelab.linalg._openblas.cache_info().currsize == 0, "OpenBLAS looked up at import"
 from saddlelab.linalg import SeededRng
 from saddlelab.spectral import HvpOracle, SpectralSettings, spectral_density
 oracle = HvpOracle.from_matrix(np.diag(np.arange(-3.0, 7.0)))

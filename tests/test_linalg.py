@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -6,8 +7,17 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from saddlelab import linalg
 from saddlelab.errors import ParameterError
-from saddlelab.linalg import SeededRng, csv_cell, csv_lines, write_json, write_text
+from saddlelab.linalg import (
+    SMALL_BATCH_ROWS,
+    SeededRng,
+    blas_threads,
+    csv_cell,
+    csv_lines,
+    write_json,
+    write_text,
+)
 
 
 def test_distinct_streams_differ():
@@ -106,3 +116,68 @@ def test_seed_outside_64_bits_is_rejected(seed):
     # masking it would alias another seed's streams
     with pytest.raises(ParameterError, match="seed"):
         SeededRng(seed)
+
+
+class FakeBlas:
+    """A get/set pair over one thread count that records every set."""
+
+    def __init__(self, count):
+        self.count, self.sets = count, []
+
+    def get(self):
+        return self.count
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    blas = FakeBlas(4)  # the count the process "started with"
+    monkeypatch.setattr(linalg, "_openblas", lambda: (blas.get, blas.set, 4))
+    return blas
+
+
+def test_blas_threads_restores_the_count_in_force_before(fake_blas):
+    fake_blas.count = 3
+    with blas_threads(SMALL_BATCH_ROWS - 1):
+        assert fake_blas.count == 1
+    assert fake_blas.count == 3
+    with pytest.raises(KeyError), blas_threads(SMALL_BATCH_ROWS - 1):
+        assert fake_blas.count == 1
+        raise KeyError("inside the block")
+    assert fake_blas.count == 3
+    assert fake_blas.sets == [1, 3, 1, 3]
+
+
+def test_a_large_batch_runs_at_the_starting_count_inside_a_small_one(fake_blas):
+    with blas_threads(32):
+        with blas_threads(SMALL_BATCH_ROWS):
+            assert fake_blas.count == 4
+            with blas_threads(SMALL_BATCH_ROWS - 1):
+                assert fake_blas.count == 1
+            assert fake_blas.count == 4
+        assert fake_blas.count == 1
+    assert fake_blas.count == 4
+
+
+def test_without_openblas_the_block_only_runs(monkeypatch):
+    maps = "7f00-7f01 r-xp 00000000 00:00 0 /usr/lib/libm.so.6\n"
+    monkeypatch.setattr(linalg, "open", lambda *a, **k: io.StringIO(maps), raising=False)
+    assert linalg._openblas.__wrapped__() is None
+    monkeypatch.setattr(linalg, "_openblas", lambda: None)
+    ran = []
+    with blas_threads(1):
+        ran.append(True)
+    assert ran == [True]
+
+
+def test_blas_threads_sets_numpys_openblas():
+    blas = linalg._openblas()
+    if blas is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    get, _, start = blas
+    with blas_threads(SMALL_BATCH_ROWS - 1):
+        assert get() == 1
+    assert get() == start

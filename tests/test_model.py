@@ -175,6 +175,19 @@ def test_hvp_dimension_mismatch():
         hvp(spec, w, batch, loss, np.zeros(w.data.shape[0] + 1))
 
 
+@pytest.mark.parametrize("entry", [
+    lambda spec, w, batch, loss: forward(spec, w, batch.features),
+    lambda spec, w, batch, loss: loss_grad(spec, w, batch, loss),
+    lambda spec, w, batch, loss: Linearization(spec, w, batch, loss),
+    lambda spec, w, batch, loss: hvp(spec, w, batch, loss, np.zeros(w.data.shape[0])),
+], ids=["forward", "loss_grad", "Linearization", "hvp"])
+def test_batch_of_wrong_width_is_a_dimension_error(entry):
+    spec, w = make_model(26)  # input_dim 6
+    loss = LossSpec(variant="ce", class_counts=(2, 2, 1))
+    with pytest.raises(DimensionError, match=r"inputs must be \(n, 6\), got \(4, 7\)"):
+        entry(spec, w, make_batch(27, 4, 7, 3), loss)
+
+
 # every activation x loss variant x bias x class weights, with a random
 # point, batch and tangents drawn from the seed
 HVP_CASES = st.tuples(st.sampled_from(ACTIVATIONS), st.sampled_from(VARIANTS), st.booleans(),

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlelab import model, spectral
+from saddlelab import linalg, model, spectral
 from saddlelab.datagen import ClassGeometry, ImbalanceProfile, LabeledDataset
 from saddlelab.errors import ParameterError
 from saddlelab.harness import load_config, run_experiment
@@ -372,6 +375,43 @@ def test_single_class_dataset_report_matches_full():
     assert class_entry.accuracy == full_entry.accuracy
     assert class_entry.extremes.lambda_min == pytest.approx(full_entry.extremes.lambda_min, abs=1e-8)
     assert class_entry.extremes.lambda_max == pytest.approx(full_entry.extremes.lambda_max, abs=1e-8)
+
+
+# W2's 5,898-param model and 80 Lanczos steps, one probe, on untrained
+# weights: the smallest setting found at which a class spectrum's bytes
+# differed between 1 and 2 threads before small batches ran on one thread
+THREADS_CHILD = """
+import sys
+from saddlelab.datagen import ClassGeometry, ImbalanceProfile, generate
+from saddlelab.linalg import SeededRng
+from saddlelab.losses import LossSpec
+from saddlelab.model import MlpSpec, init_params
+from saddlelab.spectral import SpectralSettings, classwise_spectrum_report, save_spectrum
+rng = SeededRng(1)
+ds = generate(ImbalanceProfile("longtail", 10, 10, 10.0), ClassGeometry(input_dim=16),
+              rng.child("data"))
+spec = MlpSpec((16, 64, 64, 10))
+entry = classwise_spectrum_report(spec, init_params(spec, rng.child("init")), ds,
+                                  LossSpec(variant="ce", class_counts=ds.class_counts), [9],
+                                  SpectralSettings(lanczos_iters=80, num_probes=1),
+                                  rng.child("spectrum"))[0]
+save_spectrum(entry, sys.argv[1] + ".csv", sys.argv[1] + ".json", {})
+"""
+
+
+def test_small_class_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    if linalg._openblas() is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-c", THREADS_CHILD, str(out)],
+                              capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(Path(f"{out}.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_lanczos_probe_determinism():
