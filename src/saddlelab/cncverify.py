@@ -119,7 +119,7 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
         raise ParameterError("rho_list must be non-empty")
     # no name holds the full-batch oracle, so its linearization is freed
     # once the extreme run returns
-    with blas_threads(len(ds)):
+    with blas_threads():
         extremes = extreme_eigs(
             HvpOracle.for_batch(spec, w, Batch(ds.features, ds.labels), loss),
             spectral.lanczos_iters, spectral.residual_tol, rng.child("extreme"))
@@ -139,7 +139,7 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
             return 0.0
         return float(np.linalg.norm(g_sam - (g + hvp(spec, w, batch, loss, eps))))
 
-    with blas_threads(len(batches[0])):
+    with blas_threads():
         gamma_hat, gamma_se = projection_second_moment((fn(w.data)[1] for fn in grad_fns), v_w)
         violation = gamma_hat <= gamma_se
         rows = []

@@ -352,7 +352,7 @@ def evaluate(spec: MlpSpec, w: ParamVector, test: LabeledDataset,
     accs, losses = [], []
     for j in range(test.num_classes):
         batch = per_class_batch(test, j)
-        with blas_threads(len(batch)):
+        with blas_threads():
             logits = forward(spec, w, batch.features)
         accs.append(float(np.mean(np.argmax(logits, axis=1) == j)))
         value, _ = loss_on_logits(plain, logits, batch.labels)
@@ -610,7 +610,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
                 epoch_loss, rho = cfg.objective(epoch, base_loss)
                 loss_sum = 0.0
                 gnorm_sum = 0.0
-                with blas_threads(cfg.batch_size):
+                with blas_threads():
                     for step in range(steps_per_epoch):
                         idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
                         batch = Batch(ds.features[idx], ds.labels[idx])
@@ -683,7 +683,7 @@ def tail_lambda_min(cfg: ExperimentConfig, result: RunResult) -> float | None:
     vals = []
     for cid in result.groups.tail:
         batch = per_class_batch(result.dataset, cid)
-        with blas_threads(len(batch)):
+        with blas_threads():
             oracle = HvpOracle.for_batch(cfg.model, result.params, batch, loss)
             ex = extreme_eigs(oracle, cfg.spectral.lanczos_iters,
                               cfg.spectral.residual_tol,

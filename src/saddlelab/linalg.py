@@ -10,10 +10,10 @@ Random streams use numpy's counter-based Philox generator keyed by
 versions, and distinct keys give statistically independent streams. Frozen
 draw values are asserted in the test suite as regression vectors.
 
-blas_threads runs a block on one OpenBLAS thread when its batch is small,
-where a second thread costs CPU time and saves no wall time, and where one
-thread also makes the block's bytes independent of the thread count the
-process started with.
+blas_threads runs a block on one OpenBLAS thread: the program's large
+batches get their second CPU from a second Lanczos worker instead (see
+spectral), and one thread makes every block's bytes independent of the thread
+count the process started with.
 """
 
 from __future__ import annotations
@@ -31,20 +31,14 @@ from .errors import ParameterError
 
 _MASK64 = (1 << 64) - 1
 
-# A batch with fewer rows than this runs on one BLAS thread. Per W2 spectrum
-# entry on 2 CPUs, one thread took the same wall time as two, within noise,
-# up to 210 rows, at half the CPU time; two threads were faster from the
-# 324-row entry up.
-SMALL_BATCH_ROWS = 256
-
 _THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                    "openblas_{}_num_threads")
 
 
 @functools.cache
 def _openblas():
-    """(get, set, starting count) for the OpenBLAS numpy loaded, or None when
-    no OpenBLAS is mapped into the process. Looked up on first use, so
+    """The (get, set) thread-count pair of the OpenBLAS numpy loaded, or None
+    when no OpenBLAS is mapped into the process. Looked up on first use, so
     importing the package neither loads ctypes nor reads /proc."""
     import ctypes
     try:
@@ -61,24 +55,23 @@ def _openblas():
             if get is not None and set_ is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_, get()
+                return get, set_
     return None
 
 
 @contextlib.contextmanager
-def blas_threads(rows: int):
-    """Run the block on one OpenBLAS thread if rows < SMALL_BATCH_ROWS, and
-    otherwise at the count the process started with, even inside a small
-    batch's block; the count in force before is restored on exit, also when
-    the block raises. Does nothing when no OpenBLAS is found. The count is
-    process-wide: blocks nest, but are not for concurrent threads."""
+def blas_threads():
+    """Run the block on one OpenBLAS thread and restore the count in force
+    before on exit, also when the block raises. Does nothing when no OpenBLAS
+    is found. The count is process-wide: blocks nest, and threads started
+    inside a block run on one BLAS thread each."""
     blas = _openblas()
     if blas is None:
         yield
         return
-    get, set_, start = blas
+    get, set_ = blas
     before = get()
-    set_(1 if rows < SMALL_BATCH_ROWS else start)
+    set_(1)
     try:
         yield
     finally:

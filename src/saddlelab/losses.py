@@ -134,6 +134,10 @@ class LogitCurvature:
     omega: np.ndarray
     mult: np.ndarray | None
 
+    def rows(self, rows: slice) -> "LogitCurvature":
+        """The curvature of those rows alone, as views."""
+        return LogitCurvature(self.p[rows], self.omega[rows], self.mult)
+
     def apply(self, logits_tangent: np.ndarray) -> np.ndarray:
         """Directional derivative of grad_logits along logits_tangent."""
         tdot = logits_tangent if self.mult is None else logits_tangent * self.mult

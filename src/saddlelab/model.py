@@ -9,6 +9,7 @@ batch, loss).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -207,16 +208,25 @@ def loss_grad(spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec):
     return value, grad
 
 
+# hvp pushes the tangent through at most this many rows at a time, so its
+# workspace, and a twin's, stays this size on larger batches; a batch of at
+# most this many rows is one chunk.
+CHUNK_ROWS = 512
+
+
 class Linearization:
     """Everything an exact HVP at fixed (spec, w, batch, loss) needs that does
     not depend on the tangent: layer inputs hs[l], activation slopes d1[l],
     the gradient chain g[l] (d loss / d pre-activation of layer l), the
     products sd2[l] = (g[l+1] @ W[l+1]) * d2[l], and the loss layer's
     curvature. The pass's `logits` and weighted mean loss `value` are kept
-    for callers that report them. hvp(v) then pushes only the tangent through
-    a workspace allocated here and overwritten by every call, so one
-    Linearization serves one caller at a time; the returned vector is always
-    fresh. It stays valid while w.data is unchanged.
+    for callers that report them. It stays valid while w.data is unchanged.
+
+    hvp(v) pushes only the tangent through the batch, in row chunks of at
+    most CHUNK_ROWS, and adds up each chunk's weight and bias blocks in chunk
+    order. It works in a workspace allocated here and overwritten by every
+    call, so one Linearization serves one caller at a time; twin() gives a
+    second, concurrent caller its own. The returned vector is always fresh.
     """
 
     def __init__(self, spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec):
@@ -224,38 +234,74 @@ class Linearization:
             raise ParameterError("empty batch")
         self.spec, self.w, self.batch, self.loss = spec, w, batch, loss
         self._ws, self._bs = _unpack(spec, w.data)
-        self.logits, self._hs, pre = _forward_pass(spec, self._ws, self._bs, batch.features)
-        self.value, g, self._curvature = loss_terms(loss, self.logits, batch.labels)
+        self.logits, hs, pre = _forward_pass(spec, self._ws, self._bs, batch.features)
+        self.value, g, curvature = loss_terms(loss, self.logits, batch.labels)
 
         _, slope, second = _ACT_FNS[spec.activation]
         depth = spec.num_layers
-        self._d1 = [slope(pre[l], self._hs[l + 1]) for l in range(depth - 1)]
-        self._g = [None] * depth  # g[0] is never needed
-        self._sd2 = [None] * (depth - 1)
+        d1 = [slope(pre[l], hs[l + 1]) for l in range(depth - 1)]
+        gs = [None] * depth  # g[0] is never needed
+        sd2 = [None] * (depth - 1)
         for l in range(depth - 1, 0, -1):
-            self._g[l] = g
+            gs[l] = g
             s = g @ self._ws[l]
-            self._sd2[l - 1] = s * second(pre[l - 1], self._hs[l], self._d1[l - 1])
+            sd2[l - 1] = s * second(pre[l - 1], hs[l], d1[l - 1])
             if l > 1:
-                g = s * self._d1[l - 1]
+                g = s * d1[l - 1]
 
-        # tangent workspace: adot[l] per layer, hdot[l] per hidden layer, one
-        # scratch array per distinct width, one weight-shaped buffer per layer
-        n, sizes = len(batch), spec.layer_sizes
-        self._adot = [np.empty((n, sizes[l + 1])) for l in range(depth)]
-        self._hdot = [np.empty((n, sizes[l + 1])) for l in range(depth - 1)]
-        self._scratch = {m: np.empty((n, m)) for m in set(sizes[1:])}
-        self._wtmp, _ = _unpack(spec, np.empty_like(w.data))
-        self._ones = np.ones(n)  # bias blocks sum gdot over rows as ones @ gdot
+        def cut(arrays, rows):
+            return [None if a is None else a[rows] for a in arrays]
+
+        # per chunk: its row count, then row views of every fixed array; bias
+        # blocks sum gdot over rows as ones @ gdot
+        n = len(batch)
+        ones = np.ones(min(n, CHUNK_ROWS))
+        self._chunks = []
+        for start in range(0, n, CHUNK_ROWS):
+            rows, m = slice(start, start + CHUNK_ROWS), min(n - start, CHUNK_ROWS)
+            self._chunks.append((m, cut(hs, rows), cut(d1, rows), cut(gs, rows),
+                                 cut(sd2, rows), curvature.rows(rows), ones[:m]))
+        self._allocate()
+
+    def _allocate(self) -> None:
+        """The tangent workspace, sized for the largest chunk and viewed at
+        each chunk's row count: adot[l] per layer, hdot[l] per hidden layer
+        and one scratch array per distinct width; one weight-shaped buffer
+        per layer; and one product buffer for the chunks after the first."""
+        sizes, depth = self.spec.layer_sizes, self.spec.num_layers
+        cap = self._chunks[0][0]
+        adot = [np.empty((cap, sizes[l + 1])) for l in range(depth)]
+        hdot = [np.empty((cap, sizes[l + 1])) for l in range(depth - 1)]
+        scratch = {m: np.empty((cap, m)) for m in set(sizes[1:])}
+        self._work = {m: ([a[:m] for a in adot], [h[:m] for h in hdot],
+                          {k: s[:m] for k, s in scratch.items()})
+                      for m in {chunk[0] for chunk in self._chunks}}
+        self._wtmp, _ = _unpack(self.spec, np.empty_like(self.w.data))
+        self._part = np.empty_like(self.w.data) if len(self._chunks) > 1 else None
+
+    def twin(self) -> "Linearization":
+        """A Linearization at the same point that shares every fixed array
+        with this one and has its own workspace, for a second caller that
+        runs at the same time."""
+        twin = copy.copy(self)
+        twin._allocate()
+        return twin
 
     def hvp(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != self.w.data.shape:
             raise DimensionError(f"v length {v.shape} != params {self.w.data.shape}")
-        ws, hs, d1, g, sd2 = self._ws, self._hs, self._d1, self._g, self._sd2
-        adot, hdot, scratch = self._adot, self._hdot, self._scratch
         vws, vbs = _unpack(self.spec, v)
-        depth = self.spec.num_layers
+        out = self._hvp_rows(self._chunks[0], vws, vbs, np.empty_like(self.w.data))
+        for chunk in self._chunks[1:]:
+            np.add(out, self._hvp_rows(chunk, vws, vbs, self._part), out=out)
+        return out
+
+    def _hvp_rows(self, chunk, vws, vbs, out) -> np.ndarray:
+        """One chunk's share of the product, written into out."""
+        rows, hs, d1, g, sd2, curvature, ones = chunk
+        adot, hdot, scratch = self._work[rows]
+        ws, depth = self._ws, self.spec.num_layers
 
         # forward: adot[l] = hdot[l-1] @ W[l].T + hs[l] @ V[l].T (+ vb[l]),
         # hdot[l] = d1[l] * adot[l]; the input carries no tangent
@@ -274,12 +320,11 @@ class Linearization:
         # reverse: only the tangent gdot of the gradient chain is carried; the
         # next gdot, sdot * d1 + sd2 * adot, is written over the dead adot[l-1]
         # and sdot over hdot[l-1], dead once this layer's weight block is done
-        out = np.empty_like(self.w.data)
         ohw, ohb = _unpack(self.spec, out)
-        gdot = self._curvature.apply(adot[-1])
+        gdot = curvature.apply(adot[-1])
         for l in range(depth - 1, -1, -1):
             if ohb[l] is not None:
-                np.matmul(self._ones, gdot, out=ohb[l])
+                np.matmul(ones, gdot, out=ohb[l])
             np.matmul(gdot.T, hs[l], out=ohw[l])
             if l == 0:
                 return out

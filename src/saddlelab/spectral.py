@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,9 +39,16 @@ class HvpOracle:
     def for_batch(cls, spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec) -> "HvpOracle":
         """Linearizes once; every product is one model.hvp call on that
         linearization."""
-        lin = Linearization(spec, w, batch, loss)
-        return cls(apply=lambda v: hvp(spec, w, batch, loss, v, lin=lin), dim=w.data.shape[0],
-                   lin=lin)
+        return cls._on(Linearization(spec, w, batch, loss))
+
+    @classmethod
+    def _on(cls, lin: Linearization) -> "HvpOracle":
+        return cls(apply=lambda v: hvp(lin.spec, lin.w, lin.batch, lin.loss, v, lin=lin),
+                   dim=lin.w.data.shape[0], lin=lin)
+
+    def twin(self) -> "HvpOracle":
+        """A for_batch oracle's operator over lin.twin(), for a second thread."""
+        return HvpOracle._on(self.lin.twin())
 
     @classmethod
     def from_matrix(cls, a) -> "HvpOracle":
@@ -215,16 +223,50 @@ def _auto_grid(all_vals: np.ndarray, sigma: float):
     return np.linspace(lo, hi, points)
 
 
-def spectral_density(oracle: HvpOracle, settings: SpectralSettings, rng: SeededRng) -> SpectralDensity:
-    """Average Gaussian-broadened Ritz quadrature over independent probes."""
-    per_probe_vals, per_probe_weights = [], []
-    for p in range(settings.num_probes):
-        # no name holds a probe's run, so its (iters, dim) basis is freed
-        # before the next probe allocates its own
-        vals, weights, _ = ritz_decomposition(
-            lanczos(oracle, settings.lanczos_iters, rng.child("probe", p)))
-        per_probe_vals.append(vals)
-        per_probe_weights.append(weights)
+def spectral_density(oracle: HvpOracle, settings: SpectralSettings, rng: SeededRng,
+                     twin: HvpOracle | None = None) -> SpectralDensity:
+    """Average Gaussian-broadened Ritz quadrature over independent probes.
+
+    With twin, the same operator on its own workspace, a second thread runs
+    the odd-numbered probes on twin while this one runs the even-numbered
+    ones. Each probe keeps its stream and the density is assembled in probe
+    order, so the result is bitwise the same. Either thread's exception is
+    raised here once both have stopped; after one fails, the other starts no
+    further probe.
+    """
+    ritz = [None] * settings.num_probes
+    failed = []  # the worker's exception, or None once this thread has raised
+
+    def run(op, probes):
+        for p in probes:
+            if failed:
+                return
+            # no name holds a probe's run, so its (iters, dim) basis is freed
+            # before the next probe allocates its own
+            ritz[p] = ritz_decomposition(
+                lanczos(op, settings.lanczos_iters, rng.child("probe", p)))[:2]
+
+    def run_odd():
+        try:
+            run(twin, range(1, settings.num_probes, 2))
+        except BaseException as exc:  # raised again by the caller
+            failed.append(exc)
+
+    if twin is None:
+        run(oracle, range(settings.num_probes))
+    else:
+        worker = threading.Thread(target=run_odd, name="spectral-density-odd-probes")
+        worker.start()
+        try:
+            run(oracle, range(0, settings.num_probes, 2))
+        except BaseException:
+            failed.append(None)
+            raise
+        finally:
+            worker.join()
+        if failed:
+            raise failed[0]
+    per_probe_vals, per_probe_weights = (list(x) for x in zip(*ritz))
     sigma = math.sqrt(settings.broadening_sigma2)
     all_vals = np.concatenate(per_probe_vals)
     grid = _auto_grid(all_vals, sigma)
@@ -361,10 +403,21 @@ def classwise_spectrum_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
     return entries
 
 
+# An entry of at least this many rows runs its density probes on two threads
+# (spectral_density's twin). Per w2_probe entry at epoch-10 weights on 2
+# shared CPUs, against one thread per entry, the split ran 1.33-1.85x as fast
+# at 1,401 rows, 1.51-1.65x at 500, 1.23-1.50x at 324, 1.12-1.44x at 210,
+# 0.89-1.05x at 57 and 0.78-0.93x at 10, over two sets of runs. It cost
+# 1.02-1.05x the CPU time at 500 and 1,401 rows, but 1.33x at 324 and 1.35x
+# at 210.
+PROBE_SPLIT_ROWS = 256
+
+
 def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpectrumEntry:
-    with blas_threads(len(batch)):
+    with blas_threads():
         oracle = HvpOracle.for_batch(spec, w, batch, loss)
-        density = spectral_density(oracle, settings, rng.child("density"))
+        density = spectral_density(oracle, settings, rng.child("density"),
+                                   oracle.twin() if len(batch) >= PROBE_SPLIT_ROWS else None)
         extremes = extreme_eigs(oracle, settings.lanczos_iters, settings.residual_tol,
                                 rng.child("extreme"))
     acc = float(np.mean(np.argmax(oracle.lin.logits, axis=1) == batch.labels))

@@ -1,7 +1,8 @@
 """saddlelab needs numpy and nothing else: the dependencies pyproject.toml
 declares are the third-party modules the package imports, and nothing it
 runs loads scipy (whose import alone costs about half a cold start).
-Importing it looks up no BLAS library and changes no BLAS thread count."""
+Importing it looks up no BLAS library, changes no BLAS thread count and
+starts no thread."""
 
 import ast
 import json
@@ -18,9 +19,10 @@ PACKAGE = ROOT / "src" / "saddlelab"
 
 # every module, `python -m saddlelab.cli --help` and one small density, then
 # the scipy modules loaded, as the last stdout line; the OpenBLAS thread count
-# read before and after the imports and --help must be the same
+# read before and after the imports and --help must be the same, and only the
+# main thread may run
 CHILD = """
-import ctypes, importlib, json, pkgutil, runpy, sys
+import ctypes, importlib, json, pkgutil, runpy, sys, threading
 import numpy as np
 
 def blas_threads():
@@ -49,6 +51,7 @@ for info in pkgutil.iter_modules(saddlelab.__path__):
     importlib.import_module("saddlelab." + info.name)
 assert blas_threads() == threads, (threads, blas_threads())
 assert saddlelab.linalg._openblas.cache_info().currsize == 0, "OpenBLAS looked up at import"
+assert threading.enumerate() == [threading.main_thread()], threading.enumerate()
 from saddlelab.linalg import SeededRng
 from saddlelab.spectral import HvpOracle, SpectralSettings, spectral_density
 oracle = HvpOracle.from_matrix(np.diag(np.arange(-3.0, 7.0)))

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from saddlelab import linalg
 from saddlelab.errors import ParameterError
 from saddlelab.linalg import (
-    SMALL_BATCH_ROWS,
     SeededRng,
     blas_threads,
     csv_cell,
@@ -134,32 +133,21 @@ class FakeBlas:
 
 @pytest.fixture
 def fake_blas(monkeypatch):
-    blas = FakeBlas(4)  # the count the process "started with"
-    monkeypatch.setattr(linalg, "_openblas", lambda: (blas.get, blas.set, 4))
+    blas = FakeBlas(4)
+    monkeypatch.setattr(linalg, "_openblas", lambda: (blas.get, blas.set))
     return blas
 
 
 def test_blas_threads_restores_the_count_in_force_before(fake_blas):
     fake_blas.count = 3
-    with blas_threads(SMALL_BATCH_ROWS - 1):
+    with blas_threads():
         assert fake_blas.count == 1
     assert fake_blas.count == 3
-    with pytest.raises(KeyError), blas_threads(SMALL_BATCH_ROWS - 1):
+    with pytest.raises(KeyError), blas_threads():
         assert fake_blas.count == 1
         raise KeyError("inside the block")
     assert fake_blas.count == 3
     assert fake_blas.sets == [1, 3, 1, 3]
-
-
-def test_a_large_batch_runs_at_the_starting_count_inside_a_small_one(fake_blas):
-    with blas_threads(32):
-        with blas_threads(SMALL_BATCH_ROWS):
-            assert fake_blas.count == 4
-            with blas_threads(SMALL_BATCH_ROWS - 1):
-                assert fake_blas.count == 1
-            assert fake_blas.count == 4
-        assert fake_blas.count == 1
-    assert fake_blas.count == 4
 
 
 def test_without_openblas_the_block_only_runs(monkeypatch):
@@ -168,7 +156,7 @@ def test_without_openblas_the_block_only_runs(monkeypatch):
     assert linalg._openblas.__wrapped__() is None
     monkeypatch.setattr(linalg, "_openblas", lambda: None)
     ran = []
-    with blas_threads(1):
+    with blas_threads():
         ran.append(True)
     assert ran == [True]
 
@@ -177,7 +165,8 @@ def test_blas_threads_sets_numpys_openblas():
     blas = linalg._openblas()
     if blas is None:
         pytest.skip("numpy is not linked against OpenBLAS")
-    get, _, start = blas
-    with blas_threads(SMALL_BATCH_ROWS - 1):
+    get, _ = blas
+    before = get()
+    with blas_threads():
         assert get() == 1
-    assert get() == start
+    assert get() == before

@@ -1,14 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from saddlelab import model
 from saddlelab.datagen import ClassGeometry, ImbalanceProfile, generate
 from saddlelab.errors import DimensionError, EmptyClassError, ParameterError
 from saddlelab.linalg import SeededRng
 from saddlelab.losses import VARIANTS, LossSpec
 from saddlelab.model import (
     ACTIVATIONS,
+    CHUNK_ROWS,
     Batch,
     Linearization,
     MlpSpec,
@@ -347,3 +351,80 @@ def test_classwise_loss_decomposition():
         for j, count in enumerate(ds.class_counts)
     )
     assert total == pytest.approx(mix, abs=1e-12)
+
+
+def _chunked_case(n, seed=60):
+    """A VS-loss tanh MLP with class weights on an n-row batch: every fixed
+    array the chunks cut, the curvature's weights and multiplier included."""
+    spec = MlpSpec((5, 8, 6, 3))
+    rng = SeededRng(seed)
+    w = init_params(spec, rng.child("init"))
+    w.data += 0.3 * rng.child("shift").normal(size=w.data.shape[0])
+    data = rng.child("data", n)
+    batch = Batch(data.normal(size=(n, 5)), data.generator.integers(0, 3, n))
+    loss = LossSpec("vs", class_counts=(12, 6, 2), class_weights=(1.0, 2.5, 4.0))
+    return spec, w, batch, loss, rng.child("tangent").normal(size=w.data.shape[0])
+
+
+def _one_chunk_hvp(monkeypatch, spec, w, batch, loss, v):
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "CHUNK_ROWS", len(batch))
+        return Linearization(spec, w, batch, loss).hvp(v)
+
+
+def test_chunked_hvp_matches_finite_differences_and_the_one_chunk_product(monkeypatch):
+    n = 5 * CHUNK_ROWS // 2  # two full chunks and a half one
+    spec, w, batch, loss, v = _chunked_case(n)
+    lin = Linearization(spec, w, batch, loss)
+    assert len(lin._chunks) == 3
+    hv = lin.hvp(v)
+    h = 1e-4
+    fd = (loss_grad(spec, ParamVector(w.data + h * v, w.layout), batch, loss)[1]
+          - loss_grad(spec, ParamVector(w.data - h * v, w.layout), batch, loss)[1]) / (2 * h)
+    assert np.linalg.norm(fd - hv) <= 1e-6 * np.linalg.norm(hv)
+    whole = _one_chunk_hvp(monkeypatch, spec, w, batch, loss, v)
+    assert np.linalg.norm(hv - whole) <= 1e-13 * np.linalg.norm(whole)
+
+
+@pytest.mark.parametrize("n", [1, 17, CHUNK_ROWS])
+def test_a_batch_of_at_most_chunk_rows_is_one_chunk_bitwise(monkeypatch, n):
+    spec, w, batch, loss, v = _chunked_case(n)
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "CHUNK_ROWS", 4 * CHUNK_ROWS)
+        wide = Linearization(spec, w, batch, loss).hvp(v)
+    assert Linearization(spec, w, batch, loss).hvp(v).tobytes() == wide.tobytes()
+
+
+def _arrays(obj):
+    """Every ndarray reachable through lists, tuples, dicts and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif dataclasses.is_dataclass(obj):
+        obj = list(vars(obj).values())
+    if isinstance(obj, (list, tuple)):
+        return [a for item in obj for a in _arrays(item)]
+    return []
+
+
+WORKSPACE = ("_work", "_wtmp", "_part")
+
+
+@pytest.mark.parametrize("n", [17, 5 * CHUNK_ROWS // 2])
+def test_a_twin_shares_the_fixed_arrays_and_owns_its_workspace(n):
+    spec, w, batch, loss, v = _chunked_case(n)
+    lin = Linearization(spec, w, batch, loss)
+    twin = lin.twin()
+    assert twin.hvp(v).tobytes() == lin.hvp(v).tobytes()
+    assert (twin.spec, twin.w, twin.batch, twin.loss) == (lin.spec, lin.w, lin.batch, lin.loss)
+    assert hvp(spec, w, batch, loss, v, lin=twin).tobytes() == lin.hvp(v).tobytes()
+    mine = [a for name in WORKSPACE for a in _arrays(getattr(lin, name))]
+    theirs = [a for name in WORKSPACE for a in _arrays(getattr(twin, name))]
+    assert mine and len(mine) == len(theirs)
+    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
+    fixed = [name for name in vars(lin) if name not in WORKSPACE]
+    pairs = [(a, b) for name in fixed
+             for a, b in zip(_arrays(getattr(lin, name)), _arrays(getattr(twin, name)))]
+    assert len(pairs) > 10
+    assert all(np.shares_memory(a, b) for a, b in pairs)

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddlelab import linalg, model, spectral
-from saddlelab.datagen import ClassGeometry, ImbalanceProfile, LabeledDataset
-from saddlelab.errors import ParameterError
+from saddlelab.datagen import ClassGeometry, ImbalanceProfile, LabeledDataset, generate
+from saddlelab.errors import NumericError, ParameterError
 from saddlelab.harness import load_config, run_experiment
 from saddlelab.linalg import SeededRng
 from saddlelab.losses import LossSpec, loss_on_logits
@@ -377,9 +378,11 @@ def test_single_class_dataset_report_matches_full():
     assert class_entry.extremes.lambda_max == pytest.approx(full_entry.extremes.lambda_max, abs=1e-8)
 
 
-# W2's 5,898-param model and 80 Lanczos steps, one probe, on untrained
-# weights: the smallest setting found at which a class spectrum's bytes
-# differed between 1 and 2 threads before small batches ran on one thread
+# W2's hidden layers and 80 Lanczos steps on untrained weights: the smallest
+# settings found at which a spectrum entry's bytes differed between 1 and 2
+# threads while such entries ran on the process's BLAS threads. The child
+# writes one entry of classwise_spectrum_report(classes=[class_id]); args:
+# out, num_classes, n_max, beta, class_id, entry index, num_probes, rows
 THREADS_CHILD = """
 import sys
 from saddlelab.datagen import ClassGeometry, ImbalanceProfile, generate
@@ -387,19 +390,24 @@ from saddlelab.linalg import SeededRng
 from saddlelab.losses import LossSpec
 from saddlelab.model import MlpSpec, init_params
 from saddlelab.spectral import SpectralSettings, classwise_spectrum_report, save_spectrum
+out, (classes, n_max, beta, class_id, index, probes, rows) = sys.argv[1], map(int, sys.argv[2:])
 rng = SeededRng(1)
-ds = generate(ImbalanceProfile("longtail", 10, 10, 10.0), ClassGeometry(input_dim=16),
+ds = generate(ImbalanceProfile("longtail", classes, n_max, beta), ClassGeometry(input_dim=16),
               rng.child("data"))
-spec = MlpSpec((16, 64, 64, 10))
+spec = MlpSpec((16, 64, 64, classes))
 entry = classwise_spectrum_report(spec, init_params(spec, rng.child("init")), ds,
-                                  LossSpec(variant="ce", class_counts=ds.class_counts), [9],
-                                  SpectralSettings(lanczos_iters=80, num_probes=1),
-                                  rng.child("spectrum"))[0]
-save_spectrum(entry, sys.argv[1] + ".csv", sys.argv[1] + ".json", {})
+                                  LossSpec(variant="ce", class_counts=ds.class_counts),
+                                  [class_id], SpectralSettings(lanczos_iters=80, num_probes=probes),
+                                  rng.child("spectrum"))[index]
+assert entry.num_samples == rows, entry.num_samples
+save_spectrum(entry, out + ".csv", out + ".json", {})
 """
 
 
-def test_small_class_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+def _spectrum_bytes_at_one_and_two_threads(tmp_path, case):
+    """The bytes THREADS_CHILD writes for case under OPENBLAS_NUM_THREADS=1
+    and =2; case is (num_classes, n_max, beta, class_id, entry index,
+    num_probes, rows)."""
     if linalg._openblas() is None:
         pytest.skip("numpy is not linked against OpenBLAS")
     outputs = []
@@ -407,11 +415,94 @@ def test_small_class_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_p
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
         out = tmp_path / f"threads{threads}"
-        proc = subprocess.run([sys.executable, "-c", THREADS_CHILD, str(out)],
+        proc = subprocess.run([sys.executable, "-c", THREADS_CHILD, str(out), *map(str, case)],
                               capture_output=True, text=True, env=env, check=False)
         assert proc.returncode == 0, proc.stderr
-        outputs.append(Path(f"{out}.json").read_bytes())
-    assert outputs[0] == outputs[1]
+        outputs.append((Path(f"{out}.json").read_bytes(), Path(f"{out}.csv").read_bytes()))
+    return outputs
+
+
+def test_small_class_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    one, two = _spectrum_bytes_at_one_and_two_threads(tmp_path, (10, 10, 10, 9, 0, 1, 1))
+    assert one == two
+
+
+# the 500-row class and the 550-row full batch, beyond model.CHUNK_ROWS, run
+# their probes on two threads; both failed while entries of 256 rows or more
+# ran on the BLAS thread count the process started with
+@pytest.mark.parametrize("case", [(2, 500, 10, 0, 0, 2, 500), (2, 500, 10, 1, -1, 2, 550)],
+                         ids=["500-row class", "550-row full batch"])
+def test_large_entry_spectrum_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, case):
+    one, two = _spectrum_bytes_at_one_and_two_threads(tmp_path, case)
+    assert one == two
+
+
+def _split_case():
+    """A 300-row class, past PROBE_SPLIT_ROWS, under a small tanh MLP."""
+    ds = generate(ImbalanceProfile("longtail", 3, 300, 10.0), ClassGeometry(input_dim=4),
+                  SeededRng(50).child("data"))
+    spec = MlpSpec((4, 8, 3))
+    w = init_params(spec, SeededRng(51).child("init"))
+    loss = LossSpec(variant="ce", class_counts=ds.class_counts)
+    return spec, w, ds, loss
+
+
+def test_probe_split_is_bitwise_neutral(monkeypatch):
+    spec, w, ds, loss = _split_case()
+    assert ds.class_counts[0] >= spectral.PROBE_SPLIT_ROWS
+    settings = SpectralSettings(lanczos_iters=12, num_probes=5)
+    threads = set()
+
+    def recording_hvp(*args, lin=None):
+        threads.add(threading.get_ident())
+        return hvp(*args, lin=lin)
+
+    def report():
+        threads.clear()
+        entry = classwise_spectrum_report(spec, w, ds, loss, [0], settings, SeededRng(52))[0]
+        return entry, len(threads)
+
+    monkeypatch.setattr(spectral, "hvp", recording_hvp)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads take turns far more often than at 5 ms
+    try:
+        split, split_threads = report()
+    finally:
+        sys.setswitchinterval(interval)
+    monkeypatch.setattr(spectral, "PROBE_SPLIT_ROWS", len(ds) + 1)
+    whole, whole_threads = report()
+    assert (split_threads, whole_threads) == (2, 1)
+    for a, b in ((split.density.ritz_values, whole.density.ritz_values),
+                 (split.density.ritz_weights, whole.density.ritz_weights)):
+        assert len(a) == len(b) == settings.num_probes
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+    assert split.density.grid.tobytes() == whole.density.grid.tobytes()
+    assert split.density.density.tobytes() == whole.density.density.tobytes()
+    assert split.extremes.v_min.tobytes() == whole.extremes.v_min.tobytes()
+    assert ({k: v for k, v in vars(split.extremes).items() if k != "v_min"}
+            == {k: v for k, v in vars(whole.extremes).items() if k != "v_min"})
+
+
+@pytest.mark.parametrize("failing", ["odd", "even"])
+def test_a_failing_probe_fails_the_entry_and_leaves_no_thread(monkeypatch, failing):
+    spec, w, ds, loss = _split_case()
+    main = threading.get_ident()
+    products = []
+
+    # the second thread runs the odd-numbered probes, this one the even ones
+    def failing_hvp(*args, lin=None):
+        products.append(1)
+        if (threading.get_ident() == main) == (failing == "even") and len(products) > 3:
+            raise NumericError(f"injected on an {failing}-numbered probe")
+        return hvp(*args, lin=lin)
+
+    monkeypatch.setattr(spectral, "hvp", failing_hvp)
+    before = threading.active_count()
+    with pytest.raises(NumericError, match=f"on an {failing}-numbered probe"):
+        classwise_spectrum_report(spec, w, ds, loss, [0],
+                                  SpectralSettings(lanczos_iters=12, num_probes=6),
+                                  SeededRng(53))
+    assert threading.active_count() == before
 
 
 def test_lanczos_probe_determinism():
