@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: train, spectrum, cnc-check, sweep-rho, gen-data. Every failure
+Subcommands: train, spectrum, cnc-check, sweep-rho. Every failure
 exits nonzero after printing a one-line machine-readable JSON error record to
 stderr. Every override is applied here, as an edit of the config the library
 then runs: --seed, cnc-check's --rho and --mode, and the output directory,
@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .datagen import ClassGeometry, ImbalanceProfile, generate, save_dataset
 from .errors import ParameterError, SaddleLabError
 from .harness import (
     OUTPUT_DIR_ENV,
@@ -132,19 +131,6 @@ def cmd_sweep_rho(args) -> int:
     return 0
 
 
-def cmd_gen_data(args) -> int:
-    profile = ImbalanceProfile(kind=args.profile, num_classes=args.classes,
-                               n_max=args.n_max, beta=args.beta)
-    geom = ClassGeometry(input_dim=args.dim, class_mean_radius=args.radius,
-                         within_class_std=args.std, mean_placement=args.placement)
-    ds = generate(profile, geom, SeededRng(args.seed).child("datagen"))
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    save_dataset(ds, args.out)
-    print(f"wrote {len(ds)} samples across {ds.num_classes} classes to {args.out}")
-    print(f"class counts: {list(ds.class_counts)}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saddlelab",
@@ -178,19 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhos", required=True, help="comma-separated rho values")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep_rho)
-
-    p = sub.add_parser("gen-data", help="generate and save a synthetic dataset")
-    p.add_argument("--profile", choices=["longtail", "step"], required=True)
-    p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--radius", type=float, default=3.0)
-    p.add_argument("--std", type=float, default=1.0)
-    p.add_argument("--placement", choices=["circle", "simplex"], default="circle")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_gen_data)
 
     return parser
 

@@ -8,10 +8,6 @@ circle or on regular-simplex vertices; samples are isotropic Gaussians.
 
 from __future__ import annotations
 
-import csv
-import dataclasses
-import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,15 +19,13 @@ from .errors import (
     InfeasibleProfileError,
     ParameterError,
 )
-from .linalg import SeededRng, csv_lines, write_text
+from .linalg import SeededRng
 
 LONGTAIL = "longtail"
 STEP = "step"
 
 CIRCLE = "circle"
 SIMPLEX = "simplex"
-
-DATASET_FORMAT_VERSION = 1
 
 
 def _round_half_up(x: float) -> int:
@@ -88,9 +82,7 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     class_counts: tuple
-    profile: ImbalanceProfile
     geometry: ClassGeometry
-    seed: int
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -176,9 +168,7 @@ def generate(profile: ImbalanceProfile, geom: ClassGeometry, rng: SeededRng) -> 
     return LabeledDataset(
         *_sample(geom, counts, rng),
         class_counts=counts,
-        profile=profile,
         geometry=geom,
-        seed=rng.seed,
     )
 
 
@@ -213,52 +203,5 @@ def balanced_test_split(ds: LabeledDataset, per_class: int, rng: SeededRng) -> L
     return LabeledDataset(
         *_sample(ds.geometry, counts, rng),
         class_counts=counts,
-        profile=ds.profile,
         geometry=ds.geometry,
-        seed=rng.seed,
-    )
-
-
-def save_dataset(ds: LabeledDataset, path) -> None:
-    """Flat file: one JSON header line, then a CSV body of features + label.
-
-    Floats are written with 17 significant digits, so a round trip is exact.
-    """
-    header = {
-        "format_version": DATASET_FORMAT_VERSION,
-        "profile": dataclasses.asdict(ds.profile),
-        "geometry": dataclasses.asdict(ds.geometry),
-        "seed": ds.seed,
-        "class_counts": list(ds.class_counts),
-    }
-    columns = [f"f{i}" for i in range(ds.features.shape[1])] + ["label"]
-    rows = ((*row, int(label)) for row, label in zip(ds.features, ds.labels))
-    write_text(path, itertools.chain([json.dumps(header, sort_keys=True) + "\n"],
-                                     csv_lines(itertools.chain([columns], rows))))
-
-
-def load_dataset(path) -> LabeledDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        version = header.get("format_version")
-        if version != DATASET_FORMAT_VERSION:
-            raise ParameterError(
-                f"dataset format_version {version!r} != supported {DATASET_FORMAT_VERSION}"
-            )
-        reader = csv.reader(fh)
-        columns = next(reader)
-        dim = len(columns) - 1
-        feats, labels = [], []
-        for row in reader:
-            feats.append([float(x) for x in row[:dim]])
-            labels.append(int(row[dim]))
-    profile = ImbalanceProfile(**header["profile"])
-    geometry = ClassGeometry(**header["geometry"])
-    return LabeledDataset(
-        features=np.asarray(feats, dtype=np.float64).reshape(len(labels), dim),
-        labels=np.asarray(labels, dtype=np.intp),
-        class_counts=tuple(header["class_counts"]),
-        profile=profile,
-        geometry=geometry,
-        seed=header.get("seed"),
     )

@@ -64,7 +64,13 @@ def blas_threads():
     """Run the block on one OpenBLAS thread and restore the count in force
     before on exit, also when the block raises. Does nothing when no OpenBLAS
     is found. The count is process-wide: blocks nest, and threads started
-    inside a block run on one BLAS thread each."""
+    inside a block run on one BLAS thread each.
+
+    So blocks must not interleave across threads: a thread that opens and
+    closes its own block while another thread's block is open restores, on
+    exit, a count the other thread still relies on. Start a helper thread
+    inside its caller's block and join it before that block ends, as the
+    spectral density's probe worker does."""
     blas = _openblas()
     if blas is None:
         yield

@@ -1,13 +1,16 @@
+import argparse
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from saddlelab import cli
 from saddlelab.cli import main
-from saddlelab.datagen import load_dataset
 from saddlelab.cncverify import CncSettings
 from saddlelab.harness import OUTPUT_DIR_ENV, config_to_dict
 from saddlelab.losses import ReweightSchedule
@@ -20,17 +23,6 @@ def write_config(tmp_path, **kwargs):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config_to_dict(cfg)))
     return cfg, path
-
-
-def test_gen_data_roundtrip(tmp_path, capsys):
-    out = tmp_path / "new" / "ds.csv"  # gen-data creates the directory, as train does
-    code = main(["gen-data", "--profile", "longtail", "--classes", "4",
-                 "--n-max", "100", "--beta", "10", "--dim", "3",
-                 "--seed", "7", "--out", str(out)])
-    assert code == 0
-    ds = load_dataset(out)
-    assert ds.class_counts == (100, 46, 22, 10)
-    assert "class counts" in capsys.readouterr().out
 
 
 def test_train_and_checkpoint_tools(tmp_path, capsys):
@@ -254,51 +246,26 @@ def test_installed_entry_point_exit_codes(tmp_path):
     assert proc.returncode == 0
 
 
-def test_gen_data_infeasible_profile_error(tmp_path, capsys):
-    code = main(["gen-data", "--profile", "longtail", "--classes", "10",
-                 "--n-max", "5", "--beta", "100", "--dim", "2",
-                 "--out", str(tmp_path / "x.csv")])
-    assert code == 1
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "InfeasibleProfileError"
+def test_docs_name_the_parsers_subcommands():
+    # cli.py's docstring and README's usage block name exactly the commands
+    # build_parser() accepts
+    docstring = re.search(r"Subcommands: ([^.]+)\.", cli.__doc__).group(1)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    usage = readme.split("## CLI", 1)[1].split("```")[1]
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(re.split(r"[,\s]+", docstring)) \
+        == set(re.findall(r"^saddlelab ([\w-]+)", usage, re.MULTILINE)) \
+        == set(subparsers.choices)
 
 
-def test_gen_data_error_names_the_path_asked_for(tmp_path, capsys):
-    # the atomic writer's temp file is an implementation detail
-    target = tmp_path / "adir"
-    target.mkdir()
-    assert main(["gen-data", "--profile", "longtail", "--classes", "2", "--n-max", "10",
-                 "--beta", "2", "--dim", "2", "--out", str(target)]) == 1
-    record = json.loads(capsys.readouterr().err.strip())
-    assert record["error"] == "IsADirectoryError"
-    assert repr(str(target)) in record["message"] and ".tmp" not in record["message"]
-    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
-
-
-@pytest.mark.parametrize("command", ["gen-data", "train"])
+@pytest.mark.parametrize("command", ["train"])
 def test_negative_seed_gives_an_error_record(tmp_path, capsys, command):
     _, cfg_path = write_config(tmp_path, epochs=1)
-    argv = (["gen-data", "--profile", "longtail", "--classes", "2", "--n-max", "10",
-             "--beta", "2", "--dim", "2", "--out", str(tmp_path / "ds.csv")]
-            if command == "gen-data" else ["train", "--config", str(cfg_path)])
-    assert main([*argv, "--seed", "-1"]) == 1
+    assert main([command, "--config", str(cfg_path), "--seed", "-1"]) == 1
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ParameterError" and "seed" in record["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
-
-
-@pytest.mark.parametrize("flag, value", [
-    ("--radius", "nan"), ("--std", "nan"), ("--std", "inf"), ("--beta", "nan"),
-])
-def test_gen_data_rejects_non_finite_values(tmp_path, capsys, flag, value):
-    # the last --beta given wins
-    assert main(["gen-data", "--profile", "longtail", "--classes", "4", "--n-max", "100",
-                 "--beta", "10", "--dim", "3", "--out", str(tmp_path / "ds.csv"),
-                 flag, value]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1
-    assert json.loads(err[0])["error"] == "ParameterError"
-    assert not (tmp_path / "ds.csv").exists()
 
 
 def _edited_echo(config):

@@ -8,8 +8,6 @@ from saddlelab.datagen import (
     class_counts,
     class_means,
     generate,
-    load_dataset,
-    save_dataset,
     split_head_mid_tail,
 )
 from saddlelab.errors import GeometryError, InfeasibleProfileError, ParameterError
@@ -48,6 +46,20 @@ def test_balanced_limit():
 def test_infeasible_profile():
     with pytest.raises(InfeasibleProfileError):
         class_counts(ImbalanceProfile("longtail", 10, 10, 100.0))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("make", [
+    lambda v: ImbalanceProfile("longtail", 4, 100, v),
+    lambda v: ClassGeometry(input_dim=3, class_mean_radius=v),
+    lambda v: ClassGeometry(input_dim=3, within_class_std=v),
+], ids=["beta", "class_mean_radius", "within_class_std"])
+def test_non_finite_value_is_rejected(make, value):
+    # a config never reaches these checks: its JSON reader rejects NaN and
+    # infinities first
+    with pytest.raises(ParameterError, match="finite"):
+        make(value)
 
 
 def test_generate_counts_and_determinism():
@@ -156,27 +168,3 @@ def test_test_rows_disjoint_from_train():
     train_rows = {row.tobytes() for row in ds.features}
     assert all(row.tobytes() not in train_rows for row in test.features)
 
-
-def test_dataset_file_roundtrip(tmp_path):
-    ds = generate(ImbalanceProfile("step", 3, 12, 4.0),
-                  ClassGeometry(input_dim=2, within_class_std=0.3), SeededRng(8))
-    path = tmp_path / "ds.csv"
-    save_dataset(ds, path)
-    loaded = load_dataset(path)
-    assert np.array_equal(loaded.features, ds.features)
-    assert np.array_equal(loaded.labels, ds.labels)
-    assert loaded.class_counts == ds.class_counts
-    assert loaded.profile == ds.profile
-    assert loaded.geometry == ds.geometry
-
-
-def test_dataset_file_version_mismatch(tmp_path):
-    ds = generate(ImbalanceProfile("step", 2, 4, 2.0), ClassGeometry(input_dim=2),
-                  SeededRng(9))
-    path = tmp_path / "ds.csv"
-    save_dataset(ds, path)
-    header, body = path.read_text().split("\n", 1)
-    path.write_text(header.replace('"format_version": 1', '"format_version": 2')
-                    + "\n" + body)
-    with pytest.raises(ParameterError, match="format_version"):
-        load_dataset(path)

@@ -110,6 +110,17 @@ def test_write_text_interrupted_keeps_old_bytes(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.csv"]
 
 
+def test_write_text_error_names_the_path_asked_for(tmp_path):
+    # the temp file is an implementation detail: the error names the target,
+    # and the temp file is gone
+    target = tmp_path / "adir"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        write_text(target, ["a,b\n"])
+    assert repr(str(target)) in str(info.value) and ".tmp" not in str(info.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
 def test_seed_outside_64_bits_is_rejected(seed):
     # masking it would alias another seed's streams

@@ -312,8 +312,6 @@ def test_oracle_purity():
 
 def _linear_model_dataset(balanced=True):
     counts = (30, 30) if balanced else (40, 8)
-    profile = ImbalanceProfile("longtail", 2, counts[0],
-                               counts[0] / counts[1] + 1e-12)
     geom = ClassGeometry(input_dim=3, class_mean_radius=2.0, within_class_std=0.8)
     rng = SeededRng(26).child("datagen")
     feats, labels = [], []
@@ -321,8 +319,7 @@ def _linear_model_dataset(balanced=True):
     for j, n in enumerate(counts):
         feats.append(means[j] + rng.normal(size=(n, 3), std=0.8))
         labels.append(np.full(n, j, dtype=np.intp))
-    return LabeledDataset(np.vstack(feats), np.concatenate(labels), counts,
-                          profile, geom, seed=26)
+    return LabeledDataset(np.vstack(feats), np.concatenate(labels), counts, geom)
 
 
 def test_classwise_report_convex_linear_model():
@@ -359,10 +356,8 @@ def test_full_hessian_is_count_weighted_class_mixture():
 
 
 def test_single_class_dataset_report_matches_full():
-    profile = ImbalanceProfile("longtail", 2, 20, 20.0)
-    geom = ClassGeometry(input_dim=3)
     feats = SeededRng(31).normal(size=(20, 3))
-    ds = LabeledDataset(feats, np.zeros(20, dtype=np.intp), (20, 0), profile, geom, seed=31)
+    ds = LabeledDataset(feats, np.zeros(20, dtype=np.intp), (20, 0), ClassGeometry(input_dim=3))
     spec = MlpSpec((3, 4, 2))
     w = init_params(spec, SeededRng(32).child("init"))
     loss = LossSpec(variant="ce", class_counts=(20, 1))
