@@ -22,9 +22,9 @@ import numpy as np
 from .errors import ParameterError
 from .linalg import SeededRng, blas_threads, csv_lines, write_json, write_text
 from .losses import LossSpec
-from .model import Batch, MlpSpec, ParamVector, hvp, loss_grad
+from .model import Batch, Linearization, MlpSpec, ParamVector, hvp, loss_grad
 from .optim import sam_gradients
-from .spectral import HvpOracle, SpectralSettings, extreme_eigs
+from .spectral import SpectralSettings, extreme_eigs
 
 UNNORMALIZED = "unnormalized"
 NORMALIZED = "normalized"
@@ -117,11 +117,11 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
     rho_list = list(rho_list)
     if not rho_list:
         raise ParameterError("rho_list must be non-empty")
-    # no name holds the full-batch oracle, so its linearization is freed
-    # once the extreme run returns
+    # no name holds the full-batch linearization, so it is freed once the
+    # extreme run returns
     with blas_threads():
         extremes = extreme_eigs(
-            HvpOracle.for_batch(spec, w, Batch(ds.features, ds.labels), loss),
+            Linearization(spec, w, Batch(ds.features, ds.labels), loss),
             spectral.lanczos_iters, spectral.residual_tol, rng.child("extreme"))
     lam_min = extremes.lambda_min
     v_w = extremes.v_min

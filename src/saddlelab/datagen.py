@@ -176,6 +176,7 @@ def split_head_mid_tail(counts, hi_threshold: float | None = None, lo_threshold:
     """Group classes by frequency: head n_j > hi, tail n_j < lo, rest mid.
 
     Defaults scale from the largest class: hi = n_max/3.3, lo = n_max/20.
+    An hi below lo, which would put classes under lo in the head, raises.
     """
     counts = list(counts)
     if not counts:
@@ -183,6 +184,8 @@ def split_head_mid_tail(counts, hi_threshold: float | None = None, lo_threshold:
     n_max = max(counts)
     hi = n_max / 3.3 if hi_threshold is None else hi_threshold
     lo = n_max / 20.0 if lo_threshold is None else lo_threshold
+    if hi < lo:
+        raise ParameterError(f"groups hi {hi:g} is below lo {lo:g}")
     head, mid, tail = [], [], []
     for j, n_j in enumerate(counts):
         if n_j > hi:

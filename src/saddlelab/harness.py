@@ -61,6 +61,7 @@ from .linalg import (
 from .losses import LossSpec, ReweightSchedule, drw_weights, loss_on_logits
 from .model import (
     Batch,
+    Linearization,
     MlpSpec,
     ParamVector,
     forward,
@@ -79,7 +80,6 @@ from .optim import (
     rho_at,
 )
 from .spectral import (
-    HvpOracle,
     SpectralSettings,
     classwise_spectrum_report,
     extreme_eigs,
@@ -178,6 +178,8 @@ class ExperimentConfig:
                 (self.dataset.input_dim, self.dataset.num_classes):
             raise ConfigError("model layer_sizes must start at dataset input_dim and "
                               "end at dataset num_classes")
+        # raises when the groups' effective hi falls below their lo
+        split_head_mid_tail(class_counts(self.dataset.profile()), self.groups.hi, self.groups.lo)
 
     def objective(self, epoch: int, loss: LossSpec) -> tuple:
         """(loss with the DRW class weights of 0-based training epoch `epoch`,
@@ -684,9 +686,8 @@ def tail_lambda_min(cfg: ExperimentConfig, result: RunResult) -> float | None:
     for cid in result.groups.tail:
         batch = per_class_batch(result.dataset, cid)
         with blas_threads():
-            oracle = HvpOracle.for_batch(cfg.model, result.params, batch, loss)
-            ex = extreme_eigs(oracle, cfg.spectral.lanczos_iters,
-                              cfg.spectral.residual_tol,
+            ex = extreme_eigs(Linearization(cfg.model, result.params, batch, loss),
+                              cfg.spectral.lanczos_iters, cfg.spectral.residual_tol,
                               SeededRng(cfg.seed).child("tail-eig", cid))
         vals.append(ex.lambda_min)
     return float(np.mean(vals))

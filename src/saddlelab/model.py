@@ -221,6 +221,7 @@ class Linearization:
     products sd2[l] = (g[l+1] @ W[l+1]) * d2[l], and the loss layer's
     curvature. The pass's `logits` and weighted mean loss `value` are kept
     for callers that report them. It stays valid while w.data is unchanged.
+    It is the operator spectral probes: apply(v) is one hvp call on it.
 
     hvp(v) pushes only the tangent through the batch, in row chunks of at
     most CHUNK_ROWS, and adds up each chunk's weight and bias blocks in chunk
@@ -233,6 +234,7 @@ class Linearization:
         if len(batch) == 0:
             raise ParameterError("empty batch")
         self.spec, self.w, self.batch, self.loss = spec, w, batch, loss
+        self.dim = w.data.shape[0]
         self._ws, self._bs = _unpack(spec, w.data)
         self.logits, hs, pre = _forward_pass(spec, self._ws, self._bs, batch.features)
         self.value, g, curvature = loss_terms(loss, self.logits, batch.labels)
@@ -286,6 +288,9 @@ class Linearization:
         twin = copy.copy(self)
         twin._allocate()
         return twin
+
+    def apply(self, v) -> np.ndarray:
+        return hvp(self.spec, self.w, self.batch, self.loss, v, lin=self)
 
     def hvp(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=np.float64)

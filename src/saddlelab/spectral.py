@@ -1,13 +1,13 @@
 """Hessian eigen-spectrum diagnostics through matrix-free operator probes.
 
-A Lanczos run turns an HVP oracle into Ritz values/weights, reorthogonalizing
-its basis only when a bound on the lost orthogonality says it must (partial
-reorthogonalization); averaging Gaussian-broadened Ritz quadrature over
-several random probes estimates the eigenvalue density. Extreme eigenpairs
-come from the edge Ritz pairs refined by shifted power iteration (spectrum
-shifted so the wanted end dominates), which needs nothing beyond further
-HVPs. The |lambda_min / lambda_max| ratio summarizes how saddle-like the
-landscape is.
+A Lanczos run turns a symmetric operator, a model.Linearization or an
+HvpOracle, into Ritz values/weights, reorthogonalizing its basis only when a
+bound on the lost orthogonality says it must (partial reorthogonalization);
+averaging Gaussian-broadened Ritz quadrature over several random probes
+estimates the eigenvalue density. Extreme eigenpairs come from the edge Ritz
+pairs refined by shifted power iteration (spectrum shifted so the wanted end
+dominates), which needs nothing beyond further HVPs. The |lambda_min /
+lambda_max| ratio summarizes how saddle-like the landscape is.
 """
 
 from __future__ import annotations
@@ -22,33 +22,19 @@ import numpy as np
 from .errors import ParameterError
 from .linalg import SeededRng, blas_threads, csv_lines, write_json, write_text
 from .losses import LossSpec
-from .model import Batch, Linearization, MlpSpec, ParamVector, hvp, per_class_batch
+from .model import Batch, Linearization, MlpSpec, ParamVector, per_class_batch
 
 SPECTRUM_FORMAT_VERSION = 1
 
 
 @dataclass
 class HvpOracle:
-    """Symmetric linear operator v -> Hv with a known dimension."""
+    """Symmetric linear operator v -> Hv with a known dimension. A model's
+    loss on a batch is probed through model.Linearization, the same kind of
+    operator; this one wraps a function or, by from_matrix, a matrix."""
 
     apply: callable
     dim: int
-    lin: Linearization | None = None  # behind a for_batch oracle: its logits and loss value
-
-    @classmethod
-    def for_batch(cls, spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec) -> "HvpOracle":
-        """Linearizes once; every product is one model.hvp call on that
-        linearization."""
-        return cls._on(Linearization(spec, w, batch, loss))
-
-    @classmethod
-    def _on(cls, lin: Linearization) -> "HvpOracle":
-        return cls(apply=lambda v: hvp(lin.spec, lin.w, lin.batch, lin.loss, v, lin=lin),
-                   dim=lin.w.data.shape[0], lin=lin)
-
-    def twin(self) -> "HvpOracle":
-        """A for_batch oracle's operator over lin.twin(), for a second thread."""
-        return HvpOracle._on(self.lin.twin())
 
     @classmethod
     def from_matrix(cls, a) -> "HvpOracle":
@@ -97,7 +83,7 @@ class LanczosResult:
         return self.alphas.shape[0]
 
 
-def lanczos(oracle: HvpOracle, iters: int, rng: SeededRng) -> LanczosResult:
+def lanczos(oracle: HvpOracle | Linearization, iters: int, rng: SeededRng) -> LanczosResult:
     """Tridiagonalize the operator restricted to a random Krylov subspace.
 
     The starting vector is a normalized Gaussian probe from rng. Partial
@@ -223,8 +209,8 @@ def _auto_grid(all_vals: np.ndarray, sigma: float):
     return np.linspace(lo, hi, points)
 
 
-def spectral_density(oracle: HvpOracle, settings: SpectralSettings, rng: SeededRng,
-                     twin: HvpOracle | None = None) -> SpectralDensity:
+def spectral_density(oracle: HvpOracle | Linearization, settings: SpectralSettings,
+                     rng: SeededRng, twin: Linearization | None = None) -> SpectralDensity:
     """Average Gaussian-broadened Ritz quadrature over independent probes.
 
     With twin, the same operator on its own workspace, a second thread runs
@@ -307,8 +293,8 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
-def _refine_eigpair(oracle: HvpOracle, v0: np.ndarray, shift: float, sign: float,
-                    tol: float, max_iters: int):
+def _refine_eigpair(oracle: HvpOracle | Linearization, v0: np.ndarray, shift: float,
+                    sign: float, tol: float, max_iters: int):
     """Power iteration on sign*(H - shift*I); sign=-1 targets the bottom of the
     spectrum (the operator becomes shift*I - H), sign=+1 the top. Needs
     max_iters >= 1: each pass's HVP gives both the residual test and the step.
@@ -330,7 +316,7 @@ def _refine_eigpair(oracle: HvpOracle, v0: np.ndarray, shift: float, sign: float
     return _fix_sign(v), lam, residual, residual < tol
 
 
-def extreme_eigs(oracle: HvpOracle, iters: int, tol: float, rng: SeededRng,
+def extreme_eigs(oracle: HvpOracle | Linearization, iters: int, tol: float, rng: SeededRng,
                  max_refine_iters: int = 5000) -> ExtremeEigs:
     """Extreme eigenpairs: Lanczos edge Ritz pairs, then shifted power
     iteration until the eigen-residual drops below tol (or the budget runs
@@ -415,18 +401,18 @@ PROBE_SPLIT_ROWS = 256
 
 def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpectrumEntry:
     with blas_threads():
-        oracle = HvpOracle.for_batch(spec, w, batch, loss)
-        density = spectral_density(oracle, settings, rng.child("density"),
-                                   oracle.twin() if len(batch) >= PROBE_SPLIT_ROWS else None)
-        extremes = extreme_eigs(oracle, settings.lanczos_iters, settings.residual_tol,
+        lin = Linearization(spec, w, batch, loss)
+        density = spectral_density(lin, settings, rng.child("density"),
+                                   lin.twin() if len(batch) >= PROBE_SPLIT_ROWS else None)
+        extremes = extreme_eigs(lin, settings.lanczos_iters, settings.residual_tol,
                                 rng.child("extreme"))
-    acc = float(np.mean(np.argmax(oracle.lin.logits, axis=1) == batch.labels))
+    acc = float(np.mean(np.argmax(lin.logits, axis=1) == batch.labels))
     return ClassSpectrumEntry(
         class_id=class_id,
         density=density,
         extremes=extremes,
         ratio=nonconvexity_ratio(extremes),
-        loss=oracle.lin.value,
+        loss=lin.value,
         accuracy=acc,
         num_samples=len(batch),
     )

@@ -32,6 +32,7 @@ from saddlelab.linalg import SeededRng
 from saddlelab.losses import LossSpec, drw_weights, ldam_margins, loss_on_logits, ReweightSchedule
 from saddlelab.model import (
     Batch,
+    Linearization,
     MlpSpec,
     ParamVector,
     hvp,
@@ -325,9 +326,8 @@ def _trend_config(out_dir, kind, seed, rho=0.0, rho_drw=0.0):
 
 def _tail_extremes(cfg, result):
     ce = LossSpec(variant="ce", class_counts=result.dataset.class_counts)
-    oracle = HvpOracle.for_batch(cfg.model, result.params,
-                                 per_class_batch(result.dataset, 1), ce)
-    return extreme_eigs(oracle, 60, 1e-7, SeededRng(cfg.seed).child("accept7"),
+    lin = Linearization(cfg.model, result.params, per_class_batch(result.dataset, 1), ce)
+    return extreme_eigs(lin, 60, 1e-7, SeededRng(cfg.seed).child("accept7"),
                         max_refine_iters=2000)
 
 

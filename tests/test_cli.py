@@ -145,6 +145,26 @@ def test_error_record_on_invalid_config_section(tmp_path, capsys, edit):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep-rho"])
+def test_groups_hi_below_lo_is_one_config_error_and_writes_nothing(tmp_path, capsys, command):
+    # W2's data with only lo set: the default hi, 500/3.3 = 151.5, would put
+    # its 324- and 210-row classes, under lo, in the head
+    _, path = write_config(tmp_path, epochs=1)
+    d = json.loads(path.read_text())
+    d["dataset"].update(num_classes=10, n_max=500, beta=50.0, input_dim=16)
+    d["model"].update(layer_sizes=[16, 8, 10])
+    d["groups"] = {"hi": None, "lo": 400}
+    path.write_text(json.dumps(d))
+    extra = ["--rhos", "0", "--out", str(tmp_path / "sweep")] if command == "sweep-rho" else []
+    assert main([command, "--config", str(path), *extra]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == "ConfigError"
+    assert "below lo 400" in record["message"]
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_error_record_on_missing_checkpoint(tmp_path, capsys):
     (tmp_path / "list.json").write_text("[]")  # JSON, but no checkpoint object
     for name in ("nope.json", "list.json"):

@@ -125,6 +125,16 @@ def test_split_by_rule_on_longtail_counts():
     assert groups_343.tail == (7, 8, 9)
 
 
+def test_split_rejects_hi_below_lo():
+    # the 100-row class, under lo, would be head
+    with pytest.raises(ParameterError, match="hi 50 is below lo 200"):
+        split_head_mid_tail([500, 100, 10], hi_threshold=50, lo_threshold=200)
+    # the default hi, 500/3.3 = 151.5, against an explicit lo
+    with pytest.raises(ParameterError, match="hi 151.515 is below lo 400"):
+        split_head_mid_tail([500, 324, 210, 10], lo_threshold=400)
+    assert split_head_mid_tail([500, 100, 10], 100, 100).head == (0,)
+
+
 def test_split_all_equal_counts():
     groups = split_head_mid_tail([100, 100, 100])
     assert groups.head == (0, 1, 2)

@@ -233,7 +233,7 @@ def test_nonconverged_refine_reports_its_own_vector():
     assert ex.residual_min == pytest.approx(np.linalg.norm(a @ v - rayleigh * v), rel=1e-12)
 
 
-def test_for_batch_oracle_linearizes_once_and_calls_hvp_per_product(monkeypatch):
+def test_linearization_operator_linearizes_once_and_calls_hvp_per_product(monkeypatch):
     spec = MlpSpec((4, 6, 3), "softplus")
     w = init_params(spec, SeededRng(36).child("init"))
     data = SeededRng(37)
@@ -250,11 +250,11 @@ def test_for_batch_oracle_linearizes_once_and_calls_hvp_per_product(monkeypatch)
         hvp_lins.append(lin)
         return hvp(*args, lin=lin)
 
-    # model.hvp would build a model.Linearization if it were called without lin
+    # model.hvp would build a model.Linearization if it were called without
+    # lin; the bench counts products at the model.hvp binding
     monkeypatch.setattr(model, "Linearization", counting_linearization)
-    monkeypatch.setattr(spectral, "Linearization", counting_linearization)
-    monkeypatch.setattr(spectral, "hvp", counting_hvp)
-    base = HvpOracle.for_batch(spec, w, batch, loss)
+    monkeypatch.setattr(model, "hvp", counting_hvp)
+    base = model.Linearization(spec, w, batch, loss)
     products = []
     oracle = HvpOracle(apply=lambda v: products.append(1) or base.apply(v), dim=base.dim)
     settings = SpectralSettings(lanczos_iters=6, num_probes=3)
@@ -305,9 +305,9 @@ def test_oracle_purity():
     batch = Batch(SeededRng(23).normal(size=(9, 4)),
                   SeededRng(24).generator.integers(0, 2, 9))
     loss = LossSpec(variant="ce", class_counts=(5, 4))
-    oracle = HvpOracle.for_batch(spec, w, batch, loss)
-    v = SeededRng(25).normal(size=oracle.dim)
-    assert np.array_equal(oracle.apply(v), oracle.apply(v))
+    lin = model.Linearization(spec, w, batch, loss)
+    v = SeededRng(25).normal(size=lin.dim)
+    assert np.array_equal(lin.apply(v), lin.apply(v))
 
 
 def _linear_model_dataset(balanced=True):
@@ -446,18 +446,39 @@ def test_probe_split_is_bitwise_neutral(monkeypatch):
     spec, w, ds, loss = _split_case()
     assert ds.class_counts[0] >= spectral.PROBE_SPLIT_ROWS
     settings = SpectralSettings(lanczos_iters=12, num_probes=5)
-    threads = set()
+    hvp_calls, refine_calls, lins = [], [], []
+    linearization, refine_eigpair = model.Linearization, spectral._refine_eigpair
 
+    def counting_linearization(*args):
+        lins.append(linearization(*args))
+        return lins[-1]
+
+    # the bench counts products at the model.hvp binding, on both threads
     def recording_hvp(*args, lin=None):
-        threads.add(threading.get_ident())
+        hvp_calls.append((threading.get_ident(), lin))
         return hvp(*args, lin=lin)
 
-    def report():
-        threads.clear()
-        entry = classwise_spectrum_report(spec, w, ds, loss, [0], settings, SeededRng(52))[0]
-        return entry, len(threads)
+    def counting_refine(oracle, *args, **kwargs):
+        op = HvpOracle(apply=lambda v: refine_calls.append(1) or oracle.apply(v), dim=oracle.dim)
+        return refine_eigpair(op, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "hvp", recording_hvp)
+    def report():
+        for calls in (hvp_calls, refine_calls, lins):
+            calls.clear()
+        entries = classwise_spectrum_report(spec, w, ds, loss, [0], settings, SeededRng(52))
+        # class 0's entry and the full batch's, both past PROBE_SPLIT_ROWS:
+        # every product is one model.hvp call, (probes + 1) full Lanczos runs
+        # per entry and the refinement's products
+        assert len(hvp_calls) == (2 * (settings.num_probes + 1) * settings.lanczos_iters
+                                  + len(refine_calls))
+        # one linearization per entry; a twin is a copy sharing its arrays
+        assert len(lins) == 2
+        assert all(any(lin.logits is x.logits for x in lins) for _, lin in hvp_calls)
+        return entries[0], len({thread for thread, _ in hvp_calls})
+
+    monkeypatch.setattr(model, "hvp", recording_hvp)
+    monkeypatch.setattr(spectral, "Linearization", counting_linearization)
+    monkeypatch.setattr(spectral, "_refine_eigpair", counting_refine)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the threads take turns far more often than at 5 ms
     try:
@@ -491,7 +512,7 @@ def test_a_failing_probe_fails_the_entry_and_leaves_no_thread(monkeypatch, faili
             raise NumericError(f"injected on an {failing}-numbered probe")
         return hvp(*args, lin=lin)
 
-    monkeypatch.setattr(spectral, "hvp", failing_hvp)
+    monkeypatch.setattr(model, "hvp", failing_hvp)
     before = threading.active_count()
     with pytest.raises(NumericError, match=f"on an {failing}-numbered probe"):
         classwise_spectrum_report(spec, w, ds, loss, [0],
@@ -602,17 +623,21 @@ def test_density_window_sums_bitwise_like_the_full_grid():
         assert np.array_equal(sd.density, full)
 
 
+def _dense_hessian(lin):
+    dense = np.column_stack([lin.apply(e) for e in np.eye(lin.dim)])
+    return (dense + dense.T) / 2.0
+
+
 def test_w1_density_moments_and_extremes_match_the_dense_hessian(tmp_path):
     cfg = dataclasses.replace(load_config(ROOT / "configs" / "quickstart.json"),
                               spectrum_epochs=(), cnc_epochs=())
     result = run_experiment(cfg, out_dir=tmp_path)
     ds = result.dataset
-    oracle = HvpOracle.for_batch(cfg.model, result.params, Batch(ds.features, ds.labels),
+    oracle = model.Linearization(cfg.model, result.params, Batch(ds.features, ds.labels),
                                  cfg.loss.bind(ds.class_counts))
     dim = oracle.dim
     assert dim == 110
-    dense = np.column_stack([oracle.apply(e) for e in np.eye(dim)])
-    eigs = np.linalg.eigvalsh((dense + dense.T) / 2.0)
+    eigs = np.linalg.eigvalsh(_dense_hessian(oracle))
 
     settings = cfg.spectral
     sd = spectral_density(oracle, settings, SeededRng(1).child("density"))
@@ -632,12 +657,69 @@ def test_w1_density_moments_and_extremes_match_the_dense_hessian(tmp_path):
     assert abs(ex.lambda_max - eigs[-1]) <= settings.residual_tol
 
 
+def _exact_saddle(num_classes, input_dim, hidden, drw):
+    """The tanh MLP input_dim-hidden...-num_classes on W1's data (W2's with 10
+    classes and 16 inputs), at zero weights and hidden biases, with the output
+    bias log(pi): pi_c is class c's share of the loss's normalized sample
+    weights omega, so softmax(logits) = pi on every row and the gradient is 0.
+    With one hidden layer the Hessian pairs each hidden unit's outgoing
+    weights with its incoming ones through M = sum_i omega_i (pi - e_y_i) x_i^T
+    and is PSD elsewhere, so its spectrum below 0 is -sigma(M), hidden times.
+    Returns (Linearization, gradient, M)."""
+    cfg = load_config(ROOT / "configs" / "quickstart.json")
+    dataset = dataclasses.replace(cfg.dataset, num_classes=num_classes, input_dim=input_dim)
+    ds = generate(dataset.profile(), dataset.geometry(), SeededRng(cfg.seed).child("datagen"))
+    counts = np.asarray(ds.class_counts, dtype=np.float64)
+    loss = LossSpec(variant="ce", class_counts=ds.class_counts,
+                    class_weights=tuple(1.0 / counts) if drw else None)
+    omega = (1.0 / counts if drw else np.ones_like(counts))[ds.labels]
+    omega /= omega.sum()
+    pi = np.bincount(ds.labels, weights=omega, minlength=num_classes)
+    spec = MlpSpec((input_dim, *hidden, num_classes))
+    blocks, total = model.param_layout(spec)
+    w = model.ParamVector(np.zeros(total), blocks)
+    w.view(f"b{len(hidden)}")[...] = np.log(pi)
+    batch = Batch(ds.features, ds.labels)
+    # M's row c as sum_k pi_c pi_k (mu_k - mu_c), mu_k class k's omega-weighted
+    # mean: the same sum, but the class sums do not cancel in rounding
+    mu = np.stack([omega[ds.labels == c] @ ds.features[ds.labels == c]
+                   for c in range(num_classes)]) / pi[:, None]
+    m = pi[:, None] * np.einsum("k,ckd->cd", pi, mu[None] - mu[:, None])
+    return model.Linearization(spec, w, batch, loss), model.loss_grad(spec, w, batch, loss)[1], m
+
+
+@pytest.mark.parametrize("num_classes, input_dim, hidden, drw", [
+    (2, 6, 12, False), (2, 6, 12, True), (10, 16, 8, False),
+], ids=["w1", "w1-drw", "w2-16-8-10"])
+def test_one_hidden_layer_exact_saddle_matches_its_closed_form(num_classes, input_dim,
+                                                               hidden, drw):
+    lin, grad, m = _exact_saddle(num_classes, input_dim, (hidden,), drw)
+    assert np.linalg.norm(grad) <= 1e-14
+    eigs = np.linalg.eigvalsh(_dense_hessian(lin))
+    sigmas = np.linalg.svd(m, compute_uv=False)
+    assert abs(eigs[0] + sigmas[0]) <= 1e-13 * sigmas[0]
+    # rank(M) at the same threshold: its rows sum to 0 up to rounding
+    assert np.count_nonzero(eigs < -1e-12) == hidden * np.count_nonzero(sigmas > 1e-12)
+    settings = SpectralSettings()
+    ex = extreme_eigs(lin, settings.lanczos_iters, settings.residual_tol,
+                      SeededRng(3).child("extreme"))
+    assert ex.converged
+    assert abs(ex.lambda_min - eigs[0]) <= settings.residual_tol
+
+
+def test_two_hidden_layer_exact_saddle_has_a_psd_hessian():
+    lin, grad, _ = _exact_saddle(2, 6, (8, 8), drw=False)
+    assert np.linalg.norm(grad) <= 1e-14
+    eigs = np.linalg.eigvalsh(_dense_hessian(lin))
+    assert eigs[0] >= -1e-12 * eigs[-1]
+
+
 def test_lanczos_on_a_w2_sized_oracle_skips_reorthogonalization_and_reruns_bitwise():
     spec = MlpSpec((16, 64, 64, 10))
     w = init_params(spec, SeededRng(40).child("init"))
     data = SeededRng(41)
     batch = Batch(data.normal(size=(300, 16)), data.generator.integers(0, 10, 300))
-    oracle = HvpOracle.for_batch(spec, w, batch, LossSpec(variant="ce", class_counts=(30,) * 10))
+    oracle = model.Linearization(spec, w, batch, LossSpec(variant="ce", class_counts=(30,) * 10))
     assert oracle.dim == 5898
     first = lanczos(oracle, 80, SeededRng(42).child("probe"))
     again = lanczos(oracle, 80, SeededRng(42).child("probe"))
