@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ParameterError
 from .linalg import SeededRng, blas_threads, csv_lines, write_json, write_text
 from .losses import LossSpec
-from .model import Batch, Linearization, MlpSpec, ParamVector, hvp, loss_grad
+from .model import Batch, Linearization, MlpSpec, hvp, loss_grad
 from .optim import sam_gradients
 from .spectral import SpectralSettings, extreme_eigs
 
@@ -102,7 +102,7 @@ def projection_second_moment(grads, v_w: np.ndarray):
     return _moment(proj ** 2)
 
 
-def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
+def theorem1_report(spec: MlpSpec, w: np.ndarray, ds, loss: LossSpec,
                     rho_list, settings: CncSettings, rng: SeededRng,
                     spectral: SpectralSettings):
     """One row per rho: both projection moments over a shared batch sequence,
@@ -127,25 +127,24 @@ def theorem1_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
     v_w = extremes.v_min
     batches = [Batch(ds.features[idx], ds.labels[idx]) for idx in
                sample_batches(ds, settings.batch_size, settings.num_batches, rng.child("batches"))]
-    grad_fns = [lambda x, b=b: loss_grad(spec, ParamVector(x, w.layout), b, loss)
-                for b in batches]
+    grad_fns = [lambda x, b=b: loss_grad(spec, x, b, loss) for b in batches]
     normalized = settings.mode == NORMALIZED
 
     # its own gradients, not the moment's: the bench self-test pins the
     # report at B(1 + sum(1 if rho == 0 else 4)) of them (ROADMAP item 1)
     def residual(batch, grad_fn, rho):
-        _, g, eps, g_sam = sam_gradients(grad_fn, w.data, rho, normalized)
+        _, g, eps, g_sam = sam_gradients(grad_fn, w, rho, normalized)
         if eps is None:
             return 0.0
         return float(np.linalg.norm(g_sam - (g + hvp(spec, w, batch, loss, eps))))
 
     with blas_threads():
-        gamma_hat, gamma_se = projection_second_moment((fn(w.data)[1] for fn in grad_fns), v_w)
+        gamma_hat, gamma_se = projection_second_moment((fn(w)[1] for fn in grad_fns), v_w)
         violation = gamma_hat <= gamma_se
         rows = []
         for rho in rho_list:
             moment, moment_se = projection_second_moment(
-                (sam_gradients(fn, w.data, rho, normalized)[3] for fn in grad_fns), v_w)
+                (sam_gradients(fn, w, rho, normalized)[3] for fn in grad_fns), v_w)
             rows.append(Theorem1Row(
                 rho=rho,
                 lambda_min=lam_min,

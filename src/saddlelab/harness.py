@@ -63,7 +63,6 @@ from .model import (
     Batch,
     Linearization,
     MlpSpec,
-    ParamVector,
     forward,
     init_params,
     loss_grad,
@@ -277,12 +276,24 @@ def _finite(text: str) -> float:
     return value
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object's dict; a key the object repeats raises ValueError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"an object repeats the key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load_json(path, error: type[SaddleLabError], what: str):
-    """The JSON document in the UTF-8 file at path, every number in it finite.
-    A file that cannot be read or is not such a document raises `error`."""
+    """The JSON document in the UTF-8 file at path, every number in it finite
+    and no key repeated within an object. A file that cannot be read or is
+    not such a document raises `error`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=_finite, parse_constant=_finite)
+            return json.load(fh, parse_float=_finite, parse_constant=_finite,
+                             object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:  # UnicodeDecodeError and JSONDecodeError too
         raise error(f"corrupt or unreadable {what}: {exc}") from exc
 
@@ -341,7 +352,7 @@ class MetricsRecord:
         return row
 
 
-def evaluate(spec: MlpSpec, w: ParamVector, test: LabeledDataset,
+def evaluate(spec: MlpSpec, w: np.ndarray, test: LabeledDataset,
              groups: ClassGroups, loss: LossSpec) -> dict:
     """Argmax-logit metrics on the balanced test set, keyed by MetricsRecord
     field: per-class accuracy and loss, group means, and the overall balanced
@@ -447,7 +458,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 @dataclass
 class RunResult:
-    params: ParamVector
+    params: np.ndarray
     metrics: list
     config_hash: str
     dataset: LabeledDataset
@@ -465,10 +476,6 @@ def _build_data(cfg: ExperimentConfig, root: SeededRng):
 def _snapshot_meta(ckpt: Checkpoint) -> dict:
     return {"epoch": ckpt.epoch, "seed": ckpt.config.seed, "config_hash": ckpt.config_hash,
             "code_version": CODE_VERSION}
-
-
-def _weights(ckpt: Checkpoint) -> ParamVector:
-    return ParamVector(ckpt.params, param_layout(ckpt.config.model)[0])
 
 
 def _spectrum_names(epoch: int, classes) -> list:
@@ -504,7 +511,7 @@ def write_spectrum_snapshot(ckpt: Checkpoint, ds: LabeledDataset, out: Path, cla
     spectrum_<epoch>_class<id|all>.{csv,json}; returns those entries."""
     cfg = ckpt.config
     entries = classwise_spectrum_report(
-        cfg.model, _weights(ckpt), ds, cfg.loss.bind(ds.class_counts), classes,
+        cfg.model, ckpt.params, ds, cfg.loss.bind(ds.class_counts), classes,
         cfg.spectral, SeededRng(cfg.seed).child("spectrum", ckpt.epoch),
     )
     meta = dict(_snapshot_meta(ckpt), generalized_hessian=cfg.model.activation == "relu")
@@ -521,7 +528,7 @@ def write_cnc_snapshot(ckpt: Checkpoint, ds: LabeledDataset, out: Path) -> list:
     and, unless the config's cnc.rhos are set, its rho."""
     cfg = ckpt.config
     loss, rho = cfg.objective(max(ckpt.epoch - 1, 0), cfg.loss.bind(ds.class_counts))
-    rows = theorem1_report(cfg.model, _weights(ckpt), ds, loss, cfg.cnc.rhos or (rho,),
+    rows = theorem1_report(cfg.model, ckpt.params, ds, loss, cfg.cnc.rhos or (rho,),
                            cfg.cnc, SeededRng(cfg.seed).child("cnc", ckpt.epoch), cfg.spectral)
     names = _cnc_names(ckpt.epoch)
     save_theorem1_report(rows, out / names[0], out / names[1], cfg.cnc, cfg.spectral,
@@ -552,7 +559,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
     if resume_from is None:
         ckpt = Checkpoint(format_version=CHECKPOINT_FORMAT_VERSION, config_hash=chash,
                           config=cfg, epoch=0, metrics=(),
-                          params=init_params(cfg.model, root.child("init")).data,
+                          params=init_params(cfg.model, root.child("init")),
                           velocity=np.zeros(dim))
     else:
         ckpt = load_checkpoint(resume_from)
@@ -561,7 +568,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
                 f"checkpoint config hash {ckpt.config_hash} != current config {chash}"
             )
     start_epoch = ckpt.epoch
-    w = ParamVector(ckpt.params, layout)
+    w = ckpt.params
     state = OptimizerState(velocity=ckpt.velocity.copy(),
                            rng=root.child("optnoise", start_epoch))
     metrics = list(ckpt.metrics)
@@ -584,7 +591,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
         if not names:
             return
         snap = dataclasses.replace(ckpt, epoch=epochs_done, metrics=tuple(metrics),
-                                   params=w.data.copy(), velocity=state.velocity.copy())
+                                   params=w.copy(), velocity=state.velocity.copy())
         if epochs_done in cfg.spectrum_epochs:
             write_spectrum_snapshot(snap, ds, out, range(ds.num_classes))
         if epochs_done in cfg.cnc_epochs:
@@ -619,12 +626,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
                         lr = lr_at(cfg.lr, epoch, step, steps_per_epoch)
 
                         def grad_fn(x):
-                            return loss_grad(cfg.model, ParamVector(x, layout), batch,
-                                             epoch_loss)
+                            return loss_grad(cfg.model, x, batch, epoch_loss)
 
-                        new, info = optimizer_step(cfg.optimizer, grad_fn, w.data, state, lr,
-                                                   rho, blocks)
-                        w = ParamVector(new, layout)
+                        w, info = optimizer_step(cfg.optimizer, grad_fn, w, state, lr, rho,
+                                                 blocks)
                         loss_sum += info["loss"]
                         gnorm_sum += info["grad_norm"]
 

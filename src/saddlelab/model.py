@@ -91,32 +91,25 @@ def param_layout(spec: MlpSpec):
     return tuple(blocks), offset
 
 
-@dataclass
-class ParamVector:
-    """Flat float64 parameter vector plus its per-block layout."""
-
-    data: np.ndarray
-    layout: tuple
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.float64)
-        total = sum(math.prod(b.shape) for b in self.layout)
-        if self.data.shape != (total,):
-            raise DimensionError(f"param data length {self.data.shape} != layout total {total}")
-
-    def view(self, name: str) -> np.ndarray:
-        for b in self.layout:
-            if b.name == name:
-                size = math.prod(b.shape)
-                return self.data[b.offset : b.offset + size].reshape(b.shape)
-        raise KeyError(name)
-
-    def copy(self) -> "ParamVector":
-        return ParamVector(self.data.copy(), self.layout)
+def ParamVector(data, layout) -> np.ndarray:
+    """data as a float64 parameter array, checked against layout's total: a
+    length mismatch is a DimensionError. Parameters are plain arrays laid out
+    by param_layout; saddlebench/checks.py is this function's one caller, and
+    ROADMAP item 1a can delete it."""
+    data = np.asarray(data, dtype=np.float64)
+    total = sum(math.prod(b.shape) for b in layout)
+    if data.shape != (total,):
+        raise DimensionError(f"param data shape {data.shape} != ({total},) of the layout")
+    return data
 
 
 def _unpack(spec: MlpSpec, flat: np.ndarray):
-    """Split a flat vector into per-layer (W, b) views without copying."""
+    """Split a flat vector into per-layer (W, b) views without copying; a
+    vector of another shape than param_layout's is a DimensionError."""
+    sizes = spec.layer_sizes
+    total = sum(fan_out * (fan_in + spec.bias) for fan_in, fan_out in zip(sizes, sizes[1:]))
+    if flat.shape != (total,):
+        raise DimensionError(f"param vector shape {flat.shape} != ({total},) of the spec")
     ws, bs = [], []
     offset = 0
     for l in range(spec.num_layers):
@@ -128,12 +121,10 @@ def _unpack(spec: MlpSpec, flat: np.ndarray):
             offset += fan_out
         else:
             bs.append(None)
-    if offset != flat.shape[0]:
-        raise DimensionError(f"param vector length {flat.shape[0]} != spec total {offset}")
     return ws, bs
 
 
-def init_params(spec: MlpSpec, rng: SeededRng) -> ParamVector:
+def init_params(spec: MlpSpec, rng: SeededRng) -> np.ndarray:
     """Per-layer uniform weights in +-sqrt(6/(fan_in+fan_out)), zero biases."""
     blocks, total = param_layout(spec)
     data = np.zeros(total)
@@ -143,7 +134,7 @@ def init_params(spec: MlpSpec, rng: SeededRng) -> ParamVector:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             size = fan_out * fan_in
             data[b.offset : b.offset + size] = rng.generator.uniform(-bound, bound, size)
-    return ParamVector(data, blocks)
+    return data
 
 
 @dataclass
@@ -181,22 +172,22 @@ def _forward_pass(spec: MlpSpec, ws, bs, x):
     raise AssertionError("unreachable")
 
 
-def forward(spec: MlpSpec, w: ParamVector, x) -> np.ndarray:
-    ws, bs = _unpack(spec, w.data)
+def forward(spec: MlpSpec, w: np.ndarray, x) -> np.ndarray:
+    ws, bs = _unpack(spec, w)
     logits, _, _ = _forward_pass(spec, ws, bs, np.asarray(x, dtype=np.float64))
     return logits
 
 
-def loss_grad(spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec):
+def loss_grad(spec: MlpSpec, w: np.ndarray, batch: Batch, loss: LossSpec):
     """(weighted mean loss, flat gradient) on one batch."""
     if len(batch) == 0:
         raise ParameterError("empty batch")
-    ws, bs = _unpack(spec, w.data)
+    ws, bs = _unpack(spec, w)
     logits, hs, pre = _forward_pass(spec, ws, bs, batch.features)
     value, g_logits = loss_on_logits(loss, logits, batch.labels)
 
     slope = _ACT_FNS[spec.activation][1]
-    grad = np.zeros_like(w.data)
+    grad = np.zeros_like(w)
     gws, gbs = _unpack(spec, grad)
     g = g_logits
     for l in range(spec.num_layers - 1, -1, -1):
@@ -220,7 +211,7 @@ class Linearization:
     the gradient chain g[l] (d loss / d pre-activation of layer l), the
     products sd2[l] = (g[l+1] @ W[l+1]) * d2[l], and the loss layer's
     curvature. The pass's `logits` and weighted mean loss `value` are kept
-    for callers that report them. It stays valid while w.data is unchanged.
+    for callers that report them. It stays valid while w is unchanged.
     It is the operator spectral probes: apply(v) is one hvp call on it.
 
     hvp(v) pushes only the tangent through the batch, in row chunks of at
@@ -230,12 +221,12 @@ class Linearization:
     second, concurrent caller its own. The returned vector is always fresh.
     """
 
-    def __init__(self, spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec):
+    def __init__(self, spec: MlpSpec, w: np.ndarray, batch: Batch, loss: LossSpec):
         if len(batch) == 0:
             raise ParameterError("empty batch")
         self.spec, self.w, self.batch, self.loss = spec, w, batch, loss
-        self.dim = w.data.shape[0]
-        self._ws, self._bs = _unpack(spec, w.data)
+        self.dim = w.shape[0]
+        self._ws, self._bs = _unpack(spec, w)
         self.logits, hs, pre = _forward_pass(spec, self._ws, self._bs, batch.features)
         self.value, g, curvature = loss_terms(loss, self.logits, batch.labels)
 
@@ -278,8 +269,8 @@ class Linearization:
         self._work = {m: ([a[:m] for a in adot], [h[:m] for h in hdot],
                           {k: s[:m] for k, s in scratch.items()})
                       for m in {chunk[0] for chunk in self._chunks}}
-        self._wtmp, _ = _unpack(self.spec, np.empty_like(self.w.data))
-        self._part = np.empty_like(self.w.data) if len(self._chunks) > 1 else None
+        self._wtmp, _ = _unpack(self.spec, np.empty_like(self.w))
+        self._part = np.empty_like(self.w) if len(self._chunks) > 1 else None
 
     def twin(self) -> "Linearization":
         """A Linearization at the same point that shares every fixed array
@@ -293,11 +284,8 @@ class Linearization:
         return hvp(self.spec, self.w, self.batch, self.loss, v, lin=self)
 
     def hvp(self, v) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != self.w.data.shape:
-            raise DimensionError(f"v length {v.shape} != params {self.w.data.shape}")
-        vws, vbs = _unpack(self.spec, v)
-        out = self._hvp_rows(self._chunks[0], vws, vbs, np.empty_like(self.w.data))
+        vws, vbs = _unpack(self.spec, np.asarray(v, dtype=np.float64))
+        out = self._hvp_rows(self._chunks[0], vws, vbs, np.empty_like(self.w))
         for chunk in self._chunks[1:]:
             np.add(out, self._hvp_rows(chunk, vws, vbs, self._part), out=out)
         return out
@@ -342,7 +330,7 @@ class Linearization:
         raise AssertionError("unreachable")
 
 
-def hvp(spec: MlpSpec, w: ParamVector, batch: Batch, loss: LossSpec, v, *,
+def hvp(spec: MlpSpec, w: np.ndarray, batch: Batch, loss: LossSpec, v, *,
         lin: Linearization | None = None) -> np.ndarray:
     """Exact Hessian-vector product via forward-over-reverse.
 

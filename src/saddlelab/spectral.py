@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ParameterError
 from .linalg import SeededRng, blas_threads, csv_lines, write_json, write_text
 from .losses import LossSpec
-from .model import Batch, Linearization, MlpSpec, ParamVector, per_class_batch
+from .model import Batch, Linearization, MlpSpec, per_class_batch
 
 SPECTRUM_FORMAT_VERSION = 1
 
@@ -368,7 +368,7 @@ class ClassSpectrumEntry:
     num_samples: int
 
 
-def classwise_spectrum_report(spec: MlpSpec, w: ParamVector, ds, loss: LossSpec,
+def classwise_spectrum_report(spec: MlpSpec, w: np.ndarray, ds, loss: LossSpec,
                               classes, settings: SpectralSettings, rng: SeededRng):
     """Per-class curvature diagnostics plus the full-dataset contrast entry.
 

@@ -34,7 +34,6 @@ from saddlelab.model import (
     Batch,
     Linearization,
     MlpSpec,
-    ParamVector,
     hvp,
     init_params,
     loss_grad,
@@ -66,7 +65,7 @@ def test_criterion_1_gradient_and_hvp_correctness():
     start = time.time()
     spec = MlpSpec((10, 24, 8, 4), "tanh")  # exactly 500 parameters
     w = init_params(spec, SeededRng(101).child("init"))
-    assert w.data.shape[0] == 500
+    assert w.shape[0] == 500
     rng = SeededRng(102)
     batch = Batch(rng.normal(size=(40, 10)), rng.generator.integers(0, 4, 40))
     loss = LossSpec(variant="ce", class_counts=(20, 10, 6, 4))
@@ -75,12 +74,12 @@ def test_criterion_1_gradient_and_hvp_correctness():
     h = 1e-5
     grad_ok = True
     for i in range(500):
-        wp = w.data.copy()
+        wp = w.copy()
         wp[i] += h
-        wm = w.data.copy()
+        wm = w.copy()
         wm[i] -= h
-        vp, _ = loss_grad(spec, ParamVector(wp, w.layout), batch, loss)
-        vm, _ = loss_grad(spec, ParamVector(wm, w.layout), batch, loss)
+        vp, _ = loss_grad(spec, wp, batch, loss)
+        vm, _ = loss_grad(spec, wm, batch, loss)
         fd = (vp - vm) / (2 * h)
         if abs(fd - grad[i]) > 1e-6 * max(abs(grad[i]), 1e-8):
             grad_ok = False
@@ -88,8 +87,8 @@ def test_criterion_1_gradient_and_hvp_correctness():
     v = rng.normal(size=500)
     hv = hvp(spec, w, batch, loss, v)
     h2 = 1e-4
-    _, gp = loss_grad(spec, ParamVector(w.data + h2 * v, w.layout), batch, loss)
-    _, gm = loss_grad(spec, ParamVector(w.data - h2 * v, w.layout), batch, loss)
+    _, gp = loss_grad(spec, w + h2 * v, batch, loss)
+    _, gm = loss_grad(spec, w - h2 * v, batch, loss)
     fd_hv = (gp - gm) / (2 * h2)
     hvp_rel = float(np.linalg.norm(fd_hv - hv) / np.linalg.norm(hv))
 
@@ -228,7 +227,7 @@ def test_criterion_4_degeneracy_identities(tmp_path):
                          ("pgd", {"pgd_sigma": 0.0}),
                          ("lpfsgd", {"lpf_radius": 0.0})):
         res = run_experiment(_degeneracy_config(tmp_path / kind, kind, **kwargs))
-        if not np.array_equal(res.params.data, base.params.data):
+        if not np.array_equal(res.params, base.params):
             ok = False
         for a, b in zip(res.metrics, base.metrics):
             if a.csv_row()[:-2] != b.csv_row()[:-2]:
@@ -288,7 +287,7 @@ def test_criterion_6_hessian_decomposition():
     rng = SeededRng(63)
     worst = 0.0
     for _ in range(5):
-        v = rng.normal(size=w.data.shape[0])
+        v = rng.normal(size=w.shape[0])
         hv_full = hvp(spec, w, full, loss, v)
         hv_mix = np.zeros_like(hv_full)
         for j, count in enumerate(ds.class_counts):
@@ -430,7 +429,7 @@ def test_criterion_9_reproducibility(tmp_path):
     resumed = run_experiment(cfg, out_dir=tmp_path / "resumed",
                              resume_from=tmp_path / "a" / "checkpoint_10.json")
     full = run_experiment(cfg, out_dir=tmp_path / "full")
-    resume_equal = np.array_equal(resumed.params.data, full.params.data)
+    resume_equal = np.array_equal(resumed.params, full.params)
 
     elapsed = time.time() - start
     ok = bytes_equal and resume_equal

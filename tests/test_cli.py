@@ -165,6 +165,35 @@ def test_groups_hi_below_lo_is_one_config_error_and_writes_nothing(tmp_path, cap
     assert list(tmp_path.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("kind", ["config", "checkpoint"])
+def test_a_repeated_key_is_one_error_record_naming_it(tmp_path, capsys, kind):
+    # a JSON reader that keeps a repeated key's last value would train
+    # quickstart at batch size 16 and seed 9, or resume at epoch 2
+    quickstart = Path(__file__).resolve().parent.parent / "configs" / "quickstart.json"
+    cfg_path = tmp_path / "config.json"
+    if kind == "config":
+        cfg_path.write_text(quickstart.read_text()
+                            .replace('"batch_size": 64,', '"batch_size": 64, "batch_size": 16,')
+                            .replace('"seed": 1,', '"seed": 1, "seed": 9,'))
+        argv = ["train", "--config", str(cfg_path)]
+    else:
+        _, cfg_path = write_config(tmp_path, epochs=2)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "run" / "checkpoint_2.json"
+        text = ckpt.read_text()
+        assert text.startswith('{"config": ')
+        ckpt.write_text('{"epoch": 0, ' + text[1:])
+        argv = ["train", "--config", str(cfg_path), "--resume", str(ckpt)]
+    capsys.readouterr()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    record = json.loads(err[0])
+    assert record["error"] == ("ConfigError" if kind == "config" else "CheckpointError")
+    assert ("'batch_size'" if kind == "config" else "'epoch'") in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_error_record_on_missing_checkpoint(tmp_path, capsys):
     (tmp_path / "list.json").write_text("[]")  # JSON, but no checkpoint object
     for name in ("nope.json", "list.json"):

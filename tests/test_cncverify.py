@@ -214,4 +214,4 @@ def test_theorem1_report_keeps_no_list_of_gradients():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < settings.num_batches * w.data.shape[0] * 8
+    assert peak < settings.num_batches * w.shape[0] * 8

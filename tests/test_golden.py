@@ -46,6 +46,7 @@ def environment() -> dict:
             config = getattr(lib, f"{prefix}get_config{suffix}", None)
             core = getattr(lib, f"{prefix}get_corename{suffix}", None)
             if config is not None and core is not None:
+                config.argtypes, core.argtypes = [], []
                 config.restype = core.restype = ctypes.c_char_p
                 env["openblas"] = config().decode().split()[1]  # "OpenBLAS <version> ..."
                 env["openblas_core"] = core().decode()

@@ -37,7 +37,7 @@ from saddlelab.harness import (
 )
 from saddlelab.linalg import SeededRng
 from saddlelab.losses import LossSpec, ReweightSchedule, loss_on_logits
-from saddlelab.model import MlpSpec, ParamVector, forward, init_params, param_layout
+from saddlelab.model import MlpSpec, forward, init_params, param_layout
 from saddlelab.optim import LrSchedule, OptimizerConfig, RhoSchedule
 from saddlelab.spectral import SpectralSettings
 
@@ -86,9 +86,9 @@ def test_degenerate_optimizers_reproduce_sgd(tmp_path):
                          ("lpfsgd", {"lpf_radius": 0.0})):
         cfg = tiny_config(tmp_path / kind, kind=kind, epochs=20, **kwargs)
         results[kind] = run_experiment(cfg)
-    ref = results["sgd"].params.data
+    ref = results["sgd"].params
     for kind in ("sam", "pgd", "lpfsgd"):
-        assert np.array_equal(results[kind].params.data, ref), kind
+        assert np.array_equal(results[kind].params, ref), kind
         # metric values identical; only the config-hash column may differ
         for a, b in zip(results[kind].metrics, results["sgd"].metrics):
             assert a.csv_row()[:-2] == b.csv_row()[:-2]
@@ -187,7 +187,7 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     resumed = run_experiment(cfg_with_snapshot, out_dir=tmp_path / "resumed",
                              resume_from=snap_dir / "checkpoint_10.json")
     uninterrupted = run_experiment(cfg_with_snapshot, out_dir=tmp_path / "uninterrupted")
-    assert np.array_equal(resumed.params.data, uninterrupted.params.data)
+    assert np.array_equal(resumed.params, uninterrupted.params)
     # the resumed metrics.csv carries the first 10 rows of the run it continues
     assert resumed.metrics == uninterrupted.metrics
     assert (tmp_path / "resumed" / "metrics.csv").read_bytes() == \
@@ -277,7 +277,7 @@ def test_resume_from_a_lone_checkpoint_matches_the_run(tmp_path):
                              resume_from=lone / "checkpoint_2.json")
     assert (tmp_path / "resumed" / "metrics.csv").read_bytes() == \
         (tmp_path / "h" / "metrics.csv").read_bytes()
-    assert np.array_equal(resumed.params.data, uninterrupted.params.data)
+    assert np.array_equal(resumed.params, uninterrupted.params)
     assert [p.name for p in lone.iterdir()] == ["checkpoint_2.json"]
 
 
@@ -327,10 +327,11 @@ def _evaluation_fixtures(radius, std, per_class, num_classes=2, seed=70):
 def test_evaluate_perfect_classifier():
     ds, test = _evaluation_fixtures(radius=5.0, std=0.2, per_class=50)
     spec = MlpSpec((4, 2), bias=False)
-    layout, total = param_layout(spec)
-    w = ParamVector(np.zeros(total), layout)
-    # rows = class means: argmax of <mean_j, x> is the nearest antipodal mean
-    w.view("w0")[...] = np.array([[5.0, 0.0, 0.0, 0.0], [-5.0, 0.0, 0.0, 0.0]])
+    _, total = param_layout(spec)
+    w = np.zeros(total)
+    # W0's rows, the vector's only block, are the class means: argmax of
+    # <mean_j, x> is the nearest antipodal mean
+    w[:] = [5.0, 0.0, 0.0, 0.0, -5.0, 0.0, 0.0, 0.0]
     groups = ClassGroups(head=(0,), mid=(), tail=(1,))
     out = evaluate(spec, w, test, groups, LossSpec(variant="ce", class_counts=ds.class_counts))
     assert out["per_class_acc"] == (1.0, 1.0)
@@ -341,9 +342,9 @@ def test_evaluate_perfect_classifier():
 def test_evaluate_constant_classifier():
     ds, test = _evaluation_fixtures(radius=2.0, std=1.0, per_class=30)
     spec = MlpSpec((4, 2), bias=True)
-    layout, total = param_layout(spec)
-    w = ParamVector(np.zeros(total), layout)
-    w.view("b0")[...] = np.array([1.0, 0.0])  # always predicts class 0
+    _, total = param_layout(spec)
+    w = np.zeros(total)
+    w[-2:] = [1.0, 0.0]  # the output bias b0, last: always predicts class 0
     groups = ClassGroups(head=(0,), mid=(), tail=(1,))
     out = evaluate(spec, w, test, groups, LossSpec(variant="ce", class_counts=ds.class_counts))
     assert out["overall_acc"] == pytest.approx(0.5)
@@ -354,8 +355,8 @@ def test_evaluate_random_logits_near_chance():
     ds, test = _evaluation_fixtures(radius=1e-6, std=1.0, per_class=1000,
                                     num_classes=10)
     spec = MlpSpec((10, 10), bias=False)
-    layout, total = param_layout(spec)
-    w = ParamVector(SeededRng(71).normal(size=total), layout)
+    _, total = param_layout(spec)
+    w = SeededRng(71).normal(size=total)
     groups = ClassGroups(head=tuple(range(10)), mid=(), tail=())
     out = evaluate(spec, w, test, groups,
                    LossSpec(variant="ce", class_counts=ds.class_counts))
@@ -616,7 +617,7 @@ def test_reweighting_changes_trajectory(tmp_path):
                                  reweight=ReweightSchedule(0))
     r_never = run_experiment(never)
     r_always = run_experiment(always)
-    assert not np.array_equal(r_never.params.data, r_always.params.data)
+    assert not np.array_equal(r_never.params, r_always.params)
 
 
 def test_sweep_rho_zero_matches_sgd_baseline(tmp_path):
@@ -696,9 +697,8 @@ def test_mid_run_cnc_probes_the_last_epoch_trained(tmp_path):
     result = run_experiment(cfg)
     assert [m.rho for m in result.metrics[:2]] == [0.05, 0.05]
     ckpt = load_checkpoint(tmp_path / "run" / "checkpoint_2.json")
-    w = ParamVector(ckpt.params, param_layout(cfg.model)[0])
     uniform = cfg.loss.bind(result.dataset.class_counts)
-    rows = theorem1_report(cfg.model, w, result.dataset, uniform, [0.05], cfg.cnc,
+    rows = theorem1_report(cfg.model, ckpt.params, result.dataset, uniform, [0.05], cfg.cnc,
                            SeededRng(cfg.seed).child("cnc", 2), cfg.spectral)
     report = json.loads((tmp_path / "run" / "cnc_2.json").read_text())
     assert [r["rho"] for r in report["rows"]] == [0.05]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from saddlelab.model import (
     Batch,
     Linearization,
     MlpSpec,
-    ParamVector,
     forward,
     hvp,
     init_params,
@@ -37,6 +37,12 @@ def make_batch(seed, n, dim, k):
     return Batch(rng.normal(size=(n, dim)), rng.generator.integers(0, k, n))
 
 
+def block(spec, w, name):
+    """The view of w's block `name` (w0, b0, w1, ...) of param_layout(spec)."""
+    b = next(b for b in param_layout(spec)[0] if b.name == name)
+    return w[b.offset : b.offset + math.prod(b.shape)].reshape(b.shape)
+
+
 def oracle_forward(spec, w, x):
     """Independent matrix-chain implementation (einsum, reversed block walk)."""
     act = {"tanh": np.tanh,
@@ -44,10 +50,10 @@ def oracle_forward(spec, w, x):
            "relu": lambda a: np.maximum(a, 0.0)}[spec.activation]
     h = x
     for l in range(spec.num_layers):
-        wm = w.view(f"w{l}")
+        wm = block(spec, w, f"w{l}")
         h = np.einsum("ni,oi->no", h, wm)
         if spec.bias:
-            h = h + w.view(f"b{l}")
+            h = h + block(spec, w, f"b{l}")
         if l < spec.num_layers - 1:
             h = act(h)
     return h
@@ -55,17 +61,17 @@ def oracle_forward(spec, w, x):
 
 def test_forward_zero_params():
     spec = MlpSpec((4, 5, 3))
-    blocks, total = param_layout(spec)
-    w = ParamVector(np.zeros(total), blocks)
+    _, total = param_layout(spec)
+    w = np.zeros(total)
     x = SeededRng(1).normal(size=(7, 4))
     assert np.array_equal(forward(spec, w, x), np.zeros((7, 3)))
 
 
 def test_forward_identity_linear_layer():
     spec = MlpSpec((3, 3), bias=True)
-    blocks, total = param_layout(spec)
-    w = ParamVector(np.zeros(total), blocks)
-    w.view("w0")[...] = np.eye(3)
+    _, total = param_layout(spec)
+    w = np.zeros(total)
+    block(spec, w, "w0")[...] = np.eye(3)
     x = SeededRng(2).normal(size=(5, 3))
     assert np.array_equal(forward(spec, w, x), x)
 
@@ -86,13 +92,13 @@ def test_loss_grad_matches_finite_differences(activation):
     loss = LossSpec(variant="ce", class_counts=(10, 8, 5, 2))
     _, grad = loss_grad(spec, w, batch, loss)
     h = 1e-5
-    for i in range(w.data.shape[0]):
-        wp = w.data.copy()
+    for i in range(w.shape[0]):
+        wp = w.copy()
         wp[i] += h
-        wm = w.data.copy()
+        wm = w.copy()
         wm[i] -= h
-        vp, _ = loss_grad(spec, ParamVector(wp, w.layout), batch, loss)
-        vm, _ = loss_grad(spec, ParamVector(wm, w.layout), batch, loss)
+        vp, _ = loss_grad(spec, wp, batch, loss)
+        vm, _ = loss_grad(spec, wm, batch, loss)
         fd = (vp - vm) / (2 * h)
         assert fd == pytest.approx(grad[i], rel=1e-6, abs=1e-9)
 
@@ -138,11 +144,11 @@ def test_hvp_matches_fd_of_gradient(variant):
     spec, w = make_model(13, (8, 20, 10, 3))
     batch = make_batch(14, 30, 8, 3)
     loss = LossSpec(variant=variant, class_counts=(15, 10, 5))
-    v = SeededRng(15).normal(size=w.data.shape[0])
+    v = SeededRng(15).normal(size=w.shape[0])
     hv = hvp(spec, w, batch, loss, v)
     h = 1e-4
-    _, gp = loss_grad(spec, ParamVector(w.data + h * v, w.layout), batch, loss)
-    _, gm = loss_grad(spec, ParamVector(w.data - h * v, w.layout), batch, loss)
+    _, gp = loss_grad(spec, w + h * v, batch, loss)
+    _, gm = loss_grad(spec, w - h * v, batch, loss)
     fd = (gp - gm) / (2 * h)
     assert np.linalg.norm(fd - hv) / np.linalg.norm(hv) < 1e-4
 
@@ -152,8 +158,8 @@ def test_hvp_linearity():
     batch = make_batch(17, 15, 6, 3)
     loss = LossSpec(variant="ce", class_counts=(6, 5, 4))
     rng = SeededRng(18)
-    u = rng.normal(size=w.data.shape[0])
-    v = rng.normal(size=w.data.shape[0])
+    u = rng.normal(size=w.shape[0])
+    v = rng.normal(size=w.shape[0])
     lhs = hvp(spec, w, batch, loss, 2.5 * u - 0.75 * v)
     rhs = 2.5 * hvp(spec, w, batch, loss, u) - 0.75 * hvp(spec, w, batch, loss, v)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -165,8 +171,8 @@ def test_hvp_symmetry():
     loss = LossSpec(variant="ce", class_counts=(10, 7, 5))
     rng = SeededRng(21)
     for _ in range(5):
-        u = rng.normal(size=w.data.shape[0])
-        v = rng.normal(size=w.data.shape[0])
+        u = rng.normal(size=w.shape[0])
+        v = rng.normal(size=w.shape[0])
         assert abs(u @ hvp(spec, w, batch, loss, v)
                    - v @ hvp(spec, w, batch, loss, u)) < 1e-10
 
@@ -176,14 +182,21 @@ def test_hvp_dimension_mismatch():
     batch = make_batch(23, 5, 6, 3)
     loss = LossSpec(variant="ce", class_counts=(2, 2, 1))
     with pytest.raises(DimensionError):
-        hvp(spec, w, batch, loss, np.zeros(w.data.shape[0] + 1))
+        hvp(spec, w, batch, loss, np.zeros(w.shape[0] + 1))
+    # parameters one entry short or long, and not 1-D
+    for params in (w[:-1], np.append(w, 0.0), w[None]):
+        for entry in (lambda: forward(spec, params, batch.features),
+                      lambda: loss_grad(spec, params, batch, loss),
+                      lambda: Linearization(spec, params, batch, loss)):
+            with pytest.raises(DimensionError, match=r"param vector shape"):
+                entry()
 
 
 @pytest.mark.parametrize("entry", [
     lambda spec, w, batch, loss: forward(spec, w, batch.features),
     lambda spec, w, batch, loss: loss_grad(spec, w, batch, loss),
     lambda spec, w, batch, loss: Linearization(spec, w, batch, loss),
-    lambda spec, w, batch, loss: hvp(spec, w, batch, loss, np.zeros(w.data.shape[0])),
+    lambda spec, w, batch, loss: hvp(spec, w, batch, loss, np.zeros(w.shape[0])),
 ], ids=["forward", "loss_grad", "Linearization", "hvp"])
 def test_batch_of_wrong_width_is_a_dimension_error(entry):
     spec, w = make_model(26)  # input_dim 6
@@ -203,13 +216,13 @@ def _hvp_case(activation, variant, bias, class_weights, seed):
     spec = MlpSpec((5, 8, 6, 3), activation, bias)
     rng = SeededRng(seed)
     w = init_params(spec, rng.child("init"))
-    w.data += 0.3 * rng.child("shift").normal(size=w.data.shape[0])  # nonzero biases
+    w += 0.3 * rng.child("shift").normal(size=w.shape[0])  # nonzero biases
     data = rng.child("data")
     n = 17
     batch = Batch(data.normal(size=(n, 5)), data.generator.integers(0, 3, n))
     loss = LossSpec(variant, class_counts=(12, 6, 2),
                     class_weights=(1.0, 2.5, 4.0) if class_weights else None)
-    u, v = rng.child("tangents").normal(size=(2, w.data.shape[0]))
+    u, v = rng.child("tangents").normal(size=(2, w.shape[0]))
     return spec, w, batch, loss, u, v
 
 
@@ -217,9 +230,9 @@ def _relu_pattern(spec, w, x):
     """Signs of every hidden pre-activation, from an einsum forward pass."""
     h, signs = x, []
     for l in range(spec.num_layers - 1):
-        a = np.einsum("ni,oi->no", h, w.view(f"w{l}"))
+        a = np.einsum("ni,oi->no", h, block(spec, w, f"w{l}"))
         if spec.bias:
-            a = a + w.view(f"b{l}")
+            a = a + block(spec, w, f"b{l}")
         signs.append(a > 0)
         h = np.maximum(a, 0.0)
     return np.concatenate(signs, axis=1)
@@ -232,7 +245,7 @@ def test_linearized_hvp_matches_finite_differences_and_is_symmetric(case):
     lin = Linearization(spec, w, batch, loss)
     hu, hv = hvp(spec, w, batch, loss, u, lin=lin), hvp(spec, w, batch, loss, v, lin=lin)
     h = 1e-4
-    wp, wm = ParamVector(w.data + h * v, w.layout), ParamVector(w.data - h * v, w.layout)
+    wp, wm = w + h * v, w - h * v
     if spec.activation == "relu":
         # central differences are exact only where no kink lies between w -+ h v
         assume(np.array_equal(_relu_pattern(spec, wp, batch.features),
@@ -265,12 +278,12 @@ def test_linear_model_hvp_matches_dense_hessian():
     batch = make_batch(41, 9, 4, 3)
     loss = LossSpec(variant="vs", class_counts=(5, 3, 1))
     lin = Linearization(spec, w, batch, loss)
-    dim = w.data.shape[0]
+    dim = w.shape[0]
     dense = np.column_stack([hvp(spec, w, batch, loss, e, lin=lin) for e in np.eye(dim)])
     h = 1e-5
     fd = np.column_stack([
-        (loss_grad(spec, ParamVector(w.data + h * e, w.layout), batch, loss)[1]
-         - loss_grad(spec, ParamVector(w.data - h * e, w.layout), batch, loss)[1]) / (2 * h)
+        (loss_grad(spec, w + h * e, batch, loss)[1]
+         - loss_grad(spec, w - h * e, batch, loss)[1]) / (2 * h)
         for e in np.eye(dim)])
     assert np.max(np.abs(dense - fd)) < 1e-8
     assert np.max(np.abs(dense - dense.T)) < 1e-15
@@ -301,11 +314,11 @@ def test_init_params_bounds_and_determinism():
     spec = MlpSpec((10, 20, 4))
     a = init_params(spec, SeededRng(26).child("init"))
     b = init_params(spec, SeededRng(26).child("init"))
-    assert np.array_equal(a.data, b.data)
-    w0 = a.view("w0")
+    assert np.array_equal(a, b)
+    w0 = block(spec, a, "w0")
     bound = np.sqrt(6.0 / (10 + 20))
     assert np.max(np.abs(w0)) <= bound
-    assert np.array_equal(a.view("b0"), np.zeros(20))
+    assert np.array_equal(block(spec, a, "b0"), np.zeros(20))
 
 
 def _longtail_dataset(seed=30):
@@ -359,11 +372,11 @@ def _chunked_case(n, seed=60):
     spec = MlpSpec((5, 8, 6, 3))
     rng = SeededRng(seed)
     w = init_params(spec, rng.child("init"))
-    w.data += 0.3 * rng.child("shift").normal(size=w.data.shape[0])
+    w += 0.3 * rng.child("shift").normal(size=w.shape[0])
     data = rng.child("data", n)
     batch = Batch(data.normal(size=(n, 5)), data.generator.integers(0, 3, n))
     loss = LossSpec("vs", class_counts=(12, 6, 2), class_weights=(1.0, 2.5, 4.0))
-    return spec, w, batch, loss, rng.child("tangent").normal(size=w.data.shape[0])
+    return spec, w, batch, loss, rng.child("tangent").normal(size=w.shape[0])
 
 
 def _one_chunk_hvp(monkeypatch, spec, w, batch, loss, v):
@@ -379,8 +392,8 @@ def test_chunked_hvp_matches_finite_differences_and_the_one_chunk_product(monkey
     assert len(lin._chunks) == 3
     hv = lin.hvp(v)
     h = 1e-4
-    fd = (loss_grad(spec, ParamVector(w.data + h * v, w.layout), batch, loss)[1]
-          - loss_grad(spec, ParamVector(w.data - h * v, w.layout), batch, loss)[1]) / (2 * h)
+    fd = (loss_grad(spec, w + h * v, batch, loss)[1]
+          - loss_grad(spec, w - h * v, batch, loss)[1]) / (2 * h)
     assert np.linalg.norm(fd - hv) <= 1e-6 * np.linalg.norm(hv)
     whole = _one_chunk_hvp(monkeypatch, spec, w, batch, loss, v)
     assert np.linalg.norm(hv - whole) <= 1e-13 * np.linalg.norm(whole)

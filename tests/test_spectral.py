@@ -18,6 +18,7 @@ from saddlelab.harness import load_config, run_experiment
 from saddlelab.linalg import SeededRng
 from saddlelab.losses import LossSpec, loss_on_logits
 from saddlelab.model import Batch, MlpSpec, hvp, init_params
+from saddlelab.optim import LPFSGD, PGD, SAM, SGD, OptimizerConfig, OptimizerState, optimizer_step
 from saddlelab.spectral import (
     ExtremeEigs,
     HvpOracle,
@@ -346,7 +347,7 @@ def test_full_hessian_is_count_weighted_class_mixture():
     rng = SeededRng(30)
     full = Batch(ds.features, ds.labels)
     for _ in range(3):
-        v = rng.normal(size=w.data.shape[0])
+        v = rng.normal(size=w.shape[0])
         hv_full = hvp(spec, w, full, loss, v)
         hv_mix = np.zeros_like(hv_full)
         for j, count in enumerate(ds.class_counts):
@@ -676,9 +677,9 @@ def _exact_saddle(num_classes, input_dim, hidden, drw):
     omega /= omega.sum()
     pi = np.bincount(ds.labels, weights=omega, minlength=num_classes)
     spec = MlpSpec((input_dim, *hidden, num_classes))
-    blocks, total = model.param_layout(spec)
-    w = model.ParamVector(np.zeros(total), blocks)
-    w.view(f"b{len(hidden)}")[...] = np.log(pi)
+    _, total = model.param_layout(spec)
+    w = np.zeros(total)
+    w[-num_classes:] = np.log(pi)  # the output bias, the vector's last block
     batch = Batch(ds.features, ds.labels)
     # M's row c as sum_k pi_c pi_k (mu_k - mu_c), mu_k class k's omega-weighted
     # mean: the same sum, but the class sums do not cancel in rounding
@@ -712,6 +713,37 @@ def test_two_hidden_layer_exact_saddle_has_a_psd_hessian():
     assert np.linalg.norm(grad) <= 1e-14
     eigs = np.linalg.eigvalsh(_dense_hessian(lin))
     assert eigs[0] >= -1e-12 * eigs[-1]
+
+
+@pytest.mark.parametrize("drw", [False, True], ids=["w1", "w1-drw"])
+def test_only_pgd_leaves_the_zero_weight_saddle(drw):
+    # at W = 0 every mini-batch gradient is exactly 0 in W (tanh(0) = 0 and
+    # W_out = 0), SAM's ascent offset is a multiple of it, and LPF-SGD's noise
+    # scale is a block's norm, 0 on a zero block: only PGD's isotropic noise
+    # reaches the negative eigenspace, which lies in (W_out, W_in)
+    lin, _, _ = _exact_saddle(2, 6, (12,), drw)
+    spec, batch, loss = lin.spec, lin.batch, lin.loss
+    layout, _ = model.param_layout(spec)
+    blocks = tuple((b.offset, int(np.prod(b.shape))) for b in layout)
+    weights = np.concatenate([np.arange(offset, offset + size) for (offset, size), b
+                              in zip(blocks, layout) if b.name.startswith("w")])
+    moved = {}
+    for kind, opt in [("sgd", OptimizerConfig(SGD)),
+                      ("sam", OptimizerConfig(SAM, rho=0.8)),
+                      ("sam-unnormalized", OptimizerConfig(SAM, rho=0.8, sam_normalized=False)),
+                      ("lpfsgd", OptimizerConfig(LPFSGD, lpf_radius=0.1)),
+                      ("pgd", OptimizerConfig(PGD, pgd_sigma=1e-4))]:
+        w = lin.w.copy()
+        state = OptimizerState(velocity=np.zeros_like(w), rng=SeededRng(5).child(kind))
+        order = SeededRng(6).child("batches")
+        for _ in range(300):
+            idx = order.choice(len(batch), 64)
+            step = Batch(batch.features[idx], batch.labels[idx])
+            w, _ = optimizer_step(opt, lambda x, b=step: model.loss_grad(spec, x, b, loss),
+                                  w, state, 0.1, opt.rho, blocks)
+        moved[kind] = float(np.max(np.abs(w[weights])))
+    assert moved.pop("pgd") > 0.1
+    assert moved == dict.fromkeys(moved, 0.0)
 
 
 def test_lanczos_on_a_w2_sized_oracle_skips_reorthogonalization_and_reruns_bitwise():
