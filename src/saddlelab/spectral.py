@@ -1,13 +1,15 @@
 """Hessian eigen-spectrum diagnostics through matrix-free operator probes.
 
-A Lanczos run turns a symmetric operator, a model.Linearization or an
-HvpOracle, into Ritz values/weights, reorthogonalizing its basis only when a
-bound on the lost orthogonality says it must (partial reorthogonalization);
-averaging Gaussian-broadened Ritz quadrature over several random probes
-estimates the eigenvalue density. Extreme eigenpairs come from the edge Ritz
-pairs refined by shifted power iteration (spectrum shifted so the wanted end
-dominates), which needs nothing beyond further HVPs. The |lambda_min /
-lambda_max| ratio summarizes how saddle-like the landscape is.
+Every probe takes a symmetric operator: any object with apply(v) -> Hv and
+dim, which in the program is a model.Linearization, one loss's Hessian on one
+batch. A Lanczos run turns the operator into Ritz values/weights,
+reorthogonalizing its basis only when a bound on the lost orthogonality says
+it must (partial reorthogonalization); averaging Gaussian-broadened Ritz
+quadrature over several random probes estimates the eigenvalue density.
+Extreme eigenpairs come from the edge Ritz pairs refined by shifted power
+iteration (spectrum shifted so the wanted end dominates), which needs nothing
+beyond further HVPs. The |lambda_min / lambda_max| ratio summarizes how
+saddle-like the landscape is.
 """
 
 from __future__ import annotations
@@ -25,23 +27,6 @@ from .losses import LossSpec
 from .model import Batch, Linearization, MlpSpec, per_class_batch
 
 SPECTRUM_FORMAT_VERSION = 1
-
-
-@dataclass
-class HvpOracle:
-    """Symmetric linear operator v -> Hv with a known dimension. A model's
-    loss on a batch is probed through model.Linearization, the same kind of
-    operator; this one wraps a function or, by from_matrix, a matrix."""
-
-    apply: callable
-    dim: int
-
-    @classmethod
-    def from_matrix(cls, a) -> "HvpOracle":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ParameterError("operator matrix must be square")
-        return cls(apply=lambda v: a @ v, dim=a.shape[0])
 
 
 @dataclass(frozen=True)
@@ -78,12 +63,8 @@ class LanczosResult:
     early_stop: bool  # hit an invariant subspace before the iteration budget
     reorth_steps: int  # steps whose residual was reorthogonalized against the basis
 
-    @property
-    def iters_done(self) -> int:
-        return self.alphas.shape[0]
 
-
-def lanczos(oracle: HvpOracle | Linearization, iters: int, rng: SeededRng) -> LanczosResult:
+def lanczos(oracle, iters: int, rng: SeededRng) -> LanczosResult:
     """Tridiagonalize the operator restricted to a random Krylov subspace.
 
     The starting vector is a normalized Gaussian probe from rng. Partial
@@ -196,9 +177,6 @@ class SpectralDensity:
     num_probes: int
     lanczos_iters: int
 
-    def mass(self) -> float:
-        return float(np.trapezoid(self.density, self.grid))
-
 
 def _auto_grid(all_vals: np.ndarray, sigma: float):
     lo = float(all_vals.min()) - 6.0 * sigma
@@ -209,8 +187,8 @@ def _auto_grid(all_vals: np.ndarray, sigma: float):
     return np.linspace(lo, hi, points)
 
 
-def spectral_density(oracle: HvpOracle | Linearization, settings: SpectralSettings,
-                     rng: SeededRng, twin: Linearization | None = None) -> SpectralDensity:
+def spectral_density(oracle, settings: SpectralSettings, rng: SeededRng,
+                     twin: Linearization | None = None) -> SpectralDensity:
     """Average Gaussian-broadened Ritz quadrature over independent probes.
 
     With twin, the same operator on its own workspace, a second thread runs
@@ -293,8 +271,8 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
-def _refine_eigpair(oracle: HvpOracle | Linearization, v0: np.ndarray, shift: float,
-                    sign: float, tol: float, max_iters: int):
+def _refine_eigpair(oracle, v0: np.ndarray, shift: float, sign: float, tol: float,
+                    max_iters: int):
     """Power iteration on sign*(H - shift*I); sign=-1 targets the bottom of the
     spectrum (the operator becomes shift*I - H), sign=+1 the top. Needs
     max_iters >= 1: each pass's HVP gives both the residual test and the step.
@@ -316,7 +294,7 @@ def _refine_eigpair(oracle: HvpOracle | Linearization, v0: np.ndarray, shift: fl
     return _fix_sign(v), lam, residual, residual < tol
 
 
-def extreme_eigs(oracle: HvpOracle | Linearization, iters: int, tol: float, rng: SeededRng,
+def extreme_eigs(oracle, iters: int, tol: float, rng: SeededRng,
                  max_refine_iters: int = 5000) -> ExtremeEigs:
     """Extreme eigenpairs: Lanczos edge Ritz pairs, then shifted power
     iteration until the eigen-residual drops below tol (or the budget runs

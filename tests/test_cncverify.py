@@ -1,11 +1,11 @@
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from saddlelab.cncverify import (
     CncSettings,
-    QuadraticSurrogate,
     projection_second_moment,
     save_theorem1_report,
     theorem1_report,
@@ -17,6 +17,45 @@ from saddlelab.losses import LossSpec
 from saddlelab.model import MlpSpec, init_params
 from saddlelab.optim import sam_gradients
 from saddlelab.spectral import SpectralSettings
+from tests.test_spectral import _exact_saddle
+
+
+@dataclass
+class QuadraticSurrogate:
+    """f_z(w) = 1/2 w'Aw + xi_z'w with xi_z ~ N(0, noise_std^2 I), a reference
+    model for the CNC quantities.
+
+    Constant Hessian A makes the first-order expansion of the perturbed
+    gradient exact, so the amplification factor can be checked to machine
+    precision (noise_std = 0) or against Monte-Carlo error bars.
+    """
+
+    a: np.ndarray
+    noise_std: float = 0.0
+
+    def __post_init__(self):
+        self.a = np.asarray(self.a, dtype=np.float64)
+        if self.a.ndim != 2 or self.a.shape[0] != self.a.shape[1]:
+            raise ParameterError("A must be square")
+        if self.noise_std < 0:
+            raise ParameterError("noise_std must be >= 0")
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[0]
+
+    def draw_noise(self, rng: SeededRng) -> np.ndarray:
+        if self.noise_std == 0.0:
+            return np.zeros(self.dim)
+        return rng.normal(size=self.dim, std=self.noise_std)
+
+    def grad_fn_for_noise(self, xi: np.ndarray):
+        """Deterministic objective for one frozen draw (the fixed-z gradient)."""
+        def fn(w):
+            value = 0.5 * float(w @ (self.a @ w)) + float(xi @ w)
+            return value, self.a @ w + xi
+        return fn
+
 
 A_SADDLE = np.diag([2.0, -1.0])
 V_MIN = np.array([0.0, 1.0])  # eigenvector of lambda_min = -1
@@ -196,6 +235,20 @@ def test_settings_validation():
     for rhos in ((), (0.1, -0.1), (0.1, float("nan"))):
         with pytest.raises(ParameterError):
             CncSettings(rhos=rhos)
+
+
+@pytest.mark.parametrize("hidden_bias", [False, True], ids=["saddle-a", "saddle-b"])
+@pytest.mark.parametrize("drw", [False, True], ids=["w1", "w1-drw"])
+def test_report_flags_a_cnc_violation_where_gamma_is_zero(drw, hidden_bias):
+    # at saddle (a) every batch gradient is 0 in the weights, and the negative
+    # eigenspace lies in the weights, so the exact CNC constant is 0 and
+    # gamma_hat is rounding below the floor; saddle (b)'s is far above it
+    lin, _, _ = _exact_saddle(2, 6, (12,), drw, hidden_bias)
+    rows = theorem1_report(lin.spec, lin.w, lin.batch, lin.loss, [0.0, 0.25, 0.5],
+                           CncSettings(), SeededRng(5), SpectralSettings())
+    violated = not hidden_bias
+    assert [r.cnc_violation for r in rows] == [violated] * 3
+    assert [r.measured_ratio is None for r in rows] == [violated] * 3
 
 
 def test_theorem1_report_keeps_no_list_of_gradients():

@@ -10,6 +10,9 @@ A change that alters artifact bytes on purpose rewrites the file in the same
 commit, from the checkout root:
 
     PYTHONPATH=src python -m tests.test_golden --write
+
+which prints the files whose digest is new, removed or changed against the
+file it replaces, or "no change".
 """
 
 import ctypes
@@ -68,6 +71,20 @@ def artifact_digests(out: Path) -> dict:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def changed_files(old: dict, new: dict) -> list:
+    """Sorted names of the files whose digest differs between two {path:
+    sha256} maps: new, removed or changed."""
+    return sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+
+
+def test_changed_files_names_new_removed_and_changed_digests():
+    old = {"cnc/cnc.csv": "1", "train/metrics.csv": "2", "train/summary.json": "3"}
+    new = {"cnc/cnc.csv": "1", "train/metrics.csv": "9", "train/extra.json": "4"}
+    assert changed_files(old, new) == ["train/extra.json", "train/metrics.csv",
+                                       "train/summary.json"]
+    assert changed_files(old, dict(old)) == []
+
+
 def test_w1_artifacts_match_their_golden_digests(tmp_path, capsys):
     golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
     env = environment()
@@ -77,8 +94,7 @@ def test_w1_artifacts_match_their_golden_digests(tmp_path, capsys):
         pytest.skip(f"bytes are compared on the digests' build only; here {differ}")
     digests = artifact_digests(tmp_path)
     capsys.readouterr()
-    changed = sorted(name for name in golden["files"].keys() | digests.keys()
-                     if golden["files"].get(name) != digests.get(name))
+    changed = changed_files(golden["files"], digests)
     assert not changed, (f"these artifacts' bytes differ from {DIGESTS.name} "
                          f"(missing, new or changed): {changed}")
 
@@ -86,8 +102,10 @@ def test_w1_artifacts_match_their_golden_digests(tmp_path, capsys):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: PYTHONPATH=src python -m tests.test_golden --write\n{__doc__}")
+    old = json.loads(DIGESTS.read_text(encoding="utf-8"))["files"] if DIGESTS.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         files = artifact_digests(Path(tmp))
     DIGESTS.write_text(json.dumps({"environment": environment(), "files": files},
                                   indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(files)} digests to {DIGESTS}")
+    print("\n".join(changed_files(old, files)) or "no change")

@@ -5,6 +5,7 @@ import sys
 import threading
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from saddlelab.model import Batch, MlpSpec, hvp, init_params
 from saddlelab.optim import LPFSGD, PGD, SAM, SGD, OptimizerConfig, OptimizerState, optimizer_step
 from saddlelab.spectral import (
     ExtremeEigs,
-    HvpOracle,
     LanczosResult,
     SpectralSettings,
     classwise_spectrum_report,
@@ -35,6 +35,10 @@ from saddlelab.spectral import (
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def operator(a):
+    return SimpleNamespace(apply=a.__matmul__, dim=a.shape[0])
+
+
 def random_symmetric(dim, seed):
     rng = SeededRng(seed)
     a = rng.normal(size=(dim, dim))
@@ -42,17 +46,17 @@ def random_symmetric(dim, seed):
 
 
 def test_lanczos_recovers_diagonal_spectrum():
-    oracle = HvpOracle.from_matrix(np.diag(np.arange(1.0, 11.0)))
+    oracle = operator(np.diag(np.arange(1.0, 11.0)))
     run = lanczos(oracle, 10, SeededRng(1).child("probe"))
     vals, _, _ = ritz_decomposition(run)
     assert np.max(np.abs(np.sort(vals) - np.arange(1.0, 11.0))) < 1e-10
 
 
 def test_lanczos_scaled_identity_terminates_after_one_iter():
-    oracle = HvpOracle.from_matrix(2.5 * np.eye(8))
+    oracle = operator(2.5 * np.eye(8))
     run = lanczos(oracle, 8, SeededRng(2).child("probe"))
     assert run.early_stop
-    assert run.iters_done == 1
+    assert run.alphas.shape[0] == 1
     assert run.alphas[0] == pytest.approx(2.5, rel=1e-14)
 
 
@@ -73,14 +77,14 @@ REPEATED_SPECTRA = [
 @pytest.mark.parametrize("values, counts, log_scale, seed", REPEATED_SPECTRA)
 def test_lanczos_stops_at_the_invariant_krylov_space(values, counts, log_scale, seed):
     diag = np.repeat(np.array(values, dtype=np.float64), counts) * 10.0 ** log_scale
-    run = lanczos(HvpOracle.from_matrix(np.diag(diag)), diag.shape[0], SeededRng(seed))
+    run = lanczos(operator(np.diag(diag)), diag.shape[0], SeededRng(seed))
     assert run.early_stop
-    assert run.iters_done == len(values)
+    assert run.alphas.shape[0] == len(values)
 
 
 def test_lanczos_full_iteration_matches_dense_solver():
     a = random_symmetric(100, 3)
-    run = lanczos(HvpOracle.from_matrix(a), 100, SeededRng(4).child("probe"))
+    run = lanczos(operator(a), 100, SeededRng(4).child("probe"))
     vals, _, _ = ritz_decomposition(run)
     dense = np.linalg.eigvalsh(a)
     assert np.max(np.abs(np.sort(vals) - dense)) < 1e-8
@@ -127,8 +131,8 @@ def test_ritz_decomposition_is_the_gauss_rule_of_w2_sized_lanczos_runs():
     # prefix of one Lanczos run is the tridiagonal of a shorter run
     rng = np.random.default_rng(5898)
     diag = np.concatenate([0.05 * rng.normal(size=5878), rng.uniform(-2.5, 8.8, size=20)])
-    run = lanczos(HvpOracle(apply=lambda v: diag * v, dim=diag.shape[0]), 80, SeededRng(7))
-    assert run.iters_done == 80
+    run = lanczos(SimpleNamespace(apply=lambda v: diag * v, dim=diag.shape[0]), 80, SeededRng(7))
+    assert run.alphas.shape[0] == 80
     for k in range(1, 81):
         assert_gauss_rule(run.alphas[:k], run.betas[: k - 1])
 
@@ -140,13 +144,13 @@ def test_ritz_decomposition_of_one_step_is_exact():
 
 def test_lanczos_basis_orthonormal():
     a = random_symmetric(60, 5)
-    run = lanczos(HvpOracle.from_matrix(a), 60, SeededRng(6).child("probe"))
+    run = lanczos(operator(a), 60, SeededRng(6).child("probe"))
     gram = run.basis @ run.basis.T
-    assert np.max(np.abs(gram - np.eye(run.iters_done))) < 1e-12
+    assert np.max(np.abs(gram - np.eye(run.alphas.shape[0]))) < 1e-12
 
 
 def test_density_two_point_spectrum_splits_mass():
-    op = HvpOracle.from_matrix(np.diag([1.0] * 50 + [-1.0] * 50))
+    op = operator(np.diag([1.0] * 50 + [-1.0] * 50))
     settings = SpectralSettings(lanczos_iters=80, num_probes=64)
     sd = spectral_density(op, settings, SeededRng(7).child("density"))
     for lo, hi in ((0.5, 1.5), (-1.5, -0.5)):
@@ -155,20 +159,20 @@ def test_density_two_point_spectrum_splits_mass():
 
 
 def test_density_zero_operator():
-    op = HvpOracle.from_matrix(np.zeros((20, 20)))
+    op = operator(np.zeros((20, 20)))
     sd = spectral_density(op, SpectralSettings(lanczos_iters=20, num_probes=4),
                           SeededRng(8).child("density"))
-    assert sd.mass() == pytest.approx(1.0, abs=0.02)
+    assert np.trapezoid(sd.density, sd.grid) == pytest.approx(1.0, abs=0.02)
     assert abs(sd.grid[int(np.argmax(sd.density))]) < 1e-3
 
 
 def test_density_mass_is_one_for_random_operators():
     for seed in (10, 11, 12):
         a = random_symmetric(80, seed)
-        sd = spectral_density(HvpOracle.from_matrix(a),
+        sd = spectral_density(operator(a),
                               SpectralSettings(lanczos_iters=60, num_probes=6),
                               SeededRng(seed).child("density"))
-        assert sd.mass() == pytest.approx(1.0, abs=0.02)
+        assert np.trapezoid(sd.density, sd.grid) == pytest.approx(1.0, abs=0.02)
 
 
 def test_density_holds_one_lanczos_basis_at_a_time():
@@ -176,7 +180,7 @@ def test_density_holds_one_lanczos_basis_at_a_time():
     # allocates its own, or the peak doubles
     dim, iters = 6000, 60
     diag = np.linspace(-1.0, 2.0, dim)
-    oracle = HvpOracle(apply=lambda v: diag * v, dim=dim)
+    oracle = SimpleNamespace(apply=lambda v: diag * v, dim=dim)
     settings = SpectralSettings(lanczos_iters=iters, num_probes=4)
     tracemalloc.start()
     try:
@@ -188,7 +192,7 @@ def test_density_holds_one_lanczos_basis_at_a_time():
 
 
 def test_extreme_eigs_diagonal_case():
-    op = HvpOracle.from_matrix(np.diag([2.0, -1.0]))
+    op = operator(np.diag([2.0, -1.0]))
     ex = extreme_eigs(op, 2, 1e-10, SeededRng(15).child("extreme"))
     assert ex.lambda_min == pytest.approx(-1.0, abs=1e-10)
     assert ex.lambda_max == pytest.approx(2.0, abs=1e-10)
@@ -198,7 +202,7 @@ def test_extreme_eigs_diagonal_case():
 
 def test_extreme_eigs_match_dense_solver():
     a = random_symmetric(200, 16)
-    ex = extreme_eigs(HvpOracle.from_matrix(a), 80, 1e-8, SeededRng(17).child("e"))
+    ex = extreme_eigs(operator(a), 80, 1e-8, SeededRng(17).child("e"))
     dense = np.linalg.eigvalsh(a)
     assert ex.lambda_min == pytest.approx(dense[0], abs=1e-6)
     assert ex.lambda_max == pytest.approx(dense[-1], abs=1e-6)
@@ -209,9 +213,9 @@ def test_extreme_eigs_match_dense_solver():
 def test_extreme_eigs_hvp_count():
     # a full Lanczos run makes the edge Ritz pairs exact, so each end's refine
     # loop converges on its first pass: one HVP per end after Lanczos's six
-    base = HvpOracle.from_matrix(np.diag([3.0, 1.0, -0.5, -2.0, 0.25, 4.0]))
+    base = operator(np.diag([3.0, 1.0, -0.5, -2.0, 0.25, 4.0]))
     calls = []
-    op = HvpOracle(apply=lambda v: calls.append(1) or base.apply(v), dim=6)
+    op = SimpleNamespace(apply=lambda v: calls.append(1) or base.apply(v), dim=6)
     ex = extreme_eigs(op, 6, 1e-8, SeededRng(20).child("e"))
     assert ex.converged
     assert (ex.lambda_min, ex.lambda_max) == (pytest.approx(-2.0), pytest.approx(4.0))
@@ -224,7 +228,7 @@ def test_nonconverged_refine_reports_its_own_vector():
     # three power steps cannot resolve a 0.001 gap: the returned eigenvalue and
     # residual must still be v_min's own, not those of the vector before it
     a = np.diag(np.append(-1.0 + 0.001 * np.arange(19), 2.0))
-    ex = extreme_eigs(HvpOracle.from_matrix(a), 2, 1e-10, SeededRng(1).child("e"),
+    ex = extreme_eigs(operator(a), 2, 1e-10, SeededRng(1).child("e"),
                       max_refine_iters=3)
     assert not ex.converged
     v = ex.v_min
@@ -257,7 +261,7 @@ def test_linearization_operator_linearizes_once_and_calls_hvp_per_product(monkey
     monkeypatch.setattr(model, "hvp", counting_hvp)
     base = model.Linearization(spec, w, batch, loss)
     products = []
-    oracle = HvpOracle(apply=lambda v: products.append(1) or base.apply(v), dim=base.dim)
+    oracle = SimpleNamespace(apply=lambda v: products.append(1) or base.apply(v), dim=base.dim)
     settings = SpectralSettings(lanczos_iters=6, num_probes=3)
     spectral_density(oracle, settings, SeededRng(38).child("density"))
     extreme_eigs(oracle, 6, 1e-9, SeededRng(39).child("extreme"))
@@ -268,8 +272,8 @@ def test_linearization_operator_linearizes_once_and_calls_hvp_per_product(monkey
 
 def test_extreme_eigs_sign_flip_swaps_extremes():
     a = random_symmetric(60, 18)
-    ex_pos = extreme_eigs(HvpOracle.from_matrix(a), 60, 1e-9, SeededRng(19).child("e"))
-    ex_neg = extreme_eigs(HvpOracle.from_matrix(-a), 60, 1e-9, SeededRng(19).child("e"))
+    ex_pos = extreme_eigs(operator(a), 60, 1e-9, SeededRng(19).child("e"))
+    ex_neg = extreme_eigs(operator(-a), 60, 1e-9, SeededRng(19).child("e"))
     assert ex_neg.lambda_min == pytest.approx(-ex_pos.lambda_max, abs=1e-8)
     assert ex_neg.lambda_max == pytest.approx(-ex_pos.lambda_min, abs=1e-8)
 
@@ -289,15 +293,9 @@ def test_psd_operator_ratio_zero():
     rng = SeededRng(20)
     b = rng.normal(size=(40, 40))
     a = b @ b.T + 0.1 * np.eye(40)  # strictly positive definite by construction
-    ex = extreme_eigs(HvpOracle.from_matrix(a), 40, 1e-8, SeededRng(21).child("e"))
+    ex = extreme_eigs(operator(a), 40, 1e-8, SeededRng(21).child("e"))
     assert ex.lambda_min > 0
     assert nonconvexity_ratio(ex) == 0.0
-
-
-def test_matrix_oracle_diagonal_action():
-    # operator view of the quadratic surrogate: H = A, so Hv = Av
-    oracle = HvpOracle.from_matrix(np.diag([2.0, -1.0]))
-    assert np.array_equal(oracle.apply(np.array([0.0, 1.0])), np.array([0.0, -1.0]))
 
 
 def test_oracle_purity():
@@ -460,7 +458,8 @@ def test_probe_split_is_bitwise_neutral(monkeypatch):
         return hvp(*args, lin=lin)
 
     def counting_refine(oracle, *args, **kwargs):
-        op = HvpOracle(apply=lambda v: refine_calls.append(1) or oracle.apply(v), dim=oracle.dim)
+        op = SimpleNamespace(apply=lambda v: refine_calls.append(1) or oracle.apply(v),
+                             dim=oracle.dim)
         return refine_eigpair(op, *args, **kwargs)
 
     def report():
@@ -524,7 +523,7 @@ def test_a_failing_probe_fails_the_entry_and_leaves_no_thread(monkeypatch, faili
 
 def test_lanczos_probe_determinism():
     a = random_symmetric(30, 34)
-    op = HvpOracle.from_matrix(a)
+    op = operator(a)
     r1 = lanczos(op, 30, SeededRng(35).child("p"))
     r2 = lanczos(op, 30, SeededRng(35).child("p"))
     assert np.array_equal(r1.alphas, r2.alphas)
@@ -582,9 +581,9 @@ def test_partial_reorth_lanczos_matches_full_reorth_and_dense(kind, dim, frac, s
         a = (rot * ev) @ rot.T
         a = (a + a.T) / 2.0
     iters = max(1, round(frac * dim))
-    run = lanczos(HvpOracle.from_matrix(a), iters, SeededRng(seed).child("probe"))
+    run = lanczos(operator(a), iters, SeededRng(seed).child("probe"))
     gram = run.basis @ run.basis.T
-    assert np.max(np.abs(gram - np.eye(run.iters_done))) < 1e-12
+    assert np.max(np.abs(gram - np.eye(run.alphas.shape[0]))) < 1e-12
     norm_a = np.max(np.abs(ev))
     vals = np.sort(ritz_decomposition(run)[0])
     ref, residuals = _full_reorth_ritz_pairs(a, iters, SeededRng(seed).child("probe"))
@@ -596,7 +595,7 @@ def test_partial_reorth_lanczos_matches_full_reorth_and_dense(kind, dim, frac, s
     assert np.all(np.abs(vals - ref)[converged] <= 1e-12 * norm_a)
     assert np.max(np.abs(vals - ref)) <= 1e-9 * norm_a
     dense = np.linalg.eigvalsh(a)
-    if run.iters_done == dim:
+    if run.alphas.shape[0] == dim:
         assert np.max(np.abs(vals - dense)) <= 1e-12 * norm_a
     elif run.early_stop:
         # an invariant Krylov space: its Ritz values are eigenvalues, and it
@@ -613,7 +612,7 @@ def test_density_window_sums_bitwise_like_the_full_grid():
              (random_symmetric(80, 9),
               SpectralSettings(lanczos_iters=30, num_probes=4, broadening_sigma2=1e-3)))
     for a, settings in cases:
-        sd = spectral_density(HvpOracle.from_matrix(a), settings, SeededRng(9).child("density"))
+        sd = spectral_density(operator(a), settings, SeededRng(9).child("density"))
         sigma = np.sqrt(settings.broadening_sigma2)
         norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
         full = np.zeros_like(sd.grid)
@@ -658,15 +657,18 @@ def test_w1_density_moments_and_extremes_match_the_dense_hessian(tmp_path):
     assert abs(ex.lambda_max - eigs[-1]) <= settings.residual_tol
 
 
-def _exact_saddle(num_classes, input_dim, hidden, drw):
+def _exact_saddle(num_classes, input_dim, hidden, drw, hidden_bias=False):
     """The tanh MLP input_dim-hidden...-num_classes on W1's data (W2's with 10
-    classes and 16 inputs), at zero weights and hidden biases, with the output
-    bias log(pi): pi_c is class c's share of the loss's normalized sample
-    weights omega, so softmax(logits) = pi on every row and the gradient is 0.
-    With one hidden layer the Hessian pairs each hidden unit's outgoing
-    weights with its incoming ones through M = sum_i omega_i (pi - e_y_i) x_i^T
-    and is PSD elsewhere, so its spectrum below 0 is -sigma(M), hidden times.
-    Returns (Linearization, gradient, M)."""
+    classes and 16 inputs), at zero weights, with the output bias log(pi):
+    pi_c is class c's share of the loss's normalized sample weights omega, so
+    softmax(logits) = pi on every row and the gradient is 0. The hidden biases
+    are 0 (saddle (a)), or with hidden_bias 0.5 N(0, 1) draws (saddle (b)): a
+    hidden unit's output is then a nonzero constant, and its outgoing
+    weights' gradient still cancels, as sum_i omega_i (pi - e_y_i) = 0.
+    With one hidden layer and zero hidden biases the Hessian pairs each hidden
+    unit's outgoing weights with its incoming ones through
+    M = sum_i omega_i (pi - e_y_i) x_i^T and is PSD elsewhere, so its spectrum
+    below 0 is -sigma(M), hidden times. Returns (Linearization, gradient, M)."""
     cfg = load_config(ROOT / "configs" / "quickstart.json")
     dataset = dataclasses.replace(cfg.dataset, num_classes=num_classes, input_dim=input_dim)
     ds = generate(dataset.profile(), dataset.geometry(), SeededRng(cfg.seed).child("datagen"))
@@ -677,9 +679,14 @@ def _exact_saddle(num_classes, input_dim, hidden, drw):
     omega /= omega.sum()
     pi = np.bincount(ds.labels, weights=omega, minlength=num_classes)
     spec = MlpSpec((input_dim, *hidden, num_classes))
-    _, total = model.param_layout(spec)
+    layout, total = model.param_layout(spec)
     w = np.zeros(total)
     w[-num_classes:] = np.log(pi)  # the output bias, the vector's last block
+    if hidden_bias:
+        draws = SeededRng(cfg.seed).child("hidden_bias")
+        for block in layout[:-1]:
+            if block.name.startswith("b"):
+                w[block.offset : block.offset + block.shape[0]] = 0.5 * draws.normal(size=block.shape)
     batch = Batch(ds.features, ds.labels)
     # M's row c as sum_k pi_c pi_k (mu_k - mu_c), mu_k class k's omega-weighted
     # mean: the same sum, but the class sums do not cancel in rounding
@@ -701,6 +708,24 @@ def test_one_hidden_layer_exact_saddle_matches_its_closed_form(num_classes, inpu
     assert abs(eigs[0] + sigmas[0]) <= 1e-13 * sigmas[0]
     # rank(M) at the same threshold: its rows sum to 0 up to rounding
     assert np.count_nonzero(eigs < -1e-12) == hidden * np.count_nonzero(sigmas > 1e-12)
+    settings = SpectralSettings()
+    ex = extreme_eigs(lin, settings.lanczos_iters, settings.residual_tol,
+                      SeededRng(3).child("extreme"))
+    assert ex.converged
+    assert abs(ex.lambda_min - eigs[0]) <= settings.residual_tol
+
+
+@pytest.mark.parametrize("num_classes, input_dim, hidden, drw", [
+    (2, 6, 12, False), (2, 6, 12, True), (10, 16, 8, False),
+], ids=["w1", "w1-drw", "w2-16-8-10"])
+def test_biased_exact_saddle_is_critical_and_extreme_eigs_finds_its_lambda_min(
+        num_classes, input_dim, hidden, drw):
+    # with hidden biases lambda_min is no longer -sigma_max(M): the dense
+    # Hessian is the ground truth
+    lin, grad, _ = _exact_saddle(num_classes, input_dim, (hidden,), drw, hidden_bias=True)
+    assert np.linalg.norm(grad) <= 1e-14
+    eigs = np.linalg.eigvalsh(_dense_hessian(lin))
+    assert eigs[0] < 0.0
     settings = SpectralSettings()
     ex = extreme_eigs(lin, settings.lanczos_iters, settings.residual_tol,
                       SeededRng(3).child("extreme"))
@@ -755,7 +780,7 @@ def test_lanczos_on_a_w2_sized_oracle_skips_reorthogonalization_and_reruns_bitwi
     assert oracle.dim == 5898
     first = lanczos(oracle, 80, SeededRng(42).child("probe"))
     again = lanczos(oracle, 80, SeededRng(42).child("probe"))
-    assert first.iters_done == 80 and not first.early_stop
+    assert first.alphas.shape[0] == 80 and not first.early_stop
     assert 0 < first.reorth_steps < 80
     assert np.max(np.abs(first.basis @ first.basis.T - np.eye(80))) < 1e-12
     for name in ("alphas", "betas", "basis"):
