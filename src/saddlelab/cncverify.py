@@ -13,14 +13,13 @@ the check is visible rather than assumed.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import SeededRng, blas_threads, csv_lines, write_json, write_text
+from .linalg import SeededRng, blas_threads, write_csv, write_json
 from .losses import LossSpec
 from .model import Batch, Linearization, MlpSpec, hvp, loss_grad
 from .optim import sam_gradients
@@ -102,7 +101,7 @@ def projection_second_moment(grads, v_w: np.ndarray):
     return _moment(proj ** 2)
 
 
-def theorem1_report(spec: MlpSpec, w: np.ndarray, ds, loss: LossSpec,
+def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
                     rho_list, settings: CncSettings, rng: SeededRng,
                     spectral: SpectralSettings):
     """One row per rho: both projection moments over a shared batch sequence,
@@ -128,7 +127,7 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds, loss: LossSpec,
     # extreme run returns
     with blas_threads():
         extremes = extreme_eigs(
-            Linearization(spec, w, Batch(ds.features, ds.labels), loss),
+            Linearization(spec, w, ds, loss),
             spectral.lanczos_iters, spectral.residual_tol, rng.child("extreme"))
     lam_min = extremes.lambda_min
     v_w = extremes.v_min
@@ -179,9 +178,8 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds, loss: LossSpec,
 
 def save_theorem1_report(rows, csv_path, json_path, settings: CncSettings,
                          spectral: SpectralSettings, meta: dict) -> None:
-    header = [f.name for f in dataclasses.fields(Theorem1Row)]
-    write_text(csv_path, csv_lines(itertools.chain([header],
-                                                   (vars(r).values() for r in rows))))
+    write_csv(csv_path, [f.name for f in dataclasses.fields(Theorem1Row)],
+              (vars(r).values() for r in rows))
     sidecar = {
         "format_version": CNC_FORMAT_VERSION,
         "settings": {

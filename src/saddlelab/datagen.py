@@ -20,6 +20,7 @@ from .errors import (
     ParameterError,
 )
 from .linalg import SeededRng
+from .model import Batch
 
 LONGTAIL = "longtail"
 STEP = "step"
@@ -78,17 +79,15 @@ class ClassGeometry:
 
 
 @dataclass
-class LabeledDataset:
-    features: np.ndarray
-    labels: np.ndarray
+class LabeledDataset(Batch):
+    """A Batch of every drawn sample, with the class counts and geometry it
+    was drawn from."""
+
     class_counts: tuple
     geometry: ClassGeometry
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.intp)
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise DimensionError("feature rows != label count")
+        super().__post_init__()
         observed = np.bincount(self.labels, minlength=len(self.class_counts))
         if tuple(int(c) for c in observed) != tuple(int(c) for c in self.class_counts):
             raise DimensionError("class_counts do not match the labels")
@@ -96,9 +95,6 @@ class LabeledDataset:
     @property
     def num_classes(self) -> int:
         return len(self.class_counts)
-
-    def __len__(self) -> int:
-        return self.features.shape[0]
 
 
 @dataclass(frozen=True)

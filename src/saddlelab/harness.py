@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import math
 import reprlib
@@ -55,8 +54,8 @@ from .linalg import (
     csv_cell,
     csv_lines,
     format_float,
+    write_csv,
     write_json,
-    write_text,
 )
 from .losses import LossSpec, ReweightSchedule, drw_weights, loss_on_logits
 from .model import (
@@ -108,7 +107,7 @@ class DatasetConfig:
 
     def __post_init__(self):
         if self.test_per_class < 1:
-            raise ConfigError("test_per_class must be >= 1")
+            raise ParameterError("test_per_class must be >= 1")
         class_counts(self.profile())  # raises on an infeasible profile
         self.geometry().check_fits(self.num_classes)
 
@@ -236,7 +235,8 @@ _type_hints = functools.cache(typing.get_type_hints)
 
 def _record(cls, obj, context: str):
     """cls from the JSON object `obj`, whose keys must be fields of cls and
-    include every field without a default, each read by _read."""
+    include every field without a default, each read by _read. A value cls
+    rejects is a ConfigError that names `context`, the record's section."""
     if type(obj) is not dict:
         raise ConfigError(f"{context} must be a JSON object")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -256,9 +256,8 @@ def _record(cls, obj, context: str):
                               f"{fields[name].type}") from None
     try:
         return cls(**values)
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    except OverflowError as exc:  # a JSON integer too large for a float
+    # a range check's error, or a JSON integer too large for a float
+    except (ParameterError, OverflowError) as exc:
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -603,8 +602,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
     step = 0
     # the header and the resumed rows replace metrics.csv whole, so a run
     # killed before its first row leaves the checkpoint's rows in place
-    write_text(out / "metrics.csv", csv_lines([MetricsRecord.csv_header(ds.num_classes),
-                                               *(r.csv_row() for r in metrics)]))
+    write_csv(out / "metrics.csv", MetricsRecord.csv_header(ds.num_classes),
+              (r.csv_row() for r in metrics))
     try:
         with open(out / "metrics.csv", "a", newline="", encoding="utf-8") as metrics_fh:
             if resume_from is None:
@@ -727,10 +726,6 @@ def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir=None) -> list:
             ))
         except SaddleLabError as exc:
             rows.append(SweepRow(rho=rho, error=str(exc)))
-    _write_sweep_csv(rows, out / "sweep.csv")
+    write_csv(out / "sweep.csv", [f.name for f in dataclasses.fields(SweepRow)],
+              (vars(r).values() for r in rows))
     return rows
-
-
-def _write_sweep_csv(rows, path) -> None:
-    header = [f.name for f in dataclasses.fields(SweepRow)]
-    write_text(path, csv_lines(itertools.chain([header], (vars(r).values() for r in rows))))

@@ -125,6 +125,12 @@ def write_text(path, chunks) -> None:
         raise
 
 
+def write_csv(path, header, rows) -> None:
+    """A header line, then one line per row of cells, written as write_text
+    writes."""
+    write_text(path, csv_lines(itertools.chain([header], rows)))
+
+
 def write_json(path, obj, indent=1) -> None:
     """Sorted-key JSON plus a newline, encoded in chunks as json.dump does."""
     encoder = json.JSONEncoder(indent=indent, sort_keys=True)

@@ -10,6 +10,7 @@ batch, loss).
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,8 +78,11 @@ class ParamBlock:
     shape: tuple
 
 
+@functools.cache
 def param_layout(spec: MlpSpec):
-    """(blocks, total) — blocks tile the flat vector exactly, in layer order."""
+    """(blocks, total) — blocks tile the flat vector exactly, in layer order.
+    The one definition of the layout: every slicing of a parameter vector
+    reads it. Memoized per spec, which is frozen and so hashable."""
     blocks = []
     offset = 0
     for l in range(spec.num_layers):
@@ -104,24 +108,16 @@ def ParamVector(data, layout) -> np.ndarray:
 
 
 def _unpack(spec: MlpSpec, flat: np.ndarray):
-    """Split a flat vector into per-layer (W, b) views without copying; a
-    vector of another shape than param_layout's is a DimensionError."""
-    sizes = spec.layer_sizes
-    total = sum(fan_out * (fan_in + spec.bias) for fan_in, fan_out in zip(sizes, sizes[1:]))
+    """Split a flat vector into per-layer (W, b) views of param_layout's
+    blocks without copying; a vector of another shape than the layout's is a
+    DimensionError."""
+    blocks, total = param_layout(spec)
     if flat.shape != (total,):
         raise DimensionError(f"param vector shape {flat.shape} != ({total},) of the spec")
-    ws, bs = [], []
-    offset = 0
-    for l in range(spec.num_layers):
-        fan_in, fan_out = spec.layer_sizes[l], spec.layer_sizes[l + 1]
-        ws.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
-        offset += fan_out * fan_in
-        if spec.bias:
-            bs.append(flat[offset : offset + fan_out])
-            offset += fan_out
-        else:
-            bs.append(None)
-    return ws, bs
+    views = [flat[b.offset : b.offset + math.prod(b.shape)].reshape(b.shape) for b in blocks]
+    if not spec.bias:
+        return views, [None] * spec.num_layers
+    return views[::2], views[1::2]
 
 
 def init_params(spec: MlpSpec, rng: SeededRng) -> np.ndarray:
@@ -346,10 +342,9 @@ def hvp(spec: MlpSpec, w: np.ndarray, batch: Batch, loss: LossSpec, v, *,
     return lin.hvp(v)
 
 
-def per_class_batch(ds, class_id: int) -> Batch:
+def per_class_batch(ds: Batch, class_id: int) -> Batch:
     """All samples of one class."""
-    labels = np.asarray(ds.labels)
-    idx = np.flatnonzero(labels == class_id)
+    idx = np.flatnonzero(ds.labels == class_id)
     if idx.size == 0:
         raise EmptyClassError(f"class {class_id} has no samples")
-    return Batch(ds.features[idx], labels[idx])
+    return Batch(ds.features[idx], ds.labels[idx])

@@ -14,7 +14,6 @@ saddle-like the landscape is.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .linalg import SeededRng, blas_threads, csv_lines, write_json, write_text
+from .linalg import SeededRng, blas_threads, write_csv, write_json
 from .losses import LossSpec
 from .model import Batch, Linearization, MlpSpec, per_class_batch
 
@@ -173,9 +172,7 @@ class SpectralDensity:
     density: np.ndarray
     ritz_values: list  # one array per probe
     ritz_weights: list
-    broadening_sigma2: float
-    num_probes: int
-    lanczos_iters: int
+    settings: SpectralSettings  # what the density ran with
 
 
 def _auto_grid(all_vals: np.ndarray, sigma: float):
@@ -250,9 +247,7 @@ def spectral_density(oracle, settings: SpectralSettings, rng: SeededRng,
         density=density,
         ritz_values=per_probe_vals,
         ritz_weights=per_probe_weights,
-        broadening_sigma2=settings.broadening_sigma2,
-        num_probes=settings.num_probes,
-        lanczos_iters=settings.lanczos_iters,
+        settings=settings,
     )
 
 
@@ -346,7 +341,7 @@ class ClassSpectrumEntry:
     num_samples: int
 
 
-def classwise_spectrum_report(spec: MlpSpec, w: np.ndarray, ds, loss: LossSpec,
+def classwise_spectrum_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
                               classes, settings: SpectralSettings, rng: SeededRng):
     """Per-class curvature diagnostics plus the full-dataset contrast entry.
 
@@ -362,8 +357,7 @@ def classwise_spectrum_report(spec: MlpSpec, w: np.ndarray, ds, loss: LossSpec,
     for cid in classes:
         batch = per_class_batch(ds, cid)
         entries.append(_spectrum_entry(spec, w, batch, plain_loss, cid, settings, rng.child("class", cid)))
-    full_batch = Batch(ds.features, ds.labels)
-    entries.append(_spectrum_entry(spec, w, full_batch, plain_loss, None, settings, rng.child("full")))
+    entries.append(_spectrum_entry(spec, w, ds, plain_loss, None, settings, rng.child("full")))
     return entries
 
 
@@ -399,8 +393,7 @@ def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpect
 def save_spectrum(entry: ClassSpectrumEntry, csv_path, json_path, meta: dict) -> None:
     """CSV of (grid, density) plus a JSON sidecar with the Ritz data, extreme
     eigenpair summary, settings, and the caller's metadata (seed, epoch, ...)."""
-    write_text(csv_path, csv_lines(itertools.chain(
-        [("eigenvalue", "density")], zip(entry.density.grid, entry.density.density))))
+    write_csv(csv_path, ("eigenvalue", "density"), zip(entry.density.grid, entry.density.density))
     sidecar = {
         "format_version": SPECTRUM_FORMAT_VERSION,
         "class_id": entry.class_id,
@@ -409,11 +402,8 @@ def save_spectrum(entry: ClassSpectrumEntry, csv_path, json_path, meta: dict) ->
         "accuracy": entry.accuracy,
         **{k: v for k, v in vars(entry.extremes).items() if k != "v_min"},
         "nonconvexity_ratio": entry.ratio,
-        "settings": {
-            "lanczos_iters": entry.density.lanczos_iters,
-            "num_probes": entry.density.num_probes,
-            "broadening_sigma2": entry.density.broadening_sigma2,
-        },
+        "settings": {k: getattr(entry.density.settings, k)
+                     for k in ("lanczos_iters", "num_probes", "broadening_sigma2")},
         "ritz_values": [vals.tolist() for vals in entry.density.ritz_values],
         "ritz_weights": [wts.tolist() for wts in entry.density.ritz_weights],
         **meta,

@@ -4,14 +4,22 @@ import pytest
 from saddlelab.datagen import (
     ClassGeometry,
     ImbalanceProfile,
+    LabeledDataset,
     balanced_test_split,
     class_counts,
     class_means,
     generate,
     split_head_mid_tail,
 )
-from saddlelab.errors import GeometryError, InfeasibleProfileError, ParameterError
+from saddlelab.errors import (
+    DimensionError,
+    GeometryError,
+    InfeasibleProfileError,
+    ParameterError,
+)
 from saddlelab.linalg import SeededRng
+from saddlelab.losses import LossSpec
+from saddlelab.model import Batch, Linearization, MlpSpec, init_params
 
 CIFAR10_LT = ImbalanceProfile("longtail", 10, 5000, 100.0)
 
@@ -178,3 +186,24 @@ def test_test_rows_disjoint_from_train():
     train_rows = {row.tobytes() for row in ds.features}
     assert all(row.tobytes() not in train_rows for row in test.features)
 
+
+def test_labels_that_disagree_with_class_counts_are_rejected():
+    with pytest.raises(DimensionError, match="class_counts"):
+        LabeledDataset(np.zeros((3, 2)), [0, 1, 1], (2, 1), ClassGeometry(input_dim=2))
+
+
+def test_a_row_count_other_than_the_label_count_is_rejected():
+    with pytest.raises(DimensionError, match="labels length"):
+        LabeledDataset(np.zeros((4, 2)), [0, 1, 1], (1, 2), ClassGeometry(input_dim=2))
+
+
+def test_a_dataset_linearizes_as_the_batch_of_its_rows():
+    ds = generate(ImbalanceProfile("longtail", 3, 40, 4.0), ClassGeometry(input_dim=4),
+                  SeededRng(11).child("datagen"))
+    spec = MlpSpec((4, 7, 3))
+    w = init_params(spec, SeededRng(12).child("init"))
+    loss = LossSpec(variant="ce", class_counts=ds.class_counts)
+    v = SeededRng(13).normal(size=w.shape[0])
+    as_dataset = Linearization(spec, w, ds, loss).hvp(v)
+    as_batch = Linearization(spec, w, Batch(ds.features, ds.labels), loss).hvp(v)
+    assert as_dataset.tobytes() == as_batch.tobytes()

@@ -11,8 +11,9 @@ commit, from the checkout root:
 
     PYTHONPATH=src python -m tests.test_golden --write
 
-which prints the files whose digest is new, removed or changed against the
-file it replaces, or "no change".
+which prints each environment field whose recorded value it replaces, then
+the files whose digest is new, removed or changed against the file it
+replaces, or "no change".
 """
 
 import ctypes
@@ -77,6 +78,19 @@ def changed_files(old: dict, new: dict) -> list:
     return sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
 
 
+def environment_changes(recorded: dict, env: dict) -> list:
+    """One "<field>: <env's value>, not <recorded value>" line for each
+    recorded environment field whose value env does not share."""
+    return [f"{k}: {env.get(k)!r}, not {v!r}" for k, v in recorded.items() if env.get(k) != v]
+
+
+def test_environment_changes_names_each_differing_field():
+    recorded = {"numpy": "2.4.6", "openblas": "0.3.30", "openblas_core": "Haswell"}
+    env = dict(recorded, openblas_core="SkylakeX")
+    assert environment_changes(recorded, env) == ["openblas_core: 'SkylakeX', not 'Haswell'"]
+    assert environment_changes(recorded, dict(recorded)) == []
+
+
 def test_changed_files_names_new_removed_and_changed_digests():
     old = {"cnc/cnc.csv": "1", "train/metrics.csv": "2", "train/summary.json": "3"}
     new = {"cnc/cnc.csv": "1", "train/metrics.csv": "9", "train/extra.json": "4"}
@@ -87,9 +101,7 @@ def test_changed_files_names_new_removed_and_changed_digests():
 
 def test_w1_artifacts_match_their_golden_digests(tmp_path, capsys):
     golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    env = environment()
-    differ = [f"{k}: {env[k]!r}, not {v!r}" for k, v in golden["environment"].items()
-              if env[k] != v]
+    differ = environment_changes(golden["environment"], environment())
     if differ:
         pytest.skip(f"bytes are compared on the digests' build only; here {differ}")
     digests = artifact_digests(tmp_path)
@@ -102,10 +114,15 @@ def test_w1_artifacts_match_their_golden_digests(tmp_path, capsys):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: PYTHONPATH=src python -m tests.test_golden --write\n{__doc__}")
-    old = json.loads(DIGESTS.read_text(encoding="utf-8"))["files"] if DIGESTS.exists() else {}
+    old = (json.loads(DIGESTS.read_text(encoding="utf-8")) if DIGESTS.exists()
+           else {"environment": {}, "files": {}})
     with tempfile.TemporaryDirectory() as tmp:
         files = artifact_digests(Path(tmp))
-    DIGESTS.write_text(json.dumps({"environment": environment(), "files": files},
+    env = environment()
+    DIGESTS.write_text(json.dumps({"environment": env, "files": files},
                                   indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(files)} digests to {DIGESTS}")
-    print("\n".join(changed_files(old, files)) or "no change")
+    # the test skips on any build but the recorded one, so say which it was
+    for change in environment_changes(old["environment"], env):
+        print(f"environment field replaced: {change}")
+    print("\n".join(changed_files(old["files"], files)) or "no change")

@@ -492,6 +492,23 @@ def test_missing_required_key_rejected(tmp_path):
     lambda d: d["cnc"].update(rhos=[True]),
     lambda d: d["dataset"].update(n_max=10**400),
     lambda d: d["dataset"].update(beta=10**400),
+    lambda d: d["dataset"].update(num_classes=1),
+    lambda d: d["dataset"].update(n_max=0),
+    lambda d: d["dataset"].update(input_dim=0),
+    lambda d: d["dataset"].update(mean_placement="sphere"),
+    lambda d: d["model"].update(layer_sizes=[6]),
+    lambda d: d["model"].update(layer_sizes=[6, 0, 2]),
+    lambda d: d["model"].update(activation="gelu"),
+    lambda d: d["lr"].update(base_lr=-0.1),
+    lambda d: d["lr"].update(warmup_epochs=-1),
+    lambda d: d["lr"].update(milestones=[[1, 0.0]]),
+    lambda d: d["rho_schedule"].update(steps=[[0, -0.1]]),
+    lambda d: d["spectral"].update(lanczos_iters=1),
+    lambda d: d["spectral"].update(num_probes=0),
+    lambda d: d["spectral"].update(broadening_sigma2=0.0),
+    lambda d: d["cnc"].update(batch_size=0),
+    lambda d: d["loss"].update(ldam_max_margin=-0.5),
+    lambda d: d["reweight"].update(threshold_epoch=-1),
 ], ids=["cnc-mode", "cnc-num-batches", "cnc-empty-rhos", "dataset-kind",
         "circle-in-1d", "infeasible-profile", "loss-variant", "residual-tol",
         "model-dataset-mismatch", "lr-empty", "reweight-empty", "nan-rho",
@@ -504,7 +521,12 @@ def test_missing_required_key_rejected(tmp_path):
         "milestone-bool-epoch", "rho-step-one-item", "rho-step-not-a-pair",
         "rho-step-float-epoch", "rho-step-bool-epoch", "text-bool", "int-bool", "text-bias",
         "text-group-threshold", "bool-group-threshold", "bool-base-lr", "bool-beta",
-        "number-output-dir", "bool-cnc-rho", "huge-int-n-max", "huge-int-beta"])
+        "number-output-dir", "bool-cnc-rho", "huge-int-n-max", "huge-int-beta",
+        "one-class", "zero-n-max", "zero-input-dim", "mean-placement", "one-layer-size",
+        "zero-width", "activation", "negative-base-lr", "negative-warmup",
+        "zero-milestone-multiplier", "negative-rho-step", "one-lanczos-iter", "zero-probes",
+        "zero-broadening", "zero-cnc-batch-size", "negative-ldam-margin",
+        "negative-threshold"])
 def test_load_config_rejects_what_the_run_would(tmp_path, edit):
     d = config_to_dict(tiny_config(tmp_path / "x"))
     edit(d)
@@ -512,6 +534,22 @@ def test_load_config_rejects_what_the_run_would(tmp_path, edit):
     path.write_text(json.dumps(d))
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+def test_a_range_error_names_its_section():
+    d = config_to_dict(tiny_config("unused"))
+
+    def message(bad):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(bad)
+        return str(info.value)
+
+    top = message(dict(d, batch_size=0))
+    cnc = message(dict(d, cnc=dict(d["cnc"], batch_size=0)))
+    assert top != cnc
+    assert cnc == "cnc: batch_size must be >= 1"
+    assert message(dict(d, dataset=dict(d["dataset"], test_per_class=0))) == \
+        "dataset: test_per_class must be >= 1"
 
 
 def test_a_type_error_names_the_section_and_field():
