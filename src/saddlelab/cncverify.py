@@ -66,13 +66,6 @@ class Theorem1Row:
     cnc_violation: bool
 
 
-def _check_unit(v_w: np.ndarray) -> np.ndarray:
-    v_w = np.asarray(v_w, dtype=np.float64)
-    if abs(float(np.linalg.norm(v_w)) - 1.0) > 1e-8:
-        raise ParameterError("v_w must be unit norm")
-    return v_w
-
-
 def _moment(values: np.ndarray):
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(values.shape[0]))
@@ -91,16 +84,7 @@ def sample_batches(ds, batch_size: int, num_batches: int, rng: SeededRng):
     return [rng.choice(n, size=batch_size, replace=False) for _ in range(num_batches)]
 
 
-def projection_second_moment(grads, v_w: np.ndarray):
-    """(mean, stderr) of <v_w, g>^2 over an iterable of gradients, each
-    projected as it arrives, so a generator keeps one gradient alive."""
-    v_w = _check_unit(v_w)
-    proj = np.array([float(v_w @ g) for g in grads])
-    if proj.shape[0] < 2:
-        raise ParameterError("need at least 2 samples for a standard error")
-    return _moment(proj ** 2)
-
-
+@blas_threads()
 def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
                     rho_list, settings: CncSettings, rng: SeededRng,
                     spectral: SpectralSettings):
@@ -110,8 +94,10 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
     0 on quadratics and growing with rho elsewhere.
 
     lambda_min and v_w come from one extreme-eigenpair run on the full-dataset
-    Hessian; the mini-batches are drawn once and reused across all rows (and
-    for the plain moment), so the rho = 0 row has ratio exactly 1.
+    Hessian. Then one pass over the mini-batches: each batch drawn gives its
+    plain gradient's projection onto v_w and, for every rho, its SAM
+    gradient's projection and expansion residual, and is then dropped. Every
+    row shares the plain moment, so the rho = 0 row has ratio exactly 1.
 
     cnc_violation is set, and every measured_ratio left None, when the plain
     moment is at most its standard error or the rounding floor, the mean over
@@ -125,55 +111,56 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
         raise ParameterError("rho_list must be non-empty")
     # no name holds the full-batch linearization, so it is freed once the
     # extreme run returns
-    with blas_threads():
-        extremes = extreme_eigs(
-            Linearization(spec, w, ds, loss),
-            spectral.lanczos_iters, spectral.residual_tol, rng.child("extreme"))
+    extremes = extreme_eigs(
+        Linearization(spec, w, ds, loss),
+        spectral.lanczos_iters, spectral.residual_tol, rng.child("extreme"))
     lam_min = extremes.lambda_min
     v_w = extremes.v_min
-    batches = [Batch(ds.features[idx], ds.labels[idx]) for idx in
-               sample_batches(ds, settings.batch_size, settings.num_batches, rng.child("batches"))]
-    grad_fns = [lambda x, b=b: loss_grad(spec, x, b, loss) for b in batches]
     normalized = settings.mode == NORMALIZED
+    plain, norms = [], []
+    # per rho, one (projection, residual) pair per batch
+    per_rho = [[] for _ in rho_list]
+    for idx in sample_batches(ds, settings.batch_size, settings.num_batches,
+                              rng.child("batches")):
+        batch = Batch(ds.features[idx], ds.labels[idx])
 
-    # its own gradients, not the moment's: the bench self-test pins the
-    # report at B(1 + sum(1 if rho == 0 else 4)) of them (ROADMAP item 1)
-    def residual(batch, grad_fn, rho):
-        _, g, eps, g_sam = sam_gradients(grad_fn, w, rho, normalized)
-        if eps is None:
-            return 0.0
-        return float(np.linalg.norm(g_sam - (g + hvp(spec, w, batch, loss, eps))))
+        def grad_fn(x):
+            return loss_grad(spec, x, batch, loss)
 
-    norms = []
+        g_plain = grad_fn(w)[1]
+        plain.append(float(v_w @ g_plain))
+        norms.append(float(np.linalg.norm(g_plain)))
+        for rho, pairs in zip(rho_list, per_rho):
+            projection = float(v_w @ sam_gradients(grad_fn, w, rho, normalized)[3])
+            residual = 0.0
+            if rho != 0.0:
+                # its own gradients, not the moment's: the bench self-test pins
+                # the report at B(1 + sum(1 if rho == 0 else 4)) of them (ROADMAP item 1)
+                _, g, eps, g_sam = sam_gradients(grad_fn, w, rho, normalized)
+                if eps is not None:
+                    residual = float(np.linalg.norm(g_sam - (g + hvp(spec, w, batch, loss, eps))))
+            pairs.append((projection, residual))
 
-    def plain_gradients():
-        for fn in grad_fns:
-            g = fn(w)[1]
-            norms.append(float(np.linalg.norm(g)))
-            yield g
-
-    with blas_threads():
-        gamma_hat, gamma_se = projection_second_moment(plain_gradients(), v_w)
-        floor = float(np.mean((w.shape[0] * np.finfo(np.float64).eps / 2 * np.array(norms)) ** 2))
-        violation = gamma_hat <= max(gamma_se, floor)
-        rows = []
-        for rho in rho_list:
-            moment, moment_se = projection_second_moment(
-                (sam_gradients(fn, w, rho, normalized)[3] for fn in grad_fns), v_w)
-            rows.append(Theorem1Row(
-                rho=rho,
-                lambda_min=lam_min,
-                gamma_hat=gamma_hat,
-                gamma_stderr=gamma_se,
-                sam_moment_hat=moment,
-                sam_stderr=moment_se,
-                measured_ratio=None if violation else moment / gamma_hat,
-                predicted_factor=(1.0 + rho * lam_min) ** 2,
-                taylor_residual=0.0 if rho == 0.0 else float(np.mean(
-                    [residual(b, fn, rho) for b, fn in zip(batches, grad_fns)])),
-                cnc_violation=violation,
-            ))
-        return rows
+    gamma_hat, gamma_se = _moment(np.array(plain) ** 2)
+    floor = float(np.mean((w.shape[0] * np.finfo(np.float64).eps / 2 * np.array(norms)) ** 2))
+    violation = gamma_hat <= max(gamma_se, floor)
+    rows = []
+    for rho, pairs in zip(rho_list, per_rho):
+        projections, residuals = zip(*pairs)
+        moment, moment_se = _moment(np.array(projections) ** 2)
+        rows.append(Theorem1Row(
+            rho=rho,
+            lambda_min=lam_min,
+            gamma_hat=gamma_hat,
+            gamma_stderr=gamma_se,
+            sam_moment_hat=moment,
+            sam_stderr=moment_se,
+            measured_ratio=None if violation else moment / gamma_hat,
+            predicted_factor=(1.0 + rho * lam_min) ** 2,
+            taylor_residual=0.0 if rho == 0.0 else float(np.mean(residuals)),
+            cnc_violation=violation,
+        ))
+    return rows
 
 
 def save_theorem1_report(rows, csv_path, json_path, settings: CncSettings,

@@ -51,7 +51,6 @@ from .errors import (
 from .linalg import (
     SeededRng,
     blas_threads,
-    csv_cell,
     csv_lines,
     format_float,
     write_csv,
@@ -342,15 +341,17 @@ class MetricsRecord:
         return header
 
     def csv_row(self) -> list:
+        """The row's cells in csv_header's order, unformatted."""
         row = []
         for name, v in vars(self).items():
             if name.startswith(_PER_CLASS):
-                row += map(csv_cell, v)
+                row += v
             else:
-                row.append(csv_cell(v))
+                row.append(v)
         return row
 
 
+@blas_threads()
 def evaluate(spec: MlpSpec, w: np.ndarray, test: LabeledDataset,
              groups: ClassGroups, loss: LossSpec) -> dict:
     """Argmax-logit metrics on the balanced test set, keyed by MetricsRecord
@@ -364,8 +365,7 @@ def evaluate(spec: MlpSpec, w: np.ndarray, test: LabeledDataset,
     accs, losses = [], []
     for j in range(test.num_classes):
         batch = per_class_batch(test, j)
-        with blas_threads():
-            logits = forward(spec, w, batch.features)
+        logits = forward(spec, w, batch.features)
         accs.append(float(np.mean(np.argmax(logits, axis=1) == j)))
         value, _ = loss_on_logits(plain, logits, batch.labels)
         losses.append(value)
@@ -535,6 +535,7 @@ def write_cnc_snapshot(ckpt: Checkpoint, ds: LabeledDataset, out: Path) -> list:
     return rows
 
 
+@blas_threads()
 def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> RunResult:
     """Execute the configured run end to end into out_dir (default: the
     config's output_dir), writing metrics.csv, each epoch's snapshots and
@@ -618,19 +619,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
                 epoch_loss, rho = cfg.objective(epoch, base_loss)
                 loss_sum = 0.0
                 gnorm_sum = 0.0
-                with blas_threads():
-                    for step in range(steps_per_epoch):
-                        idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
-                        batch = Batch(ds.features[idx], ds.labels[idx])
-                        lr = lr_at(cfg.lr, epoch, step, steps_per_epoch)
+                for step in range(steps_per_epoch):
+                    idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
+                    batch = Batch(ds.features[idx], ds.labels[idx])
+                    lr = lr_at(cfg.lr, epoch, step, steps_per_epoch)
 
-                        def grad_fn(x):
-                            return loss_grad(cfg.model, x, batch, epoch_loss)
+                    def grad_fn(x):
+                        return loss_grad(cfg.model, x, batch, epoch_loss)
 
-                        w, info = optimizer_step(cfg.optimizer, grad_fn, w, state, lr, rho,
-                                                 blocks)
-                        loss_sum += info["loss"]
-                        gnorm_sum += info["grad_norm"]
+                    w, info = optimizer_step(cfg.optimizer, grad_fn, w, state, lr, rho, blocks)
+                    loss_sum += info["loss"]
+                    gnorm_sum += info["grad_norm"]
 
                 record = MetricsRecord(
                     epoch=epoch + 1, train_loss=loss_sum / steps_per_epoch,
@@ -680,6 +679,7 @@ class SweepRow:
     error: str | None = None
 
 
+@blas_threads()
 def tail_lambda_min(cfg: ExperimentConfig, result: RunResult) -> float | None:
     """Mean minimum eigenvalue over the tail-group class Hessians at the final
     parameters (unweighted loss, matching the class-wise analysis)."""
@@ -689,10 +689,9 @@ def tail_lambda_min(cfg: ExperimentConfig, result: RunResult) -> float | None:
     vals = []
     for cid in result.groups.tail:
         batch = per_class_batch(result.dataset, cid)
-        with blas_threads():
-            ex = extreme_eigs(Linearization(cfg.model, result.params, batch, loss),
-                              cfg.spectral.lanczos_iters, cfg.spectral.residual_tol,
-                              SeededRng(cfg.seed).child("tail-eig", cid))
+        ex = extreme_eigs(Linearization(cfg.model, result.params, batch, loss),
+                          cfg.spectral.lanczos_iters, cfg.spectral.residual_tol,
+                          SeededRng(cfg.seed).child("tail-eig", cid))
         vals.append(ex.lambda_min)
     return float(np.mean(vals))
 

@@ -10,10 +10,10 @@ Random streams use numpy's counter-based Philox generator keyed by
 versions, and distinct keys give statistically independent streams. Frozen
 draw values are asserted in the test suite as regression vectors.
 
-blas_threads runs a block on one OpenBLAS thread: the program's large
-batches get their second CPU from a second Lanczos worker instead (see
-spectral), and one thread makes every block's bytes independent of the thread
-count the process started with.
+blas_threads runs a block, or as a decorator each call of a function, on one
+OpenBLAS thread: the program's large batches get their second CPU from a
+second Lanczos worker instead (see spectral), and one thread makes every
+analysis's bytes independent of the thread count the process started with.
 """
 
 from __future__ import annotations
@@ -65,6 +65,11 @@ def blas_threads():
     before on exit, also when the block raises. Does nothing when no OpenBLAS
     is found. The count is process-wide: blocks nest, and threads started
     inside a block run on one BLAS thread each.
+
+    Each public analysis is decorated with it, so the whole call runs on one
+    thread (a contextmanager object is a ContextDecorator): run_experiment,
+    evaluate and tail_lambda_min in harness, classwise_spectrum_report in
+    spectral and theorem1_report in cncverify.
 
     So blocks must not interleave across threads: a thread that opens and
     closes its own block while another thread's block is open restores, on

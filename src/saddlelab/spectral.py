@@ -341,6 +341,7 @@ class ClassSpectrumEntry:
     num_samples: int
 
 
+@blas_threads()
 def classwise_spectrum_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
                               classes, settings: SpectralSettings, rng: SeededRng):
     """Per-class curvature diagnostics plus the full-dataset contrast entry.
@@ -372,12 +373,11 @@ PROBE_SPLIT_ROWS = 256
 
 
 def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpectrumEntry:
-    with blas_threads():
-        lin = Linearization(spec, w, batch, loss)
-        density = spectral_density(lin, settings, rng.child("density"),
-                                   lin.twin() if len(batch) >= PROBE_SPLIT_ROWS else None)
-        extremes = extreme_eigs(lin, settings.lanczos_iters, settings.residual_tol,
-                                rng.child("extreme"))
+    lin = Linearization(spec, w, batch, loss)
+    density = spectral_density(lin, settings, rng.child("density"),
+                               lin.twin() if len(batch) >= PROBE_SPLIT_ROWS else None)
+    extremes = extreme_eigs(lin, settings.lanczos_iters, settings.residual_tol,
+                            rng.child("extreme"))
     acc = float(np.mean(np.argmax(lin.logits, axis=1) == batch.labels))
     return ClassSpectrumEntry(
         class_id=class_id,

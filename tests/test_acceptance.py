@@ -17,7 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from saddlelab.cncverify import projection_second_moment
 from saddlelab.datagen import ClassGeometry, ImbalanceProfile, generate
 from saddlelab.harness import (
     DatasetConfig,
@@ -26,7 +25,7 @@ from saddlelab.harness import (
     run_experiment,
     sweep_rho,
 )
-from saddlelab.linalg import SeededRng
+from saddlelab.linalg import SeededRng, csv_cell
 from saddlelab.losses import LossSpec, drw_weights, ldam_margins, loss_on_logits, ReweightSchedule
 from saddlelab.model import (
     Batch,
@@ -46,7 +45,7 @@ from saddlelab.spectral import (
     ritz_decomposition,
     spectral_density,
 )
-from tests.test_cncverify import QuadraticSurrogate
+from tests.test_cncverify import QuadraticSurrogate, projection_second_moment
 from tests.test_spectral import operator
 
 
@@ -229,7 +228,7 @@ def test_criterion_4_degeneracy_identities(tmp_path):
         if not np.array_equal(res.params, base.params):
             ok = False
         for a, b in zip(res.metrics, base.metrics):
-            if a.csv_row()[:-2] != b.csv_row()[:-2]:
+            if list(map(csv_cell, a.csv_row()))[:-2] != list(map(csv_cell, b.csv_row()))[:-2]:
                 ok = False
     elapsed = time.time() - start
     ok = ok and elapsed < 60

@@ -4,12 +4,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from saddlelab.cncverify import (
-    CncSettings,
-    projection_second_moment,
-    save_theorem1_report,
-    theorem1_report,
-)
+from saddlelab import cncverify, model
+from saddlelab.cncverify import CncSettings, _moment, save_theorem1_report, theorem1_report
 from saddlelab.datagen import ClassGeometry, ImbalanceProfile, generate
 from saddlelab.errors import ParameterError
 from saddlelab.linalg import SeededRng
@@ -55,6 +51,19 @@ class QuadraticSurrogate:
             value = 0.5 * float(w @ (self.a @ w)) + float(xi @ w)
             return value, self.a @ w + xi
         return fn
+
+
+def projection_second_moment(grads, v_w: np.ndarray):
+    """(mean, stderr) of <v_w, g>^2 over an iterable of gradients, each
+    projected as it arrives, as theorem1_report projects its plain and SAM
+    gradients."""
+    v_w = np.asarray(v_w, dtype=np.float64)
+    if abs(float(np.linalg.norm(v_w)) - 1.0) > 1e-8:
+        raise ParameterError("v_w must be unit norm")
+    proj = np.array([float(v_w @ g) for g in grads])
+    if proj.shape[0] < 2:
+        raise ParameterError("need at least 2 samples for a standard error")
+    return _moment(proj ** 2)
 
 
 A_SADDLE = np.diag([2.0, -1.0])
@@ -207,6 +216,19 @@ def test_taylor_residual_shrinks_with_rho():
                            SeededRng(51).child("cnc"),
                            SpectralSettings(lanczos_iters=20, num_probes=2))
     assert rows[0].taylor_residual < rows[1].taylor_residual
+
+
+def test_theorem1_report_runs_on_one_blas_thread(blas_readings, fake_blas):
+    ds, spec, w, loss = small_problem(54)
+    # per batch 6 gradients (the plain one, rho 0's, and rho 0.5's 2 plus its
+    # residual's 2) and 1 residual product; then the extreme run's products
+    readings = blas_readings(cncverify, "loss_grad", "hvp")
+    blas_readings(model, "hvp")
+    theorem1_report(spec, w, ds, loss, [0.0, 0.5], CncSettings(batch_size=16, num_batches=4),
+                    SeededRng(55), SpectralSettings(lanczos_iters=10, num_probes=1))
+    assert len(readings) > 4 * (6 + 1)
+    assert readings == [1] * len(readings)
+    assert fake_blas.count == 4
 
 
 def test_report_export(tmp_path):

@@ -1,6 +1,7 @@
 """Golden digests: the sha256 of every file W1 (configs/quickstart.json) writes
 through `train`, `spectrum --class all` and `cnc-check --rho 0,0.25,0.5` on
-its checkpoint_40.json, against tests/golden_digests.json.
+its checkpoint_40.json, and of every file `train` writes for a W2-shaped
+config (w2_shaped_config), against tests/golden_digests.json.
 
 Bytes are only comparable on the same numpy build and OpenBLAS kernel, so the
 file records numpy's version and the OpenBLAS version and core it was made
@@ -58,18 +59,56 @@ def environment() -> dict:
     return env
 
 
-def artifact_digests(out: Path) -> dict:
-    """{path under out: sha256} of every file the three commands write there."""
-    ckpt = str(out / CHECKPOINT)
-    for argv in (["train", "--config", str(CONFIG), "--out", str(out / "train")],
-                 ["spectrum", "--checkpoint", ckpt, "--class", "all",
-                  "--out", str(out / "spectrum")],
-                 ["cnc-check", "--checkpoint", ckpt, "--rho", "0,0.25,0.5",
-                  "--out", str(out / "cnc")]):
+def _digests(out: Path, prefix: str = "") -> dict:
+    """{prefix + path under out: sha256} of every file under out."""
+    return {prefix + p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _run(*argvs) -> None:
+    for argv in argvs:
         if main(argv) != 0:
             raise AssertionError(f"{argv[0]} failed")
-    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def w1_digests(out: Path) -> dict:
+    """The digests of every file W1's three commands write under out."""
+    ckpt = str(out / CHECKPOINT)
+    _run(["train", "--config", str(CONFIG), "--out", str(out / "train")],
+         ["spectrum", "--checkpoint", ckpt, "--class", "all", "--out", str(out / "spectrum")],
+         ["cnc-check", "--checkpoint", ckpt, "--rho", "0,0.25,0.5", "--out", str(out / "cnc")])
+    return _digests(out)
+
+
+def w2_shaped_config() -> dict:
+    """W1 with a hidden-to-hidden layer, 16-32-32-4, and 4 classes of 600,
+    278, 129 and 60 rows: the 1,067-row full batch runs its HVPs in 3 chunks
+    of at most model.CHUNK_ROWS, and classes 0 and 1 and the full batch
+    split their density probes across two threads. 2 epochs, re-weighted
+    from epoch 1, then a spectrum and a CNC report at epoch 2."""
+    cfg = json.loads(CONFIG.read_text(encoding="utf-8"))
+    cfg["dataset"].update(num_classes=4, n_max=600, beta=10.0, input_dim=16)
+    cfg["model"]["layer_sizes"] = [16, 32, 32, 4]
+    cfg.update(epochs=2, spectrum_epochs=[2], cnc_epochs=[2])
+    cfg["reweight"]["threshold_epoch"] = 1
+    cfg["lr"]["milestones"] = [[1, 0.1]]
+    cfg["spectral"].update(lanczos_iters=80, num_probes=2)
+    cfg["cnc"].update(num_batches=8, rhos=[0.0, 0.5])
+    return cfg
+
+
+def w2_digests(out: Path) -> dict:
+    """The digests, named w2/<file>, of every file `train` writes for
+    w2_shaped_config, run into out/w2 from a config written beside it."""
+    config = out / "w2_config.json"
+    config.write_text(json.dumps(w2_shaped_config()), encoding="utf-8")
+    _run(["train", "--config", str(config), "--out", str(out / "w2")])
+    return _digests(out / "w2", "w2/")
+
+
+def artifact_digests(out: Path) -> dict:
+    """The digests of both golden runs, written under out."""
+    return {**w1_digests(out / "w1"), **w2_digests(out)}
 
 
 def changed_files(old: dict, new: dict) -> list:
@@ -99,16 +138,27 @@ def test_changed_files_names_new_removed_and_changed_digests():
     assert changed_files(old, dict(old)) == []
 
 
-def test_w1_artifacts_match_their_golden_digests(tmp_path, capsys):
+def _assert_golden(digests_of, w2: bool, tmp_path, capsys) -> None:
+    """digests_of(tmp_path) equals the golden entries of its run: those
+    named w2/<file> when w2, and the others when not."""
     golden = json.loads(DIGESTS.read_text(encoding="utf-8"))
     differ = environment_changes(golden["environment"], environment())
     if differ:
         pytest.skip(f"bytes are compared on the digests' build only; here {differ}")
-    digests = artifact_digests(tmp_path)
+    digests = digests_of(tmp_path)
     capsys.readouterr()
-    changed = changed_files(golden["files"], digests)
+    expected = {k: v for k, v in golden["files"].items() if k.startswith("w2/") == w2}
+    changed = changed_files(expected, digests)
     assert not changed, (f"these artifacts' bytes differ from {DIGESTS.name} "
                          f"(missing, new or changed): {changed}")
+
+
+def test_w1_artifacts_match_their_golden_digests(tmp_path, capsys):
+    _assert_golden(w1_digests, False, tmp_path, capsys)
+
+
+def test_w2_shaped_artifacts_match_their_golden_digests(tmp_path, capsys):
+    _assert_golden(w2_digests, True, tmp_path, capsys)
 
 
 if __name__ == "__main__":

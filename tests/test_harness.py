@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from saddlelab import harness
+from saddlelab import cncverify, harness, linalg, model
 from saddlelab.cncverify import CncSettings, theorem1_report
 from saddlelab.datagen import ClassGroups, balanced_test_split, generate
 from saddlelab.errors import CheckpointError, ConfigError, RunAbortedError
@@ -34,12 +34,18 @@ from saddlelab.harness import (
     run_experiment,
     save_checkpoint,
     sweep_rho,
+    tail_lambda_min,
 )
-from saddlelab.linalg import SeededRng
+from saddlelab.linalg import SeededRng, csv_cell
 from saddlelab.losses import LossSpec, ReweightSchedule, loss_on_logits
 from saddlelab.model import MlpSpec, forward, init_params, param_layout
 from saddlelab.optim import LrSchedule, OptimizerConfig, RhoSchedule
 from saddlelab.spectral import SpectralSettings
+
+
+def csv_cells(record: MetricsRecord) -> list:
+    """The record's metrics.csv cells, formatted as the file holds them."""
+    return [csv_cell(v) for v in record.csv_row()]
 
 
 def tiny_config(out_dir, kind="sgd", rho=0.0, epochs=12, seed=5, **opt_kwargs):
@@ -91,7 +97,7 @@ def test_degenerate_optimizers_reproduce_sgd(tmp_path):
         assert np.array_equal(results[kind].params, ref), kind
         # metric values identical; only the config-hash column may differ
         for a, b in zip(results[kind].metrics, results["sgd"].metrics):
-            assert a.csv_row()[:-2] == b.csv_row()[:-2]
+            assert csv_cells(a)[:-2] == csv_cells(b)[:-2]
 
 
 def _sample_checkpoint() -> Checkpoint:
@@ -125,7 +131,7 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert loaded.epoch == 3
     assert loaded.config == ckpt.config
     assert loaded.metrics == ckpt.metrics
-    assert [r.csv_row() for r in loaded.metrics] == [r.csv_row() for r in ckpt.metrics]
+    assert [csv_cells(r) for r in loaded.metrics] == [csv_cells(r) for r in ckpt.metrics]
 
 
 def test_checkpoint_rows_of_older_code_load(tmp_path):
@@ -410,6 +416,73 @@ def test_evaluate_keeps_one_class_of_activations_alive():
     finally:
         tracemalloc.stop()
     assert peak < activation_bytes / 4
+
+
+def test_evaluate_runs_on_one_blas_thread(blas_readings, fake_blas):
+    ds, test = _evaluation_fixtures(radius=2.0, std=1.0, per_class=20, num_classes=3)
+    spec = MlpSpec((4, 8, 3))
+    w = init_params(spec, SeededRng(75).child("init"))
+    readings = blas_readings(harness, "forward", "loss_on_logits")
+    evaluate(spec, w, test, ClassGroups(head=(0,), mid=(1,), tail=(2,)),
+             LossSpec(variant="ce", class_counts=ds.class_counts))
+    assert readings == [1] * 2 * test.num_classes
+    assert fake_blas.count == 4
+
+
+# trained with these overrides, quickstart's metrics.csv and checkpoint_1.json
+# differed between 1 and 2 BLAS threads while evaluate scored each class's
+# loss on the thread count the process started with; at 5,000 test rows per
+# class they did not
+THREADS_OVERRIDES = {"epochs": 1, "spectrum_epochs": [], "cnc_epochs": [],
+                     "reweight": {"threshold_epoch": 1},
+                     "lr": {"base_lr": 0.1, "warmup_epochs": 0, "milestones": [[1, 0.1]]}}
+
+
+def test_train_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    if linalg._openblas() is None:
+        pytest.skip("numpy is not linked against OpenBLAS")
+    cfg = json.loads((REPO / "configs" / "quickstart.json").read_text(encoding="utf-8"))
+    cfg.update(THREADS_OVERRIDES)
+    cfg["dataset"]["test_per_class"] = 20_000
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-m", "saddlelab.cli", "train", "--config",
+                               str(cfg_path), "--out", str(out)],
+                              capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes()
+                        for name in ("metrics.csv", "checkpoint_1.json")])
+    assert outputs[0] == outputs[1]
+
+
+def test_tail_lambda_min_runs_on_one_blas_thread(tmp_path, blas_readings, fake_blas):
+    # the 10-row class is the tail
+    cfg = dataclasses.replace(tiny_config(tmp_path / "run", epochs=1),
+                              groups=harness.GroupThresholds(hi=30, lo=30))
+    result = run_experiment(cfg)
+    readings = blas_readings(model, "hvp")
+    assert result.groups.tail == (1,) and tail_lambda_min(cfg, result) is not None
+    assert readings and readings == [1] * len(readings)
+    assert fake_blas.count == 4
+
+
+def test_a_run_runs_on_one_blas_thread(tmp_path, blas_readings, fake_blas):
+    cfg = dataclasses.replace(tiny_config(tmp_path / "run", kind="sam", rho=0.1, epochs=2),
+                              spectrum_epochs=(2,), cnc_epochs=(2,),
+                              spectral=SpectralSettings(lanczos_iters=6, num_probes=2),
+                              cnc=CncSettings(num_batches=2))
+    # training, evaluation, spectra and the CNC report
+    readings = blas_readings(harness, "loss_grad", "loss_on_logits")
+    blas_readings(model, "hvp")
+    blas_readings(cncverify, "loss_grad")
+    run_experiment(cfg)
+    assert readings and readings == [1] * len(readings)
+    assert fake_blas.count == 4
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -753,7 +826,7 @@ def test_metrics_header_shape(tmp_path):
     assert lines[0].split(",") == header
     for line, r in zip(lines[1:], result.metrics, strict=True):
         cells = line.split(",")
-        assert cells == r.csv_row() and len(cells) == len(header)
+        assert cells == csv_cells(r) and len(cells) == len(header)
         expected = [r.epoch, r.train_loss, r.grad_norm, r.lr, r.rho, r.overall_acc,
                     r.head_acc, r.mid_acc, r.tail_acc, *r.per_class_acc,
                     *r.per_class_loss, r.config_hash, r.code_version]

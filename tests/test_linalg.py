@@ -128,27 +128,6 @@ def test_seed_outside_64_bits_is_rejected(seed):
         SeededRng(seed)
 
 
-class FakeBlas:
-    """A get/set pair over one thread count that records every set."""
-
-    def __init__(self, count):
-        self.count, self.sets = count, []
-
-    def get(self):
-        return self.count
-
-    def set(self, n):
-        self.sets.append(n)
-        self.count = n
-
-
-@pytest.fixture
-def fake_blas(monkeypatch):
-    blas = FakeBlas(4)
-    monkeypatch.setattr(linalg, "_openblas", lambda: (blas.get, blas.set))
-    return blas
-
-
 def test_blas_threads_restores_the_count_in_force_before(fake_blas):
     fake_blas.count = 3
     with blas_threads():

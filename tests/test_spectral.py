@@ -441,6 +441,16 @@ def _split_case():
     return spec, w, ds, loss
 
 
+def test_spectrum_report_runs_on_one_blas_thread(blas_readings, fake_blas):
+    spec, w, ds, loss = _split_case()
+    # class 0 and the full batch run their odd probes on a second thread
+    readings = blas_readings(model, "hvp")
+    classwise_spectrum_report(spec, w, ds, loss, [0, 2],
+                              SpectralSettings(lanczos_iters=6, num_probes=2), SeededRng(56))
+    assert readings and readings == [1] * len(readings)
+    assert fake_blas.count == 4
+
+
 def test_probe_split_is_bitwise_neutral(monkeypatch):
     spec, w, ds, loss = _split_case()
     assert ds.class_counts[0] >= spectral.PROBE_SPLIT_ROWS
