@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParameterError
 from .linalg import SeededRng, blas_threads, write_csv, write_json
 from .losses import LossSpec
-from .model import Batch, Linearization, MlpSpec, hvp, loss_grad
+from .model import Batch, Linearization, MlpSpec, loss_grad
 from .optim import sam_gradients
 from .spectral import SpectralSettings, extreme_eigs
 
@@ -96,8 +96,10 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
     lambda_min and v_w come from one extreme-eigenpair run on the full-dataset
     Hessian. Then one pass over the mini-batches: each batch drawn gives its
     plain gradient's projection onto v_w and, for every rho, its SAM
-    gradient's projection and expansion residual, and is then dropped. Every
-    row shares the plain moment, so the rho = 0 row has ratio exactly 1.
+    gradient's projection and expansion residual, and is then dropped. The
+    residuals' H eps products share one Linearization of the batch, built at
+    the first nonzero rho's. Every row shares the plain moment, so the
+    rho = 0 row has ratio exactly 1.
 
     cnc_violation is set, and every measured_ratio left None, when the plain
     moment is at most its standard error or the rounding floor, the mean over
@@ -130,6 +132,7 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
         g_plain = grad_fn(w)[1]
         plain.append(float(v_w @ g_plain))
         norms.append(float(np.linalg.norm(g_plain)))
+        lin = None
         for rho, pairs in zip(rho_list, per_rho):
             projection = float(v_w @ sam_gradients(grad_fn, w, rho, normalized)[3])
             residual = 0.0
@@ -138,7 +141,9 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
                 # the report at B(1 + sum(1 if rho == 0 else 4)) of them (ROADMAP item 1)
                 _, g, eps, g_sam = sam_gradients(grad_fn, w, rho, normalized)
                 if eps is not None:
-                    residual = float(np.linalg.norm(g_sam - (g + hvp(spec, w, batch, loss, eps))))
+                    if lin is None:
+                        lin = Linearization(spec, w, batch, loss)
+                    residual = float(np.linalg.norm(g_sam - (g + lin.apply(eps))))
             pairs.append((projection, residual))
 
     gamma_hat, gamma_se = _moment(np.array(plain) ** 2)

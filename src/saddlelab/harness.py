@@ -551,8 +551,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> Run
     root = SeededRng(cfg.seed)
     ds, test, groups = _build_data(cfg, root)
     base_loss = cfg.loss.bind(ds.class_counts)
-    layout, dim = param_layout(cfg.model)
-    blocks = tuple((b.offset, int(np.prod(b.shape))) for b in layout)
+    blocks, dim = param_layout(cfg.model)
 
     # every read a resume makes comes before the first write, so a resume
     # that fails leaves nothing behind

@@ -270,8 +270,8 @@ class Linearization:
 
     def twin(self) -> "Linearization":
         """A Linearization at the same point that shares every fixed array
-        with this one and has its own workspace, for a second caller that
-        runs at the same time."""
+        with this one and has its own workspace, for a caller on another
+        thread: spectral_density runs its probes on [lin, lin.twin()]."""
         twin = copy.copy(self)
         twin._allocate()
         return twin

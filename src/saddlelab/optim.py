@@ -12,6 +12,7 @@ path of plain SGD, so trajectories degenerate bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,9 +147,10 @@ def _lpf_gradient(grad_fn, w, rng: SeededRng, opt: OptimizerConfig, blocks):
     Gaussian perturbations with std = lpf_radius*||w_block||/sqrt(size): the
     Monte-Carlo smoothed gradient of LPF-SGD."""
     stds = np.empty(w.shape[0])
-    for offset, size in blocks:
-        block = w[offset : offset + size]
-        stds[offset : offset + size] = opt.lpf_radius * np.linalg.norm(block) / np.sqrt(size)
+    for b in blocks:
+        size = math.prod(b.shape)
+        block = w[b.offset : b.offset + size]
+        stds[b.offset : b.offset + size] = opt.lpf_radius * np.linalg.norm(block) / np.sqrt(size)
     g_sum = np.zeros_like(w)
     loss_sum = 0.0
     for _ in range(opt.lpf_mc_iters):
@@ -163,7 +165,7 @@ def optimizer_step(opt: OptimizerConfig, grad_fn, w, state: OptimizerState, lr: 
                    rho: float, blocks):
     """One step of the optimizer opt.kind; returns (new_w, info), where info
     holds at least the step's "loss" and "grad_norm". rho is the epoch's SAM
-    radius and blocks the (offset, size) layout LPF-SGD perturbs by. A kind
+    radius and blocks param_layout's blocks, which LPF-SGD perturbs by. A kind
     only picks the gradient, PGD's at w + xi with xi ~ N(0, pgd_sigma^2 I);
     sgd_step applies it. A zero pgd_sigma or lpf_radius picks plain SGD's."""
     if opt.kind == SAM:

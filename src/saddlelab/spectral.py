@@ -15,7 +15,6 @@ saddle-like the landscape is.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,49 +183,41 @@ def _auto_grid(all_vals: np.ndarray, sigma: float):
     return np.linspace(lo, hi, points)
 
 
-def spectral_density(oracle, settings: SpectralSettings, rng: SeededRng,
-                     twin: Linearization | None = None) -> SpectralDensity:
+def spectral_density(oracles, settings: SpectralSettings, rng: SeededRng) -> SpectralDensity:
     """Average Gaussian-broadened Ritz quadrature over independent probes.
 
-    With twin, the same operator on its own workspace, a second thread runs
-    the odd-numbered probes on twin while this one runs the even-numbered
-    ones. Each probe keeps its stream and the density is assembled in probe
-    order, so the result is bitwise the same. Either thread's exception is
-    raised here once both have stopped; after one fails, the other starts no
-    further probe.
+    oracles hold one operator on workspaces of its own (a Linearization and
+    its twins): probe p runs on oracles[p % len(oracles)], the first one's
+    probes on this thread and each other's on a pool thread. Each probe keeps
+    its stream and the density is assembled in probe order, so the result is
+    bitwise the same for any number of oracles. After one thread fails the
+    others start no further probe; once all have stopped, this thread's
+    exception is raised here, else the first pool thread's.
     """
+    from concurrent.futures import ThreadPoolExecutor  # loads logging, so only on use
+
     ritz = [None] * settings.num_probes
-    failed = []  # the worker's exception, or None once this thread has raised
+    stop = []  # non-empty once a thread has failed
 
-    def run(op, probes):
-        for p in probes:
-            if failed:
-                return
-            # no name holds a probe's run, so its (iters, dim) basis is freed
-            # before the next probe allocates its own
-            ritz[p] = ritz_decomposition(
-                lanczos(op, settings.lanczos_iters, rng.child("probe", p)))[:2]
-
-    def run_odd():
+    def run(k):
         try:
-            run(twin, range(1, settings.num_probes, 2))
-        except BaseException as exc:  # raised again by the caller
-            failed.append(exc)
-
-    if twin is None:
-        run(oracle, range(settings.num_probes))
-    else:
-        worker = threading.Thread(target=run_odd, name="spectral-density-odd-probes")
-        worker.start()
-        try:
-            run(oracle, range(0, settings.num_probes, 2))
+            for p in range(k, settings.num_probes, len(oracles)):
+                if stop:
+                    return
+                # no name holds a probe's run, so its (iters, dim) basis is freed
+                # before the next probe allocates its own
+                ritz[p] = ritz_decomposition(
+                    lanczos(oracles[k], settings.lanczos_iters, rng.child("probe", p)))[:2]
         except BaseException:
-            failed.append(None)
+            stop.append(k)
             raise
-        finally:
-            worker.join()
-        if failed:
-            raise failed[0]
+
+    # leaving the block joins the pool's threads; result() raises a run's exception
+    with ThreadPoolExecutor(len(oracles), thread_name_prefix="spectral-density-probes") as pool:
+        others = [pool.submit(run, k) for k in range(1, len(oracles))]
+        run(0)
+    for other in others:
+        other.result()
     per_probe_vals, per_probe_weights = (list(x) for x in zip(*ritz))
     sigma = math.sqrt(settings.broadening_sigma2)
     all_vals = np.concatenate(per_probe_vals)
@@ -289,15 +280,16 @@ def _refine_eigpair(oracle, v0: np.ndarray, shift: float, sign: float, tol: floa
     return _fix_sign(v), lam, residual, residual < tol
 
 
-def extreme_eigs(oracle, iters: int, tol: float, rng: SeededRng,
-                 max_refine_iters: int = 5000) -> ExtremeEigs:
+# The HVP budget of each end's shifted power iteration in extreme_eigs.
+MAX_REFINE_ITERS = 5000
+
+
+def extreme_eigs(oracle, iters: int, tol: float, rng: SeededRng) -> ExtremeEigs:
     """Extreme eigenpairs: Lanczos edge Ritz pairs, then shifted power
-    iteration until the eigen-residual drops below tol (or the budget runs
-    out, in which case converged=False and residuals tell the story)."""
+    iteration until the eigen-residual drops below tol (or MAX_REFINE_ITERS
+    runs out, in which case converged=False and residuals tell the story)."""
     if iters < 2:
         raise ParameterError("iters must be >= 2")
-    if max_refine_iters < 1:
-        raise ParameterError("max_refine_iters must be >= 1")
     run = lanczos(oracle, iters, rng.child("lanczos"))
     vals, _, vecs = ritz_decomposition(run)
     v_min0 = run.basis.T @ vecs[:, 0]
@@ -305,10 +297,10 @@ def extreme_eigs(oracle, iters: int, tol: float, rng: SeededRng,
     lam_min_est, lam_max_est = float(vals[0]), float(vals[-1])
 
     v_min, lam_min, res_min, ok_min = _refine_eigpair(
-        oracle, v_min0, shift=lam_max_est, sign=-1.0, tol=tol, max_iters=max_refine_iters
+        oracle, v_min0, shift=lam_max_est, sign=-1.0, tol=tol, max_iters=MAX_REFINE_ITERS
     )
     v_max, lam_max, res_max, ok_max = _refine_eigpair(
-        oracle, v_max0, shift=min(lam_min, lam_min_est), sign=1.0, tol=tol, max_iters=max_refine_iters
+        oracle, v_max0, shift=min(lam_min, lam_min_est), sign=1.0, tol=tol, max_iters=MAX_REFINE_ITERS
     )
     return ExtremeEigs(
         lambda_min=lam_min,
@@ -363,7 +355,7 @@ def classwise_spectrum_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: Los
 
 
 # An entry of at least this many rows runs its density probes on two threads
-# (spectral_density's twin). Per w2_probe entry at epoch-10 weights on 2
+# (a twin for spectral_density). Per w2_probe entry at epoch-10 weights on 2
 # shared CPUs, against one thread per entry, the split ran 1.33-1.85x as fast
 # at 1,401 rows, 1.51-1.65x at 500, 1.23-1.50x at 324, 1.12-1.44x at 210,
 # 0.89-1.05x at 57 and 0.78-0.93x at 10, over two sets of runs. It cost
@@ -374,8 +366,8 @@ PROBE_SPLIT_ROWS = 256
 
 def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpectrumEntry:
     lin = Linearization(spec, w, batch, loss)
-    density = spectral_density(lin, settings, rng.child("density"),
-                               lin.twin() if len(batch) >= PROBE_SPLIT_ROWS else None)
+    oracles = [lin, lin.twin()] if len(batch) >= PROBE_SPLIT_ROWS else [lin]
+    density = spectral_density(oracles, settings, rng.child("density"))
     extremes = extreme_eigs(lin, settings.lanczos_iters, settings.residual_tol,
                             rng.child("extreme"))
     acc = float(np.mean(np.argmax(lin.logits, axis=1) == batch.labels))

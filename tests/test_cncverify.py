@@ -222,13 +222,34 @@ def test_theorem1_report_runs_on_one_blas_thread(blas_readings, fake_blas):
     ds, spec, w, loss = small_problem(54)
     # per batch 6 gradients (the plain one, rho 0's, and rho 0.5's 2 plus its
     # residual's 2) and 1 residual product; then the extreme run's products
-    readings = blas_readings(cncverify, "loss_grad", "hvp")
+    readings = blas_readings(cncverify, "loss_grad")
     blas_readings(model, "hvp")
     theorem1_report(spec, w, ds, loss, [0.0, 0.5], CncSettings(batch_size=16, num_batches=4),
                     SeededRng(55), SpectralSettings(lanczos_iters=10, num_probes=1))
     assert len(readings) > 4 * (6 + 1)
     assert readings == [1] * len(readings)
     assert fake_blas.count == 4
+
+
+def test_theorem1_report_linearizes_each_batch_once(monkeypatch):
+    # the extreme run's full-batch linearization, then one per batch, which
+    # the residuals of rho 0.25 and 0.5 share (rho 0 has no residual)
+    ds, spec, w, loss = small_problem(57)
+    batches, built, linearization = 5, [], cncverify.Linearization
+
+    def counting_linearization(*args):
+        built.append(args[2])
+        return linearization(*args)
+
+    # model.hvp without lin builds a model.Linearization of its own
+    monkeypatch.setattr(cncverify, "Linearization", counting_linearization)
+    monkeypatch.setattr(model, "Linearization", counting_linearization)
+    rows = theorem1_report(spec, w, ds, loss, [0.0, 0.25, 0.5],
+                           CncSettings(batch_size=16, num_batches=batches), SeededRng(58),
+                           SpectralSettings(lanczos_iters=10, num_probes=1))
+    assert len(built) == 1 + batches
+    assert built[0] is ds and all(len(b) == 16 for b in built[1:])
+    assert rows[0].taylor_residual == 0.0 < rows[1].taylor_residual < rows[2].taylor_residual
 
 
 def test_report_export(tmp_path):

@@ -1,8 +1,8 @@
 """saddlelab needs numpy and nothing else: the dependencies pyproject.toml
 declares are the third-party modules the package imports, and nothing it
 runs loads scipy (whose import alone costs about half a cold start).
-Importing it looks up no BLAS library, changes no BLAS thread count and
-starts no thread."""
+Importing it looks up no BLAS library, changes no BLAS thread count, loads
+no thread pool and starts no thread."""
 
 import ast
 import json
@@ -17,10 +17,12 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "saddlelab"
 
-# every module, `python -m saddlelab.cli --help` and one small density, then
-# the scipy modules loaded, as the last stdout line; the OpenBLAS thread count
-# read before and after the imports and --help must be the same, and only the
-# main thread may run
+# every module, `python -m saddlelab.cli --help` and one small density on two
+# threads, then the scipy modules loaded, as the last stdout line; the
+# OpenBLAS thread count read before and after the imports and --help must be
+# the same, neither concurrent.futures nor logging (which the density's pool
+# loads) may be imported yet, and only the main thread may run, before the
+# density and after it
 CHILD = """
 import ctypes, importlib, json, pkgutil, runpy, sys, threading, types
 import numpy as np
@@ -52,13 +54,17 @@ for info in pkgutil.iter_modules(saddlelab.__path__):
 assert blas_threads() == threads, (threads, blas_threads())
 assert saddlelab.linalg._openblas.cache_info().currsize == 0, "OpenBLAS looked up at import"
 assert threading.enumerate() == [threading.main_thread()], threading.enumerate()
+loaded = {"concurrent.futures", "logging"} & set(sys.modules)
+assert not loaded, loaded
 from saddlelab.linalg import SeededRng
 from saddlelab.spectral import SpectralSettings, spectral_density
 a = np.diag(np.arange(-3.0, 7.0))
 oracle = types.SimpleNamespace(apply=a.__matmul__, dim=a.shape[0])
-density = spectral_density(oracle, SpectralSettings(lanczos_iters=6, num_probes=2), SeededRng(0))
+density = spectral_density([oracle, oracle], SpectralSettings(lanczos_iters=6, num_probes=2),
+                           SeededRng(0))
 mass = np.trapezoid(density.density, density.grid)
 assert abs(mass - 1.0) < 1e-3, mass
+assert threading.enumerate() == [threading.main_thread()], threading.enumerate()
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 

@@ -3,6 +3,7 @@ import pytest
 
 from saddlelab.errors import NumericError, ParameterError
 from saddlelab.linalg import SeededRng
+from saddlelab.model import ParamBlock
 from saddlelab.optim import (
     LrSchedule,
     OptimizerConfig,
@@ -16,6 +17,7 @@ from saddlelab.optim import (
 )
 
 A_SADDLE = np.diag([2.0, -1.0])
+BLOCKS = (ParamBlock("w0", 0, (2,)),)  # one block over the whole 2-vector
 
 
 def quad_grad_fn(a):
@@ -134,7 +136,7 @@ def test_pgd_zero_sigma_bitwise_sgd():
     s_pgd, s_sgd = fresh_state(2), fresh_state(2)
     for _ in range(25):
         w_pgd, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.0), fn, w_pgd,
-                                  s_pgd, 0.05, rho=0.0, blocks=((0, 2),))
+                                  s_pgd, 0.05, rho=0.0, blocks=BLOCKS)
         _, g = fn(w_sgd)
         w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05)
     assert np.array_equal(w_pgd, w_sgd)
@@ -147,7 +149,7 @@ def test_pgd_deterministic_replay():
         state = fresh_state(2, seed=9)
         for _ in range(10):
             w, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=1e-3), fn, w,
-                                  state, 0.05, rho=0.0, blocks=((0, 2),))
+                                  state, 0.05, rho=0.0, blocks=BLOCKS)
         return w
     assert np.array_equal(run(), run())
 
@@ -172,7 +174,7 @@ def test_lpf_zero_radius_bitwise_sgd():
     for _ in range(25):
         w_lpf, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=3,
                                                   lpf_radius=0.0),
-                                  fn, w_lpf, s_lpf, 0.05, rho=0.0, blocks=((0, 2),))
+                                  fn, w_lpf, s_lpf, 0.05, rho=0.0, blocks=BLOCKS)
         _, g = fn(w_sgd)
         w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05)
     assert np.array_equal(w_lpf, w_sgd)
@@ -186,7 +188,7 @@ def test_lpf_single_iter_equals_matched_manual_perturbation():
     state = fresh_state(2, seed=21)
     new, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=1, lpf_radius=radius,
                                             momentum=0.0),
-                            fn, w, state, 0.1, rho=0.0, blocks=((0, 2),))
+                            fn, w, state, 0.1, rho=0.0, blocks=BLOCKS)
     std = radius * np.linalg.norm(w) / np.sqrt(2)
     xi = SeededRng(21).child("noise").normal(size=2) * std
     _, g = fn(w + xi)
@@ -205,7 +207,7 @@ def test_lpf_smoothing_error_linear_in_radius():
         state = fresh_state(2, seed=33)
         new, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=64,
                                                 lpf_radius=radius, momentum=0.0),
-                                fn, w, state, 1.0, rho=0.0, blocks=((0, 2),))
+                                fn, w, state, 1.0, rho=0.0, blocks=BLOCKS)
         errs.append(np.linalg.norm((w - new) - exact))
     assert errs[0] / errs[1] == pytest.approx(10.0, rel=1e-9)
     assert errs[1] / errs[2] == pytest.approx(10.0, rel=1e-9)
@@ -277,9 +279,9 @@ def test_lr_zero_is_fixed_point_for_all_optimizers():
             new, _ = sam_step(fn, w, state, 0.0, rho=0.3)
         elif step == "pgd":
             new, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.1), fn, w, state,
-                                    0.0, rho=0.0, blocks=((0, 2),))
+                                    0.0, rho=0.0, blocks=BLOCKS)
         else:
             new, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=4,
                                                     lpf_radius=0.1),
-                                    fn, w, state, 0.0, rho=0.0, blocks=((0, 2),))
+                                    fn, w, state, 0.0, rho=0.0, blocks=BLOCKS)
         assert np.array_equal(new, w)

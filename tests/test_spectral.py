@@ -152,7 +152,7 @@ def test_lanczos_basis_orthonormal():
 def test_density_two_point_spectrum_splits_mass():
     op = operator(np.diag([1.0] * 50 + [-1.0] * 50))
     settings = SpectralSettings(lanczos_iters=80, num_probes=64)
-    sd = spectral_density(op, settings, SeededRng(7).child("density"))
+    sd = spectral_density([op], settings, SeededRng(7).child("density"))
     for lo, hi in ((0.5, 1.5), (-1.5, -0.5)):
         sel = (sd.grid >= lo) & (sd.grid <= hi)
         assert abs(np.trapezoid(sd.density[sel], sd.grid[sel]) - 0.5) < 0.02
@@ -160,7 +160,7 @@ def test_density_two_point_spectrum_splits_mass():
 
 def test_density_zero_operator():
     op = operator(np.zeros((20, 20)))
-    sd = spectral_density(op, SpectralSettings(lanczos_iters=20, num_probes=4),
+    sd = spectral_density([op], SpectralSettings(lanczos_iters=20, num_probes=4),
                           SeededRng(8).child("density"))
     assert np.trapezoid(sd.density, sd.grid) == pytest.approx(1.0, abs=0.02)
     assert abs(sd.grid[int(np.argmax(sd.density))]) < 1e-3
@@ -169,10 +169,24 @@ def test_density_zero_operator():
 def test_density_mass_is_one_for_random_operators():
     for seed in (10, 11, 12):
         a = random_symmetric(80, seed)
-        sd = spectral_density(operator(a),
+        sd = spectral_density([operator(a)],
                               SpectralSettings(lanczos_iters=60, num_probes=6),
                               SeededRng(seed).child("density"))
         assert np.trapezoid(sd.density, sd.grid) == pytest.approx(1.0, abs=0.02)
+
+
+def test_density_is_bitwise_the_same_on_any_number_of_oracles():
+    # probe p runs on oracles[p % 3]: this thread takes probes 0, 3, 6 and two
+    # pool threads the rest, each probe on its own stream; the pool is gone after
+    a = random_symmetric(40, 14)
+    settings = SpectralSettings(lanczos_iters=20, num_probes=7)
+    before = threading.active_count()
+    one, three = (spectral_density([operator(a)] * k, settings, SeededRng(15).child("density"))
+                  for k in (1, 3))
+    assert threading.active_count() == before
+    assert all(x.tobytes() == y.tobytes()
+               for x, y in zip(one.ritz_values + one.ritz_weights + [one.grid, one.density],
+                               three.ritz_values + three.ritz_weights + [three.grid, three.density]))
 
 
 def test_density_holds_one_lanczos_basis_at_a_time():
@@ -184,7 +198,7 @@ def test_density_holds_one_lanczos_basis_at_a_time():
     settings = SpectralSettings(lanczos_iters=iters, num_probes=4)
     tracemalloc.start()
     try:
-        spectral_density(oracle, settings, SeededRng(13).child("density"))
+        spectral_density([oracle], settings, SeededRng(13).child("density"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -220,16 +234,14 @@ def test_extreme_eigs_hvp_count():
     assert ex.converged
     assert (ex.lambda_min, ex.lambda_max) == (pytest.approx(-2.0), pytest.approx(4.0))
     assert len(calls) == 6 + 2
-    with pytest.raises(ParameterError):
-        extreme_eigs(op, 6, 1e-8, SeededRng(20).child("e"), max_refine_iters=0)
 
 
-def test_nonconverged_refine_reports_its_own_vector():
+def test_nonconverged_refine_reports_its_own_vector(monkeypatch):
     # three power steps cannot resolve a 0.001 gap: the returned eigenvalue and
     # residual must still be v_min's own, not those of the vector before it
+    monkeypatch.setattr(spectral, "MAX_REFINE_ITERS", 3)
     a = np.diag(np.append(-1.0 + 0.001 * np.arange(19), 2.0))
-    ex = extreme_eigs(operator(a), 2, 1e-10, SeededRng(1).child("e"),
-                      max_refine_iters=3)
+    ex = extreme_eigs(operator(a), 2, 1e-10, SeededRng(1).child("e"))
     assert not ex.converged
     v = ex.v_min
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
@@ -263,7 +275,7 @@ def test_linearization_operator_linearizes_once_and_calls_hvp_per_product(monkey
     products = []
     oracle = SimpleNamespace(apply=lambda v: products.append(1) or base.apply(v), dim=base.dim)
     settings = SpectralSettings(lanczos_iters=6, num_probes=3)
-    spectral_density(oracle, settings, SeededRng(38).child("density"))
+    spectral_density([oracle], settings, SeededRng(38).child("density"))
     extreme_eigs(oracle, 6, 1e-9, SeededRng(39).child("extreme"))
     assert len(lins) == 1
     assert len(hvp_lins) == len(products) > 3 * 6 + 6
@@ -491,10 +503,12 @@ def test_probe_split_is_bitwise_neutral(monkeypatch):
     monkeypatch.setattr(spectral, "_refine_eigpair", counting_refine)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the threads take turns far more often than at 5 ms
+    before = threading.active_count()
     try:
         split, split_threads = report()
     finally:
         sys.setswitchinterval(interval)
+    assert threading.active_count() == before
     monkeypatch.setattr(spectral, "PROBE_SPLIT_ROWS", len(ds) + 1)
     whole, whole_threads = report()
     assert (split_threads, whole_threads) == (2, 1)
@@ -622,7 +636,7 @@ def test_density_window_sums_bitwise_like_the_full_grid():
              (random_symmetric(80, 9),
               SpectralSettings(lanczos_iters=30, num_probes=4, broadening_sigma2=1e-3)))
     for a, settings in cases:
-        sd = spectral_density(operator(a), settings, SeededRng(9).child("density"))
+        sd = spectral_density([operator(a)], settings, SeededRng(9).child("density"))
         sigma = np.sqrt(settings.broadening_sigma2)
         norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
         full = np.zeros_like(sd.grid)
@@ -650,7 +664,7 @@ def test_w1_density_moments_and_extremes_match_the_dense_hessian(tmp_path):
     eigs = np.linalg.eigvalsh(_dense_hessian(oracle))
 
     settings = cfg.spectral
-    sd = spectral_density(oracle, settings, SeededRng(1).child("density"))
+    sd = spectral_density([oracle], settings, SeededRng(1).child("density"))
     # moments of the broadened density, less the Gaussian's own (sigma^2)
     s2 = settings.broadening_sigma2
     raw = [np.trapezoid(sd.grid**k * sd.density, sd.grid) for k in range(5)]
@@ -758,10 +772,9 @@ def test_only_pgd_leaves_the_zero_weight_saddle(drw):
     # reaches the negative eigenspace, which lies in (W_out, W_in)
     lin, _, _ = _exact_saddle(2, 6, (12,), drw)
     spec, batch, loss = lin.spec, lin.batch, lin.loss
-    layout, _ = model.param_layout(spec)
-    blocks = tuple((b.offset, int(np.prod(b.shape))) for b in layout)
-    weights = np.concatenate([np.arange(offset, offset + size) for (offset, size), b
-                              in zip(blocks, layout) if b.name.startswith("w")])
+    blocks, _ = model.param_layout(spec)
+    weights = np.concatenate([np.arange(b.offset, b.offset + np.prod(b.shape)) for b in blocks
+                              if b.name.startswith("w")])
     moved = {}
     for kind, opt in [("sgd", OptimizerConfig(SGD)),
                       ("sam", OptimizerConfig(SAM, rho=0.8)),
