@@ -3,9 +3,10 @@
 Subcommands: train, spectrum, cnc-check, sweep-rho. Every failure
 exits nonzero after printing a one-line machine-readable JSON error record to
 stderr. Every override is applied here, as an edit of the config the library
-then runs: --seed, cnc-check's --rho and --mode, and the output directory,
-where the SADDLELAB_OUTPUT_DIR environment variable wins over --out, which
-wins over the command's default.
+then runs: --seed and cnc-check's --rho. Only here is the output directory
+chosen: SADDLELAB_OUTPUT_DIR wins over --out, which wins over the command's
+default (the config's output_dir for train, <output_dir>/sweep for sweep-rho,
+the checkpoint's directory for spectrum and cnc-check).
 """
 
 from __future__ import annotations
@@ -45,11 +46,9 @@ def _parse_float_list(text: str):
     return values
 
 
-def _output_dir(out, default=None):
-    """SADDLELAB_OUTPUT_DIR, else --out, else the command's default (None:
-    the library's, from the config's output_dir)."""
-    out = os.environ.get(OUTPUT_DIR_ENV) or out or default
-    return None if out is None else Path(out)
+def _output_dir(out, default) -> Path:
+    """SADDLELAB_OUTPUT_DIR, else --out, else the command's default."""
+    return Path(os.environ.get(OUTPUT_DIR_ENV) or out or default)
 
 
 def cmd_train(args) -> int:
@@ -57,7 +56,7 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     out = _output_dir(args.out, cfg.output_dir)
-    result = run_experiment(cfg, out_dir=out, resume_from=args.resume)
+    result = run_experiment(cfg, out, resume_from=args.resume)
     final = result.metrics[-1] if result.metrics else None
     print(f"run complete: {out}")
     if final is not None:
@@ -105,8 +104,8 @@ def cmd_cnc_check(args) -> int:
     ckpt, ds, out = _load_checkpoint_context(args)
     # the report keeps the checkpoint's hash, as the run's own cnc_<epoch> does
     cfg = ckpt.config
-    ckpt = dataclasses.replace(ckpt, config=dataclasses.replace(cfg, cnc=dataclasses.replace(
-        cfg.cnc, rhos=rhos, mode=args.mode or cfg.cnc.mode)))
+    ckpt = dataclasses.replace(ckpt, config=dataclasses.replace(
+        cfg, cnc=dataclasses.replace(cfg.cnc, rhos=rhos)))
     out.mkdir(parents=True, exist_ok=True)
     for r in write_cnc_snapshot(ckpt, ds, out):
         ratio = ("n/a (CNC violation)" if r.measured_ratio is None
@@ -119,7 +118,8 @@ def cmd_cnc_check(args) -> int:
 
 def cmd_sweep_rho(args) -> int:
     cfg = load_config(args.config)
-    rows = sweep_rho(cfg, _parse_float_list(args.rhos), out_dir=_output_dir(args.out))
+    rows = sweep_rho(cfg, _parse_float_list(args.rhos),
+                     _output_dir(args.out, Path(cfg.output_dir) / "sweep"))
     fmt = lambda v, spec: "n/a" if v is None else format(v, spec)
     for r in rows:
         if r.error is not None:
@@ -155,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cnc-check", help="amplification-factor report at a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--rho", required=True, help="comma-separated rho values")
-    p.add_argument("--mode", choices=["unnormalized", "normalized"], default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_cnc_check)
 

@@ -8,6 +8,9 @@ the first-order expansion of the perturbed gradient is accurate; on quadratic
 objectives the expansion is exact, so the ratio is exact there. Every report
 row also carries the measured expansion residual so the small-rho validity of
 the check is visible rather than assumed.
+
+Normalized SAM, eps = rho*g_B/||g_B||, is not checked: to first order its
+factor is (1 + rho*lambda_min/||g_B||), not (1 + rho*lambda_min)^2.
 """
 
 from __future__ import annotations
@@ -25,20 +28,17 @@ from .model import Batch, Linearization, MlpSpec, loss_grad
 from .optim import sam_gradients
 from .spectral import SpectralSettings, extreme_eigs
 
-UNNORMALIZED = "unnormalized"
-NORMALIZED = "normalized"
-
 CNC_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
 class CncSettings:
-    """The config's cnc section: mini-batch sampling, perturbation mode, and
-    the rhos a run's snapshots check."""
+    """The config's cnc section: mini-batch sampling and the rhos a run's
+    snapshots check. mode's one legal value is the report's "unnormalized"."""
 
     batch_size: int = 32
     num_batches: int = 100
-    mode: str = UNNORMALIZED  # the theory uses the unnormalized perturbation
+    mode: str = "unnormalized"
     rhos: tuple[float, ...] | None = None  # None -> check the epoch's effective rho
 
     def __post_init__(self):
@@ -46,8 +46,8 @@ class CncSettings:
             raise ParameterError("batch_size must be >= 1")
         if self.num_batches < 2:
             raise ParameterError("num_batches must be >= 2 for a standard error")
-        if self.mode not in (UNNORMALIZED, NORMALIZED):
-            raise ParameterError(f"unknown mode {self.mode!r}")
+        if self.mode != "unnormalized":
+            raise ParameterError(f"mode must be 'unnormalized', got {self.mode!r}")
         if self.rhos is not None and not (self.rhos and all(r >= 0 for r in self.rhos)):
             raise ParameterError("cnc rhos must be non-empty and >= 0")
 
@@ -118,7 +118,6 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
         spectral.lanczos_iters, spectral.residual_tol, rng.child("extreme"))
     lam_min = extremes.lambda_min
     v_w = extremes.v_min
-    normalized = settings.mode == NORMALIZED
     plain, norms = [], []
     # per rho, one (projection, residual) pair per batch
     per_rho = [[] for _ in rho_list]
@@ -134,16 +133,15 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
         norms.append(float(np.linalg.norm(g_plain)))
         lin = None
         for rho, pairs in zip(rho_list, per_rho):
-            projection = float(v_w @ sam_gradients(grad_fn, w, rho, normalized)[3])
+            projection = float(v_w @ sam_gradients(grad_fn, w, rho, normalized=False)[3])
             residual = 0.0
             if rho != 0.0:
                 # its own gradients, not the moment's: the bench self-test pins
                 # the report at B(1 + sum(1 if rho == 0 else 4)) of them (ROADMAP item 1)
-                _, g, eps, g_sam = sam_gradients(grad_fn, w, rho, normalized)
-                if eps is not None:
-                    if lin is None:
-                        lin = Linearization(spec, w, batch, loss)
-                    residual = float(np.linalg.norm(g_sam - (g + lin.apply(eps))))
+                _, g, eps, g_sam = sam_gradients(grad_fn, w, rho, normalized=False)
+                if lin is None:
+                    lin = Linearization(spec, w, batch, loss)
+                residual = float(np.linalg.norm(g_sam - (g + lin.apply(eps))))
             pairs.append((projection, residual))
 
     gamma_hat, gamma_se = _moment(np.array(plain) ** 2)

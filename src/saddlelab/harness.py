@@ -536,17 +536,17 @@ def write_cnc_snapshot(ckpt: Checkpoint, ds: LabeledDataset, out: Path) -> list:
 
 
 @blas_threads()
-def run_experiment(cfg: ExperimentConfig, out_dir=None, resume_from=None) -> RunResult:
-    """Execute the configured run end to end into out_dir (default: the
-    config's output_dir), writing metrics.csv, each epoch's snapshots and
-    checkpoint as _snapshot_names lists them, and summary.json.
+def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResult:
+    """Execute the configured run end to end into out_dir, writing
+    metrics.csv, each epoch's snapshots and checkpoint as _snapshot_names
+    lists them, and summary.json.
 
     A run starts from a Checkpoint: epoch 0's, or that of `resume_from`. A
     resume from a checkpoint of epoch E continues its run's history: the
     checkpoint's E metrics rows open the new metrics.csv, and resumed in the
     checkpoint's own directory, the run's earlier snapshots stay among its
     artifacts. A resume with no epoch left writes its checkpoint into out_dir."""
-    out = Path(cfg.output_dir if out_dir is None else out_dir)
+    out = Path(out_dir)
     chash = config_hash(cfg)
     root = SeededRng(cfg.seed)
     ds, test, groups = _build_data(cfg, root)
@@ -695,7 +695,7 @@ def tail_lambda_min(cfg: ExperimentConfig, result: RunResult) -> float | None:
     return float(np.mean(vals))
 
 
-def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir=None) -> list:
+def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir) -> list:
     """One full run per rho (shared seed and data), collecting overall/tail
     accuracy and the final tail-class minimum eigenvalue. A cell that fails
     with a SaddleLabError is recorded in its row and the sweep continues; any
@@ -709,7 +709,7 @@ def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir=None) -> list:
         optimizer=dataclasses.replace(base_cfg.optimizer, rho=rho, rho_drw=rho),
         rho_schedule=RhoSchedule(),
     ) for rho in rho_values]
-    out = Path(base_cfg.output_dir) / "sweep" if out_dir is None else Path(out_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, (rho, cfg) in enumerate(zip(rho_values, cfgs)):

@@ -219,12 +219,13 @@ def _degeneracy_config(out_dir, kind, **opt_kwargs):
 
 def test_criterion_4_degeneracy_identities(tmp_path):
     start = time.time()
-    base = run_experiment(_degeneracy_config(tmp_path / "sgd", "sgd"))
+    base = run_experiment(_degeneracy_config(tmp_path / "sgd", "sgd"), tmp_path / "sgd")
     ok = True
     for kind, kwargs in (("sam", {"rho": 0.0}),
                          ("pgd", {"pgd_sigma": 0.0}),
                          ("lpfsgd", {"lpf_radius": 0.0})):
-        res = run_experiment(_degeneracy_config(tmp_path / kind, kind, **kwargs))
+        res = run_experiment(_degeneracy_config(tmp_path / kind, kind, **kwargs),
+                             tmp_path / kind)
         if not np.array_equal(res.params, base.params):
             ok = False
         for a, b in zip(res.metrics, base.metrics):
@@ -333,8 +334,8 @@ def _run_trend_pairs(tmp_path):
         cfg_sgd = _trend_config(tmp_path / f"sgd{seed}", "sgd", seed)
         cfg_sam = _trend_config(tmp_path / f"sam{seed}", "sam", seed,
                                 rho=0.05, rho_drw=0.8)
-        r_sgd = run_experiment(cfg_sgd)
-        r_sam = run_experiment(cfg_sam)
+        r_sgd = run_experiment(cfg_sgd, tmp_path / f"sgd{seed}")
+        r_sam = run_experiment(cfg_sam, tmp_path / f"sam{seed}")
         ex_sgd = _tail_extremes(cfg_sgd, r_sgd)
         ex_sam = _tail_extremes(cfg_sam, r_sam)
         rows.append({
@@ -419,8 +420,8 @@ def test_criterion_9_reproducibility(tmp_path):
     cfg = dataclasses.replace(cfg, epochs=20, reweight=ReweightSchedule(16),
                               spectrum_epochs=(10,),
                               spectral=SpectralSettings(lanczos_iters=6, num_probes=1))
-    run_experiment(cfg)
-    run_experiment(cfg, out_dir=tmp_path / "b")
+    run_experiment(cfg, tmp_path / "a")
+    run_experiment(cfg, tmp_path / "b")
     bytes_equal = (tmp_path / "a" / "metrics.csv").read_bytes() == \
         (tmp_path / "b" / "metrics.csv").read_bytes()
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import dataclasses
 import json
 import os
@@ -108,12 +109,18 @@ def test_train_resume_flag(tmp_path):
 
 
 def test_sweep_rho_cli(tmp_path, capsys):
+    # without --out the sweep writes under <output_dir>/sweep, a default of the CLI's
     cfg, cfg_path = write_config(tmp_path, epochs=3, kind="sam", rho=0.1)
-    assert main(["sweep-rho", "--config", str(cfg_path), "--rhos", "0.0,0.2",
-                 "--out", str(tmp_path / "sweep")]) == 0
-    assert (tmp_path / "sweep" / "sweep.csv").exists()
-    out = capsys.readouterr().out
-    assert out.count("rho=") == 2
+    for target, extra in ((tmp_path / "sweep", ["--out", str(tmp_path / "sweep")]),
+                          (tmp_path / "run" / "sweep", [])):
+        assert main(["sweep-rho", "--config", str(cfg_path), "--rhos", "0.0,0.2",
+                     *extra]) == 0
+        assert sorted(p.name for p in target.iterdir()) == \
+            ["rho_0_0", "rho_1_0.2", "sweep.csv"]
+        assert capsys.readouterr().out.count("rho=") == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run", "sweep"]
+    assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == \
+        (tmp_path / "run" / "sweep" / "sweep.csv").read_bytes()
 
 
 def test_error_record_on_bad_config(tmp_path, capsys):
@@ -132,7 +139,9 @@ def test_error_record_on_bad_config(tmp_path, capsys):
     lambda d: d["model"].update(layer_sizes=[3, 6, 2]),
     lambda d: d.update(epochs=3.5),
     lambda d: d.update(batch_size=64.5),
-], ids=["lr-empty", "input-dim-mismatch", "float-epochs", "float-batch-size"])
+    lambda d: d["cnc"].update(mode="normalized"),
+], ids=["lr-empty", "input-dim-mismatch", "float-epochs", "float-batch-size",
+        "cnc-normalized-mode"])
 def test_error_record_on_invalid_config_section(tmp_path, capsys, edit):
     _, path = write_config(tmp_path, epochs=1)
     d = json.loads(path.read_text())
@@ -282,6 +291,16 @@ def test_env_var_overrides_spectrum_out(tmp_path, monkeypatch):
     assert (target / "spectrum_1_classall.json").exists()
     assert not (tmp_path / "out").exists()
     assert not list((tmp_path / "run").glob("spectrum_*"))
+
+
+def test_only_the_cli_reads_the_configs_output_dir():
+    # the library writes where it is told; each command's default lives in cli.py
+    package = Path(cli.__file__).parent
+    readers = {path.name for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "output_dir"
+               and isinstance(node.ctx, ast.Load)}
+    assert readers == {"cli.py"}
 
 
 def test_installed_entry_point_exit_codes(tmp_path):

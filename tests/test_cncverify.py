@@ -273,8 +273,9 @@ def test_report_export(tmp_path):
 def test_settings_validation():
     with pytest.raises(ParameterError):
         CncSettings(num_batches=1)
-    with pytest.raises(ParameterError):
-        CncSettings(mode="sideways")
+    for mode in ("sideways", "normalized"):
+        with pytest.raises(ParameterError):
+            CncSettings(mode=mode)
     for rhos in ((), (0.1, -0.1), (0.1, float("nan"))):
         with pytest.raises(ParameterError):
             CncSettings(rhos=rhos)

@@ -67,7 +67,7 @@ def tiny_config(out_dir, kind="sgd", rho=0.0, epochs=12, seed=5, **opt_kwargs):
 
 def test_zero_epochs_returns_init(tmp_path):
     cfg = tiny_config(tmp_path / "e0", epochs=0)
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, tmp_path / "e0")
     assert result.metrics == []
     assert (tmp_path / "e0" / "metrics.csv").read_text().count("\n") == 1  # header only
     assert (tmp_path / "e0" / "checkpoint_0.json").exists()
@@ -78,20 +78,20 @@ def test_metrics_file_byte_reproducible(tmp_path):
     # same config rerun into a different directory via the out_dir argument
     # (a different output_dir config field would change the config hash)
     cfg = tiny_config(tmp_path / "a")
-    run_experiment(cfg)
-    run_experiment(cfg, out_dir=tmp_path / "a2")
+    run_experiment(cfg, tmp_path / "a")
+    run_experiment(cfg, tmp_path / "a2")
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
         (tmp_path / "a2" / "metrics.csv").read_bytes()
 
 
 def test_degenerate_optimizers_reproduce_sgd(tmp_path):
     base = tiny_config(tmp_path / "sgd", kind="sgd", epochs=20)
-    results = {"sgd": run_experiment(base)}
+    results = {"sgd": run_experiment(base, tmp_path / "sgd")}
     for kind, kwargs in (("sam", {"rho": 0.0}),
                          ("pgd", {"pgd_sigma": 0.0}),
                          ("lpfsgd", {"lpf_radius": 0.0})):
         cfg = tiny_config(tmp_path / kind, kind=kind, epochs=20, **kwargs)
-        results[kind] = run_experiment(cfg)
+        results[kind] = run_experiment(cfg, tmp_path / kind)
     ref = results["sgd"].params
     for kind in ("sam", "pgd", "lpfsgd"):
         assert np.array_equal(results[kind].params, ref), kind
@@ -157,7 +157,7 @@ def test_checkpoint_missing_field_is_named(tmp_path, name):
 
 def test_checkpoint_truncated_file(tmp_path):
     cfg = tiny_config(tmp_path / "t", epochs=2)
-    run_experiment(cfg)
+    run_experiment(cfg, tmp_path / "t")
     path = tmp_path / "t" / "checkpoint_2.json"
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
@@ -167,7 +167,7 @@ def test_checkpoint_truncated_file(tmp_path):
 
 def test_checkpoint_version_mismatch(tmp_path):
     cfg = tiny_config(tmp_path / "v", epochs=1)
-    run_experiment(cfg)
+    run_experiment(cfg, tmp_path / "v")
     path = tmp_path / "v" / "checkpoint_1.json"
     payload = json.loads(path.read_text())
     # format 1 also stored the optimizer's step count and random stream states,
@@ -258,8 +258,8 @@ def test_resume_in_place_after_a_crash_reproduces_the_run(
 
 def test_resume_from_the_final_checkpoint_copies_it_into_the_new_directory(tmp_path):
     cfg = tiny_config(tmp_path / "done", epochs=3)
-    run_experiment(cfg)
     source = tmp_path / "done"
+    run_experiment(cfg, source)
     copy = tmp_path / "copy"
     run_experiment(cfg, out_dir=copy, resume_from=source / "checkpoint_3.json")
     assert (copy / "checkpoint_3.json").read_bytes() == \
@@ -275,7 +275,7 @@ def test_resume_from_a_lone_checkpoint_matches_the_run(tmp_path):
     # the checkpoint carries its run's metrics rows: a resume reads no other file
     cfg = dataclasses.replace(tiny_config(tmp_path / "h", epochs=4), cnc_epochs=(2,),
                               cnc=CncSettings(batch_size=8, num_batches=2))
-    uninterrupted = run_experiment(cfg)
+    uninterrupted = run_experiment(cfg, tmp_path / "h")
     lone = tmp_path / "lone"
     lone.mkdir()
     shutil.copy(tmp_path / "h" / "checkpoint_2.json", lone)
@@ -291,19 +291,19 @@ def test_a_resume_killed_in_its_first_step_keeps_the_checkpoint_rows(tmp_path):
     # metrics.csv is replaced whole before training, not truncated and refilled
     cfg = dataclasses.replace(tiny_config(tmp_path / "run", epochs=4), cnc_epochs=(2,),
                               cnc=CncSettings(batch_size=8, num_batches=2))
-    run_experiment(cfg)
     out = tmp_path / "run"
+    run_experiment(cfg, out)
     rows = (out / "metrics.csv").read_text().splitlines(keepends=True)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config_to_dict(cfg)))
     script = ("import os, signal, sys\n"
               "from saddlelab import harness\n"
               "harness.optimizer_step = lambda *a: os.kill(os.getpid(), signal.SIGKILL)\n"
-              "harness.run_experiment(harness.load_config(sys.argv[1]), "
+              "harness.run_experiment(harness.load_config(sys.argv[1]), sys.argv[3], "
               "resume_from=sys.argv[2])\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     proc = subprocess.run([sys.executable, "-c", script, str(cfg_path),
-                           str(out / "checkpoint_2.json")], env=env, timeout=120)
+                           str(out / "checkpoint_2.json"), str(out)], env=env, timeout=120)
     assert proc.returncode == -signal.SIGKILL
     assert (out / "metrics.csv").read_text() == "".join(rows[:3])  # header, epochs 1-2
 
@@ -312,10 +312,11 @@ def test_resume_rejects_other_config(tmp_path):
     cfg = tiny_config(tmp_path / "r1", epochs=4)
     cfg = dataclasses.replace(cfg, spectrum_epochs=(2,),
                               spectral=SpectralSettings(lanczos_iters=4, num_probes=1))
-    run_experiment(cfg)
+    run_experiment(cfg, tmp_path / "r1")
     other = tiny_config(tmp_path / "r2", epochs=4, seed=99)
     with pytest.raises(CheckpointError):
-        run_experiment(other, resume_from=tmp_path / "r1" / "checkpoint_2.json")
+        run_experiment(other, tmp_path / "r2",
+                       resume_from=tmp_path / "r1" / "checkpoint_2.json")
 
 
 def _evaluation_fixtures(radius, std, per_class, num_classes=2, seed=70):
@@ -464,7 +465,7 @@ def test_tail_lambda_min_runs_on_one_blas_thread(tmp_path, blas_readings, fake_b
     # the 10-row class is the tail
     cfg = dataclasses.replace(tiny_config(tmp_path / "run", epochs=1),
                               groups=harness.GroupThresholds(hi=30, lo=30))
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, tmp_path / "run")
     readings = blas_readings(model, "hvp")
     assert result.groups.tail == (1,) and tail_lambda_min(cfg, result) is not None
     assert readings and readings == [1] * len(readings)
@@ -480,7 +481,7 @@ def test_a_run_runs_on_one_blas_thread(tmp_path, blas_readings, fake_blas):
     readings = blas_readings(harness, "loss_grad", "loss_on_logits")
     blas_readings(model, "hvp")
     blas_readings(cncverify, "loss_grad")
-    run_experiment(cfg)
+    run_experiment(cfg, tmp_path / "run")
     assert readings and readings == [1] * len(readings)
     assert fake_blas.count == 4
 
@@ -695,7 +696,7 @@ def test_shipped_configs_roundtrip(path):
 
 def test_metrics_rows_carry_hash_and_version(tmp_path):
     cfg = tiny_config(tmp_path / "m", epochs=2)
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, tmp_path / "m")
     text = (tmp_path / "m" / "metrics.csv").read_text().splitlines()
     header = text[0].split(",")
     assert header[-2:] == ["config_hash", "code_version"]
@@ -707,7 +708,7 @@ def test_metrics_rows_carry_hash_and_version(tmp_path):
 
 def test_rho_column_switches_at_reweight_epoch(tmp_path):
     cfg = tiny_config(tmp_path / "rho", kind="sam", rho=0.1, rho_drw=0.4, epochs=12)
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, tmp_path / "rho")
     rhos = [m.rho for m in result.metrics]
     threshold = cfg.reweight.threshold_epoch
     assert rhos[:threshold] == [0.1] * threshold
@@ -717,7 +718,7 @@ def test_rho_column_switches_at_reweight_epoch(tmp_path):
 def test_rho_schedule_takes_precedence(tmp_path):
     cfg = tiny_config(tmp_path / "rs", kind="sam", rho=0.1, epochs=6)
     cfg = dataclasses.replace(cfg, rho_schedule=RhoSchedule(steps=((0, 0.05), (3, 0.7))))
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, tmp_path / "rs")
     assert [m.rho for m in result.metrics] == [0.05] * 3 + [0.7] * 3
 
 
@@ -726,15 +727,16 @@ def test_reweighting_changes_trajectory(tmp_path):
                                 reweight=ReweightSchedule(10))
     always = dataclasses.replace(tiny_config(tmp_path / "always", epochs=10),
                                  reweight=ReweightSchedule(0))
-    r_never = run_experiment(never)
-    r_always = run_experiment(always)
+    r_never = run_experiment(never, tmp_path / "never")
+    r_always = run_experiment(always, tmp_path / "always")
     assert not np.array_equal(r_never.params, r_always.params)
 
 
 def test_sweep_rho_zero_matches_sgd_baseline(tmp_path):
     base = tiny_config(tmp_path / "sweepbase", kind="sam", rho=0.2, epochs=8)
     rows = sweep_rho(base, [0.0], out_dir=tmp_path / "sweep")
-    sgd = run_experiment(tiny_config(tmp_path / "sgdbase", kind="sgd", epochs=8))
+    sgd = run_experiment(tiny_config(tmp_path / "sgdbase", kind="sgd", epochs=8),
+                         tmp_path / "sgdbase")
     assert rows[0].error is None
     assert rows[0].overall_acc == sgd.metrics[-1].overall_acc
     assert rows[0].tail_acc == sgd.metrics[-1].tail_acc
@@ -779,8 +781,8 @@ def test_spectrum_snapshot_files(tmp_path):
     cfg = dataclasses.replace(cfg, spectrum_epochs=(0, 4), cnc_epochs=(4,),
                               spectral=SpectralSettings(lanczos_iters=6, num_probes=2),
                               )
-    result = run_experiment(cfg)
     out = tmp_path / "snap"
+    result = run_experiment(cfg, out)
     for epoch in (0, 4):
         for tag in ("0", "1", "all"):
             assert (out / f"spectrum_{epoch}_class{tag}.csv").exists()
@@ -805,7 +807,7 @@ def test_mid_run_cnc_probes_the_last_epoch_trained(tmp_path):
         spectral=SpectralSettings(lanczos_iters=6, num_probes=2),
         cnc=CncSettings(batch_size=8, num_batches=4),
     )
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, tmp_path / "run")
     assert [m.rho for m in result.metrics[:2]] == [0.05, 0.05]
     ckpt = load_checkpoint(tmp_path / "run" / "checkpoint_2.json")
     uniform = cfg.loss.bind(result.dataset.class_counts)
@@ -820,7 +822,7 @@ def test_metrics_header_shape(tmp_path):
     header = MetricsRecord.csv_header(3)
     assert header[:5] == ["epoch", "train_loss", "grad_norm", "lr", "rho"]
     assert "acc_2" in header and "loss_2" in header
-    result = run_experiment(tiny_config(tmp_path / "m", epochs=3))
+    result = run_experiment(tiny_config(tmp_path / "m", epochs=3), tmp_path / "m")
     lines = (tmp_path / "m" / "metrics.csv").read_text().splitlines()
     header = MetricsRecord.csv_header(2)
     assert lines[0].split(",") == header
@@ -844,7 +846,7 @@ def test_finished_run_leaves_only_its_artifacts(tmp_path):
                               spectrum_epochs=(4,), cnc_epochs=(4,),
                               spectral=SpectralSettings(lanczos_iters=6, num_probes=2),
                               cnc=CncSettings(batch_size=8, num_batches=4))
-    result = run_experiment(cfg)
+    result = run_experiment(cfg, tmp_path / "run")
     names = sorted(p.name for p in (tmp_path / "run").iterdir())
     assert not [n for n in names if n.endswith(".tmp")]
     assert names == sorted(result.artifacts + ["summary.json"])
@@ -869,4 +871,4 @@ def test_diverging_run_reports_epoch_and_step(tmp_path):
                               model=MlpSpec((4, 6, 2), "relu"))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RunAbortedError, match=r"epoch \d+, step \d+"):
-            run_experiment(cfg)
+            run_experiment(cfg, tmp_path / "boom")
