@@ -9,9 +9,9 @@ batch, loss).
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,9 +195,9 @@ def loss_grad(spec: MlpSpec, w: np.ndarray, batch: Batch, loss: LossSpec):
     return value, grad
 
 
-# hvp pushes the tangent through at most this many rows at a time, so its
-# workspace, and a twin's, stays this size on larger batches; a batch of at
-# most this many rows is one chunk.
+# hvp pushes the tangent through at most this many rows at a time, so each
+# thread's workspace stays this size on larger batches; a batch of at most
+# this many rows is one chunk.
 CHUNK_ROWS = 512
 
 
@@ -212,9 +212,9 @@ class Linearization:
 
     hvp(v) pushes only the tangent through the batch, in row chunks of at
     most CHUNK_ROWS, and adds up each chunk's weight and bias blocks in chunk
-    order. It works in a workspace allocated here and overwritten by every
-    call, so one Linearization serves one caller at a time; twin() gives a
-    second, concurrent caller its own. The returned vector is always fresh.
+    order. It works in a workspace of the calling thread's, allocated on that
+    thread's first product and overwritten by its every call, so threads may
+    share one Linearization. The returned vector is always fresh.
     """
 
     def __init__(self, spec: MlpSpec, w: np.ndarray, batch: Batch, loss: LossSpec):
@@ -250,46 +250,44 @@ class Linearization:
             rows, m = slice(start, start + CHUNK_ROWS), min(n - start, CHUNK_ROWS)
             self._chunks.append((m, cut(hs, rows), cut(d1, rows), cut(gs, rows),
                                  cut(sd2, rows), curvature.rows(rows), ones[:m]))
-        self._allocate()
+        self._local = threading.local()
 
-    def _allocate(self) -> None:
-        """The tangent workspace, sized for the largest chunk and viewed at
-        each chunk's row count: adot[l] per layer, hdot[l] per hidden layer
-        and one scratch array per distinct width; one weight-shaped buffer
-        per layer; and one product buffer for the chunks after the first."""
-        sizes, depth = self.spec.layer_sizes, self.spec.num_layers
-        cap = self._chunks[0][0]
-        adot = [np.empty((cap, sizes[l + 1])) for l in range(depth)]
-        hdot = [np.empty((cap, sizes[l + 1])) for l in range(depth - 1)]
-        scratch = {m: np.empty((cap, m)) for m in set(sizes[1:])}
-        self._work = {m: ([a[:m] for a in adot], [h[:m] for h in hdot],
-                          {k: s[:m] for k, s in scratch.items()})
-                      for m in {chunk[0] for chunk in self._chunks}}
-        self._wtmp, _ = _unpack(self.spec, np.empty_like(self.w))
-        self._part = np.empty_like(self.w) if len(self._chunks) > 1 else None
-
-    def twin(self) -> "Linearization":
-        """A Linearization at the same point that shares every fixed array
-        with this one and has its own workspace, for a caller on another
-        thread: spectral_density runs its probes on [lin, lin.twin()]."""
-        twin = copy.copy(self)
-        twin._allocate()
-        return twin
+    def _workspace(self):
+        """The calling thread's (work, part), made on its first product and
+        sized for the largest chunk. work maps a chunk's row count to views
+        at that count of adot[l] per layer, hdot[l] per hidden layer and one
+        scratch array per distinct width, plus one weight-shaped buffer per
+        layer; part is the product buffer for the chunks after the first."""
+        workspace = getattr(self._local, "workspace", None)
+        if workspace is None:
+            sizes, depth = self.spec.layer_sizes, self.spec.num_layers
+            cap = self._chunks[0][0]
+            adot = [np.empty((cap, sizes[l + 1])) for l in range(depth)]
+            hdot = [np.empty((cap, sizes[l + 1])) for l in range(depth - 1)]
+            scratch = {m: np.empty((cap, m)) for m in set(sizes[1:])}
+            wtmp, _ = _unpack(self.spec, np.empty_like(self.w))
+            work = {m: ([a[:m] for a in adot], [h[:m] for h in hdot],
+                        {k: s[:m] for k, s in scratch.items()}, wtmp)
+                    for m in {chunk[0] for chunk in self._chunks}}
+            part = np.empty_like(self.w) if len(self._chunks) > 1 else None
+            workspace = self._local.workspace = (work, part)
+        return workspace
 
     def apply(self, v) -> np.ndarray:
         return hvp(self.spec, self.w, self.batch, self.loss, v, lin=self)
 
     def hvp(self, v) -> np.ndarray:
+        work, part = self._workspace()
         vws, vbs = _unpack(self.spec, np.asarray(v, dtype=np.float64))
-        out = self._hvp_rows(self._chunks[0], vws, vbs, np.empty_like(self.w))
+        out = self._hvp_rows(self._chunks[0], vws, vbs, np.empty_like(self.w), work)
         for chunk in self._chunks[1:]:
-            np.add(out, self._hvp_rows(chunk, vws, vbs, self._part), out=out)
+            np.add(out, self._hvp_rows(chunk, vws, vbs, part, work), out=out)
         return out
 
-    def _hvp_rows(self, chunk, vws, vbs, out) -> np.ndarray:
+    def _hvp_rows(self, chunk, vws, vbs, out, work) -> np.ndarray:
         """One chunk's share of the product, written into out."""
         rows, hs, d1, g, sd2, curvature, ones = chunk
-        adot, hdot, scratch = self._work[rows]
+        adot, hdot, scratch, wtmp = work[rows]
         ws, depth = self._ws, self.spec.num_layers
 
         # forward: adot[l] = hdot[l-1] @ W[l].T + hs[l] @ V[l].T (+ vb[l]),
@@ -317,7 +315,7 @@ class Linearization:
             np.matmul(gdot.T, hs[l], out=ohw[l])
             if l == 0:
                 return out
-            ohw[l] += np.matmul(g[l].T, hdot[l - 1], out=self._wtmp[l])
+            ohw[l] += np.matmul(g[l].T, hdot[l - 1], out=wtmp[l])
             sdot = np.matmul(gdot, ws[l], out=hdot[l - 1])
             np.add(sdot, np.matmul(g[l], vws[l], out=scratch[sdot.shape[1]]), out=sdot)
             np.multiply(sdot, d1[l - 1], out=sdot)

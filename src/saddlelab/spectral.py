@@ -80,30 +80,26 @@ def lanczos(oracle, iters: int, rng: SeededRng) -> LanczosResult:
     if k < 1:
         raise ParameterError("need at least one iteration")
     v = rng.normal(size=oracle.dim)
-    v = v / np.linalg.norm(v)
     basis = np.zeros((k, oracle.dim))
-    basis[0] = v
+    basis[0] = v / np.linalg.norm(v)
     alphas = np.zeros(k)
-    betas = np.zeros(max(k - 1, 0))
     # omega[i + 1] bounds |q_j . q_i|, i != j, for the current j (omega_cur)
     # and the one before (omega_prev); entry 0 is the boundary omega_{j,-1}
-    # and beta_pad[i + 1] = betas[i], beta_pad[0] = 0 to match. The unit
-    # entries q_j . q_j are kept at 0: their terms cancel exactly
-    omega_prev, omega_cur, beta_pad = np.zeros(k + 1), np.zeros(k + 1), np.zeros(k + 1)
+    # and b[i + 1] = beta_i, b[0] = 0 to match. The unit entries q_j . q_j
+    # are kept at 0: their terms cancel exactly
+    omega_prev, omega_cur, b = np.zeros(k + 1), np.zeros(k + 1), np.zeros(k + 1)
     eps1 = math.sqrt(oracle.dim) * np.finfo(np.float64).eps / 2  # as in Larsen's PROPACK
     early = False
     scale = 0.0
-    prev = np.zeros(oracle.dim)
-    beta_prev = 0.0
-    done = 0
     reorth_steps = 0
     again = False
     for j in range(k):
         z = np.asarray(oracle.apply(basis[j]), dtype=np.float64)
         alphas[j] = float(basis[j] @ z)
-        z = z - alphas[j] * basis[j] - beta_prev * prev
-        done = j + 1
-        scale = max(scale, abs(alphas[j]), beta_prev)
+        # at j = 0 the last term is b[0] = 0 times the still-zero basis[-1];
+        # when k = 1 that row is q_0, but z goes unused
+        z = z - alphas[j] * basis[j] - b[j] * basis[j - 1]
+        scale = max(scale, abs(alphas[j]), b[j])
         if j == k - 1:
             break
         beta = float(np.linalg.norm(z))
@@ -115,10 +111,10 @@ def lanczos(oracle, iters: int, rng: SeededRng) -> LanczosResult:
             # bounds the loss whatever the signs of the rounding errors
             # (Simon's signed form fell up to 9x below the measured loss)
             rounding = eps1 * max(scale, beta)
-            omega[1 : j + 1] = (beta_pad[1 : j + 1] * omega_cur[2 : j + 2]
+            omega[1 : j + 1] = (b[1 : j + 1] * omega_cur[2 : j + 2]
                                 + np.abs(alphas[:j] - alphas[j]) * omega_cur[1 : j + 1]
-                                + beta_pad[:j] * omega_cur[:j]
-                                + beta_prev * omega_prev[1 : j + 1] + rounding) / beta
+                                + b[:j] * omega_cur[:j]
+                                + b[j] * omega_prev[1 : j + 1] + rounding) / beta
             # q_{j+1} . q_j: the rounding of alpha_j and of the q_{j-1} term
             omega[j + 1] = 2.0 * rounding / beta
         else:
@@ -143,16 +139,11 @@ def lanczos(oracle, iters: int, rng: SeededRng) -> LanczosResult:
         if beta <= 1e-10 * scale:
             early = True
             break
-        betas[j] = beta
-        beta_pad[j + 1] = beta
-        prev = basis[j]
-        beta_prev = beta
+        b[j + 1] = beta
         basis[j + 1] = z / beta
         omega_prev, omega_cur = omega_cur, omega
-    alphas = alphas[:done]
-    betas = betas[: max(done - 1, 0)]
-    return LanczosResult(alphas=alphas, betas=betas, basis=basis[:done], early_stop=early,
-                         reorth_steps=reorth_steps)
+    return LanczosResult(alphas=alphas[: j + 1], betas=b[1 : j + 1], basis=basis[: j + 1],
+                         early_stop=early, reorth_steps=reorth_steps)
 
 
 def ritz_decomposition(result: LanczosResult):
@@ -177,22 +168,25 @@ class SpectralDensity:
 def _auto_grid(all_vals: np.ndarray, sigma: float):
     lo = float(all_vals.min()) - 6.0 * sigma
     hi = float(all_vals.max()) + 6.0 * sigma
-    # spacing <= sigma keeps the trapezoid mass error of each Gaussian bump
-    # below ~1e-8; cap the point count for pathological spans
-    points = int(np.clip(math.ceil((hi - lo) / sigma) + 1, 512, 60000))
-    return np.linspace(lo, hi, points)
+    # spacing <= sigma, whatever the span, keeps the trapezoid mass error of
+    # each Gaussian bump below ~1e-8
+    return np.linspace(lo, hi, max(math.ceil((hi - lo) / sigma) + 1, 512))
 
 
-def spectral_density(oracles, settings: SpectralSettings, rng: SeededRng) -> SpectralDensity:
+def spectral_density(oracle, settings: SpectralSettings, rng: SeededRng,
+                     workers: int = 1) -> SpectralDensity:
     """Average Gaussian-broadened Ritz quadrature over independent probes.
 
-    oracles hold one operator on workspaces of its own (a Linearization and
-    its twins): probe p runs on oracles[p % len(oracles)], the first one's
-    probes on this thread and each other's on a pool thread. Each probe keeps
-    its stream and the density is assembled in probe order, so the result is
-    bitwise the same for any number of oracles. After one thread fails the
-    others start no further probe; once all have stopped, this thread's
-    exception is raised here, else the first pool thread's.
+    Probe p runs on worker p % workers: worker 0 is this thread and each
+    other a pool thread, all applying the one oracle, so oracle.apply must
+    be safe to call from several threads at once (a Linearization is). Each
+    probe keeps its stream and the density is assembled in probe order, so
+    the result is bitwise the same for any number of workers. This thread
+    runs worker 0 because every pool thread adds a malloc arena: with every
+    probe on pool threads, w2_probe's peak RSS rose from 60.7-61.0 MB to
+    66.3 MB (4 runs each, 2 shared CPUs). After one worker fails the others
+    start no further probe; once all have stopped, this thread's exception
+    is raised here, else the first pool thread's.
     """
     from concurrent.futures import ThreadPoolExecutor  # loads logging, so only on use
 
@@ -201,20 +195,20 @@ def spectral_density(oracles, settings: SpectralSettings, rng: SeededRng) -> Spe
 
     def run(k):
         try:
-            for p in range(k, settings.num_probes, len(oracles)):
+            for p in range(k, settings.num_probes, workers):
                 if stop:
                     return
                 # no name holds a probe's run, so its (iters, dim) basis is freed
                 # before the next probe allocates its own
                 ritz[p] = ritz_decomposition(
-                    lanczos(oracles[k], settings.lanczos_iters, rng.child("probe", p)))[:2]
+                    lanczos(oracle, settings.lanczos_iters, rng.child("probe", p)))[:2]
         except BaseException:
             stop.append(k)
             raise
 
     # leaving the block joins the pool's threads; result() raises a run's exception
-    with ThreadPoolExecutor(len(oracles), thread_name_prefix="spectral-density-probes") as pool:
-        others = [pool.submit(run, k) for k in range(1, len(oracles))]
+    with ThreadPoolExecutor(workers, thread_name_prefix="spectral-density-probes") as pool:
+        others = [pool.submit(run, k) for k in range(1, workers)]
         run(0)
     for other in others:
         other.result()
@@ -257,19 +251,22 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[i] < 0 else v
 
 
-def _refine_eigpair(oracle, v0: np.ndarray, shift: float, sign: float, tol: float,
-                    max_iters: int):
+# The HVP budget of each end's shifted power iteration in extreme_eigs.
+MAX_REFINE_ITERS = 5000
+
+
+def _refine_eigpair(oracle, v0: np.ndarray, shift: float, sign: float, tol: float):
     """Power iteration on sign*(H - shift*I); sign=-1 targets the bottom of the
-    spectrum (the operator becomes shift*I - H), sign=+1 the top. Needs
-    max_iters >= 1: each pass's HVP gives both the residual test and the step.
-    Returns the last vector evaluated with its own Rayleigh quotient and
-    residual, converged or not."""
+    spectrum (the operator becomes shift*I - H), sign=+1 the top, for at most
+    MAX_REFINE_ITERS passes (>= 1): each pass's HVP gives both the residual
+    test and the step. Returns the last vector evaluated with its own
+    Rayleigh quotient and residual, converged or not."""
     v = v0 / np.linalg.norm(v0)
-    for i in range(max_iters):
+    for i in range(MAX_REFINE_ITERS):
         hv = np.asarray(oracle.apply(v), dtype=np.float64)
         lam = float(v @ hv)
         residual = float(np.linalg.norm(hv - lam * v))
-        if residual < tol or i == max_iters - 1:
+        if residual < tol or i == MAX_REFINE_ITERS - 1:
             break
         u = sign * (hv - shift * v)
         nu = float(np.linalg.norm(u))
@@ -278,10 +275,6 @@ def _refine_eigpair(oracle, v0: np.ndarray, shift: float, sign: float, tol: floa
             break
         v = u / nu
     return _fix_sign(v), lam, residual, residual < tol
-
-
-# The HVP budget of each end's shifted power iteration in extreme_eigs.
-MAX_REFINE_ITERS = 5000
 
 
 def extreme_eigs(oracle, iters: int, tol: float, rng: SeededRng) -> ExtremeEigs:
@@ -297,11 +290,9 @@ def extreme_eigs(oracle, iters: int, tol: float, rng: SeededRng) -> ExtremeEigs:
     lam_min_est, lam_max_est = float(vals[0]), float(vals[-1])
 
     v_min, lam_min, res_min, ok_min = _refine_eigpair(
-        oracle, v_min0, shift=lam_max_est, sign=-1.0, tol=tol, max_iters=MAX_REFINE_ITERS
-    )
+        oracle, v_min0, shift=lam_max_est, sign=-1.0, tol=tol)
     v_max, lam_max, res_max, ok_max = _refine_eigpair(
-        oracle, v_max0, shift=min(lam_min, lam_min_est), sign=1.0, tol=tol, max_iters=MAX_REFINE_ITERS
-    )
+        oracle, v_max0, shift=min(lam_min, lam_min_est), sign=1.0, tol=tol)
     return ExtremeEigs(
         lambda_min=lam_min,
         lambda_max=lam_max,
@@ -354,8 +345,8 @@ def classwise_spectrum_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: Los
     return entries
 
 
-# An entry of at least this many rows runs its density probes on two threads
-# (a twin for spectral_density). Per w2_probe entry at epoch-10 weights on 2
+# An entry of at least this many rows runs its density probes on two
+# threads (spectral_density's workers=2). Per w2_probe entry at epoch-10 weights on 2
 # shared CPUs, against one thread per entry, the split ran 1.33-1.85x as fast
 # at 1,401 rows, 1.51-1.65x at 500, 1.23-1.50x at 324, 1.12-1.44x at 210,
 # 0.89-1.05x at 57 and 0.78-0.93x at 10, over two sets of runs. It cost
@@ -366,8 +357,8 @@ PROBE_SPLIT_ROWS = 256
 
 def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpectrumEntry:
     lin = Linearization(spec, w, batch, loss)
-    oracles = [lin, lin.twin()] if len(batch) >= PROBE_SPLIT_ROWS else [lin]
-    density = spectral_density(oracles, settings, rng.child("density"))
+    density = spectral_density(lin, settings, rng.child("density"),
+                               workers=2 if len(batch) >= PROBE_SPLIT_ROWS else 1)
     extremes = extreme_eigs(lin, settings.lanczos_iters, settings.residual_tol,
                             rng.child("extreme"))
     acc = float(np.mean(np.argmax(lin.logits, axis=1) == batch.labels))

@@ -127,7 +127,7 @@ def test_criterion_2_lanczos_fidelity():
         rng = SeededRng(seed)
         a = rng.normal(size=(dim, dim))
         a = (a + a.T) / 2
-        sd = spectral_density([operator(a)],
+        sd = spectral_density(operator(a),
                               SpectralSettings(lanczos_iters=min(80, dim), num_probes=10),
                               SeededRng(seed).child("density"))
         masses.append(float(np.trapezoid(sd.density, sd.grid)))

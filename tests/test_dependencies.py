@@ -60,8 +60,8 @@ from saddlelab.linalg import SeededRng
 from saddlelab.spectral import SpectralSettings, spectral_density
 a = np.diag(np.arange(-3.0, 7.0))
 oracle = types.SimpleNamespace(apply=a.__matmul__, dim=a.shape[0])
-density = spectral_density([oracle, oracle], SpectralSettings(lanczos_iters=6, num_probes=2),
-                           SeededRng(0))
+density = spectral_density(oracle, SpectralSettings(lanczos_iters=6, num_probes=2),
+                           SeededRng(0), workers=2)
 mass = np.trapezoid(density.density, density.grid)
 assert abs(mass - 1.0) < 1e-3, mass
 assert threading.enumerate() == [threading.main_thread()], threading.enumerate()

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -421,23 +423,41 @@ def _arrays(obj):
     return []
 
 
-WORKSPACE = ("_work", "_wtmp", "_part")
-
-
 @pytest.mark.parametrize("n", [17, 5 * CHUNK_ROWS // 2])
-def test_a_twin_shares_the_fixed_arrays_and_owns_its_workspace(n):
+def test_threads_share_one_linearization_bitwise(monkeypatch, n):
     spec, w, batch, loss, v = _chunked_case(n)
+    tangents = [v] + [SeededRng(61).child("tangent", i).normal(size=w.shape[0]) for i in range(3)]
+    alone = [Linearization(spec, w, batch, loss).hvp(u).tobytes() for u in tangents]
+    passes = []
+    forward_pass = model._forward_pass
+    monkeypatch.setattr(model, "_forward_pass", lambda *a: passes.append(1) or forward_pass(*a))
     lin = Linearization(spec, w, batch, loss)
-    twin = lin.twin()
-    assert twin.hvp(v).tobytes() == lin.hvp(v).tobytes()
-    assert (twin.spec, twin.w, twin.batch, twin.loss) == (lin.spec, lin.w, lin.batch, lin.loss)
-    assert hvp(spec, w, batch, loss, v, lin=twin).tobytes() == lin.hvp(v).tobytes()
-    mine = [a for name in WORKSPACE for a in _arrays(getattr(lin, name))]
-    theirs = [a for name in WORKSPACE for a in _arrays(getattr(twin, name))]
-    assert mine and len(mine) == len(theirs)
-    assert not any(np.shares_memory(a, b) for a in mine for b in theirs)
-    fixed = [name for name in vars(lin) if name not in WORKSPACE]
-    pairs = [(a, b) for name in fixed
-             for a, b in zip(_arrays(getattr(lin, name)), _arrays(getattr(twin, name)))]
-    assert len(pairs) > 10
-    assert all(np.shares_memory(a, b) for a, b in pairs)
+    fixed = [(a, a.tobytes()) for a in _arrays(list(vars(lin).values()))]
+    assert len(fixed) > 10
+    products, workspaces = {}, {}
+    start = threading.Barrier(3, timeout=60)
+
+    def run(k):
+        start.wait()
+        products[k] = [lin.apply(u).tobytes() for _ in range(20) for u in tangents]
+        workspaces[k] = _arrays(lin._workspace())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads take turns far more often than at 5 ms
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert products[0] == products[1] == products[2] == alone * 20
+    # the fixed arrays were built once and left as built; each thread made
+    # its own workspace
+    assert passes == [1]
+    assert all(a.tobytes() == data for a, data in fixed)
+    assert workspaces[0] and len(workspaces[0]) == len(workspaces[1]) == len(workspaces[2])
+    assert not any(np.shares_memory(a, b) for i, j in ((0, 1), (0, 2), (1, 2))
+                   for a in workspaces[i] for b in workspaces[j])

@@ -152,7 +152,7 @@ def test_lanczos_basis_orthonormal():
 def test_density_two_point_spectrum_splits_mass():
     op = operator(np.diag([1.0] * 50 + [-1.0] * 50))
     settings = SpectralSettings(lanczos_iters=80, num_probes=64)
-    sd = spectral_density([op], settings, SeededRng(7).child("density"))
+    sd = spectral_density(op, settings, SeededRng(7).child("density"))
     for lo, hi in ((0.5, 1.5), (-1.5, -0.5)):
         sel = (sd.grid >= lo) & (sd.grid <= hi)
         assert abs(np.trapezoid(sd.density[sel], sd.grid[sel]) - 0.5) < 0.02
@@ -160,7 +160,7 @@ def test_density_two_point_spectrum_splits_mass():
 
 def test_density_zero_operator():
     op = operator(np.zeros((20, 20)))
-    sd = spectral_density([op], SpectralSettings(lanczos_iters=20, num_probes=4),
+    sd = spectral_density(op, SpectralSettings(lanczos_iters=20, num_probes=4),
                           SeededRng(8).child("density"))
     assert np.trapezoid(sd.density, sd.grid) == pytest.approx(1.0, abs=0.02)
     assert abs(sd.grid[int(np.argmax(sd.density))]) < 1e-3
@@ -169,19 +169,29 @@ def test_density_zero_operator():
 def test_density_mass_is_one_for_random_operators():
     for seed in (10, 11, 12):
         a = random_symmetric(80, seed)
-        sd = spectral_density([operator(a)],
+        sd = spectral_density(operator(a),
                               SpectralSettings(lanczos_iters=60, num_probes=6),
                               SeededRng(seed).child("density"))
         assert np.trapezoid(sd.density, sd.grid) == pytest.approx(1.0, abs=0.02)
 
 
-def test_density_is_bitwise_the_same_on_any_number_of_oracles():
-    # probe p runs on oracles[p % 3]: this thread takes probes 0, 3, 6 and two
+def test_density_of_a_wide_spectrum_keeps_its_mass():
+    # a span of 400 at sigma^2 = 1e-5 needs about 127,000 grid points to keep
+    # the spacing at most sigma; a capped grid undersamples every bump
+    op = operator(np.diag(np.linspace(-1.0, 400.0, 300)))
+    settings = SpectralSettings(lanczos_iters=40, num_probes=3)
+    sd = spectral_density(op, settings, SeededRng(16).child("density"))
+    assert abs(np.trapezoid(sd.density, sd.grid) - 1.0) <= 1e-6
+    assert np.max(np.diff(sd.grid)) <= np.sqrt(settings.broadening_sigma2)
+
+
+def test_density_is_bitwise_the_same_on_any_number_of_workers():
+    # probe p runs on worker p % 3: this thread takes probes 0, 3, 6 and two
     # pool threads the rest, each probe on its own stream; the pool is gone after
     a = random_symmetric(40, 14)
     settings = SpectralSettings(lanczos_iters=20, num_probes=7)
     before = threading.active_count()
-    one, three = (spectral_density([operator(a)] * k, settings, SeededRng(15).child("density"))
+    one, three = (spectral_density(operator(a), settings, SeededRng(15).child("density"), workers=k)
                   for k in (1, 3))
     assert threading.active_count() == before
     assert all(x.tobytes() == y.tobytes()
@@ -198,7 +208,7 @@ def test_density_holds_one_lanczos_basis_at_a_time():
     settings = SpectralSettings(lanczos_iters=iters, num_probes=4)
     tracemalloc.start()
     try:
-        spectral_density([oracle], settings, SeededRng(13).child("density"))
+        spectral_density(oracle, settings, SeededRng(13).child("density"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -275,7 +285,7 @@ def test_linearization_operator_linearizes_once_and_calls_hvp_per_product(monkey
     products = []
     oracle = SimpleNamespace(apply=lambda v: products.append(1) or base.apply(v), dim=base.dim)
     settings = SpectralSettings(lanczos_iters=6, num_probes=3)
-    spectral_density([oracle], settings, SeededRng(38).child("density"))
+    spectral_density(oracle, settings, SeededRng(38).child("density"))
     extreme_eigs(oracle, 6, 1e-9, SeededRng(39).child("extreme"))
     assert len(lins) == 1
     assert len(hvp_lins) == len(products) > 3 * 6 + 6
@@ -493,9 +503,9 @@ def test_probe_split_is_bitwise_neutral(monkeypatch):
         # per entry and the refinement's products
         assert len(hvp_calls) == (2 * (settings.num_probes + 1) * settings.lanczos_iters
                                   + len(refine_calls))
-        # one linearization per entry; a twin is a copy sharing its arrays
+        # one linearization per entry, shared by both threads
         assert len(lins) == 2
-        assert all(any(lin.logits is x.logits for x in lins) for _, lin in hvp_calls)
+        assert all(any(lin is x for x in lins) for _, lin in hvp_calls)
         return entries[0], len({thread for thread, _ in hvp_calls})
 
     monkeypatch.setattr(model, "hvp", recording_hvp)
@@ -636,7 +646,7 @@ def test_density_window_sums_bitwise_like_the_full_grid():
              (random_symmetric(80, 9),
               SpectralSettings(lanczos_iters=30, num_probes=4, broadening_sigma2=1e-3)))
     for a, settings in cases:
-        sd = spectral_density([operator(a)], settings, SeededRng(9).child("density"))
+        sd = spectral_density(operator(a), settings, SeededRng(9).child("density"))
         sigma = np.sqrt(settings.broadening_sigma2)
         norm = 1.0 / (sigma * np.sqrt(2.0 * np.pi))
         full = np.zeros_like(sd.grid)
@@ -664,7 +674,7 @@ def test_w1_density_moments_and_extremes_match_the_dense_hessian(tmp_path):
     eigs = np.linalg.eigvalsh(_dense_hessian(oracle))
 
     settings = cfg.spectral
-    sd = spectral_density([oracle], settings, SeededRng(1).child("density"))
+    sd = spectral_density(oracle, settings, SeededRng(1).child("density"))
     # moments of the broadened density, less the Gaussian's own (sigma^2)
     s2 = settings.broadening_sigma2
     raw = [np.trapezoid(sd.grid**k * sd.density, sd.grid) for k in range(5)]
