@@ -94,12 +94,12 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
     0 on quadratics and growing with rho elsewhere.
 
     lambda_min and v_w come from one extreme-eigenpair run on the full-dataset
-    Hessian. Then one pass over the mini-batches: each batch drawn gives its
-    plain gradient's projection onto v_w and, for every rho, its SAM
-    gradient's projection and expansion residual, and is then dropped. The
-    residuals' H eps products share one Linearization of the batch, built at
-    the first nonzero rho's. Every row shares the plain moment, so the
-    rho = 0 row has ratio exactly 1.
+    Hessian, with spectral's lanczos_iters and residual_tol. Then one pass
+    over the mini-batches: each batch drawn gives its plain gradient's
+    projection onto v_w and, for every rho, its SAM gradient's projection and
+    expansion residual, and is then dropped. The residuals' H eps products
+    share one Linearization of the batch, built at the first nonzero rho's.
+    Every row shares the plain moment, so the rho = 0 row has ratio exactly 1.
 
     cnc_violation is set, and every measured_ratio left None, when the plain
     moment is at most its standard error or the rounding floor, the mean over
@@ -113,9 +113,7 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
         raise ParameterError("rho_list must be non-empty")
     # no name holds the full-batch linearization, so it is freed once the
     # extreme run returns
-    extremes = extreme_eigs(
-        Linearization(spec, w, ds, loss),
-        spectral.lanczos_iters, spectral.residual_tol, rng.child("extreme"))
+    extremes = extreme_eigs(Linearization(spec, w, ds, loss), spectral, rng.child("extreme"))
     lam_min = extremes.lambda_min
     v_w = extremes.v_min
     plain, norms = [], []

@@ -681,7 +681,8 @@ class SweepRow:
 @blas_threads()
 def tail_lambda_min(cfg: ExperimentConfig, result: RunResult) -> float | None:
     """Mean minimum eigenvalue over the tail-group class Hessians at the final
-    parameters (unweighted loss, matching the class-wise analysis)."""
+    parameters (unweighted loss, matching the class-wise analysis), each
+    from extreme_eigs with cfg.spectral's lanczos_iters and residual_tol."""
     if not result.groups.tail:
         return None
     loss = cfg.loss.bind(result.dataset.class_counts)
@@ -689,8 +690,7 @@ def tail_lambda_min(cfg: ExperimentConfig, result: RunResult) -> float | None:
     for cid in result.groups.tail:
         batch = per_class_batch(result.dataset, cid)
         ex = extreme_eigs(Linearization(cfg.model, result.params, batch, loss),
-                          cfg.spectral.lanczos_iters, cfg.spectral.residual_tol,
-                          SeededRng(cfg.seed).child("tail-eig", cid))
+                          cfg.spectral, SeededRng(cfg.seed).child("tail-eig", cid))
         vals.append(ex.lambda_min)
     return float(np.mean(vals))
 

@@ -87,7 +87,7 @@ def drw_weights(sched: ReweightSchedule, counts, epoch: int) -> np.ndarray:
     return 1.0 / counts
 
 
-def ldam_margins(counts, max_margin: float = 0.5) -> np.ndarray:
+def ldam_margins(counts, max_margin: float) -> np.ndarray:
     """Per-class margins proportional to n_j^(-1/4), scaled so the rarest
     class gets exactly max_margin (0 degenerates to margin-free CE)."""
     counts = np.asarray(counts, dtype=np.float64)

@@ -95,7 +95,7 @@ class OptimizerState:
     rng: SeededRng  # optimizer noise; the training loop gives each epoch its own
 
 
-def sgd_step(w, grad, state: OptimizerState, lr: float, momentum: float = 0.9):
+def sgd_step(w, grad, state: OptimizerState, lr: float, momentum: float):
     """velocity <- momentum*velocity + grad; w <- w - lr*velocity."""
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient in optimizer step")
@@ -103,7 +103,7 @@ def sgd_step(w, grad, state: OptimizerState, lr: float, momentum: float = 0.9):
     return w - lr * state.velocity
 
 
-def sam_perturbation(g, rho: float, normalized: bool = True):
+def sam_perturbation(g, rho: float, normalized: bool):
     """Offset from w to the first-order sharpest point of the rho-ball.
 
     normalized: eps = rho * g / ||g||  (the practical algorithm)
@@ -119,19 +119,21 @@ def sam_perturbation(g, rho: float, normalized: bool = True):
     return None if norm == 0.0 else (rho / norm) * g
 
 
-def sam_gradients(grad_fn, w, rho: float, normalized: bool = True):
+def sam_gradients(grad_fn, w, rho: float, normalized: bool):
     """(loss, g, eps, g_sam): the loss and gradient at w, the offset
     sam_perturbation takes from them, and the sharpness-aware gradient at
     w + eps on the same draw (grad_fn is bound to one batch). Without a
     perturbation eps is None and g_sam is g itself: grad_fn is pure, so that
-    is the plain gradient, bitwise, for one evaluation instead of two."""
+    is the plain gradient, bitwise, for one evaluation instead of two.
+    Every caller states the neighborhood form: a training step passes its
+    OptimizerConfig.sam_normalized, the CNC report False (Theorem 1's)."""
     loss, g = grad_fn(w)
     eps = sam_perturbation(g, rho, normalized)
     return loss, g, eps, g if eps is None else grad_fn(w + eps)[1]
 
 
 def sam_step(grad_fn, w, state: OptimizerState, lr: float, rho: float,
-             momentum: float = 0.9, normalized: bool = True):
+             momentum: float, normalized: bool):
     """Gradient at w + sam_perturbation(grad(w)). A zero first gradient in
     normalized mode skips the perturbation and is flagged in the info dict."""
     if rho < 0:

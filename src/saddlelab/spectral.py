@@ -41,10 +41,10 @@ class SpectralSettings:
             raise ParameterError("lanczos_iters must be >= 2")
         if self.num_probes < 1:
             raise ParameterError("num_probes must be >= 1")
-        if self.broadening_sigma2 <= 0:
-            raise ParameterError("broadening_sigma2 must be > 0")
-        if self.residual_tol <= 0:
-            raise ParameterError("residual_tol must be > 0")
+        if not (math.isfinite(self.broadening_sigma2) and self.broadening_sigma2 > 0):
+            raise ParameterError("broadening_sigma2 must be finite and > 0")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
+            raise ParameterError("residual_tol must be finite and > 0")
 
 
 # Partial reorthogonalization (Simon 1984) keeps the bound on every
@@ -277,22 +277,22 @@ def _refine_eigpair(oracle, v0: np.ndarray, shift: float, sign: float, tol: floa
     return _fix_sign(v), lam, residual, residual < tol
 
 
-def extreme_eigs(oracle, iters: int, tol: float, rng: SeededRng) -> ExtremeEigs:
-    """Extreme eigenpairs: Lanczos edge Ritz pairs, then shifted power
-    iteration until the eigen-residual drops below tol (or MAX_REFINE_ITERS
-    runs out, in which case converged=False and residuals tell the story)."""
-    if iters < 2:
-        raise ParameterError("iters must be >= 2")
-    run = lanczos(oracle, iters, rng.child("lanczos"))
+def extreme_eigs(oracle, settings: SpectralSettings, rng: SeededRng) -> ExtremeEigs:
+    """Extreme eigenpairs: the edge Ritz pairs of a settings.lanczos_iters-step
+    Lanczos run, then shifted power iteration until the eigen-residual drops
+    below settings.residual_tol (or MAX_REFINE_ITERS runs out, in which case
+    converged=False and residuals tell the story)."""
+    run = lanczos(oracle, settings.lanczos_iters, rng.child("lanczos"))
     vals, _, vecs = ritz_decomposition(run)
     v_min0 = run.basis.T @ vecs[:, 0]
     v_max0 = run.basis.T @ vecs[:, -1]
     lam_min_est, lam_max_est = float(vals[0]), float(vals[-1])
 
     v_min, lam_min, res_min, ok_min = _refine_eigpair(
-        oracle, v_min0, shift=lam_max_est, sign=-1.0, tol=tol)
+        oracle, v_min0, shift=lam_max_est, sign=-1.0, tol=settings.residual_tol)
     v_max, lam_max, res_max, ok_max = _refine_eigpair(
-        oracle, v_max0, shift=min(lam_min, lam_min_est), sign=1.0, tol=tol)
+        oracle, v_max0, shift=min(lam_min, lam_min_est), sign=1.0,
+        tol=settings.residual_tol)
     return ExtremeEigs(
         lambda_min=lam_min,
         lambda_max=lam_max,
@@ -359,8 +359,7 @@ def _spectrum_entry(spec, w, batch, loss, class_id, settings, rng) -> ClassSpect
     lin = Linearization(spec, w, batch, loss)
     density = spectral_density(lin, settings, rng.child("density"),
                                workers=2 if len(batch) >= PROBE_SPLIT_ROWS else 1)
-    extremes = extreme_eigs(lin, settings.lanczos_iters, settings.residual_tol,
-                            rng.child("extreme"))
+    extremes = extreme_eigs(lin, settings, rng.child("extreme"))
     acc = float(np.mean(np.argmax(lin.logits, axis=1) == batch.labels))
     return ClassSpectrumEntry(
         class_id=class_id,

@@ -325,7 +325,8 @@ def _trend_config(out_dir, kind, seed, rho=0.0, rho_drw=0.0):
 def _tail_extremes(cfg, result):
     ce = LossSpec(variant="ce", class_counts=result.dataset.class_counts)
     lin = Linearization(cfg.model, result.params, per_class_batch(result.dataset, 1), ce)
-    return extreme_eigs(lin, 60, 1e-7, SeededRng(cfg.seed).child("accept7"))
+    return extreme_eigs(lin, SpectralSettings(lanczos_iters=60, residual_tol=1e-7),
+                        SeededRng(cfg.seed).child("accept7"))
 
 
 def _run_trend_pairs(tmp_path):

@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from saddlelab import cli
+from saddlelab import cli, cncverify, harness, spectral
 from saddlelab.cli import main
 from saddlelab.cncverify import CncSettings
-from saddlelab.harness import OUTPUT_DIR_ENV, config_to_dict
+from saddlelab.harness import OUTPUT_DIR_ENV, GroupThresholds, config_to_dict
 from saddlelab.losses import ReweightSchedule
 from saddlelab.spectral import SpectralSettings
 from tests.test_harness import tiny_config
@@ -121,6 +121,39 @@ def test_sweep_rho_cli(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "run", "sweep"]
     assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == \
         (tmp_path / "run" / "sweep" / "sweep.csv").read_bytes()
+
+
+def test_train_and_sweep_rho_hand_extreme_eigs_the_configs_own_spectral_settings(
+        tmp_path, monkeypatch, capsys):
+    # each module's binding of extreme_eigs records the settings it is handed,
+    # and cli's binding of load_config the config each command runs
+    handed, loaded = [], []
+    for module in (spectral, cncverify, harness):
+        def recording(*args, fn=module.extreme_eigs, name=module.__name__):
+            handed.append((name, args[1]))
+            return fn(*args)
+        monkeypatch.setattr(module, "extreme_eigs", recording)
+    monkeypatch.setattr(cli, "load_config",
+                        lambda path, fn=cli.load_config: loaded.append(fn(path)) or loaded[-1])
+    # the 10-row class is the tail, so each sweep cell measures its lambda_min
+    cfg = dataclasses.replace(
+        tiny_config(tmp_path / "run", kind="sam", rho=0.1, epochs=1),
+        spectrum_epochs=(1,), cnc_epochs=(1,), groups=GroupThresholds(hi=30, lo=30),
+        spectral=SpectralSettings(lanczos_iters=6, num_probes=2, residual_tol=1e-5),
+        cnc=CncSettings(batch_size=8, num_batches=2),
+    )
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    expected = {"train": ["saddlelab.spectral"] * 3 + ["saddlelab.cncverify"],
+                "sweep-rho": (["saddlelab.spectral"] * 3 + ["saddlelab.cncverify"]
+                              + ["saddlelab.harness"]) * 2}
+    for command, extra in (("train", []), ("sweep-rho", ["--rhos", "0,0.1"])):
+        handed.clear()
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / command),
+                     *extra]) == 0
+        assert [name for name, _ in handed] == expected[command]
+        assert all(settings is loaded[-1].spectral for _, settings in handed)
+    capsys.readouterr()
 
 
 def test_error_record_on_bad_config(tmp_path, capsys):

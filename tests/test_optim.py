@@ -40,7 +40,7 @@ def test_sgd_no_momentum_unit_lr():
 def test_sgd_fixed_point():
     w = np.array([3.0, -4.0])
     state = fresh_state(2)
-    assert np.array_equal(sgd_step(w, np.zeros(2), state, lr=0.1), w)
+    assert np.array_equal(sgd_step(w, np.zeros(2), state, lr=0.1, momentum=0.9), w)
 
 
 def test_sgd_two_steps_match_hand_unrolled():
@@ -62,7 +62,7 @@ def test_sgd_two_steps_match_hand_unrolled():
 
 def test_sgd_rejects_non_finite_grad():
     with pytest.raises(NumericError):
-        sgd_step(np.zeros(2), np.array([np.nan, 0.0]), fresh_state(2), 0.1)
+        sgd_step(np.zeros(2), np.array([np.nan, 0.0]), fresh_state(2), 0.1, 0.9)
 
 
 def test_sam_unnormalized_quadratic_second_gradient():
@@ -98,9 +98,9 @@ def test_sam_zero_rho_bitwise_sgd_trajectory():
     w_sam = w_sgd = rng.normal(size=4)
     s_sam, s_sgd = fresh_state(4), fresh_state(4)
     for _ in range(25):
-        w_sam, _ = sam_step(fn, w_sam, s_sam, 0.05, rho=0.0)
+        w_sam, _ = sam_step(fn, w_sam, s_sam, 0.05, rho=0.0, momentum=0.9, normalized=True)
         _, g = fn(w_sgd)
-        w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05)
+        w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05, 0.9)
     assert np.array_equal(w_sam, w_sgd)
 
 
@@ -108,7 +108,7 @@ def test_sam_zero_gradient_skips_perturbation():
     w = np.zeros(2)  # stationary point of the quadratic
     state = fresh_state(2)
     new, info = sam_step(quad_grad_fn(A_SADDLE), w, state, 0.1, rho=0.5,
-                         normalized=True)
+                         momentum=0.9, normalized=True)
     assert info["eps_skipped"] is True
     assert np.array_equal(new, w)
 
@@ -126,7 +126,7 @@ def test_sam_step_gradient_count():
                              (np.array([0.3, -0.7]), 0.1, 2),
                              (np.zeros(2), 0.5, 1)):  # zero gradient: skipped
         calls.clear()
-        sam_step(counted, w, fresh_state(2), 0.1, rho=rho)
+        sam_step(counted, w, fresh_state(2), 0.1, rho=rho, momentum=0.9, normalized=True)
         assert len(calls) == expected, rho
 
 
@@ -138,7 +138,7 @@ def test_pgd_zero_sigma_bitwise_sgd():
         w_pgd, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.0), fn, w_pgd,
                                   s_pgd, 0.05, rho=0.0, blocks=BLOCKS)
         _, g = fn(w_sgd)
-        w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05)
+        w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05, 0.9)
     assert np.array_equal(w_pgd, w_sgd)
 
 
@@ -176,7 +176,7 @@ def test_lpf_zero_radius_bitwise_sgd():
                                                   lpf_radius=0.0),
                                   fn, w_lpf, s_lpf, 0.05, rho=0.0, blocks=BLOCKS)
         _, g = fn(w_sgd)
-        w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05)
+        w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05, 0.9)
     assert np.array_equal(w_lpf, w_sgd)
 
 
@@ -274,9 +274,9 @@ def test_lr_zero_is_fixed_point_for_all_optimizers():
         state = fresh_state(2, seed=50)
         if step == "sgd":
             _, g = fn(w)
-            new = sgd_step(w, g, state, 0.0)
+            new = sgd_step(w, g, state, 0.0, 0.9)
         elif step == "sam":
-            new, _ = sam_step(fn, w, state, 0.0, rho=0.3)
+            new, _ = sam_step(fn, w, state, 0.0, rho=0.3, momentum=0.9, normalized=True)
         elif step == "pgd":
             new, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.1), fn, w, state,
                                     0.0, rho=0.0, blocks=BLOCKS)

@@ -215,9 +215,19 @@ def test_density_holds_one_lanczos_basis_at_a_time():
     assert peak < 1.5 * iters * dim * 8
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["broadening_sigma2", "residual_tol"])
+def test_spectral_settings_reject_a_non_finite_value(field, value):
+    # a non-finite residual_tol would let each end of extreme_eigs' refinement
+    # spend its whole MAX_REFINE_ITERS budget
+    with pytest.raises(ParameterError, match=f"{field} must be finite"):
+        SpectralSettings(**{field: value})
+
+
 def test_extreme_eigs_diagonal_case():
     op = operator(np.diag([2.0, -1.0]))
-    ex = extreme_eigs(op, 2, 1e-10, SeededRng(15).child("extreme"))
+    ex = extreme_eigs(op, SpectralSettings(lanczos_iters=2, residual_tol=1e-10),
+                      SeededRng(15).child("extreme"))
     assert ex.lambda_min == pytest.approx(-1.0, abs=1e-10)
     assert ex.lambda_max == pytest.approx(2.0, abs=1e-10)
     assert np.allclose(np.abs(ex.v_min), [0.0, 1.0], atol=1e-8)
@@ -226,7 +236,8 @@ def test_extreme_eigs_diagonal_case():
 
 def test_extreme_eigs_match_dense_solver():
     a = random_symmetric(200, 16)
-    ex = extreme_eigs(operator(a), 80, 1e-8, SeededRng(17).child("e"))
+    ex = extreme_eigs(operator(a), SpectralSettings(lanczos_iters=80, residual_tol=1e-8),
+                      SeededRng(17).child("e"))
     dense = np.linalg.eigvalsh(a)
     assert ex.lambda_min == pytest.approx(dense[0], abs=1e-6)
     assert ex.lambda_max == pytest.approx(dense[-1], abs=1e-6)
@@ -240,7 +251,8 @@ def test_extreme_eigs_hvp_count():
     base = operator(np.diag([3.0, 1.0, -0.5, -2.0, 0.25, 4.0]))
     calls = []
     op = SimpleNamespace(apply=lambda v: calls.append(1) or base.apply(v), dim=6)
-    ex = extreme_eigs(op, 6, 1e-8, SeededRng(20).child("e"))
+    ex = extreme_eigs(op, SpectralSettings(lanczos_iters=6, residual_tol=1e-8),
+                      SeededRng(20).child("e"))
     assert ex.converged
     assert (ex.lambda_min, ex.lambda_max) == (pytest.approx(-2.0), pytest.approx(4.0))
     assert len(calls) == 6 + 2
@@ -251,7 +263,8 @@ def test_nonconverged_refine_reports_its_own_vector(monkeypatch):
     # residual must still be v_min's own, not those of the vector before it
     monkeypatch.setattr(spectral, "MAX_REFINE_ITERS", 3)
     a = np.diag(np.append(-1.0 + 0.001 * np.arange(19), 2.0))
-    ex = extreme_eigs(operator(a), 2, 1e-10, SeededRng(1).child("e"))
+    ex = extreme_eigs(operator(a), SpectralSettings(lanczos_iters=2, residual_tol=1e-10),
+                      SeededRng(1).child("e"))
     assert not ex.converged
     v = ex.v_min
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
@@ -284,9 +297,9 @@ def test_linearization_operator_linearizes_once_and_calls_hvp_per_product(monkey
     base = model.Linearization(spec, w, batch, loss)
     products = []
     oracle = SimpleNamespace(apply=lambda v: products.append(1) or base.apply(v), dim=base.dim)
-    settings = SpectralSettings(lanczos_iters=6, num_probes=3)
+    settings = SpectralSettings(lanczos_iters=6, num_probes=3, residual_tol=1e-9)
     spectral_density(oracle, settings, SeededRng(38).child("density"))
-    extreme_eigs(oracle, 6, 1e-9, SeededRng(39).child("extreme"))
+    extreme_eigs(oracle, settings, SeededRng(39).child("extreme"))
     assert len(lins) == 1
     assert len(hvp_lins) == len(products) > 3 * 6 + 6
     assert all(lin is lins[0] for lin in hvp_lins)
@@ -294,8 +307,9 @@ def test_linearization_operator_linearizes_once_and_calls_hvp_per_product(monkey
 
 def test_extreme_eigs_sign_flip_swaps_extremes():
     a = random_symmetric(60, 18)
-    ex_pos = extreme_eigs(operator(a), 60, 1e-9, SeededRng(19).child("e"))
-    ex_neg = extreme_eigs(operator(-a), 60, 1e-9, SeededRng(19).child("e"))
+    settings = SpectralSettings(lanczos_iters=60, residual_tol=1e-9)
+    ex_pos = extreme_eigs(operator(a), settings, SeededRng(19).child("e"))
+    ex_neg = extreme_eigs(operator(-a), settings, SeededRng(19).child("e"))
     assert ex_neg.lambda_min == pytest.approx(-ex_pos.lambda_max, abs=1e-8)
     assert ex_neg.lambda_max == pytest.approx(-ex_pos.lambda_min, abs=1e-8)
 
@@ -315,7 +329,8 @@ def test_psd_operator_ratio_zero():
     rng = SeededRng(20)
     b = rng.normal(size=(40, 40))
     a = b @ b.T + 0.1 * np.eye(40)  # strictly positive definite by construction
-    ex = extreme_eigs(operator(a), 40, 1e-8, SeededRng(21).child("e"))
+    ex = extreme_eigs(operator(a), SpectralSettings(lanczos_iters=40, residual_tol=1e-8),
+                      SeededRng(21).child("e"))
     assert ex.lambda_min > 0
     assert nonconvexity_ratio(ex) == 0.0
 
@@ -685,7 +700,7 @@ def test_w1_density_moments_and_extremes_match_the_dense_hessian(tmp_path):
         var = 2.0 / (dim + 2) * (np.sum(eigs ** (2 * k)) / dim - trace**2)
         assert abs(m - trace) <= 3.0 * np.sqrt(var / settings.num_probes)
 
-    ex = extreme_eigs(oracle, settings.lanczos_iters, settings.residual_tol, SeededRng(2).child("e"))
+    ex = extreme_eigs(oracle, settings, SeededRng(2).child("e"))
     assert ex.converged
     assert abs(ex.lambda_min - eigs[0]) <= settings.residual_tol
     assert abs(ex.lambda_max - eigs[-1]) <= settings.residual_tol
@@ -743,8 +758,7 @@ def test_one_hidden_layer_exact_saddle_matches_its_closed_form(num_classes, inpu
     # rank(M) at the same threshold: its rows sum to 0 up to rounding
     assert np.count_nonzero(eigs < -1e-12) == hidden * np.count_nonzero(sigmas > 1e-12)
     settings = SpectralSettings()
-    ex = extreme_eigs(lin, settings.lanczos_iters, settings.residual_tol,
-                      SeededRng(3).child("extreme"))
+    ex = extreme_eigs(lin, settings, SeededRng(3).child("extreme"))
     assert ex.converged
     assert abs(ex.lambda_min - eigs[0]) <= settings.residual_tol
 
@@ -761,8 +775,7 @@ def test_biased_exact_saddle_is_critical_and_extreme_eigs_finds_its_lambda_min(
     eigs = np.linalg.eigvalsh(_dense_hessian(lin))
     assert eigs[0] < 0.0
     settings = SpectralSettings()
-    ex = extreme_eigs(lin, settings.lanczos_iters, settings.residual_tol,
-                      SeededRng(3).child("extreme"))
+    ex = extreme_eigs(lin, settings, SeededRng(3).child("extreme"))
     assert ex.converged
     assert abs(ex.lambda_min - eigs[0]) <= settings.residual_tol
 
