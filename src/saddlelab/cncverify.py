@@ -91,7 +91,7 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
     """One row per rho: both projection moments over a shared batch sequence,
     their ratio, the predicted (1 + rho*lambda_min)^2 factor, and the mean
     first-order expansion residual ||grad(w+eps) - (grad + H eps)||_2, exactly
-    0 on quadratics and growing with rho elsewhere.
+    0 on quadratics and growing with rho elsewhere. No rhos give no rows.
 
     lambda_min and v_w come from one extreme-eigenpair run on the full-dataset
     Hessian, with spectral's lanczos_iters and residual_tol. Then one pass
@@ -109,8 +109,6 @@ def theorem1_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
     still leaves each projection a few ulps of ||g_B||.
     """
     rho_list = list(rho_list)
-    if not rho_list:
-        raise ParameterError("rho_list must be non-empty")
     # no name holds the full-batch linearization, so it is freed once the
     # extreme run returns
     extremes = extreme_eigs(Linearization(spec, w, ds, loss), spectral, rng.child("extreme"))

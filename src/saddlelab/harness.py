@@ -583,7 +583,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
             artifacts.append(_checkpoint_name(start_epoch))
 
     n = len(ds)
-    steps_per_epoch = max(1, math.ceil(n / cfg.batch_size))
+    steps_per_epoch = math.ceil(n / cfg.batch_size)
 
     def snapshot(epochs_done: int) -> None:
         names = _snapshot_names(cfg, ds.num_classes, epochs_done)

@@ -87,26 +87,21 @@ def drw_weights(sched: ReweightSchedule, counts, epoch: int) -> np.ndarray:
     return 1.0 / counts
 
 
-def ldam_margins(counts, max_margin: float) -> np.ndarray:
+def ldam_margins(spec: LossSpec) -> np.ndarray:
     """Per-class margins proportional to n_j^(-1/4), scaled so the rarest
-    class gets exactly max_margin (0 degenerates to margin-free CE)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if np.any(counts <= 0):
-        raise ParameterError("counts must be strictly positive")
-    if max_margin < 0:
-        raise ParameterError("max_margin must be >= 0")
-    inv4 = counts ** -0.25
-    return max_margin * inv4 / inv4.max()
+    class gets exactly spec.ldam_max_margin (0 degenerates to margin-free CE).
+    It reads the spec, whose counts and margin LossSpec has checked."""
+    inv4 = np.asarray(spec.class_counts, dtype=np.float64) ** -0.25
+    return spec.ldam_max_margin * inv4 / inv4.max()
 
 
-def vs_adjustments(counts, gamma: float, tau: float):
+def vs_adjustments(spec: LossSpec):
     """Multiplicative and additive logit adjustments from class frequencies:
-    gamma_j = (n_j / n_max)^gamma, delta_j = tau * log(n_j / sum_k n_k)."""
-    counts = np.asarray(counts, dtype=np.float64)
-    if np.any(counts <= 0):
-        raise ParameterError("counts must be strictly positive")
-    mult = (counts / counts.max()) ** gamma
-    add = tau * np.log(counts / counts.sum())
+    gamma_j = (n_j / n_max)^vs_gamma, delta_j = vs_tau * log(n_j / sum_k n_k).
+    It reads the spec, whose counts LossSpec has checked."""
+    counts = np.asarray(spec.class_counts, dtype=np.float64)
+    mult = (counts / counts.max()) ** spec.vs_gamma
+    add = spec.vs_tau * np.log(counts / counts.sum())
     return mult, add
 
 
@@ -117,10 +112,10 @@ def _adjusted_logits(spec: LossSpec, logits: np.ndarray, labels: np.ndarray):
         return logits, None
     if spec.variant == LDAM:
         t = logits.copy()
-        margins = ldam_margins(spec.class_counts, spec.ldam_max_margin)
+        margins = ldam_margins(spec)
         t[np.arange(t.shape[0]), labels] -= margins[labels]
         return t, None
-    mult, add = vs_adjustments(spec.class_counts, spec.vs_gamma, spec.vs_tau)
+    mult, add = vs_adjustments(spec)
     return logits * mult + add, mult
 
 
@@ -153,7 +148,8 @@ def loss_on_logits(spec: LossSpec, logits, labels):
 
     Each sample weighs spec.class_weights[label], or 1 without class weights;
     the weights are normalized by their sum, so uniform weights of any scale
-    give the plain mean.
+    give the plain mean. An empty batch is a ParameterError, raised by
+    loss_terms and by no other check.
     """
     value, grad_logits, _ = loss_terms(spec, logits, labels)
     return value, grad_logits
@@ -161,7 +157,9 @@ def loss_on_logits(spec: LossSpec, logits, labels):
 
 def loss_terms(spec: LossSpec, logits, labels):
     """(value, grad_logits, LogitCurvature): loss_on_logits plus the loss-layer
-    curvature at the same logits, which exact Hessian-vector products need."""
+    curvature at the same logits, which exact Hessian-vector products need.
+    Logits with no rows, an empty batch, are a ParameterError here and only
+    here; loss_grad and Linearization reach it after a 0-row forward pass."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.intp)
     n, k = logits.shape
@@ -169,7 +167,9 @@ def loss_terms(spec: LossSpec, logits, labels):
         raise DimensionError("labels length != logits rows")
     if k != spec.num_classes:
         raise DimensionError(f"logits have {k} columns, loss expects {spec.num_classes}")
-    if n and (labels.min() < 0 or labels.max() >= k):
+    if n == 0:
+        raise ParameterError("empty batch")
+    if labels.min() < 0 or labels.max() >= k:
         raise DimensionError(f"labels must lie in [0, {k})")
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits")
@@ -177,10 +177,7 @@ def loss_terms(spec: LossSpec, logits, labels):
         w = np.ones(n)
     else:
         w = np.asarray(spec.class_weights, dtype=np.float64)[labels]
-    wsum = w.sum()
-    if wsum <= 0:
-        raise ParameterError("sample weights must have positive sum")
-    omega = w / wsum
+    omega = w / w.sum()
 
     t, mult = _adjusted_logits(spec, logits, labels)
     t_shift = t - t.max(axis=1, keepdims=True)

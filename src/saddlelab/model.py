@@ -162,10 +162,10 @@ def _forward_pass(spec: MlpSpec, ws, bs, x):
         if bs[l] is not None:
             a = a + bs[l]
         if l == spec.num_layers - 1:
-            return a, hs, pre
+            break
         pre.append(a)
         hs.append(value(a))
-    raise AssertionError("unreachable")
+    return a, hs, pre
 
 
 def forward(spec: MlpSpec, w: np.ndarray, x) -> np.ndarray:
@@ -176,8 +176,6 @@ def forward(spec: MlpSpec, w: np.ndarray, x) -> np.ndarray:
 
 def loss_grad(spec: MlpSpec, w: np.ndarray, batch: Batch, loss: LossSpec):
     """(weighted mean loss, flat gradient) on one batch."""
-    if len(batch) == 0:
-        raise ParameterError("empty batch")
     ws, bs = _unpack(spec, w)
     logits, hs, pre = _forward_pass(spec, ws, bs, batch.features)
     value, g_logits = loss_on_logits(loss, logits, batch.labels)
@@ -218,8 +216,6 @@ class Linearization:
     """
 
     def __init__(self, spec: MlpSpec, w: np.ndarray, batch: Batch, loss: LossSpec):
-        if len(batch) == 0:
-            raise ParameterError("empty batch")
         self.spec, self.w, self.batch, self.loss = spec, w, batch, loss
         self.dim = w.shape[0]
         self._ws, self._bs = _unpack(spec, w)
@@ -314,14 +310,14 @@ class Linearization:
                 np.matmul(ones, gdot, out=ohb[l])
             np.matmul(gdot.T, hs[l], out=ohw[l])
             if l == 0:
-                return out
+                break
             ohw[l] += np.matmul(g[l].T, hdot[l - 1], out=wtmp[l])
             sdot = np.matmul(gdot, ws[l], out=hdot[l - 1])
             np.add(sdot, np.matmul(g[l], vws[l], out=scratch[sdot.shape[1]]), out=sdot)
             np.multiply(sdot, d1[l - 1], out=sdot)
             gdot = np.multiply(sd2[l - 1], adot[l - 1], out=adot[l - 1])
             np.add(sdot, gdot, out=gdot)
-        raise AssertionError("unreachable")
+        return out
 
 
 def hvp(spec: MlpSpec, w: np.ndarray, batch: Batch, loss: LossSpec, v, *,

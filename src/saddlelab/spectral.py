@@ -327,15 +327,13 @@ class ClassSpectrumEntry:
 @blas_threads()
 def classwise_spectrum_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: LossSpec,
                               classes, settings: SpectralSettings, rng: SeededRng):
-    """Per-class curvature diagnostics plus the full-dataset contrast entry.
+    """Per-class curvature diagnostics plus the full-dataset contrast entry,
+    which comes last and is the one entry for an empty classes.
 
     Curvature is measured on the unweighted loss (class weights stripped):
     the full-dataset Hessian then decomposes exactly into the n_y/N-weighted
     sum of class Hessians, which is what makes the per-class view meaningful.
     """
-    classes = list(classes)
-    if not classes:
-        raise ParameterError("classes must be non-empty")
     plain_loss = loss.with_class_weights(None)
     entries = []
     for cid in classes:

@@ -259,7 +259,7 @@ def test_criterion_5_loss_algebra():
     drw_ok = (np.array_equal(drw_weights(sched, counts, 4), [1.0, 1.0, 1.0])
               and np.array_equal(drw_weights(sched, counts, 5), [1 / 100, 1 / 10, 1.0]))
 
-    margins = ldam_margins((5000, 50), 0.5)
+    margins = ldam_margins(LossSpec(variant="ldam", class_counts=(5000, 50), ldam_max_margin=0.5))
     margin_ok = (abs(margins[0] - 0.158114) < 1e-6 and margins[1] == 0.5)
 
     ok = ldam_ok and vs_ok and drw_ok and margin_ok

@@ -252,6 +252,12 @@ def test_theorem1_report_linearizes_each_batch_once(monkeypatch):
     assert rows[0].taylor_residual == 0.0 < rows[1].taylor_residual < rows[2].taylor_residual
 
 
+def test_no_rhos_give_no_rows():
+    ds, spec, w, loss = small_problem(52)
+    assert theorem1_report(spec, w, ds, loss, [], CncSettings(batch_size=16, num_batches=2),
+                           SeededRng(53).child("c"), SpectralSettings(lanczos_iters=20)) == []
+
+
 def test_report_export(tmp_path):
     ds, spec, w, loss = small_problem(52)
     settings = CncSettings(batch_size=16, num_batches=8)

@@ -171,6 +171,17 @@ def test_balanced_test_split_empty():
     assert len(test) == 0
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda ds: split_head_mid_tail([]), "counts must be non-empty"),
+    (lambda ds: balanced_test_split(ds, -1, SeededRng(1)), "per_class must be >= 0"),
+], ids=["split-no-classes", "negative-per-class"])
+def test_an_argument_out_of_range_is_rejected(call, match):
+    ds = generate(ImbalanceProfile("longtail", 2, 20, 2.0),
+                  ClassGeometry(input_dim=2), SeededRng(0))
+    with pytest.raises(ParameterError, match=match):
+        call(ds)
+
+
 def test_balanced_test_split_counts():
     ds = generate(ImbalanceProfile("longtail", 10, 60, 3.0),
                   ClassGeometry(input_dim=2), SeededRng(2))

@@ -142,8 +142,14 @@ def test_blas_threads_restores_the_count_in_force_before(fake_blas):
 
 def test_without_openblas_the_block_only_runs(monkeypatch):
     maps = "7f00-7f01 r-xp 00000000 00:00 0 /usr/lib/libm.so.6\n"
-    monkeypatch.setattr(linalg, "open", lambda *a, **k: io.StringIO(maps), raising=False)
-    assert linalg._openblas.__wrapped__() is None
+
+    def unreadable(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    # a map without OpenBLAS, and a map that cannot be read
+    for fake_open in (lambda *a, **k: io.StringIO(maps), unreadable):
+        monkeypatch.setattr(linalg, "open", fake_open, raising=False)
+        assert linalg._openblas.__wrapped__() is None
     monkeypatch.setattr(linalg, "_openblas", lambda: None)
     ran = []
     with blas_threads():

@@ -19,6 +19,14 @@ from saddlelab.losses import (
 LDAM_HEAD_MARGIN = 0.15811388300841896659994467722164
 
 
+def ldam_spec(counts, max_margin):
+    return LossSpec(variant="ldam", class_counts=counts, ldam_max_margin=max_margin)
+
+
+def vs_spec(counts, gamma, tau):
+    return LossSpec(variant="vs", class_counts=counts, vs_gamma=gamma, vs_tau=tau)
+
+
 def random_logits(seed, n, k):
     rng = SeededRng(seed)
     logits = rng.normal(size=(n, k)) * 2.0
@@ -48,24 +56,24 @@ def test_drw_equal_counts_neutral_any_epoch():
 
 
 def test_ldam_margins_cifar_like():
-    margins = ldam_margins((5000, 50), 0.5)
+    margins = ldam_margins(ldam_spec((5000, 50), 0.5))
     assert margins[1] == 0.5
     assert margins[0] == pytest.approx(LDAM_HEAD_MARGIN, abs=1e-12)
     assert margins[0] == pytest.approx(0.158114, abs=1e-6)
 
 
 def test_ldam_margins_equal_counts():
-    assert np.allclose(ldam_margins((30, 30, 30), 0.4), [0.4, 0.4, 0.4])
+    assert np.allclose(ldam_margins(ldam_spec((30, 30, 30), 0.4)), [0.4, 0.4, 0.4])
 
 
 def test_ldam_margins_scale_free():
-    a = ldam_margins((5000, 500, 50), 0.5)
-    b = ldam_margins((10000, 1000, 100), 0.5)
+    a = ldam_margins(ldam_spec((5000, 500, 50), 0.5))
+    b = ldam_margins(ldam_spec((10000, 1000, 100), 0.5))
     assert np.allclose(a, b, rtol=1e-14)
 
 
 def test_vs_adjustments_values():
-    mult, add = vs_adjustments((5000, 50), gamma=0.05, tau=0.75)
+    mult, add = vs_adjustments(vs_spec((5000, 50), gamma=0.05, tau=0.75))
     assert mult[0] == 1.0
     # frozen from a 50-digit evaluation of (1/100)**0.05
     assert mult[1] == pytest.approx(0.79432823472428150206591828283639, abs=1e-12)
@@ -73,13 +81,13 @@ def test_vs_adjustments_values():
 
 
 def test_vs_adjustments_degenerate():
-    mult, add = vs_adjustments((5000, 50), gamma=0.0, tau=0.0)
+    mult, add = vs_adjustments(vs_spec((5000, 50), gamma=0.0, tau=0.0))
     assert np.array_equal(mult, np.ones(2))
     assert np.array_equal(add, np.zeros(2))
 
 
 def test_vs_balanced_counts_equal_shift():
-    _, add = vs_adjustments((40, 40, 40, 40), gamma=0.1, tau=0.75)
+    _, add = vs_adjustments(vs_spec((40, 40, 40, 40), gamma=0.1, tau=0.75))
     assert np.ptp(add) == 0.0
 
 
@@ -142,7 +150,7 @@ def test_vs_shift_invariance_after_scaling():
     logits, labels = random_logits(6, 20, 3)
     counts = (50, 20, 6)
     spec = LossSpec(variant="vs", class_counts=counts)
-    mult, _ = vs_adjustments(counts, spec.vs_gamma, spec.vs_tau)
+    mult, _ = vs_adjustments(spec)
     # shifting the adjusted logits by c == shifting raw logits by c/gamma_j
     v1, _ = loss_on_logits(spec, logits, labels)
     v2, _ = loss_on_logits(spec, logits + 7.0 / mult, labels)
@@ -214,6 +222,25 @@ def test_labels_outside_the_classes_rejected(variant, class_weights, bad):
             fn(spec, logits, [0, bad])
 
 
-def test_class_weights_must_be_positive():
-    with pytest.raises(ParameterError):
-        LossSpec(variant="ce", class_counts=(3, 3), class_weights=(1.0, 0.0))
+@pytest.mark.parametrize("fields, error", [
+    (dict(class_counts=(3, 3), class_weights=(1.0, 0.0)), ParameterError),
+    (dict(class_counts=()), ParameterError),
+    (dict(class_counts=(3, 0)), ParameterError),
+    (dict(class_counts=(3, -1)), ParameterError),
+    (dict(class_counts=(3, 3), class_weights=(1.0,)), DimensionError),
+], ids=["zero-weight", "no-classes", "zero-count", "negative-count", "short-weights"])
+def test_loss_spec_rejects_counts_or_weights_it_cannot_use(fields, error):
+    # ldam_margins and vs_adjustments read the counts without checking them
+    with pytest.raises(error):
+        LossSpec(variant="ldam", **fields)
+
+
+@pytest.mark.parametrize("logits, labels, match", [
+    (np.zeros((2, 2)), [0], "labels length"),
+    (np.zeros((2, 3)), [0, 1], "3 columns"),
+], ids=["label-count", "column-count"])
+def test_logits_of_another_shape_rejected(logits, labels, match):
+    spec = LossSpec(variant="ce", class_counts=(3, 3))
+    for fn in (loss_on_logits, loss_terms):
+        with pytest.raises(DimensionError, match=match):
+            fn(spec, logits, labels)

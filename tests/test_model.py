@@ -137,8 +137,18 @@ def test_loss_grad_uniform_weights_neutral():
 def test_empty_batch_rejected():
     spec, w = make_model(12)
     loss = LossSpec(variant="ce", class_counts=(1, 1, 1))
-    with pytest.raises(ParameterError):
-        loss_grad(spec, w, Batch(np.zeros((0, 6)), np.zeros(0, dtype=int)), loss)
+    empty = Batch(np.zeros((0, 6)), np.zeros(0, dtype=int))
+    # one rule, in loss_terms, reached by every entry after a 0-row forward pass
+    for entry in (lambda: loss_grad(spec, w, empty, loss),
+                  lambda: Linearization(spec, w, empty, loss),
+                  lambda: hvp(spec, w, empty, loss, np.zeros_like(w))):
+        with pytest.raises(ParameterError, match="empty batch"):
+            entry()
+
+
+def test_batch_rejects_1d_features():
+    with pytest.raises(DimensionError, match="2-D"):
+        Batch(np.zeros(6), np.zeros(6, dtype=int))
 
 
 @pytest.mark.parametrize("variant", ["ce", "ldam", "vs"])

@@ -3,6 +3,7 @@ import pytest
 
 from saddlelab.errors import NumericError, ParameterError
 from saddlelab.linalg import SeededRng
+from saddlelab.losses import ReweightSchedule, drw_weights
 from saddlelab.model import ParamBlock
 from saddlelab.optim import (
     LrSchedule,
@@ -254,6 +255,22 @@ def test_rho_schedule_constant_and_before_first():
 def test_step_lists_are_increasing_pairs(schedule, steps):
     with pytest.raises(ParameterError):
         schedule(steps)
+
+
+@pytest.mark.parametrize("lookup", [
+    lambda: lr_at(LrSchedule(base_lr=0.1), -1),
+    lambda: rho_at(RhoSchedule(steps=((0, 0.3),)), -1),
+    lambda: drw_weights(ReweightSchedule(threshold_epoch=0), (3, 1), -1),
+], ids=["lr", "rho", "drw"])
+def test_a_negative_epoch_is_rejected(lookup):
+    with pytest.raises(ParameterError, match="epoch must be >= 0"):
+        lookup()
+
+
+def test_sam_step_rejects_a_negative_rho():
+    with pytest.raises(ParameterError, match="rho must be >= 0"):
+        sam_step(quad_grad_fn(A_SADDLE), np.array([0.3, -0.7]), fresh_state(2), 0.1,
+                 rho=-0.1, momentum=0.9, normalized=False)
 
 
 def test_optimizer_config_validation():

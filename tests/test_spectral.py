@@ -45,6 +45,12 @@ def random_symmetric(dim, seed):
     return (a + a.T) / 2.0
 
 
+@pytest.mark.parametrize("iters, dim", [(0, 4), (3, 0)], ids=["no-iterations", "no-dimensions"])
+def test_lanczos_needs_one_iteration(iters, dim):
+    with pytest.raises(ParameterError, match="at least one iteration"):
+        lanczos(operator(np.eye(dim)), iters, SeededRng(1))
+
+
 def test_lanczos_recovers_diagonal_spectrum():
     oracle = operator(np.diag(np.arange(1.0, 11.0)))
     run = lanczos(oracle, 10, SeededRng(1).child("probe"))
@@ -258,6 +264,23 @@ def test_extreme_eigs_hvp_count():
     assert len(calls) == 6 + 2
 
 
+def test_refine_stops_when_the_shifted_operator_leaves_no_step():
+    # on 2*I, one Lanczos step spans an invariant space; the bottom end lands
+    # on lambda_min = 2 exactly (residual 0) on its second HVP, and that is
+    # the top end's shift, so its power step 2v - 2v is 0. Its residual, of
+    # rounding size, still exceeds the 1e-300 tolerance: only the zero-step
+    # exit keeps the top end from spending MAX_REFINE_ITERS HVPs
+    calls = []
+    op = SimpleNamespace(apply=lambda v: calls.append(1) or 2.0 * v, dim=5)
+    ex = extreme_eigs(op, SpectralSettings(lanczos_iters=10, residual_tol=1e-300),
+                      SeededRng(2))
+    assert len(calls) == 1 + 2 + 1
+    assert ex.lambda_min == 2.0 and ex.residual_min == 0.0
+    assert ex.lambda_max == pytest.approx(2.0, rel=1e-15) and 0.0 < ex.residual_max < 1e-15
+    assert not ex.converged
+    assert np.all(np.isfinite(ex.v_min))
+
+
 def test_nonconverged_refine_reports_its_own_vector(monkeypatch):
     # three power steps cannot resolve a 0.001 gap: the returned eigenvalue and
     # residual must still be v_min's own, not those of the vector before it
@@ -371,6 +394,21 @@ def test_classwise_report_convex_linear_model():
     for entry in entries:
         assert entry.extremes.lambda_min > -1e-8
         assert entry.ratio < 1e-6
+
+
+def test_no_classes_leave_only_the_full_dataset_entry():
+    ds = _linear_model_dataset()
+    spec = MlpSpec((3, 2), bias=True)
+    w = init_params(spec, SeededRng(27).child("init"))
+    loss = LossSpec(variant="ce", class_counts=ds.class_counts)
+    settings = SpectralSettings(lanczos_iters=8, num_probes=2, residual_tol=1e-8)
+    (alone,) = classwise_spectrum_report(spec, w, ds, loss, [], settings,
+                                         SeededRng(28).child("report"))
+    full = classwise_spectrum_report(spec, w, ds, loss, [0, 1], settings,
+                                     SeededRng(28).child("report"))[-1]
+    assert alone.class_id is None and alone.num_samples == len(ds)
+    assert (alone.extremes.lambda_min, alone.extremes.lambda_max) == \
+        (full.extremes.lambda_min, full.extremes.lambda_max)
 
 
 def test_full_hessian_is_count_weighted_class_mixture():
