@@ -11,7 +11,8 @@ a checkpoint resume rejoins the uninterrupted trajectory bitwise. A checkpoint
 holds only what cannot be recomputed, the parameters, the momentum and the
 metrics rows so far, so a resume reads nothing else: it replays the batch
 order of the epochs before it, and optimizer noise draws from one stream per
-epoch.
+epoch. The training loop carries its state as that Checkpoint, replaced at
+the end of each epoch.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ from .model import (
 from .optim import (
     LrSchedule,
     OptimizerConfig,
-    OptimizerState,
     RhoSchedule,
     lr_at,
     optimizer_step,
@@ -567,10 +567,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
                 f"checkpoint config hash {ckpt.config_hash} != current config {chash}"
             )
     start_epoch = ckpt.epoch
-    w = ckpt.params
-    state = OptimizerState(velocity=ckpt.velocity.copy(),
-                           rng=root.child("optnoise", start_epoch))
-    metrics = list(ckpt.metrics)
     batches_rng = root.child("batches")
     artifacts: list = ["metrics.csv"]
     out.mkdir(parents=True, exist_ok=True)
@@ -585,15 +581,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
     n = len(ds)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
 
-    def snapshot(epochs_done: int) -> None:
-        names = _snapshot_names(cfg, ds.num_classes, epochs_done)
+    def snapshot(snap: Checkpoint) -> None:
+        names = _snapshot_names(cfg, ds.num_classes, snap.epoch)
         if not names:
             return
-        snap = dataclasses.replace(ckpt, epoch=epochs_done, metrics=tuple(metrics),
-                                   params=w.copy(), velocity=state.velocity.copy())
-        if epochs_done in cfg.spectrum_epochs:
+        if snap.epoch in cfg.spectrum_epochs:
             write_spectrum_snapshot(snap, ds, out, range(ds.num_classes))
-        if epochs_done in cfg.cnc_epochs:
+        if snap.epoch in cfg.cnc_epochs:
             write_cnc_snapshot(snap, ds, out)
         save_checkpoint(snap, out / names[-1])  # the checkpoint is the last name
         artifacts.extend(names)
@@ -603,19 +597,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
     # the header and the resumed rows replace metrics.csv whole, so a run
     # killed before its first row leaves the checkpoint's rows in place
     write_csv(out / "metrics.csv", MetricsRecord.csv_header(ds.num_classes),
-              (r.csv_row() for r in metrics))
+              (r.csv_row() for r in ckpt.metrics))
     try:
         with open(out / "metrics.csv", "a", newline="", encoding="utf-8") as metrics_fh:
             if resume_from is None:
-                snapshot(0)
+                snapshot(ckpt)
             for epoch in range(cfg.epochs):
                 # every epoch draws its batch order, so a resume that skips
                 # the epochs before its checkpoint replays their draws
                 perm = batches_rng.permutation(n)
                 if epoch < start_epoch:
                     continue
-                state.rng = root.child("optnoise", epoch)
+                rng = root.child("optnoise", epoch)
                 epoch_loss, rho = cfg.objective(epoch, base_loss)
+                w, velocity = ckpt.params, ckpt.velocity
                 loss_sum = 0.0
                 gnorm_sum = 0.0
                 for step in range(steps_per_epoch):
@@ -626,7 +621,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
                     def grad_fn(x):
                         return loss_grad(cfg.model, x, batch, epoch_loss)
 
-                    w, info = optimizer_step(cfg.optimizer, grad_fn, w, state, lr, rho, blocks)
+                    w, velocity, info = optimizer_step(cfg.optimizer, grad_fn, w, velocity, rng,
+                                                       lr, rho, blocks)
                     loss_sum += info["loss"]
                     gnorm_sum += info["grad_norm"]
 
@@ -636,10 +632,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
                     config_hash=chash, code_version=CODE_VERSION,
                     **evaluate(cfg.model, w, test, groups, base_loss),
                 )
-                metrics.append(record)
                 metrics_fh.writelines(csv_lines([record.csv_row()]))
                 metrics_fh.flush()
-                snapshot(epoch + 1)
+                # no step modifies an array it is given, so a checkpoint may
+                # share its params and velocity with the steps that follow
+                ckpt = dataclasses.replace(ckpt, epoch=epoch + 1, metrics=(*ckpt.metrics, record),
+                                           params=w, velocity=velocity)
+                snapshot(ckpt)
     except SaddleLabError as exc:
         raise RunAbortedError(
             f"run aborted at epoch {epoch}, step {step}: {exc}"
@@ -649,9 +648,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
         "config": config_to_dict(cfg),
         "config_hash": chash,
         "code_version": CODE_VERSION,
-        "epochs_completed": len(metrics),
-        "final": None if not metrics else {
-            k: getattr(metrics[-1], k)
+        "epochs_completed": len(ckpt.metrics),
+        "final": None if not ckpt.metrics else {
+            k: getattr(ckpt.metrics[-1], k)
             for k in ("overall_acc", "head_acc", "mid_acc", "tail_acc", "train_loss")
         },
         "class_counts": list(ds.class_counts),
@@ -661,7 +660,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
     }
     write_json(out / "summary.json", summary)
 
-    return RunResult(params=w, metrics=metrics, config_hash=chash, dataset=ds,
+    return RunResult(params=ckpt.params, metrics=list(ckpt.metrics), config_hash=chash, dataset=ds,
                      groups=groups, artifacts=summary["artifacts"])
 
 

@@ -3,11 +3,13 @@ steps (normalized or unnormalized neighborhood), Gaussian-perturbed gradient
 descent, and Monte-Carlo loss smoothing, plus learning-rate and neighborhood
 schedules.
 
-Step functions take a gradient callable ``grad_fn(w) -> (loss, grad)`` bound to
-one mini-batch, mutate the optimizer state's momentum buffer, and return the
-new parameter vector plus a per-step info dict. With their perturbations
-switched off (rho / sigma / radius = 0) every optimizer takes the exact code
-path of plain SGD, so trajectories degenerate bitwise.
+A step takes a gradient callable ``grad_fn(w) -> (loss, grad)`` bound to one
+mini-batch, the parameters, the momentum velocity and the epoch's noise stream,
+and returns the new parameters and the new velocity plus a per-step info dict;
+it modifies no argument. Each kind only picks the gradient, and the one
+sgd_step applies every kind's. With their perturbations switched off
+(rho / sigma / radius = 0) every optimizer takes the exact code path of plain
+SGD, so trajectories degenerate bitwise.
 """
 
 from __future__ import annotations
@@ -89,18 +91,12 @@ class RhoSchedule:
             raise ParameterError("rho values must be >= 0")
 
 
-@dataclass
-class OptimizerState:
-    velocity: np.ndarray
-    rng: SeededRng  # optimizer noise; the training loop gives each epoch its own
-
-
-def sgd_step(w, grad, state: OptimizerState, lr: float, momentum: float):
-    """velocity <- momentum*velocity + grad; w <- w - lr*velocity."""
+def sgd_step(w, grad, velocity, lr: float, momentum: float):
+    """(w - lr*v, v) with v = momentum*velocity + grad, the new velocity."""
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient in optimizer step")
-    state.velocity = momentum * state.velocity + grad
-    return w - lr * state.velocity
+    velocity = momentum * velocity + grad
+    return w - lr * velocity, velocity
 
 
 def sam_perturbation(g, rho: float, normalized: bool):
@@ -132,16 +128,14 @@ def sam_gradients(grad_fn, w, rho: float, normalized: bool):
     return loss, g, eps, g if eps is None else grad_fn(w + eps)[1]
 
 
-def sam_step(grad_fn, w, state: OptimizerState, lr: float, rho: float,
-             momentum: float, normalized: bool):
-    """Gradient at w + sam_perturbation(grad(w)). A zero first gradient in
-    normalized mode skips the perturbation and is flagged in the info dict."""
+def sam_step(grad_fn, w, rho: float, normalized: bool):
+    """(loss, g, g_sam, eps_skipped): sam_gradients' loss, gradient and
+    sharpness-aware gradient, which optimizer_step applies. A zero first
+    gradient in normalized mode skips the perturbation and sets eps_skipped."""
     if rho < 0:
         raise ParameterError("rho must be >= 0")
     loss, g, eps, g_sam = sam_gradients(grad_fn, w, rho, normalized)
-    info = {"loss": loss, "grad_norm": float(np.linalg.norm(g)),
-            "eps_skipped": eps is None and rho != 0.0}
-    return sgd_step(w, g_sam, state, lr, momentum), info
+    return loss, g, g_sam, eps is None and rho != 0.0
 
 
 def _lpf_gradient(grad_fn, w, rng: SeededRng, opt: OptimizerConfig, blocks):
@@ -163,23 +157,28 @@ def _lpf_gradient(grad_fn, w, rng: SeededRng, opt: OptimizerConfig, blocks):
     return loss_sum / opt.lpf_mc_iters, g_sum / opt.lpf_mc_iters
 
 
-def optimizer_step(opt: OptimizerConfig, grad_fn, w, state: OptimizerState, lr: float,
+def optimizer_step(opt: OptimizerConfig, grad_fn, w, velocity, rng: SeededRng, lr: float,
                    rho: float, blocks):
-    """One step of the optimizer opt.kind; returns (new_w, info), where info
-    holds at least the step's "loss" and "grad_norm". rho is the epoch's SAM
-    radius and blocks param_layout's blocks, which LPF-SGD perturbs by. A kind
-    only picks the gradient, PGD's at w + xi with xi ~ N(0, pgd_sigma^2 I);
-    sgd_step applies it. A zero pgd_sigma or lpf_radius picks plain SGD's."""
+    """One step of the optimizer opt.kind; returns (new_w, new_velocity, info),
+    where info holds at least the step's "loss" and "grad_norm", and modifies
+    no argument. rho is the epoch's SAM radius, rng the epoch's noise stream,
+    which PGD and LPF-SGD draw from, and blocks param_layout's blocks, which
+    LPF-SGD perturbs by. A kind only picks the gradient, PGD's at w + xi with
+    xi ~ N(0, pgd_sigma^2 I); the one sgd_step applies it. A zero pgd_sigma or
+    lpf_radius picks plain SGD's."""
+    info = {}
     if opt.kind == SAM:
-        return sam_step(grad_fn, w, state, lr, rho, opt.momentum, opt.sam_normalized)
-    if opt.kind == PGD and opt.pgd_sigma != 0.0:
-        loss, g = grad_fn(w + state.rng.normal(size=w.shape[0], std=opt.pgd_sigma))
-    elif opt.kind == LPFSGD and opt.lpf_radius != 0.0:
-        loss, g = _lpf_gradient(grad_fn, w, state.rng, opt, blocks)
+        loss, g, g_step, info["eps_skipped"] = sam_step(grad_fn, w, rho, opt.sam_normalized)
     else:
-        loss, g = grad_fn(w)
-    info = {"loss": loss, "grad_norm": float(np.linalg.norm(g))}
-    return sgd_step(w, g, state, lr, opt.momentum), info
+        if opt.kind == PGD and opt.pgd_sigma != 0.0:
+            loss, g = grad_fn(w + rng.normal(size=w.shape[0], std=opt.pgd_sigma))
+        elif opt.kind == LPFSGD and opt.lpf_radius != 0.0:
+            loss, g = _lpf_gradient(grad_fn, w, rng, opt, blocks)
+        else:
+            loss, g = grad_fn(w)
+        g_step = g
+    w, velocity = sgd_step(w, g_step, velocity, lr, opt.momentum)
+    return w, velocity, dict(info, loss=loss, grad_norm=float(np.linalg.norm(g)))
 
 
 def lr_at(schedule: LrSchedule, epoch: int, step_in_epoch: int = 0,

@@ -259,8 +259,9 @@ def _refine_eigpair(oracle, v0: np.ndarray, shift: float, sign: float, tol: floa
     """Power iteration on sign*(H - shift*I); sign=-1 targets the bottom of the
     spectrum (the operator becomes shift*I - H), sign=+1 the top, for at most
     MAX_REFINE_ITERS passes (>= 1): each pass's HVP gives both the residual
-    test and the step. Returns the last vector evaluated with its own
-    Rayleigh quotient and residual, converged or not."""
+    test and the step. A step that gives back +-v bitwise ends the loop, since
+    every later pass would repeat it. Returns the last vector evaluated with
+    its own Rayleigh quotient and residual, converged or not."""
     v = v0 / np.linalg.norm(v0)
     for i in range(MAX_REFINE_ITERS):
         hv = np.asarray(oracle.apply(v), dtype=np.float64)
@@ -273,7 +274,10 @@ def _refine_eigpair(oracle, v0: np.ndarray, shift: float, sign: float, tol: floa
         if nu == 0.0:
             # operator is shift*I on this vector; already an eigenvector
             break
-        v = u / nu
+        step = u / nu
+        if np.array_equal(step, v) or np.array_equal(step, -v):
+            break
+        v = step
     return _fix_sign(v), lam, residual, residual < tol
 
 
@@ -335,12 +339,14 @@ def classwise_spectrum_report(spec: MlpSpec, w: np.ndarray, ds: Batch, loss: Los
     sum of class Hessians, which is what makes the per-class view meaningful.
     """
     plain_loss = loss.with_class_weights(None)
-    entries = []
-    for cid in classes:
-        batch = per_class_batch(ds, cid)
-        entries.append(_spectrum_entry(spec, w, batch, plain_loss, cid, settings, rng.child("class", cid)))
-    entries.append(_spectrum_entry(spec, w, ds, plain_loss, None, settings, rng.child("full")))
-    return entries
+    # The full-dataset entry, the largest, runs first, on a heap no class entry
+    # has grown yet; the class entries then reuse its memory. Ten 40 s
+    # w2_probe bench runs on 2 shared CPUs peaked at a median 60.57 MB RSS
+    # (59.82-61.23) against 61.74 MB (61.03-62.31) when it ran last, with
+    # every output byte equal.
+    full = _spectrum_entry(spec, w, ds, plain_loss, None, settings, rng.child("full"))
+    return [*(_spectrum_entry(spec, w, per_class_batch(ds, cid), plain_loss, cid, settings,
+                              rng.child("class", cid)) for cid in classes), full]
 
 
 # An entry of at least this many rows runs its density probes on two

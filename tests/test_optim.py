@@ -8,7 +8,6 @@ from saddlelab.model import ParamBlock
 from saddlelab.optim import (
     LrSchedule,
     OptimizerConfig,
-    OptimizerState,
     RhoSchedule,
     lr_at,
     optimizer_step,
@@ -27,21 +26,26 @@ def quad_grad_fn(a):
     return fn
 
 
-def fresh_state(dim, seed=0, stream="noise"):
-    return OptimizerState(velocity=np.zeros(dim), rng=SeededRng(seed).child(stream))
+def noise(seed=0, stream="noise"):
+    return SeededRng(seed).child(stream)
+
+
+def sam_opt_step(grad_fn, w, velocity, lr, rho, momentum, normalized):
+    opt = OptimizerConfig(kind="sam", momentum=momentum, sam_normalized=normalized)
+    return optimizer_step(opt, grad_fn, w, velocity, noise(), lr, rho, BLOCKS)
 
 
 def test_sgd_no_momentum_unit_lr():
     w = np.array([1.0, 2.0])
     g = np.array([0.5, -0.5])
-    state = fresh_state(2)
-    assert np.array_equal(sgd_step(w, g, state, lr=1.0, momentum=0.0), w - g)
+    new, velocity = sgd_step(w, g, np.zeros(2), lr=1.0, momentum=0.0)
+    assert np.array_equal(new, w - g)
+    assert np.array_equal(velocity, g)
 
 
 def test_sgd_fixed_point():
     w = np.array([3.0, -4.0])
-    state = fresh_state(2)
-    assert np.array_equal(sgd_step(w, np.zeros(2), state, lr=0.1, momentum=0.9), w)
+    assert np.array_equal(sgd_step(w, np.zeros(2), np.zeros(2), lr=0.1, momentum=0.9)[0], w)
 
 
 def test_sgd_two_steps_match_hand_unrolled():
@@ -49,9 +53,8 @@ def test_sgd_two_steps_match_hand_unrolled():
     g1 = np.array([0.3, 0.1, -0.2])
     g2 = np.array([-0.1, 0.4, 0.2])
     lr, mu = 0.05, 0.9
-    state = fresh_state(3)
-    w1 = sgd_step(w, g1, state, lr, mu)
-    w2 = sgd_step(w1, g2, state, lr, mu)
+    w1, v = sgd_step(w, g1, np.zeros(3), lr, mu)
+    w2, v = sgd_step(w1, g2, v, lr, mu)
     # hand recurrence: v1 = g1; w1 = w - lr v1; v2 = mu v1 + g2; w2 = w1 - lr v2
     v1 = g1
     e1 = w - lr * v1
@@ -59,20 +62,20 @@ def test_sgd_two_steps_match_hand_unrolled():
     e2 = e1 - lr * v2
     assert np.array_equal(w1, e1)
     assert np.array_equal(w2, e2)
+    assert np.array_equal(v, v2)
 
 
 def test_sgd_rejects_non_finite_grad():
     with pytest.raises(NumericError):
-        sgd_step(np.zeros(2), np.array([np.nan, 0.0]), fresh_state(2), 0.1, 0.9)
+        sgd_step(np.zeros(2), np.array([np.nan, 0.0]), np.zeros(2), 0.1, 0.9)
 
 
 def test_sam_unnormalized_quadratic_second_gradient():
     # w=(1,1): g1 = Aw = (2,-1); eps = 0.5*g1 = (1,-0.5); g2 = A(w+eps) = (4,-0.5)
     w = np.array([1.0, 1.0])
-    state = fresh_state(2)
-    new, info = sam_step(quad_grad_fn(A_SADDLE), w, state, lr=1.0, rho=0.5,
-                         momentum=0.0, normalized=False)
-    assert np.array_equal(state.velocity, np.array([4.0, -0.5]))
+    new, velocity, info = sam_opt_step(quad_grad_fn(A_SADDLE), w, np.zeros(2), lr=1.0,
+                                       rho=0.5, momentum=0.0, normalized=False)
+    assert np.array_equal(velocity, np.array([4.0, -0.5]))
     assert np.array_equal(new, w - np.array([4.0, -0.5]))
     assert info["grad_norm"] == pytest.approx(np.sqrt(5.0))
 
@@ -81,13 +84,11 @@ def test_sam_normalized_equals_rescaled_unnormalized():
     w = np.array([0.7, -1.3])
     g1 = A_SADDLE @ w
     rho = 0.25
-    s1 = fresh_state(2)
-    s2 = fresh_state(2)
-    w_norm, _ = sam_step(quad_grad_fn(A_SADDLE), w, s1, 0.1, rho,
-                         momentum=0.0, normalized=True)
-    w_unnorm, _ = sam_step(quad_grad_fn(A_SADDLE), w, s2, 0.1,
-                           rho / float(np.linalg.norm(g1)),
-                           momentum=0.0, normalized=False)
+    w_norm, _, _ = sam_opt_step(quad_grad_fn(A_SADDLE), w, np.zeros(2), 0.1, rho,
+                                momentum=0.0, normalized=True)
+    w_unnorm, _, _ = sam_opt_step(quad_grad_fn(A_SADDLE), w, np.zeros(2), 0.1,
+                                  rho / float(np.linalg.norm(g1)),
+                                  momentum=0.0, normalized=False)
     assert np.allclose(w_norm, w_unnorm, rtol=1e-15, atol=0)
 
 
@@ -97,19 +98,20 @@ def test_sam_zero_rho_bitwise_sgd_trajectory():
     a = (a + a.T) / 2
     fn = quad_grad_fn(a)
     w_sam = w_sgd = rng.normal(size=4)
-    s_sam, s_sgd = fresh_state(4), fresh_state(4)
+    v_sam = v_sgd = np.zeros(4)
     for _ in range(25):
-        w_sam, _ = sam_step(fn, w_sam, s_sam, 0.05, rho=0.0, momentum=0.9, normalized=True)
+        w_sam, v_sam, _ = sam_opt_step(fn, w_sam, v_sam, 0.05, rho=0.0, momentum=0.9,
+                                       normalized=True)
         _, g = fn(w_sgd)
-        w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05, 0.9)
+        w_sgd, v_sgd = sgd_step(w_sgd, g, v_sgd, 0.05, 0.9)
     assert np.array_equal(w_sam, w_sgd)
+    assert np.array_equal(v_sam, v_sgd)
 
 
 def test_sam_zero_gradient_skips_perturbation():
     w = np.zeros(2)  # stationary point of the quadratic
-    state = fresh_state(2)
-    new, info = sam_step(quad_grad_fn(A_SADDLE), w, state, 0.1, rho=0.5,
-                         momentum=0.9, normalized=True)
+    new, _, info = sam_opt_step(quad_grad_fn(A_SADDLE), w, np.zeros(2), 0.1, rho=0.5,
+                                momentum=0.9, normalized=True)
     assert info["eps_skipped"] is True
     assert np.array_equal(new, w)
 
@@ -127,19 +129,69 @@ def test_sam_step_gradient_count():
                              (np.array([0.3, -0.7]), 0.1, 2),
                              (np.zeros(2), 0.5, 1)):  # zero gradient: skipped
         calls.clear()
-        sam_step(counted, w, fresh_state(2), 0.1, rho=rho, momentum=0.9, normalized=True)
+        sam_step(counted, w, rho=rho, normalized=True)
         assert len(calls) == expected, rho
+
+
+# (config, rho) of every kind, SAM in both neighborhood forms with and without
+# a perturbation
+STEP_KINDS = {
+    "sgd": (OptimizerConfig(kind="sgd"), 0.0),
+    "sam-normalized-rho0": (OptimizerConfig(kind="sam"), 0.0),
+    "sam-normalized": (OptimizerConfig(kind="sam"), 0.5),
+    "sam-unnormalized-rho0": (OptimizerConfig(kind="sam", sam_normalized=False), 0.0),
+    "sam-unnormalized": (OptimizerConfig(kind="sam", sam_normalized=False), 0.5),
+    "pgd": (OptimizerConfig(kind="pgd", pgd_sigma=0.1), 0.0),
+    "lpfsgd": (OptimizerConfig(kind="lpfsgd", lpf_mc_iters=4, lpf_radius=0.1), 0.0),
+}
+
+
+def _step_inputs():
+    return np.array([0.4, -0.9]), np.array([0.2, 0.1])
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+def test_optimizer_step_modifies_no_argument(kind):
+    opt, rho = STEP_KINDS[kind]
+    w, velocity = _step_inputs()
+    for array in (w, velocity):
+        array.flags.writeable = False  # an in-place update raises
+    new, new_velocity, _ = optimizer_step(opt, quad_grad_fn(A_SADDLE), w, velocity,
+                                          noise(seed=7), 0.1, rho, BLOCKS)
+    assert (w.tobytes(), velocity.tobytes()) == tuple(a.tobytes() for a in _step_inputs())
+    assert not np.array_equal(new, w) and not np.array_equal(new_velocity, velocity)
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+def test_optimizer_step_is_a_function_of_its_inputs(kind):
+    opt, rho = STEP_KINDS[kind]
+    first, again = (optimizer_step(opt, quad_grad_fn(A_SADDLE), *_step_inputs(),
+                                   noise(seed=7), 0.1, rho, BLOCKS) for _ in range(2))
+    assert first[0].tobytes() == again[0].tobytes()
+    assert first[1].tobytes() == again[1].tobytes()
+    assert first[2] == again[2]
+
+
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "unnormalized"])
+def test_sam_at_rho_zero_is_the_sgd_step(normalized):
+    fn = quad_grad_fn(A_SADDLE)
+    sgd = optimizer_step(OptimizerConfig(kind="sgd"), fn, *_step_inputs(), noise(), 0.1, 0.0,
+                         BLOCKS)
+    sam = sam_opt_step(fn, *_step_inputs(), 0.1, rho=0.0, momentum=0.9, normalized=normalized)
+    assert sam[0].tobytes() == sgd[0].tobytes()
+    assert sam[1].tobytes() == sgd[1].tobytes()
 
 
 def test_pgd_zero_sigma_bitwise_sgd():
     fn = quad_grad_fn(A_SADDLE)
     w_pgd = w_sgd = np.array([1.0, 1.0])
-    s_pgd, s_sgd = fresh_state(2), fresh_state(2)
+    v_pgd = v_sgd = np.zeros(2)
+    rng = noise()
     for _ in range(25):
-        w_pgd, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.0), fn, w_pgd,
-                                  s_pgd, 0.05, rho=0.0, blocks=BLOCKS)
+        w_pgd, v_pgd, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.0), fn, w_pgd,
+                                         v_pgd, rng, 0.05, rho=0.0, blocks=BLOCKS)
         _, g = fn(w_sgd)
-        w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05, 0.9)
+        w_sgd, v_sgd = sgd_step(w_sgd, g, v_sgd, 0.05, 0.9)
     assert np.array_equal(w_pgd, w_sgd)
 
 
@@ -147,10 +199,10 @@ def test_pgd_deterministic_replay():
     def run():
         fn = quad_grad_fn(A_SADDLE)
         w = np.array([1.0, 1.0])
-        state = fresh_state(2, seed=9)
+        velocity, rng = np.zeros(2), noise(seed=9)
         for _ in range(10):
-            w, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=1e-3), fn, w,
-                                  state, 0.05, rho=0.0, blocks=BLOCKS)
+            w, velocity, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=1e-3), fn, w,
+                                            velocity, rng, 0.05, rho=0.0, blocks=BLOCKS)
         return w
     assert np.array_equal(run(), run())
 
@@ -171,13 +223,14 @@ def test_pgd_perturbed_gradient_mean_matches_closed_form():
 def test_lpf_zero_radius_bitwise_sgd():
     fn = quad_grad_fn(A_SADDLE)
     w_lpf = w_sgd = np.array([1.0, 1.0])
-    s_lpf, s_sgd = fresh_state(2), fresh_state(2)
+    v_lpf = v_sgd = np.zeros(2)
+    rng = noise()
     for _ in range(25):
-        w_lpf, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=3,
-                                                  lpf_radius=0.0),
-                                  fn, w_lpf, s_lpf, 0.05, rho=0.0, blocks=BLOCKS)
+        w_lpf, v_lpf, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=3,
+                                                         lpf_radius=0.0),
+                                         fn, w_lpf, v_lpf, rng, 0.05, rho=0.0, blocks=BLOCKS)
         _, g = fn(w_sgd)
-        w_sgd = sgd_step(w_sgd, g, s_sgd, 0.05, 0.9)
+        w_sgd, v_sgd = sgd_step(w_sgd, g, v_sgd, 0.05, 0.9)
     assert np.array_equal(w_lpf, w_sgd)
 
 
@@ -186,10 +239,9 @@ def test_lpf_single_iter_equals_matched_manual_perturbation():
     fn = quad_grad_fn(A_SADDLE)
     w = np.array([1.0, 1.0])
     radius = 0.01
-    state = fresh_state(2, seed=21)
-    new, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=1, lpf_radius=radius,
-                                            momentum=0.0),
-                            fn, w, state, 0.1, rho=0.0, blocks=BLOCKS)
+    new, _, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=1,
+                                               lpf_radius=radius, momentum=0.0),
+                               fn, w, np.zeros(2), noise(seed=21), 0.1, rho=0.0, blocks=BLOCKS)
     std = radius * np.linalg.norm(w) / np.sqrt(2)
     xi = SeededRng(21).child("noise").normal(size=2) * std
     _, g = fn(w + xi)
@@ -205,10 +257,10 @@ def test_lpf_smoothing_error_linear_in_radius():
     exact = A_SADDLE @ w
     errs = []
     for radius in (1e-1, 1e-2, 1e-3):
-        state = fresh_state(2, seed=33)
-        new, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=64,
-                                                lpf_radius=radius, momentum=0.0),
-                                fn, w, state, 1.0, rho=0.0, blocks=BLOCKS)
+        new, _, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=64,
+                                                   lpf_radius=radius, momentum=0.0),
+                                   fn, w, np.zeros(2), noise(seed=33), 1.0, rho=0.0,
+                                   blocks=BLOCKS)
         errs.append(np.linalg.norm((w - new) - exact))
     assert errs[0] / errs[1] == pytest.approx(10.0, rel=1e-9)
     assert errs[1] / errs[2] == pytest.approx(10.0, rel=1e-9)
@@ -269,8 +321,7 @@ def test_a_negative_epoch_is_rejected(lookup):
 
 def test_sam_step_rejects_a_negative_rho():
     with pytest.raises(ParameterError, match="rho must be >= 0"):
-        sam_step(quad_grad_fn(A_SADDLE), np.array([0.3, -0.7]), fresh_state(2), 0.1,
-                 rho=-0.1, momentum=0.9, normalized=False)
+        sam_step(quad_grad_fn(A_SADDLE), np.array([0.3, -0.7]), rho=-0.1, normalized=False)
 
 
 def test_optimizer_config_validation():
@@ -288,17 +339,18 @@ def test_lr_zero_is_fixed_point_for_all_optimizers():
     fn = quad_grad_fn(A_SADDLE)
     w = np.array([0.4, -0.9])
     for step in ("sgd", "sam", "pgd", "lpf"):
-        state = fresh_state(2, seed=50)
+        velocity, rng = np.zeros(2), noise(seed=50)
         if step == "sgd":
             _, g = fn(w)
-            new = sgd_step(w, g, state, 0.0, 0.9)
+            new, _ = sgd_step(w, g, velocity, 0.0, 0.9)
         elif step == "sam":
-            new, _ = sam_step(fn, w, state, 0.0, rho=0.3, momentum=0.9, normalized=True)
+            new, _, _ = sam_opt_step(fn, w, velocity, 0.0, rho=0.3, momentum=0.9,
+                                     normalized=True)
         elif step == "pgd":
-            new, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.1), fn, w, state,
-                                    0.0, rho=0.0, blocks=BLOCKS)
+            new, _, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.1), fn, w,
+                                       velocity, rng, 0.0, rho=0.0, blocks=BLOCKS)
         else:
-            new, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=4,
-                                                    lpf_radius=0.1),
-                                    fn, w, state, 0.0, rho=0.0, blocks=BLOCKS)
+            new, _, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=4,
+                                                       lpf_radius=0.1),
+                                       fn, w, velocity, rng, 0.0, rho=0.0, blocks=BLOCKS)
         assert np.array_equal(new, w)

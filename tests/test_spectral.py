@@ -19,7 +19,7 @@ from saddlelab.harness import load_config, run_experiment
 from saddlelab.linalg import SeededRng
 from saddlelab.losses import LossSpec, loss_on_logits
 from saddlelab.model import Batch, MlpSpec, hvp, init_params
-from saddlelab.optim import LPFSGD, PGD, SAM, SGD, OptimizerConfig, OptimizerState, optimizer_step
+from saddlelab.optim import LPFSGD, PGD, SAM, SGD, OptimizerConfig, optimizer_step
 from saddlelab.spectral import (
     ExtremeEigs,
     LanczosResult,
@@ -279,6 +279,22 @@ def test_refine_stops_when_the_shifted_operator_leaves_no_step():
     assert ex.lambda_max == pytest.approx(2.0, rel=1e-15) and 0.0 < ex.residual_max < 1e-15
     assert not ex.converged
     assert np.all(np.isfinite(ex.v_min))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_refine_stops_at_a_fixed_point_of_the_power_step(dim, seed):
+    # on 2*I an end either lands on residual 0 or stops at a vector whose
+    # rounding-size residual no pass can lower below 1e-300, since its step
+    # gives back +-v bitwise; repeating that pass to MAX_REFINE_ITERS (10,001
+    # HVPs in all at e.g. dim 2, seed 5) would change nothing
+    calls = []
+    op = SimpleNamespace(apply=lambda v: calls.append(1) or 2.0 * v, dim=dim)
+    ex = extreme_eigs(op, SpectralSettings(lanczos_iters=10, residual_tol=1e-300),
+                      SeededRng(seed))
+    assert len(calls) <= 5
+    assert abs(ex.lambda_min - 2.0) <= 4.5e-16 and abs(ex.lambda_max - 2.0) <= 4.5e-16
+    assert ex.converged == (ex.residual_min == 0.0 == ex.residual_max)
 
 
 def test_nonconverged_refine_reports_its_own_vector(monkeypatch):
@@ -842,14 +858,14 @@ def test_only_pgd_leaves_the_zero_weight_saddle(drw):
                       ("sam-unnormalized", OptimizerConfig(SAM, rho=0.8, sam_normalized=False)),
                       ("lpfsgd", OptimizerConfig(LPFSGD, lpf_radius=0.1)),
                       ("pgd", OptimizerConfig(PGD, pgd_sigma=1e-4))]:
-        w = lin.w.copy()
-        state = OptimizerState(velocity=np.zeros_like(w), rng=SeededRng(5).child(kind))
+        w, velocity, rng = lin.w.copy(), np.zeros_like(lin.w), SeededRng(5).child(kind)
         order = SeededRng(6).child("batches")
         for _ in range(300):
             idx = order.choice(len(batch), 64)
             step = Batch(batch.features[idx], batch.labels[idx])
-            w, _ = optimizer_step(opt, lambda x, b=step: model.loss_grad(spec, x, b, loss),
-                                  w, state, 0.1, opt.rho, blocks)
+            w, velocity, _ = optimizer_step(
+                opt, lambda x, b=step: model.loss_grad(spec, x, b, loss),
+                w, velocity, rng, 0.1, opt.rho, blocks)
         moved[kind] = float(np.max(np.abs(w[weights])))
     assert moved.pop("pgd") > 0.1
     assert moved == dict.fromkeys(moved, 0.0)
