@@ -25,15 +25,14 @@ from . import __version__
 from .errors import ParameterError, SaddleLabError
 from .harness import (
     OUTPUT_DIR_ENV,
-    _build_data,
     load_checkpoint,
     load_config,
     run_experiment,
     sweep_rho,
+    training_set,
     write_cnc_snapshot,
     write_spectrum_snapshot,
 )
-from .linalg import SeededRng
 
 
 def _parse_float_list(text: str):
@@ -57,7 +56,7 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     out = _output_dir(args.out, cfg.output_dir)
     result = run_experiment(cfg, out, resume_from=args.resume)
-    final = result.metrics[-1] if result.metrics else None
+    final = result.checkpoint.metrics[-1] if result.checkpoint.metrics else None
     print(f"run complete: {out}")
     if final is not None:
         tail = "" if final.tail_acc is None else f" tail_acc={final.tail_acc:.4f}"
@@ -69,8 +68,7 @@ def _load_checkpoint_context(args):
     """Checkpoint, its run's training set, and the output directory (default:
     the checkpoint's own directory), not yet created."""
     ckpt = load_checkpoint(args.checkpoint)
-    ds, _, _ = _build_data(ckpt.config, SeededRng(ckpt.config.seed))
-    return ckpt, ds, _output_dir(args.out, Path(args.checkpoint).parent)
+    return ckpt, training_set(ckpt.config), _output_dir(args.out, Path(args.checkpoint).parent)
 
 
 def _class_ids(text: str, num_classes: int):

@@ -12,7 +12,8 @@ holds only what cannot be recomputed, the parameters, the momentum and the
 metrics rows so far, so a resume reads nothing else: it replays the batch
 order of the epochs before it, and optimizer noise draws from one stream per
 epoch. The training loop carries its state as that Checkpoint, replaced at
-the end of each epoch.
+the end of each epoch; a run returns the last one with its training set, the
+pair every analysis of a finished run takes (spectra, CNC, tail lambda_min).
 """
 
 from __future__ import annotations
@@ -457,19 +458,15 @@ def load_checkpoint(path) -> Checkpoint:
 
 @dataclass
 class RunResult:
-    params: np.ndarray
-    metrics: list
-    config_hash: str
+    """A finished run: the Checkpoint its last snapshot saved, and its training set."""
+    checkpoint: Checkpoint
     dataset: LabeledDataset
-    groups: ClassGroups
-    artifacts: list
 
 
-def _build_data(cfg: ExperimentConfig, root: SeededRng):
-    ds = generate(cfg.dataset.profile(), cfg.dataset.geometry(), root.child("datagen"))
-    test = balanced_test_split(ds, cfg.dataset.test_per_class, root.child("testgen"))
-    groups = split_head_mid_tail(ds.class_counts, cfg.groups.hi, cfg.groups.lo)
-    return ds, test, groups
+def training_set(cfg: ExperimentConfig) -> LabeledDataset:
+    """The run's training set, drawn from its seed's "datagen" stream."""
+    return generate(cfg.dataset.profile(), cfg.dataset.geometry(),
+                    SeededRng(cfg.seed).child("datagen"))
 
 
 def _snapshot_meta(ckpt: Checkpoint) -> dict:
@@ -545,11 +542,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
     resume from a checkpoint of epoch E continues its run's history: the
     checkpoint's E metrics rows open the new metrics.csv, and resumed in the
     checkpoint's own directory, the run's earlier snapshots stay among its
-    artifacts. A resume with no epoch left writes its checkpoint into out_dir."""
+    artifacts. A resume with no epoch left writes its checkpoint into out_dir.
+    Returns the run's last Checkpoint and its training set."""
     out = Path(out_dir)
     chash = config_hash(cfg)
     root = SeededRng(cfg.seed)
-    ds, test, groups = _build_data(cfg, root)
+    ds = training_set(cfg)
+    test = balanced_test_split(ds, cfg.dataset.test_per_class, root.child("testgen"))
+    groups = split_head_mid_tail(ds.class_counts, cfg.groups.hi, cfg.groups.lo)
     base_loss = cfg.loss.bind(ds.class_counts)
     blocks, dim = param_layout(cfg.model)
 
@@ -660,8 +660,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
     }
     write_json(out / "summary.json", summary)
 
-    return RunResult(params=ckpt.params, metrics=list(ckpt.metrics), config_hash=chash, dataset=ds,
-                     groups=groups, artifacts=summary["artifacts"])
+    return RunResult(checkpoint=ckpt, dataset=ds)
 
 
 # --------------------------------------------------------------------------
@@ -678,17 +677,18 @@ class SweepRow:
 
 
 @blas_threads()
-def tail_lambda_min(cfg: ExperimentConfig, result: RunResult) -> float | None:
-    """Mean minimum eigenvalue over the tail-group class Hessians at the final
-    parameters (unweighted loss, matching the class-wise analysis), each
-    from extreme_eigs with cfg.spectral's lanczos_iters and residual_tol."""
-    if not result.groups.tail:
+def tail_lambda_min(ckpt: Checkpoint, ds: LabeledDataset) -> float | None:
+    """Mean minimum eigenvalue over the tail-group class Hessians at the checkpoint's
+    parameters (unweighted loss, as in the class-wise analysis), each from extreme_eigs
+    with its config's spectral settings; None when its groups put no class in the tail."""
+    cfg = ckpt.config
+    tail = split_head_mid_tail(ds.class_counts, cfg.groups.hi, cfg.groups.lo).tail
+    if not tail:
         return None
-    loss = cfg.loss.bind(result.dataset.class_counts)
+    loss = cfg.loss.bind(ds.class_counts)
     vals = []
-    for cid in result.groups.tail:
-        batch = per_class_batch(result.dataset, cid)
-        ex = extreme_eigs(Linearization(cfg.model, result.params, batch, loss),
+    for cid in tail:
+        ex = extreme_eigs(Linearization(cfg.model, ckpt.params, per_class_batch(ds, cid), loss),
                           cfg.spectral, SeededRng(cfg.seed).child("tail-eig", cid))
         vals.append(ex.lambda_min)
     return float(np.mean(vals))
@@ -714,13 +714,14 @@ def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir) -> list:
     for i, (rho, cfg) in enumerate(zip(rho_values, cfgs)):
         try:
             result = run_experiment(cfg, out_dir=out / f"rho_{i}_{rho:g}")
-            last = result.metrics[-1] if result.metrics else None
+            last = result.checkpoint.metrics[-1] if result.checkpoint.metrics else None
             rows.append(SweepRow(
                 rho=rho,
                 overall_acc=None if last is None else last.overall_acc,
                 tail_acc=None if last is None else last.tail_acc,
-                tail_lambda_min=tail_lambda_min(cfg, result),
+                tail_lambda_min=tail_lambda_min(result.checkpoint, result.dataset),
             ))
+            del result  # the next cell's run does not hold this one's checkpoint
         except SaddleLabError as exc:
             rows.append(SweepRow(rho=rho, error=str(exc)))
     write_csv(out / "sweep.csv", [f.name for f in dataclasses.fields(SweepRow)],

@@ -226,9 +226,9 @@ def test_criterion_4_degeneracy_identities(tmp_path):
                          ("lpfsgd", {"lpf_radius": 0.0})):
         res = run_experiment(_degeneracy_config(tmp_path / kind, kind, **kwargs),
                              tmp_path / kind)
-        if not np.array_equal(res.params, base.params):
+        if not np.array_equal(res.checkpoint.params, base.checkpoint.params):
             ok = False
-        for a, b in zip(res.metrics, base.metrics):
+        for a, b in zip(res.checkpoint.metrics, base.checkpoint.metrics):
             if list(map(csv_cell, a.csv_row()))[:-2] != list(map(csv_cell, b.csv_row()))[:-2]:
                 ok = False
     elapsed = time.time() - start
@@ -324,7 +324,8 @@ def _trend_config(out_dir, kind, seed, rho=0.0, rho_drw=0.0):
 
 def _tail_extremes(cfg, result):
     ce = LossSpec(variant="ce", class_counts=result.dataset.class_counts)
-    lin = Linearization(cfg.model, result.params, per_class_batch(result.dataset, 1), ce)
+    lin = Linearization(cfg.model, result.checkpoint.params, per_class_batch(result.dataset, 1),
+                        ce)
     return extreme_eigs(lin, SpectralSettings(lanczos_iters=60, residual_tol=1e-7),
                         SeededRng(cfg.seed).child("accept7"))
 
@@ -345,8 +346,8 @@ def _run_trend_pairs(tmp_path):
             "sam_ratio": nonconvexity_ratio(ex_sam),
             "sgd_lmin": ex_sgd.lambda_min,
             "sam_lmin": ex_sam.lambda_min,
-            "sgd_tail_acc": r_sgd.metrics[-1].tail_acc,
-            "sam_tail_acc": r_sam.metrics[-1].tail_acc,
+            "sgd_tail_acc": r_sgd.checkpoint.metrics[-1].tail_acc,
+            "sam_tail_acc": r_sam.checkpoint.metrics[-1].tail_acc,
         })
     return rows
 
@@ -429,7 +430,7 @@ def test_criterion_9_reproducibility(tmp_path):
     resumed = run_experiment(cfg, out_dir=tmp_path / "resumed",
                              resume_from=tmp_path / "a" / "checkpoint_10.json")
     full = run_experiment(cfg, out_dir=tmp_path / "full")
-    resume_equal = np.array_equal(resumed.params, full.params)
+    resume_equal = np.array_equal(resumed.checkpoint.params, full.checkpoint.params)
 
     elapsed = time.time() - start
     ok = bytes_equal and resume_equal

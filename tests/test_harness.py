@@ -41,6 +41,7 @@ from saddlelab.losses import LossSpec, ReweightSchedule, loss_on_logits
 from saddlelab.model import MlpSpec, forward, init_params, param_layout
 from saddlelab.optim import LrSchedule, OptimizerConfig, RhoSchedule
 from saddlelab.spectral import SpectralSettings
+from tests.test_spectral import _dense_hessian
 
 
 def csv_cells(record: MetricsRecord) -> list:
@@ -68,7 +69,7 @@ def tiny_config(out_dir, kind="sgd", rho=0.0, epochs=12, seed=5, **opt_kwargs):
 def test_zero_epochs_returns_init(tmp_path):
     cfg = tiny_config(tmp_path / "e0", epochs=0)
     result = run_experiment(cfg, tmp_path / "e0")
-    assert result.metrics == []
+    assert result.checkpoint.metrics == ()
     assert (tmp_path / "e0" / "metrics.csv").read_text().count("\n") == 1  # header only
     assert (tmp_path / "e0" / "checkpoint_0.json").exists()
     assert (tmp_path / "e0" / "summary.json").exists()
@@ -92,11 +93,11 @@ def test_degenerate_optimizers_reproduce_sgd(tmp_path):
                          ("lpfsgd", {"lpf_radius": 0.0})):
         cfg = tiny_config(tmp_path / kind, kind=kind, epochs=20, **kwargs)
         results[kind] = run_experiment(cfg, tmp_path / kind)
-    ref = results["sgd"].params
+    ref = results["sgd"].checkpoint.params
     for kind in ("sam", "pgd", "lpfsgd"):
-        assert np.array_equal(results[kind].params, ref), kind
+        assert np.array_equal(results[kind].checkpoint.params, ref), kind
         # metric values identical; only the config-hash column may differ
-        for a, b in zip(results[kind].metrics, results["sgd"].metrics):
+        for a, b in zip(results[kind].checkpoint.metrics, results["sgd"].checkpoint.metrics):
             assert csv_cells(a)[:-2] == csv_cells(b)[:-2]
 
 
@@ -193,11 +194,27 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     resumed = run_experiment(cfg_with_snapshot, out_dir=tmp_path / "resumed",
                              resume_from=snap_dir / "checkpoint_10.json")
     uninterrupted = run_experiment(cfg_with_snapshot, out_dir=tmp_path / "uninterrupted")
-    assert np.array_equal(resumed.params, uninterrupted.params)
+    assert np.array_equal(resumed.checkpoint.params, uninterrupted.checkpoint.params)
     # the resumed metrics.csv carries the first 10 rows of the run it continues
-    assert resumed.metrics == uninterrupted.metrics
+    assert resumed.checkpoint.metrics == uninterrupted.checkpoint.metrics
     assert (tmp_path / "resumed" / "metrics.csv").read_bytes() == \
         (tmp_path / "uninterrupted" / "metrics.csv").read_bytes()
+
+
+def test_a_run_returns_the_checkpoint_it_saved_last(tmp_path):
+    # the in-memory result and the file cannot drift apart, fresh or resumed
+    cfg = dataclasses.replace(tiny_config(tmp_path / "run", kind="sam", rho=0.1, epochs=4),
+                              cnc_epochs=(2,), cnc=CncSettings(batch_size=8, num_batches=2))
+    fresh = run_experiment(cfg, tmp_path / "run")
+    resumed = run_experiment(cfg, tmp_path / "resumed",
+                             resume_from=tmp_path / "run" / "checkpoint_2.json")
+    for result, out in ((fresh, tmp_path / "run"), (resumed, tmp_path / "resumed")):
+        saved = load_checkpoint(out / f"checkpoint_{cfg.epochs}.json")
+        ckpt = result.checkpoint
+        assert ckpt.params.tobytes() == saved.params.tobytes()
+        assert ckpt.velocity.tobytes() == saved.velocity.tobytes()
+        assert ckpt.metrics == saved.metrics and len(ckpt.metrics) == cfg.epochs
+        assert ckpt.config_hash == saved.config_hash
 
 
 def _tree(root: Path) -> dict:
@@ -283,7 +300,7 @@ def test_resume_from_a_lone_checkpoint_matches_the_run(tmp_path):
                              resume_from=lone / "checkpoint_2.json")
     assert (tmp_path / "resumed" / "metrics.csv").read_bytes() == \
         (tmp_path / "h" / "metrics.csv").read_bytes()
-    assert np.array_equal(resumed.params, uninterrupted.params)
+    assert np.array_equal(resumed.checkpoint.params, uninterrupted.checkpoint.params)
     assert [p.name for p in lone.iterdir()] == ["checkpoint_2.json"]
 
 
@@ -467,9 +484,39 @@ def test_tail_lambda_min_runs_on_one_blas_thread(tmp_path, blas_readings, fake_b
                               groups=harness.GroupThresholds(hi=30, lo=30))
     result = run_experiment(cfg, tmp_path / "run")
     readings = blas_readings(model, "hvp")
-    assert result.groups.tail == (1,) and tail_lambda_min(cfg, result) is not None
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["groups"]["tail"] == [1]
+    assert tail_lambda_min(result.checkpoint, result.dataset) is not None
     assert readings and readings == [1] * len(readings)
     assert fake_blas.count == 4
+
+
+def test_tail_lambda_min_is_the_mean_of_the_tail_classes_dense_minima(tmp_path):
+    # 3 classes of 60, 24 and 10 rows: class 0 is the head, 1 and 2 the tail
+    base = tiny_config(tmp_path / "run", epochs=6)
+    cfg = dataclasses.replace(base, model=MlpSpec((4, 6, 3)),
+                              dataset=dataclasses.replace(base.dataset, num_classes=3),
+                              groups=harness.GroupThresholds(hi=30, lo=30),
+                              spectral=SpectralSettings(lanczos_iters=30))
+    result = run_experiment(cfg, tmp_path / "run")
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["groups"] == {"head": [0], "mid": [], "tail": [1, 2]}
+    ds, w = result.dataset, result.checkpoint.params
+    assert w.shape == (51,)
+    plain = LossSpec(variant="ce", class_counts=ds.class_counts)
+
+    def dense_lambda_min(batch):
+        lin = model.Linearization(cfg.model, w, batch, plain)
+        return np.linalg.eigvalsh(_dense_hessian(lin))[0]
+
+    per_class = [dense_lambda_min(model.per_class_batch(ds, j)) for j in range(3)]
+    expected = np.mean(per_class[1:])
+    got = tail_lambda_min(result.checkpoint, ds)
+    assert abs(got - expected) <= cfg.spectral.residual_tol
+    # a mean that took in the head class, or the full dataset, would not pass
+    full = dense_lambda_min(model.Batch(ds.features, ds.labels))
+    for wrong in (np.mean(per_class), per_class[0], full):
+        assert abs(wrong - expected) > 100 * cfg.spectral.residual_tol
 
 
 def test_a_run_runs_on_one_blas_thread(tmp_path, blas_readings, fake_blas):
@@ -702,14 +749,14 @@ def test_metrics_rows_carry_hash_and_version(tmp_path):
     assert header[-2:] == ["config_hash", "code_version"]
     for line in text[1:]:
         cells = line.split(",")
-        assert cells[-2] == result.config_hash
+        assert cells[-2] == result.checkpoint.config_hash
     assert len(text) == 3
 
 
 def test_rho_column_switches_at_reweight_epoch(tmp_path):
     cfg = tiny_config(tmp_path / "rho", kind="sam", rho=0.1, rho_drw=0.4, epochs=12)
     result = run_experiment(cfg, tmp_path / "rho")
-    rhos = [m.rho for m in result.metrics]
+    rhos = [m.rho for m in result.checkpoint.metrics]
     threshold = cfg.reweight.threshold_epoch
     assert rhos[:threshold] == [0.1] * threshold
     assert rhos[threshold:] == [0.4] * (cfg.epochs - threshold)
@@ -719,7 +766,7 @@ def test_rho_schedule_takes_precedence(tmp_path):
     cfg = tiny_config(tmp_path / "rs", kind="sam", rho=0.1, epochs=6)
     cfg = dataclasses.replace(cfg, rho_schedule=RhoSchedule(steps=((0, 0.05), (3, 0.7))))
     result = run_experiment(cfg, tmp_path / "rs")
-    assert [m.rho for m in result.metrics] == [0.05] * 3 + [0.7] * 3
+    assert [m.rho for m in result.checkpoint.metrics] == [0.05] * 3 + [0.7] * 3
 
 
 def test_reweighting_changes_trajectory(tmp_path):
@@ -729,7 +776,7 @@ def test_reweighting_changes_trajectory(tmp_path):
                                  reweight=ReweightSchedule(0))
     r_never = run_experiment(never, tmp_path / "never")
     r_always = run_experiment(always, tmp_path / "always")
-    assert not np.array_equal(r_never.params, r_always.params)
+    assert not np.array_equal(r_never.checkpoint.params, r_always.checkpoint.params)
 
 
 def test_sweep_rho_zero_matches_sgd_baseline(tmp_path):
@@ -738,8 +785,8 @@ def test_sweep_rho_zero_matches_sgd_baseline(tmp_path):
     sgd = run_experiment(tiny_config(tmp_path / "sgdbase", kind="sgd", epochs=8),
                          tmp_path / "sgdbase")
     assert rows[0].error is None
-    assert rows[0].overall_acc == sgd.metrics[-1].overall_acc
-    assert rows[0].tail_acc == sgd.metrics[-1].tail_acc
+    assert rows[0].overall_acc == sgd.checkpoint.metrics[-1].overall_acc
+    assert rows[0].tail_acc == sgd.checkpoint.metrics[-1].tail_acc
     assert (tmp_path / "sweep" / "sweep.csv").exists()
 
 
@@ -767,7 +814,7 @@ def test_sweep_rho_records_failed_cell_and_continues(tmp_path):
 def test_sweep_rho_propagates_programming_errors(tmp_path, monkeypatch):
     from saddlelab import harness
 
-    def broken(cfg, result):
+    def broken(ckpt, ds):
         raise ZeroDivisionError("bug")
 
     monkeypatch.setattr(harness, "tail_lambda_min", broken)
@@ -788,7 +835,7 @@ def test_spectrum_snapshot_files(tmp_path):
             assert (out / f"spectrum_{epoch}_class{tag}.csv").exists()
             payload = json.loads((out / f"spectrum_{epoch}_class{tag}.json").read_text())
             assert payload["epoch"] == epoch
-            assert payload["config_hash"] == result.config_hash
+            assert payload["config_hash"] == result.checkpoint.config_hash
             assert "lambda_min" in payload
     assert (out / "cnc_4.csv").exists()
     assert (out / "checkpoint_0.json").exists()
@@ -808,7 +855,7 @@ def test_mid_run_cnc_probes_the_last_epoch_trained(tmp_path):
         cnc=CncSettings(batch_size=8, num_batches=4),
     )
     result = run_experiment(cfg, tmp_path / "run")
-    assert [m.rho for m in result.metrics[:2]] == [0.05, 0.05]
+    assert [m.rho for m in result.checkpoint.metrics[:2]] == [0.05, 0.05]
     ckpt = load_checkpoint(tmp_path / "run" / "checkpoint_2.json")
     uniform = cfg.loss.bind(result.dataset.class_counts)
     rows = theorem1_report(cfg.model, ckpt.params, result.dataset, uniform, [0.05], cfg.cnc,
@@ -826,7 +873,7 @@ def test_metrics_header_shape(tmp_path):
     lines = (tmp_path / "m" / "metrics.csv").read_text().splitlines()
     header = MetricsRecord.csv_header(2)
     assert lines[0].split(",") == header
-    for line, r in zip(lines[1:], result.metrics, strict=True):
+    for line, r in zip(lines[1:], result.checkpoint.metrics, strict=True):
         cells = line.split(",")
         assert cells == csv_cells(r) and len(cells) == len(header)
         expected = [r.epoch, r.train_loss, r.grad_norm, r.lr, r.rho, r.overall_acc,
@@ -846,10 +893,11 @@ def test_finished_run_leaves_only_its_artifacts(tmp_path):
                               spectrum_epochs=(4,), cnc_epochs=(4,),
                               spectral=SpectralSettings(lanczos_iters=6, num_probes=2),
                               cnc=CncSettings(batch_size=8, num_batches=4))
-    result = run_experiment(cfg, tmp_path / "run")
+    run_experiment(cfg, tmp_path / "run")
     names = sorted(p.name for p in (tmp_path / "run").iterdir())
     assert not [n for n in names if n.endswith(".tmp")]
-    assert names == sorted(result.artifacts + ["summary.json"])
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert names == sorted(summary["artifacts"] + ["summary.json"])
 
 
 def test_sweep_under_two_roots_is_byte_identical(tmp_path):

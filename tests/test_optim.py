@@ -15,6 +15,7 @@ from saddlelab.optim import (
     sam_step,
     sgd_step,
 )
+from tests.test_cncverify import QuadraticSurrogate
 
 A_SADDLE = np.diag([2.0, -1.0])
 BLOCKS = (ParamBlock("w0", 0, (2,)),)  # one block over the whole 2-vector
@@ -354,3 +355,58 @@ def test_lr_zero_is_fixed_point_for_all_optimizers():
                                                        lpf_radius=0.1),
                                        fn, w, velocity, rng, 0.0, rho=0.0, blocks=BLOCKS)
         assert np.array_equal(new, w)
+
+
+# momentum and learning rate of the noise-free saddle dynamics; the SAM
+# radii put rho |lambda_min| below 1, between 1 and 2, and above 2
+ESCAPE_MU, ESCAPE_LR = 0.9, 0.05
+ESCAPE_CASES = (("sgd", 0.0), ("sam", 0.5), ("sam", 1.5), ("sam", 3.0))
+
+
+def _saddle_step(kind, rho, w, velocity):
+    quad = QuadraticSurrogate(A_SADDLE)  # noise_std 0: every draw is the exact gradient
+    opt = OptimizerConfig(kind=kind, momentum=ESCAPE_MU, sam_normalized=False)
+    return optimizer_step(opt, quad.grad_fn_for_noise(quad.draw_noise(noise())), w, velocity,
+                          noise(), ESCAPE_LR, rho, BLOCKS)
+
+
+@pytest.mark.parametrize("kind, rho", ESCAPE_CASES, ids=[f"{k}-rho{r:g}" for k, r in ESCAPE_CASES])
+def test_noise_free_steps_at_a_saddle_follow_the_closed_form(kind, rho):
+    # each eigendirection lambda of A moves as v <- mu v + a w, w <- w - lr v,
+    # with a = lambda (1 + rho lambda): lambda for SGD (rho 0), and for
+    # unnormalized SAM the gradient at w + rho A w
+    lam = np.diag(A_SADDLE)
+    a = lam * (1.0 + rho * lam)
+    w0, v0 = np.array([0.3, -0.7]), np.array([0.2, 0.1])
+    v1 = ESCAPE_MU * v0 + a * w0
+    w1 = w0 - ESCAPE_LR * v1
+    # v_t and w_t each solve x_{t+1} = (1 + mu - lr a) x_t - mu x_{t-1}:
+    # x_t = c r1^t + (x_0 - c) r2^t over the distinct roots r1, r2
+    steps = np.arange(21)
+    closed_w, closed_v = np.empty((21, 2)), np.empty((21, 2))
+    for j in range(2):
+        r1, r2 = np.roots([1.0, -(1.0 + ESCAPE_MU - ESCAPE_LR * a[j]), ESCAPE_MU]).astype(complex)
+        assert abs(r1 - r2) > 0.1
+        for x0, x1, closed in ((w0[j], w1[j], closed_w), (v0[j], v1[j], closed_v)):
+            c = (x1 - r2 * x0) / (r1 - r2)
+            closed[:, j] = (c * r1**steps + (x0 - c) * r2**steps).real
+    w, v = w0, v0
+    tol = 1e-12 * np.linalg.norm(w0)
+    for t in steps[1:]:
+        w, v, _ = _saddle_step(kind, rho, w, v)
+        assert np.all(np.abs(w - closed_w[t]) <= tol), t
+        assert np.all(np.abs(v - closed_v[t]) <= tol), t
+
+
+def test_unnormalized_sam_reverses_then_amplifies_the_negative_direction():
+    # the drift a on lambda_min's direction, read off one step's velocity
+    w0, v0 = np.array([0.3, -0.7]), np.zeros(2)
+    lam_min = A_SADDLE[1, 1]
+    drift = {rho: _saddle_step("sam", rho, w0, v0)[1][1] / w0[1] for _, rho in ESCAPE_CASES}
+    assert drift[0.0] == lam_min
+    # a = lambda_min (1 + rho lambda_min) changes sign at rho |lambda_min| = 1,
+    # and beyond 2 exceeds |lambda_min|: SAM pulls harder toward the saddle
+    # than SGD pushes away from it
+    assert drift[0.5] < 0 < drift[1.5] < abs(lam_min) < drift[3.0]
+    for rho, a in drift.items():
+        assert a == pytest.approx(lam_min * (1 + rho * lam_min), rel=1e-14)

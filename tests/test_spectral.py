@@ -736,7 +736,7 @@ def test_w1_density_moments_and_extremes_match_the_dense_hessian(tmp_path):
                               spectrum_epochs=(), cnc_epochs=())
     result = run_experiment(cfg, out_dir=tmp_path)
     ds = result.dataset
-    oracle = model.Linearization(cfg.model, result.params, Batch(ds.features, ds.labels),
+    oracle = model.Linearization(cfg.model, result.checkpoint.params, Batch(ds.features, ds.labels),
                                  cfg.loss.bind(ds.class_counts))
     dim = oracle.dim
     assert dim == 110
