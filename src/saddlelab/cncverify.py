@@ -81,7 +81,7 @@ def sample_batches(ds, batch_size: int, num_batches: int, rng: SeededRng):
     n = len(ds)
     if batch_size >= n:
         return [np.arange(n) for _ in range(num_batches)]
-    return [rng.choice(n, size=batch_size, replace=False) for _ in range(num_batches)]
+    return [rng.choice(n, size=batch_size) for _ in range(num_batches)]
 
 
 @blas_threads()

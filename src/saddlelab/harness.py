@@ -58,7 +58,7 @@ from .linalg import (
     write_csv,
     write_json,
 )
-from .losses import LossSpec, ReweightSchedule, drw_weights, loss_on_logits
+from .losses import LossConfig, LossSpec, ReweightSchedule, drw_weights, loss_on_logits
 from .model import (
     Batch,
     Linearization,
@@ -117,22 +117,6 @@ class DatasetConfig:
     def geometry(self) -> ClassGeometry:
         return ClassGeometry(self.input_dim, self.class_mean_radius,
                              self.within_class_std, self.mean_placement)
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    variant: str = "ce"
-    ldam_max_margin: float = 0.5
-    vs_gamma: float = 0.05
-    vs_tau: float = 0.75
-
-    def __post_init__(self):
-        self.bind((1,))  # LossSpec's checks, before the class counts exist
-
-    def bind(self, counts) -> LossSpec:
-        return LossSpec(variant=self.variant, class_counts=tuple(counts),
-                        ldam_max_margin=self.ldam_max_margin,
-                        vs_gamma=self.vs_gamma, vs_tau=self.vs_tau)
 
 
 @dataclass(frozen=True)

@@ -189,5 +189,6 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         return self.generator.permutation(n)
 
-    def choice(self, n: int, size: int, replace: bool = False) -> np.ndarray:
-        return self.generator.choice(n, size=size, replace=replace)
+    def choice(self, n: int, size: int) -> np.ndarray:
+        """size distinct indices of range(n)."""
+        return self.generator.choice(n, size=size, replace=False)

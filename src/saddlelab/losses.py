@@ -22,17 +22,11 @@ VARIANTS = (CE, LDAM, VS)
 
 
 @dataclass(frozen=True)
-class LossSpec:
-    """Loss family plus the per-class quantities it derives from sample counts.
-
-    class_weights are optional raw per-class weights (e.g. from the deferred
-    re-weighting schedule); each sample is weighted by its class's weight,
-    normalized inside the loss, so only their ratios matter.
-    """
+class LossConfig:
+    """A config's loss section: the loss family and its hyperparameters, which
+    bind(counts) turns into the LossSpec of a dataset with those class counts."""
 
     variant: str = CE
-    class_counts: tuple = ()
-    class_weights: tuple | None = None
     ldam_max_margin: float = 0.5
     vs_gamma: float = 0.05
     vs_tau: float = 0.75
@@ -40,6 +34,29 @@ class LossSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ParameterError(f"unknown loss variant {self.variant!r}")
+        if self.ldam_max_margin < 0:
+            raise ParameterError("ldam_max_margin must be >= 0")
+
+    def bind(self, counts) -> "LossSpec":
+        return LossSpec(class_counts=tuple(counts),
+                        **{f.name: getattr(self, f.name) for f in dataclasses.fields(LossConfig)})
+
+
+@dataclass(frozen=True)
+class LossSpec(LossConfig):
+    """A loss section bound to a dataset's per-class sample counts, from which
+    the variant derives its per-class quantities.
+
+    class_weights are optional raw per-class weights (e.g. from the deferred
+    re-weighting schedule); each sample is weighted by its class's weight,
+    normalized inside the loss, so only their ratios matter.
+    """
+
+    class_counts: tuple = ()
+    class_weights: tuple | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
         if len(self.class_counts) == 0:
             raise ParameterError("class_counts must be non-empty")
         if any(c <= 0 for c in self.class_counts):
@@ -49,8 +66,6 @@ class LossSpec:
                 raise DimensionError("class_weights length != num classes")
             if any(w <= 0 for w in self.class_weights):
                 raise ParameterError("class_weights must be strictly positive")
-        if self.ldam_max_margin < 0:
-            raise ParameterError("ldam_max_margin must be >= 0")
 
     @property
     def num_classes(self) -> int:

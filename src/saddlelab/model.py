@@ -98,7 +98,7 @@ def param_layout(spec: MlpSpec):
 def ParamVector(data, layout) -> np.ndarray:
     """data as a float64 parameter array, checked against layout's total: a
     length mismatch is a DimensionError. Parameters are plain arrays laid out
-    by param_layout; saddlebench/checks.py is this function's one caller, and
+    by param_layout; saddlebench/checks.py is its one caller outside the tests, and
     ROADMAP item 1a can delete it."""
     data = np.asarray(data, dtype=np.float64)
     total = sum(math.prod(b.shape) for b in layout)

@@ -99,32 +99,27 @@ def sgd_step(w, grad, velocity, lr: float, momentum: float):
     return w - lr * velocity, velocity
 
 
-def sam_perturbation(g, rho: float, normalized: bool):
-    """Offset from w to the first-order sharpest point of the rho-ball.
+def sam_gradients(grad_fn, w, rho: float, normalized: bool):
+    """(loss, g, eps, g_sam): the loss and gradient at w, the offset eps from w
+    to the first-order sharpest point of the rho-ball, and the sharpness-aware
+    gradient at w + eps on the same draw (grad_fn is bound to one batch).
 
     normalized: eps = rho * g / ||g||  (the practical algorithm)
     unnormalized: eps = rho * g        (the form the amplification theory uses)
-    None when there is nothing to perturb: rho = 0, or a zero gradient in
-    normalized mode.
-    """
-    if rho == 0.0:
-        return None
-    if not normalized:
-        return rho * g
-    norm = float(np.linalg.norm(g))
-    return None if norm == 0.0 else (rho / norm) * g
 
-
-def sam_gradients(grad_fn, w, rho: float, normalized: bool):
-    """(loss, g, eps, g_sam): the loss and gradient at w, the offset
-    sam_perturbation takes from them, and the sharpness-aware gradient at
-    w + eps on the same draw (grad_fn is bound to one batch). Without a
-    perturbation eps is None and g_sam is g itself: grad_fn is pure, so that
-    is the plain gradient, bitwise, for one evaluation instead of two.
-    Every caller states the neighborhood form: a training step passes its
+    With nothing to perturb, rho = 0 or a zero gradient in normalized mode, eps
+    is None and g_sam is g itself: grad_fn is pure, so that is the plain
+    gradient, bitwise, for one evaluation instead of two. Every caller states
+    the neighborhood form: a training step passes its
     OptimizerConfig.sam_normalized, the CNC report False (Theorem 1's)."""
     loss, g = grad_fn(w)
-    eps = sam_perturbation(g, rho, normalized)
+    eps = None
+    if rho != 0.0 and not normalized:
+        eps = rho * g
+    elif rho != 0.0:
+        norm = float(np.linalg.norm(g))
+        if norm != 0.0:
+            eps = (rho / norm) * g
     return loss, g, eps, g if eps is None else grad_fn(w + eps)[1]
 
 

@@ -671,6 +671,10 @@ def test_a_range_error_names_its_section():
     assert cnc == "cnc: batch_size must be >= 1"
     assert message(dict(d, dataset=dict(d["dataset"], test_per_class=0))) == \
         "dataset: test_per_class must be >= 1"
+    assert message(dict(d, loss=dict(d["loss"], variant="hinge"))) == \
+        "loss: unknown loss variant 'hinge'"
+    assert message(dict(d, loss=dict(d["loss"], ldam_max_margin=-0.1))) == \
+        "loss: ldam_max_margin must be >= 0"
 
 
 def test_a_type_error_names_the_section_and_field():

@@ -204,6 +204,17 @@ def test_hvp_dimension_mismatch():
                 entry()
 
 
+def test_param_vector_takes_only_the_layouts_length():
+    spec, w = make_model(24)
+    blocks, total = param_layout(spec)
+    out = model.ParamVector(np.arange(total), blocks)
+    assert out.dtype == np.float64 and out.shape == (total,)
+    assert np.array_equal(out, np.arange(total))
+    for data in (w[:-1], np.append(w, 0.0), w[None], []):
+        with pytest.raises(DimensionError, match="of the layout"):
+            model.ParamVector(data, blocks)
+
+
 @pytest.mark.parametrize("entry", [
     lambda spec, w, batch, loss: forward(spec, w, batch.features),
     lambda spec, w, batch, loss: loss_grad(spec, w, batch, loss),
