@@ -78,6 +78,29 @@ class ClassGeometry:
             )
 
 
+@dataclass(frozen=True)
+class DatasetConfig(ClassGeometry, ImbalanceProfile):
+    """The config's dataset section: a profile and a geometry whose classes
+    fit it, plus the balanced test split's per-class size. It is both
+    records, so profile() and geometry() return it."""
+
+    test_per_class: int = 200
+
+    def __post_init__(self):
+        if self.test_per_class < 1:
+            raise ParameterError("test_per_class must be >= 1")
+        ImbalanceProfile.__post_init__(self)
+        class_counts(self)  # raises on an infeasible profile
+        ClassGeometry.__post_init__(self)
+        self.check_fits(self.num_classes)
+
+    def profile(self) -> ImbalanceProfile:
+        return self
+
+    def geometry(self) -> ClassGeometry:
+        return self
+
+
 @dataclass
 class LabeledDataset(Batch):
     """A Batch of every drawn sample, with the class counts and geometry it
@@ -102,6 +125,36 @@ class ClassGroups:
     head: tuple
     mid: tuple
     tail: tuple
+
+
+@dataclass(frozen=True)
+class GroupThresholds:
+    """The config's groups section: head n_j > hi, tail n_j < lo, rest mid.
+    None scales from the largest class: hi = n_max/3.3, lo = n_max/20."""
+
+    hi: float | None = None
+    lo: float | None = None
+
+    def split(self, counts) -> ClassGroups:
+        """Group the classes of counts by frequency. An effective hi below
+        lo, which would put classes under lo in the head, raises."""
+        counts = list(counts)
+        if not counts:
+            raise ParameterError("counts must be non-empty")
+        n_max = max(counts)
+        hi = n_max / 3.3 if self.hi is None else self.hi
+        lo = n_max / 20.0 if self.lo is None else self.lo
+        if hi < lo:
+            raise ParameterError(f"groups hi {hi:g} is below lo {lo:g}")
+        head, mid, tail = [], [], []
+        for j, n_j in enumerate(counts):
+            if n_j > hi:
+                head.append(j)
+            elif n_j < lo:
+                tail.append(j)
+            else:
+                mid.append(j)
+        return ClassGroups(tuple(head), tuple(mid), tuple(tail))
 
 
 def class_counts(profile: ImbalanceProfile):
@@ -168,36 +221,11 @@ def generate(profile: ImbalanceProfile, geom: ClassGeometry, rng: SeededRng) -> 
     )
 
 
-def split_head_mid_tail(counts, hi_threshold: float | None = None, lo_threshold: float | None = None) -> ClassGroups:
-    """Group classes by frequency: head n_j > hi, tail n_j < lo, rest mid.
-
-    Defaults scale from the largest class: hi = n_max/3.3, lo = n_max/20.
-    An hi below lo, which would put classes under lo in the head, raises.
-    """
-    counts = list(counts)
-    if not counts:
-        raise ParameterError("counts must be non-empty")
-    n_max = max(counts)
-    hi = n_max / 3.3 if hi_threshold is None else hi_threshold
-    lo = n_max / 20.0 if lo_threshold is None else lo_threshold
-    if hi < lo:
-        raise ParameterError(f"groups hi {hi:g} is below lo {lo:g}")
-    head, mid, tail = [], [], []
-    for j, n_j in enumerate(counts):
-        if n_j > hi:
-            head.append(j)
-        elif n_j < lo:
-            tail.append(j)
-        else:
-            mid.append(j)
-    return ClassGroups(tuple(head), tuple(mid), tuple(tail))
-
-
 def balanced_test_split(ds: LabeledDataset, per_class: int, rng: SeededRng) -> LabeledDataset:
     """A test set of per_class fresh draws per class from ds's geometry; ds
     itself is left as it is (nothing is removed from it)."""
-    if per_class < 0:
-        raise ParameterError("per_class must be >= 0")
+    if per_class < 1:
+        raise ParameterError("per_class must be >= 1")
     counts = (per_class,) * ds.num_classes
     return LabeledDataset(
         *_sample(ds.geometry, counts, rng),

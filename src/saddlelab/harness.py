@@ -34,14 +34,13 @@ import numpy as np
 from . import __version__ as CODE_VERSION
 from .cncverify import CncSettings, save_theorem1_report, theorem1_report
 from .datagen import (
-    ClassGeometry,
     ClassGroups,
-    ImbalanceProfile,
+    DatasetConfig,
+    GroupThresholds,
     LabeledDataset,
     balanced_test_split,
     class_counts,
     generate,
-    split_head_mid_tail,
 )
 from .errors import (
     CheckpointError,
@@ -94,38 +93,6 @@ OUTPUT_DIR_ENV = "SADDLELAB_OUTPUT_DIR"
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    kind: str
-    num_classes: int
-    n_max: int
-    beta: float
-    input_dim: int
-    class_mean_radius: float = 3.0
-    within_class_std: float = 1.0
-    mean_placement: str = "circle"
-    test_per_class: int = 200
-
-    def __post_init__(self):
-        if self.test_per_class < 1:
-            raise ParameterError("test_per_class must be >= 1")
-        class_counts(self.profile())  # raises on an infeasible profile
-        self.geometry().check_fits(self.num_classes)
-
-    def profile(self) -> ImbalanceProfile:
-        return ImbalanceProfile(self.kind, self.num_classes, self.n_max, self.beta)
-
-    def geometry(self) -> ClassGeometry:
-        return ClassGeometry(self.input_dim, self.class_mean_radius,
-                             self.within_class_std, self.mean_placement)
-
-
-@dataclass(frozen=True)
-class GroupThresholds:
-    hi: float | None = None
-    lo: float | None = None
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     dataset: DatasetConfig
     model: MlpSpec
@@ -161,7 +128,7 @@ class ExperimentConfig:
             raise ConfigError("model layer_sizes must start at dataset input_dim and "
                               "end at dataset num_classes")
         # raises when the groups' effective hi falls below their lo
-        split_head_mid_tail(class_counts(self.dataset.profile()), self.groups.hi, self.groups.lo)
+        self.groups.split(class_counts(self.dataset))
 
     def objective(self, epoch: int, loss: LossSpec) -> tuple:
         """(loss with the DRW class weights of 0-based training epoch `epoch`,
@@ -533,7 +500,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
     root = SeededRng(cfg.seed)
     ds = training_set(cfg)
     test = balanced_test_split(ds, cfg.dataset.test_per_class, root.child("testgen"))
-    groups = split_head_mid_tail(ds.class_counts, cfg.groups.hi, cfg.groups.lo)
+    groups = cfg.groups.split(ds.class_counts)
     base_loss = cfg.loss.bind(ds.class_counts)
     blocks, dim = param_layout(cfg.model)
 
@@ -666,7 +633,7 @@ def tail_lambda_min(ckpt: Checkpoint, ds: LabeledDataset) -> float | None:
     parameters (unweighted loss, as in the class-wise analysis), each from extreme_eigs
     with its config's spectral settings; None when its groups put no class in the tail."""
     cfg = ckpt.config
-    tail = split_head_mid_tail(ds.class_counts, cfg.groups.hi, cfg.groups.lo).tail
+    tail = cfg.groups.split(ds.class_counts).tail
     if not tail:
         return None
     loss = cfg.loss.bind(ds.class_counts)

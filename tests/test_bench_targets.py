@@ -87,9 +87,9 @@ def test_bench_use_exists(module, name):
     assert hasattr(importlib.import_module(f"saddlelab.{module}"), name)
 
 
-def test_bench_selftest_passes(tmp_path, monkeypatch):
-    # the self-test checks a tiny traced run's outputs and pins its counts to
-    # closed forms; without it here, a changed count fails only a traced bench run
+@pytest.fixture
+def bench_run(monkeypatch):
+    """saddlebench/run.py as a module, with the harness its main() imports."""
     monkeypatch.syspath_prepend(str(BENCH))  # run.py imports checks and spans
     importlib.import_module("saddlelab.cli")  # the tracer wraps cli.cmd_train
     spec = importlib.util.spec_from_file_location("bench_run", BENCH / "run.py")
@@ -97,4 +97,18 @@ def test_bench_selftest_passes(tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
     spec.loader.exec_module(run)
     run.harness = importlib.import_module("saddlelab.harness")
-    assert run.selftest(importlib.import_module("spans").Tracer(), tmp_path) == []
+    return run
+
+
+def test_bench_selftest_passes(tmp_path, bench_run):
+    # the self-test checks a tiny traced run's outputs and pins its counts to
+    # closed forms; without it here, a changed count fails only a traced bench run
+    assert bench_run.selftest(importlib.import_module("spans").Tracer(), tmp_path) == []
+
+
+@pytest.mark.parametrize("workload", ["w2_probe.json", "rho_sweep.json"])
+def test_bench_setup_code_runs(bench_run, workload):
+    # the set-up interpreter loads the workload's config and draws its data;
+    # without it here, a break there fails only a bench run's set-up operations
+    [(_, error)] = bench_run.measure_setup(bench_run.WORKLOAD_INPUTS / workload, 1)
+    assert error is None

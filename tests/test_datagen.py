@@ -3,13 +3,13 @@ import pytest
 
 from saddlelab.datagen import (
     ClassGeometry,
+    GroupThresholds,
     ImbalanceProfile,
     LabeledDataset,
     balanced_test_split,
     class_counts,
     class_means,
     generate,
-    split_head_mid_tail,
 )
 from saddlelab.errors import (
     DimensionError,
@@ -122,12 +122,12 @@ def test_linear_probe_separates_well_separated_classes():
 
 def test_split_by_rule_on_longtail_counts():
     counts = class_counts(CIFAR10_LT)  # (5000, 2997, 1797, 1077, 646, 387, 232, 139, 83, 50)
-    groups = split_head_mid_tail(counts, hi_threshold=1500, lo_threshold=250)
+    groups = GroupThresholds(hi=1500, lo=250).split(counts)
     assert groups.head == (0, 1, 2)
     # the strict n_j < 250 rule puts class 6 (232 samples) in the tail; the
     # 3/4/3 grouping the thresholds were quoted with needs lo <= 232
     assert groups.tail == (6, 7, 8, 9)
-    groups_343 = split_head_mid_tail(counts, hi_threshold=1500, lo_threshold=200)
+    groups_343 = GroupThresholds(hi=1500, lo=200).split(counts)
     assert groups_343.head == (0, 1, 2)
     assert groups_343.mid == (3, 4, 5, 6)
     assert groups_343.tail == (7, 8, 9)
@@ -136,44 +136,46 @@ def test_split_by_rule_on_longtail_counts():
 def test_split_rejects_hi_below_lo():
     # the 100-row class, under lo, would be head
     with pytest.raises(ParameterError, match="hi 50 is below lo 200"):
-        split_head_mid_tail([500, 100, 10], hi_threshold=50, lo_threshold=200)
+        GroupThresholds(hi=50, lo=200).split([500, 100, 10])
     # the default hi, 500/3.3 = 151.5, against an explicit lo
     with pytest.raises(ParameterError, match="hi 151.515 is below lo 400"):
-        split_head_mid_tail([500, 324, 210, 10], lo_threshold=400)
-    assert split_head_mid_tail([500, 100, 10], 100, 100).head == (0,)
+        GroupThresholds(lo=400).split([500, 324, 210, 10])
+    assert GroupThresholds(100, 100).split([500, 100, 10]).head == (0,)
 
 
 def test_split_all_equal_counts():
-    groups = split_head_mid_tail([100, 100, 100])
+    groups = GroupThresholds().split([100, 100, 100])
     assert groups.head == (0, 1, 2)
     assert groups.mid == () and groups.tail == ()
 
 
 def test_split_step_profile():
     counts = class_counts(ImbalanceProfile("step", 10, 5000, 100.0))
-    groups = split_head_mid_tail(counts)
+    groups = GroupThresholds().split(counts)
     assert groups.head == (0, 1, 2, 3, 4)
     assert groups.tail == (5, 6, 7, 8, 9)
 
 
 def test_split_partitions_classes():
     counts = class_counts(CIFAR10_LT)
-    groups = split_head_mid_tail(counts)
+    groups = GroupThresholds().split(counts)
     assert tuple(sorted(groups.head + groups.mid + groups.tail)) == tuple(range(10))
     assert not (set(groups.head) & set(groups.mid))
     assert not (set(groups.mid) & set(groups.tail))
 
 
 def test_balanced_test_split_empty():
+    # a split with no rows per class is no test set: evaluate could not score
+    # its classes, and the config's test_per_class has the same rule
     ds = generate(ImbalanceProfile("longtail", 2, 20, 2.0),
                   ClassGeometry(input_dim=2), SeededRng(0))
-    test = balanced_test_split(ds, 0, SeededRng(1))
-    assert len(test) == 0
+    with pytest.raises(ParameterError, match="per_class must be >= 1"):
+        balanced_test_split(ds, 0, SeededRng(1))
 
 
 @pytest.mark.parametrize("call, match", [
-    (lambda ds: split_head_mid_tail([]), "counts must be non-empty"),
-    (lambda ds: balanced_test_split(ds, -1, SeededRng(1)), "per_class must be >= 0"),
+    (lambda ds: GroupThresholds().split([]), "counts must be non-empty"),
+    (lambda ds: balanced_test_split(ds, -1, SeededRng(1)), "per_class must be >= 1"),
 ], ids=["split-no-classes", "negative-per-class"])
 def test_an_argument_out_of_range_is_rejected(call, match):
     ds = generate(ImbalanceProfile("longtail", 2, 20, 2.0),

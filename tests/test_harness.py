@@ -671,6 +671,20 @@ def test_a_range_error_names_its_section():
     assert cnc == "cnc: batch_size must be >= 1"
     assert message(dict(d, dataset=dict(d["dataset"], test_per_class=0))) == \
         "dataset: test_per_class must be >= 1"
+    # a DatasetConfig is both an ImbalanceProfile and a ClassGeometry: their
+    # rules, the class-count and placement checks, and test_per_class first
+    for change, text in (
+            ({"kind": "flat"}, "unknown profile kind 'flat'"),
+            ({"num_classes": 1}, "num_classes must be >= 2"),
+            ({"beta": 0.5}, "beta must be finite and >= 1"),
+            ({"n_max": 10, "beta": 100.0},
+             "smallest class rounds to 0 samples (n_max=10, beta=100.0)"),
+            ({"input_dim": 1}, "circle placement needs input_dim >= 2"),
+            ({"class_mean_radius": 0.0}, "class_mean_radius must be finite and > 0"),
+            ({"mean_placement": "grid"}, "unknown mean_placement 'grid'"),
+            ({"test_per_class": 0, "beta": 0.5}, "test_per_class must be >= 1")):
+        assert message(dict(d, dataset=dict(d["dataset"], **change))) == f"dataset: {text}"
+    assert message(dict(d, groups={"hi": 30, "lo": 40})) == "config: groups hi 30 is below lo 40"
     assert message(dict(d, loss=dict(d["loss"], variant="hinge"))) == \
         "loss: unknown loss variant 'hinge'"
     assert message(dict(d, loss=dict(d["loss"], ldam_max_margin=-0.1))) == \

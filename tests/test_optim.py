@@ -412,42 +412,52 @@ def test_unnormalized_sam_reverses_then_amplifies_the_negative_direction():
         assert a == pytest.approx(lam_min * (1 + rho * lam_min), rel=1e-14)
 
 
-# gradient noise std, PGD's perturbation std and the number of trajectories
-# of the noisy saddle dynamics; the trajectories are the 2-blocks of one
-# parameter vector, since SGD, unnormalized SAM and PGD act coordinate-wise
-# on a diagonal Hessian
-NOISE_S, PGD_SIGMA, TRAJECTORIES = 0.1, 0.1, 20_000
-NOISY_CASES = (("sgd", 0.0), ("sam", 0.5), ("sam", 1.5), ("sam", 3.0), ("pgd", 0.0))
+# gradient noise std, PGD's perturbation std, LPF-SGD's radius and draws, and
+# the number of trajectories of the noisy saddle dynamics; the trajectories
+# are the 2-blocks of one parameter vector, since SGD, unnormalized SAM and
+# PGD act coordinate-wise on a diagonal Hessian, and LPF-SGD block-wise
+NOISE_S, PGD_SIGMA, LPF_R, LPF_M, TRAJECTORIES = 0.1, 0.1, 0.1, 8, 20_000
+NOISY_CASES = (("sgd", 0.0), ("sam", 0.5), ("sam", 1.5), ("sam", 3.0), ("pgd", 0.0),
+               ("lpfsgd", 0.0))
 
 
-def _exact_second_moments(w0, a, noise_var, steps):
-    """(E[w_T^2], E[v_T^2]) of x_{t+1} = M x_t + b n_t from x_0 = (w0, 0), with
-    M = [[1 - lr a, -lr mu], [a, mu]], b = (-lr, 1) and Var n_t = noise_var:
-    sgd_step's v <- mu v + (a w + n), w <- w - lr v."""
-    m = np.array([[1.0 - ESCAPE_LR * a, -ESCAPE_LR * ESCAPE_MU], [a, ESCAPE_MU]])
+def _exact_second_moments(w0, a, noise_var, norm_gain, steps):
+    """(E[w_T^2], E[v_T^2]) per direction j of x_{t+1} = M_j x_t + b n_t from
+    x_0 = (w0[j], 0), with M_j = [[1 - lr a_j, -lr mu], [a_j, mu]], b = (-lr, 1)
+    and Var n_t = noise_var[j] + norm_gain[j] E||w_t||^2: sgd_step's
+    v <- mu v + (a w + n), w <- w - lr v. E||w_t||^2 couples the directions,
+    so their means and covariances are iterated together."""
+    ms = [np.array([[1.0 - ESCAPE_LR * aj, -ESCAPE_LR * ESCAPE_MU], [aj, ESCAPE_MU]])
+          for aj in a]
     b = np.array([-ESCAPE_LR, 1.0])
-    mean, cov = np.array([w0, 0.0]), np.zeros((2, 2))
+    means, covs = [np.array([w0j, 0.0]) for w0j in w0], [np.zeros((2, 2)) for _ in w0]
     for _ in range(steps):
-        mean, cov = m @ mean, m @ cov @ m.T + noise_var * np.outer(b, b)
-    return mean**2 + np.diag(cov)
+        sq_norm = sum(mean[0] ** 2 + cov[0, 0] for mean, cov in zip(means, covs))
+        for j, m in enumerate(ms):
+            var = noise_var[j] + norm_gain[j] * sq_norm
+            means[j], covs[j] = m @ means[j], m @ covs[j] @ m.T + var * np.outer(b, b)
+    return [mean**2 + np.diag(cov) for mean, cov in zip(means, covs)]
 
 
 @pytest.mark.parametrize("kind, rho", NOISY_CASES,
                          ids=[f"{k}-rho{r:g}" for k, r in NOISY_CASES])
 def test_noisy_steps_at_a_saddle_match_the_closed_form_second_moments(kind, rho):
     # f(w) = 1/2 w'Aw + xi'w with one xi ~ N(0, s^2 I) per step, shared by SAM's
-    # two gradients. Per eigendirection lambda the step is sgd_step's with
-    # gradient a w + n: SGD a = lambda, Var n = s^2; unnormalized SAM, whose
-    # second gradient is at w + rho (lambda w + xi), a = lambda (1 + rho lambda)
-    # and Var n = (1 + rho lambda)^2 s^2; PGD a = lambda and
-    # Var n = s^2 + lambda^2 sigma^2
+    # two gradients and LPF-SGD's M. Per eigendirection lambda the step is
+    # sgd_step's with gradient a w + n: SGD a = lambda, Var n = s^2; unnormalized
+    # SAM, whose second gradient is at w + rho (lambda w + xi),
+    # a = lambda (1 + rho lambda) and Var n = (1 + rho lambda)^2 s^2; PGD
+    # a = lambda and Var n = s^2 + lambda^2 sigma^2; LPF-SGD, whose M draws per
+    # block of size d have std r ||w_block|| / sqrt(d), a = lambda and
+    # Var n = s^2 + lambda^2 r^2 E||w_block||^2 / (d M)
     lam = np.diag(A_SADDLE)
     lam_all = np.tile(lam, TRAJECTORIES)
     w0 = np.array([0.3, -0.7])
     xi_rng, opt_rng = noise(seed=60, stream="xi"), noise(seed=60)
     opt = OptimizerConfig(kind=kind, momentum=ESCAPE_MU, sam_normalized=False,
-                          pgd_sigma=PGD_SIGMA)
-    blocks = (ParamBlock("w0", 0, (lam_all.shape[0],)),)
+                          pgd_sigma=PGD_SIGMA, lpf_radius=LPF_R, lpf_mc_iters=LPF_M)
+    # one block per trajectory, so LPF-SGD's block norm is that trajectory's
+    blocks = tuple(ParamBlock(f"w{k}", 2 * k, (2,)) for k in range(TRAJECTORIES))
     w, v = np.tile(w0, TRAJECTORIES), np.zeros(lam_all.shape[0])
     steps = 20
     for _ in range(steps):
@@ -457,12 +467,16 @@ def test_noisy_steps_at_a_saddle_match_the_closed_form_second_moments(kind, rho)
             return 0.5 * float(x @ (lam_all * x)) + float(xi @ x), lam_all * x + xi
 
         w, v, _ = optimizer_step(opt, grad_fn, w, v, opt_rng, ESCAPE_LR, rho, blocks)
+    norm_gain = np.zeros(2)
     if kind == "pgd":
         a, noise_var = lam, NOISE_S**2 + lam**2 * PGD_SIGMA**2
+    elif kind == "lpfsgd":
+        a, noise_var = lam, np.full(2, NOISE_S**2)
+        norm_gain = lam**2 * LPF_R**2 / (len(w0) * LPF_M)
     else:
         a, noise_var = lam * (1.0 + rho * lam), (1.0 + rho * lam) ** 2 * NOISE_S**2
+    exact = _exact_second_moments(w0, a, noise_var, norm_gain, steps)
     for j in range(2):
-        exact = _exact_second_moments(w0[j], a[j], noise_var[j], steps)
-        for sample, moment in zip((w[j::2] ** 2, v[j::2] ** 2), exact):
+        for sample, moment in zip((w[j::2] ** 2, v[j::2] ** 2), exact[j]):
             stderr = sample.std(ddof=1) / np.sqrt(TRAJECTORIES)
             assert abs(sample.mean() - moment) <= 4.0 * stderr, (j, sample.mean(), moment)
