@@ -66,7 +66,7 @@ def cmd_train(args) -> int:
 
 def _load_checkpoint_context(args):
     """Checkpoint, its run's training set, and the output directory (default:
-    the checkpoint's own directory), not yet created."""
+    the checkpoint's own directory), which the first write creates."""
     ckpt = load_checkpoint(args.checkpoint)
     return ckpt, training_set(ckpt.config), _output_dir(args.out, Path(args.checkpoint).parent)
 
@@ -87,7 +87,6 @@ def _class_ids(text: str, num_classes: int):
 def cmd_spectrum(args) -> int:
     ckpt, ds, out = _load_checkpoint_context(args)
     classes = _class_ids(args.class_id, ds.num_classes)
-    out.mkdir(parents=True, exist_ok=True)
     for e in write_spectrum_snapshot(ckpt, ds, out, classes):
         label = "full dataset" if e.class_id is None else f"class {e.class_id}"
         print(f"{label}: lambda_min={e.extremes.lambda_min:.6g} "
@@ -104,7 +103,6 @@ def cmd_cnc_check(args) -> int:
     cfg = ckpt.config
     ckpt = dataclasses.replace(ckpt, config=dataclasses.replace(
         cfg, cnc=dataclasses.replace(cfg.cnc, rhos=rhos)))
-    out.mkdir(parents=True, exist_ok=True)
     for r in write_cnc_snapshot(ckpt, ds, out):
         ratio = ("n/a (CNC violation)" if r.measured_ratio is None
                  else f"{r.measured_ratio:.6g}")

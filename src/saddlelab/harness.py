@@ -14,6 +14,7 @@ order of the epochs before it, and optimizer noise draws from one stream per
 epoch. The training loop carries its state as that Checkpoint, replaced at
 the end of each epoch; a run returns the last one with its training set, the
 pair every analysis of a finished run takes (spectra, CNC, tail lambda_min).
+Only linalg writes a file or makes a directory.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .errors import (
 )
 from .linalg import (
     SeededRng,
+    append_text,
     blas_threads,
     csv_lines,
     format_float,
@@ -485,9 +487,10 @@ def write_cnc_snapshot(ckpt: Checkpoint, ds: LabeledDataset, out: Path) -> list:
 
 @blas_threads()
 def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResult:
-    """Execute the configured run end to end into out_dir, writing
-    metrics.csv, each epoch's snapshots and checkpoint as _snapshot_names
-    lists them, and summary.json.
+    """Execute the configured run end to end into out_dir, which its first
+    write makes, writing metrics.csv (a row appended after each epoch), each
+    epoch's snapshots and checkpoint as _snapshot_names lists them, and
+    summary.json.
 
     A run starts from a Checkpoint: epoch 0's, or that of `resume_from`. A
     resume from a checkpoint of epoch E continues its run's history: the
@@ -520,7 +523,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
     start_epoch = ckpt.epoch
     batches_rng = root.child("batches")
     artifacts: list = ["metrics.csv"]
-    out.mkdir(parents=True, exist_ok=True)
     if resume_from is not None:
         if Path(resume_from).parent.resolve() == out.resolve():
             artifacts += [name for e in range(start_epoch + 1)
@@ -545,51 +547,49 @@ def run_experiment(cfg: ExperimentConfig, out_dir, resume_from=None) -> RunResul
 
     epoch = start_epoch
     step = 0
-    # the header and the resumed rows replace metrics.csv whole, so a run
-    # killed before its first row leaves the checkpoint's rows in place
+    # the header and the resumed rows replace metrics.csv whole, and each epoch
+    # appends its row, so a run killed or failing mid-write leaves whole rows
     write_csv(out / "metrics.csv", MetricsRecord.csv_header(ds.num_classes),
               (r.csv_row() for r in ckpt.metrics))
     try:
-        with open(out / "metrics.csv", "a", newline="", encoding="utf-8") as metrics_fh:
-            if resume_from is None:
-                snapshot(ckpt)
-            for epoch in range(cfg.epochs):
-                # every epoch draws its batch order, so a resume that skips
-                # the epochs before its checkpoint replays their draws
-                perm = batches_rng.permutation(n)
-                if epoch < start_epoch:
-                    continue
-                rng = root.child("optnoise", epoch)
-                epoch_loss, rho = cfg.objective(epoch, base_loss)
-                w, velocity = ckpt.params, ckpt.velocity
-                loss_sum = 0.0
-                gnorm_sum = 0.0
-                for step in range(steps_per_epoch):
-                    idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
-                    batch = Batch(ds.features[idx], ds.labels[idx])
-                    lr = lr_at(cfg.lr, epoch, step, steps_per_epoch)
+        if resume_from is None:
+            snapshot(ckpt)
+        for epoch in range(cfg.epochs):
+            # every epoch draws its batch order, so a resume that skips
+            # the epochs before its checkpoint replays their draws
+            perm = batches_rng.permutation(n)
+            if epoch < start_epoch:
+                continue
+            rng = root.child("optnoise", epoch)
+            epoch_loss, rho = cfg.objective(epoch, base_loss)
+            w, velocity = ckpt.params, ckpt.velocity
+            loss_sum = 0.0
+            gnorm_sum = 0.0
+            for step in range(steps_per_epoch):
+                idx = perm[step * cfg.batch_size : (step + 1) * cfg.batch_size]
+                batch = Batch(ds.features[idx], ds.labels[idx])
+                lr = lr_at(cfg.lr, epoch, step, steps_per_epoch)
 
-                    def grad_fn(x):
-                        return loss_grad(cfg.model, x, batch, epoch_loss)
+                def grad_fn(x):
+                    return loss_grad(cfg.model, x, batch, epoch_loss)
 
-                    w, velocity, info = optimizer_step(cfg.optimizer, grad_fn, w, velocity, rng,
-                                                       lr, rho, blocks)
-                    loss_sum += info["loss"]
-                    gnorm_sum += info["grad_norm"]
+                w, velocity, loss, gnorm = optimizer_step(cfg.optimizer, grad_fn, w, velocity,
+                                                          rng, lr, rho, blocks)
+                loss_sum += loss
+                gnorm_sum += gnorm
 
-                record = MetricsRecord(
-                    epoch=epoch + 1, train_loss=loss_sum / steps_per_epoch,
-                    grad_norm=gnorm_sum / steps_per_epoch, lr=lr, rho=rho,
-                    config_hash=chash, code_version=CODE_VERSION,
-                    **evaluate(cfg.model, w, test, groups, base_loss),
-                )
-                metrics_fh.writelines(csv_lines([record.csv_row()]))
-                metrics_fh.flush()
-                # no step modifies an array it is given, so a checkpoint may
-                # share its params and velocity with the steps that follow
-                ckpt = dataclasses.replace(ckpt, epoch=epoch + 1, metrics=(*ckpt.metrics, record),
-                                           params=w, velocity=velocity)
-                snapshot(ckpt)
+            record = MetricsRecord(
+                epoch=epoch + 1, train_loss=loss_sum / steps_per_epoch,
+                grad_norm=gnorm_sum / steps_per_epoch, lr=lr, rho=rho,
+                config_hash=chash, code_version=CODE_VERSION,
+                **evaluate(cfg.model, w, test, groups, base_loss),
+            )
+            append_text(out / "metrics.csv", csv_lines([record.csv_row()]))
+            # no step modifies an array it is given, so a checkpoint may
+            # share its params and velocity with the steps that follow
+            ckpt = dataclasses.replace(ckpt, epoch=epoch + 1, metrics=(*ckpt.metrics, record),
+                                       params=w, velocity=velocity)
+            snapshot(ckpt)
     except SaddleLabError as exc:
         raise RunAbortedError(
             f"run aborted at epoch {epoch}, step {step}: {exc}"
@@ -660,7 +660,6 @@ def sweep_rho(base_cfg: ExperimentConfig, rho_values, out_dir) -> list:
         rho_schedule=RhoSchedule(),
     ) for rho in rho_values]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for i, (rho, cfg) in enumerate(zip(rho_values, cfgs)):
         try:

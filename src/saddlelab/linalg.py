@@ -114,11 +114,13 @@ def csv_lines(rows):
 
 def write_text(path, chunks) -> None:
     """Stream text chunks into path's sibling <name>.tmp, then os.replace it
-    onto path. If writing raises, the temp file is removed and path keeps its
-    old bytes; an OSError that names a file is raised again naming path."""
+    onto path, creating path's directory first if it is missing. If writing
+    raises, the temp file is removed and path keeps its old bytes; an OSError
+    that names a file is raised again naming path."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
@@ -128,6 +130,23 @@ def write_text(path, chunks) -> None:
         if isinstance(exc, OSError) and exc.filename is not None:
             raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
+
+
+def append_text(path, chunks) -> None:
+    """Append text chunks to path, cutting the file back to its old length if
+    writing raises, so it never ends in part of an append. For a file that
+    grows a row at a time: it writes only the new bytes and replaces no file."""
+    data = "".join(chunks).encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+    size = os.fstat(fd).st_size
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    except BaseException:
+        os.ftruncate(fd, size)
+        raise
+    finally:
+        os.close(fd)
 
 
 def write_csv(path, header, rows) -> None:

@@ -5,11 +5,11 @@ schedules.
 
 A step takes a gradient callable ``grad_fn(w) -> (loss, grad)`` bound to one
 mini-batch, the parameters, the momentum velocity and the epoch's noise stream,
-and returns the new parameters and the new velocity plus a per-step info dict;
-it modifies no argument. Each kind only picks the gradient, and the one
-sgd_step applies every kind's. With their perturbations switched off
-(rho / sigma / radius = 0) every optimizer takes the exact code path of plain
-SGD, so trajectories degenerate bitwise.
+and returns the new parameters and the new velocity plus the step's loss and
+gradient norm; it modifies no argument. Each kind only picks the gradient,
+and the one sgd_step applies every kind's. With their perturbations switched
+off (rho / sigma / radius = 0) every optimizer takes the exact code path of
+plain SGD, so trajectories degenerate bitwise.
 """
 
 from __future__ import annotations
@@ -124,13 +124,12 @@ def sam_gradients(grad_fn, w, rho: float, normalized: bool):
 
 
 def sam_step(grad_fn, w, rho: float, normalized: bool):
-    """(loss, g, g_sam, eps_skipped): sam_gradients' loss, gradient and
-    sharpness-aware gradient, which optimizer_step applies. A zero first
-    gradient in normalized mode skips the perturbation and sets eps_skipped."""
+    """(loss, g, g_sam): sam_gradients' loss, gradient and sharpness-aware
+    gradient, which optimizer_step applies."""
     if rho < 0:
         raise ParameterError("rho must be >= 0")
-    loss, g, eps, g_sam = sam_gradients(grad_fn, w, rho, normalized)
-    return loss, g, g_sam, eps is None and rho != 0.0
+    loss, g, _, g_sam = sam_gradients(grad_fn, w, rho, normalized)
+    return loss, g, g_sam
 
 
 def _lpf_gradient(grad_fn, w, rng: SeededRng, opt: OptimizerConfig, blocks):
@@ -154,16 +153,15 @@ def _lpf_gradient(grad_fn, w, rng: SeededRng, opt: OptimizerConfig, blocks):
 
 def optimizer_step(opt: OptimizerConfig, grad_fn, w, velocity, rng: SeededRng, lr: float,
                    rho: float, blocks):
-    """One step of the optimizer opt.kind; returns (new_w, new_velocity, info),
-    where info holds at least the step's "loss" and "grad_norm", and modifies
+    """One step of the optimizer opt.kind; returns (new_w, new_velocity, loss,
+    grad_norm), the step's loss and the norm of its gradient g, and modifies
     no argument. rho is the epoch's SAM radius, rng the epoch's noise stream,
     which PGD and LPF-SGD draw from, and blocks param_layout's blocks, which
     LPF-SGD perturbs by. A kind only picks the gradient, PGD's at w + xi with
     xi ~ N(0, pgd_sigma^2 I); the one sgd_step applies it. A zero pgd_sigma or
     lpf_radius picks plain SGD's."""
-    info = {}
     if opt.kind == SAM:
-        loss, g, g_step, info["eps_skipped"] = sam_step(grad_fn, w, rho, opt.sam_normalized)
+        loss, g, g_step = sam_step(grad_fn, w, rho, opt.sam_normalized)
     else:
         if opt.kind == PGD and opt.pgd_sigma != 0.0:
             loss, g = grad_fn(w + rng.normal(size=w.shape[0], std=opt.pgd_sigma))
@@ -173,7 +171,7 @@ def optimizer_step(opt: OptimizerConfig, grad_fn, w, velocity, rng: SeededRng, l
             loss, g = grad_fn(w)
         g_step = g
     w, velocity = sgd_step(w, g_step, velocity, lr, opt.momentum)
-    return w, velocity, dict(info, loss=loss, grad_norm=float(np.linalg.norm(g)))
+    return w, velocity, loss, float(np.linalg.norm(g))
 
 
 def lr_at(schedule: LrSchedule, epoch: int, step_in_epoch: int = 0,

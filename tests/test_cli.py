@@ -47,9 +47,10 @@ def test_train_and_checkpoint_tools(tmp_path, capsys):
     assert (tmp_path / "spec1" / "spectrum_4_class1.csv").exists()
     capsys.readouterr()
 
+    # the writer makes a nested --out and its missing parents
     assert main(["cnc-check", "--checkpoint", str(ckpt), "--rho", "0.0,0.1",
-                 "--out", str(tmp_path / "cnc")]) == 0
-    assert (tmp_path / "cnc" / "cnc_4.csv").exists()
+                 "--out", str(tmp_path / "cnc" / "nested")]) == 0
+    assert (tmp_path / "cnc" / "nested" / "cnc_4.csv").exists()
     out = capsys.readouterr().out
     assert "measured_ratio" in out
 

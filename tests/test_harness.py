@@ -325,6 +325,30 @@ def test_a_resume_killed_in_its_first_step_keeps_the_checkpoint_rows(tmp_path):
     assert (out / "metrics.csv").read_text() == "".join(rows[:3])  # header, epochs 1-2
 
 
+def test_a_metrics_write_that_fails_midway_leaves_the_finished_rows_whole(tmp_path):
+    # a file-size limit that epoch 2's row crosses halfway: python ignores
+    # SIGXFSZ, so the write raises EFBIG, and metrics.csv keeps epoch 1 whole
+    cfg = tiny_config(tmp_path / "full", epochs=4)
+    run_experiment(cfg, tmp_path / "full")
+    rows = (tmp_path / "full" / "metrics.csv").read_bytes().splitlines(keepends=True)
+    limit = len(rows[0]) + len(rows[1]) + len(rows[2]) // 2
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    out = tmp_path / "limited"
+    script = ("import resource, sys\n"
+              "from saddlelab import harness\n"
+              "cfg = harness.load_config(sys.argv[1])\n"
+              "resource.setrlimit(resource.RLIMIT_FSIZE, "
+              "(int(sys.argv[3]), resource.getrlimit(resource.RLIMIT_FSIZE)[1]))\n"
+              "harness.run_experiment(cfg, sys.argv[2])\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg_path), str(out), str(limit)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0 and "File too large" in proc.stderr
+    assert (out / "metrics.csv").read_bytes() == b"".join(rows[:2])  # header, epoch 1
+    assert not list(out.glob("*.tmp"))
+
+
 def test_resume_rejects_other_config(tmp_path):
     cfg = tiny_config(tmp_path / "r1", epochs=4)
     cfg = dataclasses.replace(cfg, spectrum_epochs=(2,),

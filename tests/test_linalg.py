@@ -1,6 +1,10 @@
+import ast
+import errno
 import io
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +123,64 @@ def test_write_text_error_names_the_path_asked_for(tmp_path):
         write_text(target, ["a,b\n"])
     assert repr(str(target)) in str(info.value) and ".tmp" not in str(info.value)
     assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+
+
+def test_append_text_that_fails_midway_cuts_the_file_back(tmp_path, monkeypatch):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b"a,b\n")
+    linalg.append_text(path, ["1,2\n"])
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    write = os.write
+
+    def half_then_full(fd, data):  # a disk that fills partway through the append
+        if len(data) > 2:
+            return write(fd, data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(linalg.os, "write", half_then_full)
+    with pytest.raises(OSError):
+        linalg.append_text(path, ["3,4\n", "5,6\n"])
+    monkeypatch.undo()
+    assert path.read_bytes() == b"a,b\n1,2\n"
+
+
+def test_write_text_makes_the_directory_it_writes_into(tmp_path, monkeypatch):
+    write_text(tmp_path / "a" / "b" / "x.csv", ["a,b\n"])
+    assert (tmp_path / "a" / "b" / "x.csv").read_text() == "a,b\n"
+    monkeypatch.chdir(tmp_path)  # a bare name has no directory part
+    write_text("y.csv", ["c\n"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "y.csv"]
+
+
+def test_write_text_below_a_regular_file_names_the_path_asked_for(tmp_path):
+    (tmp_path / "f").write_bytes(b"")
+    target = tmp_path / "f" / "x.csv"
+    with pytest.raises(OSError) as info:
+        write_text(target, ["a,b\n"])
+    assert repr(str(target)) in str(info.value)
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]
+
+
+def test_only_the_writer_opens_files_for_writing_or_makes_directories():
+    # every byte and directory the program writes goes through linalg's writers
+    package = Path(linalg.__file__).parent
+    writers = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+                if isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value):
+                    continue
+                name = f"open {ast.unparse(mode)}"
+            elif name not in ("mkdir", "makedirs"):
+                continue
+            writers.setdefault(path.name, []).append(f"line {node.lineno}: {name}")
+    assert writers.pop("linalg.py")  # the guard sees the writer's own calls
+    assert writers == {}
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])

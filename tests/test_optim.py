@@ -74,22 +74,22 @@ def test_sgd_rejects_non_finite_grad():
 def test_sam_unnormalized_quadratic_second_gradient():
     # w=(1,1): g1 = Aw = (2,-1); eps = 0.5*g1 = (1,-0.5); g2 = A(w+eps) = (4,-0.5)
     w = np.array([1.0, 1.0])
-    new, velocity, info = sam_opt_step(quad_grad_fn(A_SADDLE), w, np.zeros(2), lr=1.0,
-                                       rho=0.5, momentum=0.0, normalized=False)
+    new, velocity, _, grad_norm = sam_opt_step(quad_grad_fn(A_SADDLE), w, np.zeros(2),
+                                               lr=1.0, rho=0.5, momentum=0.0, normalized=False)
     assert np.array_equal(velocity, np.array([4.0, -0.5]))
     assert np.array_equal(new, w - np.array([4.0, -0.5]))
-    assert info["grad_norm"] == pytest.approx(np.sqrt(5.0))
+    assert grad_norm == pytest.approx(np.sqrt(5.0))
 
 
 def test_sam_normalized_equals_rescaled_unnormalized():
     w = np.array([0.7, -1.3])
     g1 = A_SADDLE @ w
     rho = 0.25
-    w_norm, _, _ = sam_opt_step(quad_grad_fn(A_SADDLE), w, np.zeros(2), 0.1, rho,
-                                momentum=0.0, normalized=True)
-    w_unnorm, _, _ = sam_opt_step(quad_grad_fn(A_SADDLE), w, np.zeros(2), 0.1,
-                                  rho / float(np.linalg.norm(g1)),
-                                  momentum=0.0, normalized=False)
+    w_norm, _, _, _ = sam_opt_step(quad_grad_fn(A_SADDLE), w, np.zeros(2), 0.1, rho,
+                                   momentum=0.0, normalized=True)
+    w_unnorm, _, _, _ = sam_opt_step(quad_grad_fn(A_SADDLE), w, np.zeros(2), 0.1,
+                                     rho / float(np.linalg.norm(g1)),
+                                     momentum=0.0, normalized=False)
     assert np.allclose(w_norm, w_unnorm, rtol=1e-15, atol=0)
 
 
@@ -101,8 +101,8 @@ def test_sam_zero_rho_bitwise_sgd_trajectory():
     w_sam = w_sgd = rng.normal(size=4)
     v_sam = v_sgd = np.zeros(4)
     for _ in range(25):
-        w_sam, v_sam, _ = sam_opt_step(fn, w_sam, v_sam, 0.05, rho=0.0, momentum=0.9,
-                                       normalized=True)
+        w_sam, v_sam, _, _ = sam_opt_step(fn, w_sam, v_sam, 0.05, rho=0.0, momentum=0.9,
+                                          normalized=True)
         _, g = fn(w_sgd)
         w_sgd, v_sgd = sgd_step(w_sgd, g, v_sgd, 0.05, 0.9)
     assert np.array_equal(w_sam, w_sgd)
@@ -111,9 +111,8 @@ def test_sam_zero_rho_bitwise_sgd_trajectory():
 
 def test_sam_zero_gradient_skips_perturbation():
     w = np.zeros(2)  # stationary point of the quadratic
-    new, _, info = sam_opt_step(quad_grad_fn(A_SADDLE), w, np.zeros(2), 0.1, rho=0.5,
+    new, _, _, _ = sam_opt_step(quad_grad_fn(A_SADDLE), w, np.zeros(2), 0.1, rho=0.5,
                                 momentum=0.9, normalized=True)
-    assert info["eps_skipped"] is True
     assert np.array_equal(new, w)
 
 
@@ -157,8 +156,8 @@ def test_optimizer_step_modifies_no_argument(kind):
     w, velocity = _step_inputs()
     for array in (w, velocity):
         array.flags.writeable = False  # an in-place update raises
-    new, new_velocity, _ = optimizer_step(opt, quad_grad_fn(A_SADDLE), w, velocity,
-                                          noise(seed=7), 0.1, rho, BLOCKS)
+    new, new_velocity, _, _ = optimizer_step(opt, quad_grad_fn(A_SADDLE), w, velocity,
+                                             noise(seed=7), 0.1, rho, BLOCKS)
     assert (w.tobytes(), velocity.tobytes()) == tuple(a.tobytes() for a in _step_inputs())
     assert not np.array_equal(new, w) and not np.array_equal(new_velocity, velocity)
 
@@ -170,7 +169,7 @@ def test_optimizer_step_is_a_function_of_its_inputs(kind):
                                    noise(seed=7), 0.1, rho, BLOCKS) for _ in range(2))
     assert first[0].tobytes() == again[0].tobytes()
     assert first[1].tobytes() == again[1].tobytes()
-    assert first[2] == again[2]
+    assert first[2:] == again[2:]
 
 
 @pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "unnormalized"])
@@ -189,8 +188,8 @@ def test_pgd_zero_sigma_bitwise_sgd():
     v_pgd = v_sgd = np.zeros(2)
     rng = noise()
     for _ in range(25):
-        w_pgd, v_pgd, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.0), fn, w_pgd,
-                                         v_pgd, rng, 0.05, rho=0.0, blocks=BLOCKS)
+        w_pgd, v_pgd, _, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.0), fn, w_pgd,
+                                            v_pgd, rng, 0.05, rho=0.0, blocks=BLOCKS)
         _, g = fn(w_sgd)
         w_sgd, v_sgd = sgd_step(w_sgd, g, v_sgd, 0.05, 0.9)
     assert np.array_equal(w_pgd, w_sgd)
@@ -202,8 +201,8 @@ def test_pgd_deterministic_replay():
         w = np.array([1.0, 1.0])
         velocity, rng = np.zeros(2), noise(seed=9)
         for _ in range(10):
-            w, velocity, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=1e-3), fn, w,
-                                            velocity, rng, 0.05, rho=0.0, blocks=BLOCKS)
+            w, velocity, _, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=1e-3), fn, w,
+                                               velocity, rng, 0.05, rho=0.0, blocks=BLOCKS)
         return w
     assert np.array_equal(run(), run())
 
@@ -227,9 +226,9 @@ def test_lpf_zero_radius_bitwise_sgd():
     v_lpf = v_sgd = np.zeros(2)
     rng = noise()
     for _ in range(25):
-        w_lpf, v_lpf, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=3,
-                                                         lpf_radius=0.0),
-                                         fn, w_lpf, v_lpf, rng, 0.05, rho=0.0, blocks=BLOCKS)
+        w_lpf, v_lpf, _, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=3,
+                                                            lpf_radius=0.0),
+                                            fn, w_lpf, v_lpf, rng, 0.05, rho=0.0, blocks=BLOCKS)
         _, g = fn(w_sgd)
         w_sgd, v_sgd = sgd_step(w_sgd, g, v_sgd, 0.05, 0.9)
     assert np.array_equal(w_lpf, w_sgd)
@@ -240,9 +239,9 @@ def test_lpf_single_iter_equals_matched_manual_perturbation():
     fn = quad_grad_fn(A_SADDLE)
     w = np.array([1.0, 1.0])
     radius = 0.01
-    new, _, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=1,
-                                               lpf_radius=radius, momentum=0.0),
-                               fn, w, np.zeros(2), noise(seed=21), 0.1, rho=0.0, blocks=BLOCKS)
+    new, _, _, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=1,
+                                                  lpf_radius=radius, momentum=0.0),
+                                  fn, w, np.zeros(2), noise(seed=21), 0.1, rho=0.0, blocks=BLOCKS)
     std = radius * np.linalg.norm(w) / np.sqrt(2)
     xi = SeededRng(21).child("noise").normal(size=2) * std
     _, g = fn(w + xi)
@@ -258,10 +257,10 @@ def test_lpf_smoothing_error_linear_in_radius():
     exact = A_SADDLE @ w
     errs = []
     for radius in (1e-1, 1e-2, 1e-3):
-        new, _, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=64,
-                                                   lpf_radius=radius, momentum=0.0),
-                                   fn, w, np.zeros(2), noise(seed=33), 1.0, rho=0.0,
-                                   blocks=BLOCKS)
+        new, _, _, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=64,
+                                                      lpf_radius=radius, momentum=0.0),
+                                      fn, w, np.zeros(2), noise(seed=33), 1.0, rho=0.0,
+                                      blocks=BLOCKS)
         errs.append(np.linalg.norm((w - new) - exact))
     assert errs[0] / errs[1] == pytest.approx(10.0, rel=1e-9)
     assert errs[1] / errs[2] == pytest.approx(10.0, rel=1e-9)
@@ -345,15 +344,15 @@ def test_lr_zero_is_fixed_point_for_all_optimizers():
             _, g = fn(w)
             new, _ = sgd_step(w, g, velocity, 0.0, 0.9)
         elif step == "sam":
-            new, _, _ = sam_opt_step(fn, w, velocity, 0.0, rho=0.3, momentum=0.9,
-                                     normalized=True)
+            new, _, _, _ = sam_opt_step(fn, w, velocity, 0.0, rho=0.3, momentum=0.9,
+                                        normalized=True)
         elif step == "pgd":
-            new, _, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.1), fn, w,
-                                       velocity, rng, 0.0, rho=0.0, blocks=BLOCKS)
+            new, _, _, _ = optimizer_step(OptimizerConfig(kind="pgd", pgd_sigma=0.1), fn, w,
+                                          velocity, rng, 0.0, rho=0.0, blocks=BLOCKS)
         else:
-            new, _, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=4,
-                                                       lpf_radius=0.1),
-                                       fn, w, velocity, rng, 0.0, rho=0.0, blocks=BLOCKS)
+            new, _, _, _ = optimizer_step(OptimizerConfig(kind="lpfsgd", lpf_mc_iters=4,
+                                                          lpf_radius=0.1),
+                                          fn, w, velocity, rng, 0.0, rho=0.0, blocks=BLOCKS)
         assert np.array_equal(new, w)
 
 
@@ -393,7 +392,7 @@ def test_noise_free_steps_at_a_saddle_follow_the_closed_form(kind, rho):
     w, v = w0, v0
     tol = 1e-12 * np.linalg.norm(w0)
     for t in steps[1:]:
-        w, v, _ = _saddle_step(kind, rho, w, v)
+        w, v, _, _ = _saddle_step(kind, rho, w, v)
         assert np.all(np.abs(w - closed_w[t]) <= tol), t
         assert np.all(np.abs(v - closed_v[t]) <= tol), t
 
@@ -466,7 +465,7 @@ def test_noisy_steps_at_a_saddle_match_the_closed_form_second_moments(kind, rho)
         def grad_fn(x, xi=xi):
             return 0.5 * float(x @ (lam_all * x)) + float(xi @ x), lam_all * x + xi
 
-        w, v, _ = optimizer_step(opt, grad_fn, w, v, opt_rng, ESCAPE_LR, rho, blocks)
+        w, v, _, _ = optimizer_step(opt, grad_fn, w, v, opt_rng, ESCAPE_LR, rho, blocks)
     norm_gain = np.zeros(2)
     if kind == "pgd":
         a, noise_var = lam, NOISE_S**2 + lam**2 * PGD_SIGMA**2

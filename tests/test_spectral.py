@@ -863,7 +863,7 @@ def test_only_pgd_leaves_the_zero_weight_saddle(drw):
         for _ in range(300):
             idx = order.choice(len(batch), 64)
             step = Batch(batch.features[idx], batch.labels[idx])
-            w, velocity, _ = optimizer_step(
+            w, velocity, _, _ = optimizer_step(
                 opt, lambda x, b=step: model.loss_grad(spec, x, b, loss),
                 w, velocity, rng, 0.1, opt.rho, blocks)
         moved[kind] = float(np.max(np.abs(w[weights])))
